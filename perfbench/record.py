@@ -7,8 +7,8 @@ Run from the root of a source checkout:
 
 Each end-to-end metric's spread is the distance between the first and third
 quartile of its values as a share of their median; the benchmark is steady
-when every spread but set-up time's stays below a third of the metric's
-bound in BENCHMARK.json.  One traced run per workload (at the first seed)
+when every spread stays below a third of the metric's bound in
+BENCHMARK.json.  One traced run per workload (at the first seed)
 adds the per-layer metrics and the hotspot lines.  Runs are sequential, so
 they do not compete for the processor.
 """
@@ -85,7 +85,7 @@ def main(argv=None) -> int:
             q1, med, q3 = statistics.quantiles(vals, n=4)
             spread = (q3 - q1) / med
             summary[name] = {"median": med, "q1": q1, "q3": q3, "spread": spread, "values": vals}
-            if name != "setup_s" and spread >= bounds[name] / 3:
+            if spread >= bounds[name] / 3:
                 steady = False
             print(f"{workload} {name}: median {med:.4f} spread {spread:.2%} "
                   f"(bound {bounds[name]:.0%})", flush=True)

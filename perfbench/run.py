@@ -17,19 +17,26 @@ one has finished.  The job list is repeated until ``--seconds`` have passed
 (always at least one full pass); a job is one CLI invocation through
 ``eulerlab.cli.main`` in this process, so each job re-reads its document and
 builds fresh objects.  ``wall_s`` is the time of one pass, taken as the sum
-over jobs of each job's median time, scaled to a nominal host speed (see
-``reference``).  Every job's output is checked; a job that exits non-zero,
-writes no report, breaks an identity or writes different bytes from its
-first run counts as failed.  ``failed_frac`` is printed with its base; it is
-not in the JSON metrics, which must never be 0, but follows from
+over jobs of each job's median time, each run scaled to a nominal host speed
+(see ``HostClock``).  Every job's output is checked; a job that exits
+non-zero, writes no report, breaks an identity or writes different bytes
+from its first run counts as failed.  ``failed_frac`` is printed with its
+base; it is not in the JSON metrics, which must never be 0, but follows from
 ``failed`` / ``attempted``.
 
-With ``--trace 1`` the untraced loop runs first (for the overhead
-baseline), then exactly one traced pass: the public functions of each
-module are wrapped, in every ``eulerlab.*`` namespace that bound them, and
-spans (name, parent, job, start, end, self time) are kept in memory and
-written to ``.bench_out/`` at the end.  Counts come from that single pass,
-so they repeat exactly from run to run.
+``setup_s`` is the median over SETUP_REPEATS fresh interpreters, each started
+on this script, of the time from starting it until it has set up as the
+measured run does: interpreter start, the cold import of eulerlab and
+writing the input documents.  It is scaled like ``wall_s``.
+
+With ``--trace 1`` no end-to-end metric is measured.  Instead each job runs
+untraced and then traced, pass after pass, until ``--seconds`` have passed:
+for a traced run the public functions of each module are wrapped, in every
+``eulerlab.*`` namespace that bound them, and spans (name, parent, job,
+start, end, self time) are kept in memory.  Per-layer metrics come from the
+first traced pass, so counts repeat exactly from run to run; its spans are
+written to ``.bench_out/`` at the end.  ``trace.overhead_frac`` compares the
+traced and untraced runs of each pair.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.
@@ -49,15 +56,18 @@ import os
 import random
 import resource
 import shutil
+import signal
 import statistics
+import subprocess
 import sys
 import time
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 WORKLOADS = ("check", "schlegel", "folded", "oracle")
-SETUP_REPEATS = 5
+SETUP_REPEATS = 25
 ORACLE_BOUND = 12
 
 # (dimension, points, coordinate bound) of the seeded point clouds of `check`.
@@ -214,10 +224,9 @@ def check_report(job: Job, rc, text: Optional[str]) -> Optional[str]:
         return "report does not pass"
     fv = r["f_vector"]
     d = len(fv) - 1
-    if sum((-1) ** c * n for c, n in enumerate(fv)) != 1 or fv[-1] != 1:
-        return f"f-vector {fv} breaks Euler's relation"
-    if job.family is not None and fv != family_f_vector(*job.family):
-        return f"f-vector {fv} != closed form for {job.label}"
+    error = f_vector_error(job, fv)
+    if error is not None:
+        return error
     if job.kind == "schlegel":
         s = r["schlegel_proof"]
         cells = s["cell_count"]
@@ -236,62 +245,62 @@ def check_report(job: Job, rc, text: Optional[str]) -> Optional[str]:
     return None
 
 
-def run_cli(program: Program, argv: list[str]):
+def run_cli(program: Program, clock: "HostClock", argv: list[str]):
     """Call eulerlab.cli.main with stdout and stderr captured; returns the
-    exit code (None for an escaped exception) and the elapsed seconds."""
+    exit code (None for an escaped exception) and the nominal seconds."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        t0 = time.perf_counter()
+        clock.start()
         try:
             rc = program.cli.main(argv)
         except SystemExit as e:
             rc = e.code if isinstance(e.code, int) else 2
         except Exception:  # a traceback is a failed job, not a crashed benchmark
             rc = None
-        elapsed = time.perf_counter() - t0
+        elapsed = clock.stop()
     return rc, elapsed
 
 
-def run_oracle(program: Program, job: Job):
+def f_vector_error(job: Job, fv: list[int]) -> Optional[str]:
+    """Why the f-vector is wrong (Euler's relation, closed form), or None."""
+    if sum((-1) ** c * n for c, n in enumerate(fv)) != 1 or fv[-1] != 1:
+        return f"f-vector {fv} breaks Euler's relation"
+    if job.family is not None and fv != family_f_vector(*job.family):
+        return f"f-vector {fv} != closed form for {job.label}"
+    return None
+
+
+def run_oracle(program: Program, clock: "HostClock", job: Job):
     """Brute-force lattice vs fast lattice; the 'report' is the benchmark's
-    own canonical rendering of the result."""
+    own canonical rendering of the result.  Returns what run_job returns."""
     jsonio, polytope = program.jsonio, program.polytope
-    t0 = time.perf_counter()
+    clock.start()
     try:
         p = jsonio.document_to_polytope(jsonio.load_document(job.doc))
         slow = polytope.brute_force_face_lattice(p, bound=ORACLE_BOUND)
         fast = polytope.face_lattice(p)
         same = slow.same_faces(fast)
     except Exception:  # a traceback is a failed job, not a crashed benchmark
-        return None, time.perf_counter() - t0, None
-    elapsed = time.perf_counter() - t0
+        return clock.stop(), None, "oracle raised"
+    elapsed = clock.stop()
     fv = [len(fast.faces(c)) for c in range(fast.dim + 1)]
     families = {
         str(c): sorted(sorted(s) for s in fam) for c, fam in fast.vertex_set_families().items()
     }
     text = json.dumps({"same": same, "f_vector": fv, "faces": families}, sort_keys=True)
-    return (0 if same else 1), elapsed, text
+    return elapsed, text, f_vector_error(job, fv) if same else "oracle lattice differs"
 
 
-def run_job(program: Program, job: Job, report: str):
-    """Run one job; returns (elapsed seconds, report text or None, error or None)."""
+def run_job(program: Program, clock: "HostClock", job: Job, report: str):
+    """Run one job; returns (nominal seconds, report text or None, error or None)."""
     if job.kind == "oracle":
-        rc, elapsed, text = run_oracle(program, job)
-        if rc != 0:
-            return elapsed, text, "oracle lattice differs" if rc else "oracle raised"
-        r = json.loads(text)
-        fv = r["f_vector"]
-        if sum((-1) ** c * n for c, n in enumerate(fv)) != 1:
-            return elapsed, text, f"f-vector {fv} breaks Euler's relation"
-        if job.family is not None and fv != family_f_vector(*job.family):
-            return elapsed, text, f"f-vector {fv} != closed form"
-        return elapsed, text, None
+        return run_oracle(program, clock, job)
     if os.path.exists(report):
         os.remove(report)
     if job.kind == "check":
         argv = ["check", job.doc, "-o", report]
     else:
         argv = ["verify", job.doc, "--proof", job.kind, "--seed", str(job.seed), "-o", report]
-    rc, elapsed = run_cli(program, argv)
+    rc, elapsed = run_cli(program, clock, argv)
     text = None
     if os.path.exists(report):
         with open(report, "r", encoding="utf-8") as fh:
@@ -311,17 +320,17 @@ class Loop:
         self.jobs = jobs
         self.reportdir = reportdir
         self.first: dict[int, Optional[str]] = {}
-        self.references: list[float] = []
+        self.clock = HostClock()
         self.attempted = 0
         self.failures: list[str] = []
 
     def run(self, i: int, tracer: Optional["Tracer"] = None) -> float:
+        """Run job i once and check it; returns its nominal seconds."""
         job = self.jobs[i]
         report = os.path.join(self.reportdir, f"job{i}.json")
-        self.references.append(reference())
         if tracer is not None:
             tracer.job = i
-        elapsed, text, error = run_job(self.program, job, report)
+        elapsed, text, error = run_job(self.program, self.clock, job, report)
         self.attempted += 1
         if error is None and i in self.first and self.first[i] != text:
             error = "report bytes differ from the job's first run"
@@ -330,24 +339,25 @@ class Loop:
             self.failures.append(f"{job.label}: {error}")
         return elapsed
 
-    def timed(self, seconds: float) -> list[list[float]]:
+    def timed(self, seconds: float, between, times: int) -> list[list[float]]:
         """Repeat the job list until `seconds` have passed, finishing at least
-        one full pass; returns each job's samples."""
+        one full pass; returns each job's samples.  Calls `between()` `times`
+        times in all, spread evenly over the run between two jobs; the time
+        spent in it does not count towards `seconds`."""
         samples: list[list[float]] = [[] for _ in self.jobs]
         start = time.perf_counter()
-        passes = 0
-        while True:
-            for i in range(len(self.jobs)):
-                if passes and time.perf_counter() - start >= seconds:
-                    return samples
-                samples[i].append(self.run(i))
-            passes += 1
-            if time.perf_counter() - start >= seconds:
-                return samples
-
-    def speed(self) -> float:
-        """Scale from raw to nominal-host seconds for the references so far."""
-        return NOMINAL_REFERENCE_S / statistics.median(self.references)
+        calls = 0
+        while min(map(len, samples)) == 0 or time.perf_counter() - start < seconds:
+            i = sum(map(len, samples)) % len(self.jobs)
+            samples[i].append(self.run(i))
+            if calls < times and time.perf_counter() - start >= calls * seconds / times:
+                t0 = time.perf_counter()
+                between()
+                calls += 1
+                start += time.perf_counter() - t0
+        for _ in range(calls, times):
+            between()
+        return samples
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -360,35 +370,81 @@ def pass_time(samples: list[list[float]]) -> float:
     return sum(statistics.median(s) for s in samples)
 
 
-# The machine is shared, and the speed at which it runs the same work drifts
-# by up to a quarter over tens of seconds; on one seed, raw pass times of
-# ten-second-apart runs spread by 26%.  A fixed integer-only task that uses
-# nothing from the program is timed before every job, and end-to-end times
-# are scaled by NOMINAL_REFERENCE_S / (median reference time of the run):
-# they read as seconds on a host that runs the reference in the nominal time.
-NOMINAL_REFERENCE_S = 0.0016
+# The machine is shared, and the speed at which it runs the same work swings
+# by up to a factor of two in phases that last from a fraction of a second to
+# several seconds.  So a fixed task that uses nothing from the program, the
+# reference, is timed right before and right after each job and, from a
+# SIGALRM handler, every SAMPLE_PERIOD_S seconds during it.  The job's time,
+# less the time spent in the handler, is scaled by NOMINAL_REFERENCE_S /
+# (mean reference time): it reads as seconds on a host that runs the
+# reference in the nominal time.  On a two-second job, repeated on a shared
+# 2-vCPU VM under Python 3.11.7, this cut the quartile spread of single runs
+# from 18% (raw) and 23% (scaled by the references before and after alone)
+# to 5%; the handler adds about 1.3% to the time of a run.
+NOMINAL_REFERENCE_S = 0.0007
+SAMPLE_PERIOD_S = 0.05
+BRACKET_TIMINGS = 5  # per reference before and after a job, which weigh most on short jobs
 
 
-def reference() -> float:
-    """Seconds taken by the fixed reference task: fraction-free elimination
-    of a pseudo-random 12x12 integer matrix, eight times."""
-    t0 = time.perf_counter()
-    for _ in range(8):
-        x, n = 12345, 12
-        m = []
+def reference(times: int = 1) -> float:
+    """Seconds taken by the fixed reference task: Gaussian elimination over
+    Fractions, like the program's own arithmetic, of a pseudo-random 7x7
+    matrix.  The median of `times` timings, so that one interruption does
+    not count."""
+    samples = []
+    for _ in range(times):
+        t0 = time.perf_counter()
+        x, n, m = 12345, 7, []
         for _i in range(n):
             row = []
             for _j in range(n):
                 x = (x * 1103515245 + 12345) % 2147483648
-                row.append(x % 201 - 100)
+                row.append(Fraction(x % 201 - 100, x % 7 + 1))
             m.append(row)
-        prev = 1
         for k in range(n - 1):
+            if m[k][k] == 0:
+                continue
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k] or 1
-    return time.perf_counter() - t0
+                f = m[i][k] / m[k][k]
+                for j in range(k, n):
+                    m[i][j] -= f * m[k][j]
+        samples.append(time.perf_counter() - t0)
+    return statistics.median(samples)
+
+
+class HostClock:
+    """Times work in nominal-host seconds (see NOMINAL_REFERENCE_S)."""
+
+    def __init__(self):
+        self.last: Optional[float] = None  # reference time after the last stop
+        self.refs: list[float] = []
+        self.spent = 0.0  # seconds spent in the sampler since start
+        self.t0 = 0.0
+        self.raw = 0.0  # unscaled seconds of the last start-stop, as spans read
+        signal.signal(signal.SIGALRM, self._sample)
+
+    def _sample(self, _signum, _frame) -> None:
+        t0 = time.perf_counter()
+        self.refs.append(reference())
+        self.spent += time.perf_counter() - t0
+
+    def start(self, sample: bool = True) -> None:
+        """Start timing.  Turn `sample` off for work done by a child process:
+        a reference timed in the handler would share the processor with the
+        child."""
+        self.refs = [reference(BRACKET_TIMINGS) if self.last is None else self.last]
+        self.spent = 0.0
+        if sample:
+            signal.setitimer(signal.ITIMER_REAL, SAMPLE_PERIOD_S, SAMPLE_PERIOD_S)
+        self.t0 = time.perf_counter()
+
+    def stop(self) -> float:
+        """Nominal seconds since start."""
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        self.raw = time.perf_counter() - self.t0 - self.spent
+        self.last = reference(BRACKET_TIMINGS)
+        self.refs.append(self.last)
+        return self.raw * NOMINAL_REFERENCE_S / statistics.fmean(self.refs)
 
 
 # ---------------------------------------------------------------- tracing
@@ -423,6 +479,7 @@ class Tracer:
 
     def __init__(self):
         self.names: list[str] = []
+        self.ids: dict[str, int] = {}
         # One array per span field: arrays hold no objects for the garbage
         # collector to walk, which keeps the tracing overhead flat.
         self.fields = tuple(array(code) for code in "iiiddd")
@@ -433,8 +490,10 @@ class Tracer:
         self.undo: list[tuple[object, str, object]] = []
 
     def name_id(self, name: str) -> int:
-        self.names.append(name)
-        return len(self.names) - 1
+        if name not in self.ids:
+            self.ids[name] = len(self.names)
+            self.names.append(name)
+        return self.ids[name]
 
     def call(self, nid: int, fn, args, kwargs):
         stack = self.stack
@@ -469,7 +528,7 @@ class Tracer:
 
     def count_wrapper(self, name: str, fn):
         counts = self.counts
-        counts[name] = 0
+        counts.setdefault(name, 0)
 
         @functools.wraps(fn)
         def counted(*args, **kwargs):
@@ -597,7 +656,7 @@ LAYER_METRICS = {
 UNITS = {"calls": "count", "self_s": "s", "total_s": "s"}
 
 
-def layer_metrics(tracer: Tracer, traced_wall: float, untraced_wall: float) -> dict:
+def layer_metrics(tracer: Tracer, overhead: float) -> dict:
     agg = tracer.aggregate()
     out = {}
     for name, kinds in LAYER_METRICS.items():
@@ -610,7 +669,7 @@ def layer_metrics(tracer: Tracer, traced_wall: float, untraced_wall: float) -> d
         (calls - tracer.computed) / calls if calls else 0.0, "ratio")
     out["linalg.dot.calls"] = (tracer.counts.get("linalg.dot", 0), "count")
     out["schlegel_flags.probes_per_flag"] = (tracer.probes_per_flag(), "probes/flag")
-    out["trace.overhead_frac"] = (traced_wall / untraced_wall - 1, "ratio")
+    out["trace.overhead_frac"] = (overhead, "ratio")
     return out
 
 
@@ -640,6 +699,8 @@ def parse_args(argv):
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), required=True)
     ap.add_argument("--smoke", action="store_true", help="reduced job lists, for tests")
+    # Set up into this directory and exit: the child side of setup_run.
+    ap.add_argument("--setup-probe", metavar="DIR", help=argparse.SUPPRESS)
     return ap.parse_args(argv)
 
 
@@ -650,6 +711,9 @@ def main(argv=None) -> int:
     if not os.path.isfile(os.path.join(src, "eulerlab", "cli.py")):
         print(f"perfbench: no eulerlab sources under {src}", file=sys.stderr)
         return 2
+    if args.setup_probe:
+        make_jobs(Program(src), args.workload, args.seed, args.smoke, args.setup_probe)
+        os._exit(0)  # set-up ends here; interpreter shutdown is not part of it
     # Paths relative to the checkout and free of run-specific parts, because
     # the program writes the document path into each report and the reports
     # must repeat byte for byte.
@@ -662,49 +726,90 @@ def main(argv=None) -> int:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
+def setup_run(args, docdir: str) -> None:
+    """Start a fresh interpreter on this script that sets up as the measured
+    run does, into docdir, and exits: interpreter start, the cold import of
+    eulerlab and writing the workload's input documents."""
+    argv = [sys.executable, __file__, "--workload", args.workload, "--seed", str(args.seed),
+            "--seconds", "0", "--trace", "0", "--setup-probe", docdir]
+    proc = subprocess.run(argv + ["--smoke"] * args.smoke, capture_output=True, text=True,
+                          timeout=60)
+    if proc.returncode != 0:
+        raise RuntimeError(f"set-up probe exited {proc.returncode}: {proc.stderr}")
+
+
+def traced_passes(loop: Loop, seconds: float):
+    """Alternate an untraced and a traced run of each job, pass after pass,
+    until `seconds` have passed (at least one pass).  Both runs of a pair
+    see the same host speed, so their ratio is the tracing overhead.
+    Returns the first pass's tracer, its per-job unscaled traced times (the
+    clock its spans use) and the overhead as (sum of traced medians) /
+    (sum of untraced medians) - 1."""
+    plain: list[list[float]] = [[] for _ in loop.jobs]
+    traced: list[list[float]] = [[] for _ in loop.jobs]
+    first: Optional[Tracer] = None
+    first_raw: list[float] = []
+    start = time.perf_counter()
+    while first is None or time.perf_counter() - start < seconds:
+        tracer = Tracer()  # spans of later passes only give times
+        for i in range(len(loop.jobs)):
+            plain[i].append(loop.run(i))
+            tracer.install(loop.program)
+            try:
+                traced[i].append(loop.run(i, tracer))
+            finally:
+                tracer.uninstall()
+            if first is None:
+                first_raw.append(loop.clock.raw)
+        first = first or tracer
+    return first, first_raw, pass_time(traced) / pass_time(plain) - 1
+
+
+def pin_to_current_cpu() -> None:
+    """Keep this process, and the set-up probes it starts, on the processor
+    it runs on now, so that the reference is timed on the processor that
+    runs the work: on a shared host each processor's speed swings on its
+    own."""
+    with open("/proc/self/stat", encoding="ascii") as fh:
+        cpu = int(fh.read().rsplit(")", 1)[1].split()[36])  # field 39, "processor"
+    os.sched_setaffinity(0, {cpu})
+
+
 def measure(args, src: str, outdir: str, workdir: str) -> int:
-    # Set-up: fresh import of the program plus writing the input documents,
-    # repeated; the last set-up's program and documents are measured.
-    setups, references = [], []
-    for k in range(SETUP_REPEATS):
-        references.append(reference())
-        t0 = time.perf_counter()
-        program = Program(src)
-        jobs = make_jobs(program, args.workload, args.seed, args.smoke,
-                         os.path.join(workdir, f"docs{k}"))
-        setups.append(time.perf_counter() - t0)
+    pin_to_current_cpu()
+    program = Program(src)
+    jobs = make_jobs(program, args.workload, args.seed, args.smoke, os.path.join(workdir, "docs"))
     reportdir = os.path.join(workdir, "reports")
     os.makedirs(reportdir)
-
     loop = Loop(program, jobs, reportdir)
-    loop.references += references
-    samples = loop.timed(args.seconds)
-    speed = loop.speed()
-    wall = pass_time(samples) * speed
-    print(f"workload {args.workload} seed {args.seed}: {len(jobs)} jobs, "
-          f"{min(map(len, samples))}-{max(map(len, samples))} runs each; "
-          f"raw pass {pass_time(samples):.4f} s, host speed scale {speed:.4f}")
-    for job, times in zip(jobs, samples):
-        print(f"job {job.label} median {statistics.median(times):.4f} s of {len(times)}")
 
     metrics: dict[str, tuple[float, str]]
     if args.trace:
-        tracer = Tracer()
-        loop.references = []
-        tracer.install(program)
-        try:
-            job_wall = [loop.run(i, tracer) for i in range(len(jobs))]
-        finally:
-            tracer.uninstall()
-        metrics = layer_metrics(tracer, sum(job_wall) * loop.speed(), wall)
+        tracer, job_wall, overhead = traced_passes(loop, args.seconds)
+        metrics = layer_metrics(tracer, overhead)
         for line in hotspots(tracer, jobs, job_wall):
             print(line)
         tracer.write(os.path.join(outdir, f"trace-{args.workload}-seed{args.seed}.tsv"), jobs)
     else:
+        # Set-up runs are spread over the timed loop, so that they meet the
+        # host in as many of its phases as the jobs do.
+        setups: list[float] = []
+
+        def setup_once() -> None:
+            loop.clock.start(sample=False)
+            setup_run(args, os.path.join(workdir, f"probe{len(setups)}"))
+            setups.append(loop.clock.stop())
+
+        samples = loop.timed(args.seconds, setup_once, SETUP_REPEATS)
+        print(f"workload {args.workload} seed {args.seed}: {len(jobs)} jobs, "
+              f"{min(map(len, samples))}-{max(map(len, samples))} runs each")
+        for job, times in zip(jobs, samples):
+            print(f"job {job.label} median {statistics.median(times):.4f} s of {len(times)}")
+        print("setup runs " + " ".join(f"{t:.4f}" for t in setups) + " s")
         rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         metrics = {
-            "wall_s": (wall, "s"),
-            "setup_s": (statistics.median(setups) * speed, "s"),
+            "wall_s": (pass_time(samples), "s"),
+            "setup_s": (statistics.median(setups), "s"),
             "peak_rss_mb": (rss_kb / 1024, "MB"),
         }
 

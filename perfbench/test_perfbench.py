@@ -17,7 +17,6 @@ import pytest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("check", "schlegel", "folded", "oracle")
 
 
 def _load_run():
@@ -58,7 +57,7 @@ def bench(cwd, workload: str, trace: int, seed: int = 0):
     return json.loads(lines[-1]), digest
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("workload", run.WORKLOADS)
 def test_traced_runs_repeat_exactly(checkout, workload):
     first, digest1 = bench(checkout, workload, trace=1)
     second, digest2 = bench(checkout, workload, trace=1)
@@ -75,7 +74,7 @@ def test_traced_runs_repeat_exactly(checkout, workload):
 def test_metric_names_match_benchmark_json(checkout):
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    assert [w["name"] for w in spec["workloads"]] == list(WORKLOADS)
+    assert [w["name"] for w in spec["workloads"]] == list(run.WORKLOADS)
     plain, _ = bench(checkout, "check", trace=0)
     traced, _ = bench(checkout, "check", trace=1)
     for result, key in ((plain, "end_to_end"), (traced, "per_layer")):
