@@ -425,4 +425,14 @@ ALL_CRITERIA = (
 
 
 def run_all() -> list[CriterionOutcome]:
-    return [fn() for fn in ALL_CRITERIA]
+    """Run every criterion.  One that raises is a FAIL naming the exception,
+    and the rest still run."""
+    outcomes = []
+    for number, fn in enumerate(ALL_CRITERIA, 1):
+        try:
+            outcomes.append(fn())
+        except Exception as e:
+            outcomes.append(
+                _outcome(number, fn.__name__, [f"raised {type(e).__name__}: {e}"], [])
+            )
+    return outcomes

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import GeneralPositionError, SamplingBudgetError
-from .euler import f_vector
+from .euler import RANGE_DOUBLING_PERIOD, SAMPLE_BUDGET, f_vector, half_alternating_sum
 from .linalg import (
     SpanBuilder,
     Vector,
@@ -33,10 +33,7 @@ from .linalg import (
     vsub,
 )
 from .polytope import Face, Polytope, face_lattice, facet_polytope
-from .projection import Shadow, project_from_point
-
-SAMPLE_BUDGET = 256
-RANGE_DOUBLING_PERIOD = 32
+from .projection import project_from_point
 
 
 @dataclass(frozen=True)
@@ -305,10 +302,6 @@ class FoldedReport:
         return not self.failures
 
 
-def _half_alternating(counts, upto: int) -> Fraction:
-    return Fraction(sum((-1) ** c * counts[c] for c in range(upto + 1)), 2)
-
-
 def facet_assignment_sums(
     p: Polytope, line: TransversalLine, seed: Optional[int] = None
 ) -> FoldedReport:
@@ -369,7 +362,7 @@ def facet_assignment_sums(
                     f"facet {i}: face {sorted(face.vertex_indices)} contributed "
                     f"{got} flags, expected 1"
                 )
-        via_counts = _half_alternating(fv, k - 1)
+        via_counts = half_alternating_sum(fv, k - 1)
         via_top = Fraction(1 - sign_k * fv[k], 2)
         if not (sums[i] == via_counts == via_top == expected_special / 2):
             failures.append(
@@ -410,7 +403,7 @@ def facet_assignment_sums(
                     f"facet {i}: face {sorted(face.vertex_indices)} contributed "
                     f"{got} flags, criterion expects {expected}"
                 )
-        via_counts = _half_alternating(fv, k - 1) - _half_alternating(gv, k - 2)
+        via_counts = half_alternating_sum(fv, k - 1) - half_alternating_sum(gv, k - 2)
         via_tops = Fraction(1 - sign_k * fv[k], 2) - Fraction(
             1 + sign_k * gv[k - 1], 2
         )

@@ -83,11 +83,6 @@ def load_document(path: str) -> dict:
     return validate_document(doc)
 
 
-def save_document(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))
-
-
 def schlegel_report_to_dict(r: ProofReport) -> dict:
     return {
         "proof": "schlegel",

@@ -2,9 +2,10 @@
 
 Every coordinate in this package is a :class:`fractions.Fraction`, so all
 predicates (rank, incidence, sidedness) are decided exactly.  Vectors are
-plain tuples of Fractions; matrices are lists of such row tuples.  Rank
-computations lift rows to integers and run fraction-free (Bareiss)
-elimination, which is much faster than Fraction pivoting at this scale.
+plain tuples of Fractions; matrices are lists of such row tuples.  One
+fraction-free (Bareiss) Gauss-Jordan elimination serves rank, nullspace,
+solve, span and det: it lifts each row to integers and keeps every entry
+an integer, which is much faster than Fraction pivoting at this scale.
 """
 
 from __future__ import annotations
@@ -73,115 +74,120 @@ def barycenter(points: Sequence[Vector]) -> Vector:
     return tuple(sum(col, Fraction(0)) / n for col in zip(*points))
 
 
-def _lift_row(row: Sequence[Fraction]) -> list[int]:
-    """Scale a rational row by a positive integer so all entries are ints."""
-    denoms = [Fraction(x).denominator for x in row]
-    m = math.lcm(*denoms) if denoms else 1
-    return [int(x * m) for x in row]
+def _scale(row: Sequence[Fraction]) -> int:
+    """Least positive integer that makes every entry of a rational row whole."""
+    return math.lcm(*(x.denominator for x in row))
 
 
-def _int_rank(rows: list[list[int]]) -> Optional[int]:
-    """Fraction-free (Bareiss) elimination rank; None if exact division fails.
+def _lift(row: Sequence[Fraction]) -> list[int]:
+    """The row times its scale, as ints."""
+    m = _scale(row)
+    return [x.numerator * (m // x.denominator) for x in row]
 
-    Division failure cannot corrupt the result: the caller falls back to
-    plain Fraction elimination.
+
+def _pivot(mat: list[list[int]], r: int, col: int, prev: int) -> int:
+    """One fraction-free Gauss-Jordan step on mat[r][col]; returns the pivot.
+
+    Every other row becomes (p*a - f*b) // prev, where f is its entry in the
+    pivot column; a row with f = 0 must be scaled too unless p == prev.  By
+    Sylvester's identity the division is exact, and afterwards each pivot
+    row holds p in its own pivot column and 0 in every other pivot column.
     """
-    mat = [row[:] for row in rows]
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    rank = 0
+    prow = mat[r]
+    p = prow[col]
+    for i, row in enumerate(mat):
+        f = row[col]
+        if i != r and (f or p != prev):
+            mat[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+    return p
+
+
+def _eliminate(
+    rows: Sequence[Sequence[Fraction]], width: int
+) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of rational rows.
+
+    Each row is first lifted to integers.  Returns (mat, pivots, sign): row i
+    of mat, for i < len(pivots), is d times row i of the reduced row echelon
+    form, where d = mat[i][pivots[i]] is the same for every i; the remaining
+    rows are zero.  sign is the parity of the row swaps, so for a square
+    matrix of full rank its determinant is sign * d over the lift scales.
+    """
+    mat = [_lift(r) for r in rows]
+    if any(len(r) != width for r in mat):
+        raise DimensionMismatchError("rows of unequal length")
+    pivots: list[int] = []
+    sign = 1
     prev = 1
-    for col in range(n):
-        piv = next((r for r in range(rank, m) if mat[r][col]), None)
+    for col in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        p = mat[rank][col]
-        for r in range(rank + 1, m):
-            f = mat[r][col]
-            if f:
-                prow, rrow = mat[rank], mat[r]
-                for c in range(col + 1, n):
-                    num = p * rrow[c] - f * prow[c]
-                    q, rem = divmod(num, prev)
-                    if rem:
-                        return None
-                    rrow[c] = q
-                rrow[col] = 0
-        prev = p
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def _fraction_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    mat = [list(map(Fraction, row)) for row in rows]
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, m) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        p = mat[rank][col]
-        for r in range(rank + 1, m):
-            f = mat[r][col] / p
-            if f:
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+        if piv != r:
+            mat[r], mat[piv] = mat[piv], mat[r]
+            sign = -sign
+        prev = _pivot(mat, r, col, prev)
+        pivots.append(col)
+    return mat, pivots, sign
 
 
 def rank(rows: Sequence[Vector]) -> int:
     """Exact rank of the linear span of the given row vectors."""
-    rows = [r for r in rows]
+    rows = list(rows)
     if not rows:
         return 0
-    width = len(rows[0])
-    for r in rows:
-        if len(r) != width:
-            raise DimensionMismatchError("rows of unequal length")
-    if width == 0:
-        return 0
-    lifted = [_lift_row(r) for r in rows]
-    result = _int_rank(lifted)
-    if result is None:
-        result = _fraction_rank(rows)
-    return result
+    return len(_eliminate(rows, len(rows[0]))[1])
+
+
+def det(rows: Sequence[Vector]) -> Fraction:
+    """Exact determinant of a square matrix."""
+    n = len(rows)
+    mat, pivots, sign = _eliminate(rows, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    d = mat[-1][pivots[-1]] if n else 1
+    return Fraction(sign * d, math.prod(map(_scale, rows)))
 
 
 class SpanBuilder:
-    """Incrementally maintained row space; supports exact membership tests."""
+    """Incrementally maintained row space; supports exact membership tests.
+
+    Holds the state of the elimination kernel: integer rows that are d times
+    the reduced row echelon form of the span.
+    """
 
     def __init__(self, width: int):
         self.width = width
-        self._rows: list[list[Fraction]] = []  # reduced rows
+        self._rows: list[list[int]] = []
         self._pivots: list[int] = []
+        self._d = 1
 
-    def _reduce(self, v: Sequence[Fraction]) -> list[Fraction]:
-        v = list(v)
+    def _reduce(self, v: Sequence[Fraction]) -> list[int]:
+        """The row the kernel would hold for v (lifted) after the span's
+        pivot steps: d*v minus the span rows weighted by v's pivot-column
+        entries.  It is zero exactly when v lies in the span."""
+        v = _lift(v)
+        w = [self._d * a for a in v]
         for row, p in zip(self._rows, self._pivots):
             f = v[p]
             if f:
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
+                w = [a - f * b for a, b in zip(w, row)]
+        return w
 
     def contains(self, v: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self._reduce(v))
+        return not any(self._reduce(v))
 
     def add(self, v: Sequence[Fraction]) -> bool:
         """Add v to the span; True if it enlarged the space."""
         red = self._reduce(v)
-        for p, x in enumerate(red):
-            if x:
-                self._rows.append([a / x for a in red])
-                self._pivots.append(p)
-                return True
-        return False
+        col = next((c for c, x in enumerate(red) if x), None)
+        if col is None:
+            return False
+        self._rows.append(red)
+        self._pivots.append(col)
+        self._d = _pivot(self._rows, len(self._rows) - 1, col, self._d)
+        return True
 
     @property
     def rank(self) -> int:
@@ -193,59 +199,28 @@ def solve_linear(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> Optional[Ve
 
     For underdetermined consistent systems the free variables are set to 0.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(m)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        p = aug[r][col]
-        aug[r] = [a / p for a in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
+    n = len(rows[0]) if rows else 0
+    aug = [(*row, b) for row, b in zip(rows, rhs, strict=True)]
+    mat, pivots, _ = _eliminate(aug, n + 1)
+    if pivots and pivots[-1] == n:
+        return None
     x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][n]
+    for row, col in zip(mat, pivots):
+        x[col] = Fraction(row[n], row[col])
     return tuple(x)
 
 
 def nullspace(rows: Sequence[Vector], width: int) -> list[Vector]:
     """Basis of {x : rows·x = 0} in Q^width."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    m = len(mat)
-    pivots: list[int] = []
-    r = 0
-    for col in range(width):
-        piv = next((i for i in range(r, m) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        p = mat[r][col]
-        mat[r] = [a / p for a in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(width) if c not in pivots]
+    mat, pivots, _ = _eliminate(rows, width)
     basis = []
-    for fc in free:
+    for fc in range(width):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * width
         v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][fc]
+        for row, pc in zip(mat, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(v))
     return basis
 
@@ -267,7 +242,7 @@ class Hyperplane:
 
     def normalized(self) -> "Hyperplane":
         """Integer coefficients with gcd 1; orientation preserved."""
-        lifted = _lift_row(list(self.normal) + [self.offset])
+        lifted = _lift([*self.normal, self.offset])
         g = math.gcd(*(abs(v) for v in lifted))
         lifted = [v // g for v in lifted]
         return Hyperplane(tuple(Fraction(v) for v in lifted[:-1]), Fraction(lifted[-1]))

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import (
     DegenerateInputError,
@@ -33,6 +33,7 @@ from .linalg import (
     affine_hull,
     as_vector,
     barycenter,
+    det,
     dot,
     hyperplane_through,
     linear_feasible,
@@ -445,26 +446,6 @@ def facet_polytope(p: Polytope, i: int) -> Polytope:
     return build_polytope(p.facet_vertices(i))
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    mat = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col]:
-                f = mat[r][col] * inv
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return det
-
-
 def _triangulate(
     lat: FaceLattice, face: Face, memo: dict[Face, list[tuple[int, ...]]]
 ) -> list[tuple[int, ...]]:
@@ -495,8 +476,8 @@ def volume(p: Polytope) -> Fraction:
     memo: dict[Face, list[tuple[int, ...]]] = {}
     total = Fraction(0)
     for s in _triangulate(lat, lat.top, memo):
-        rows = [list(vsub(p.vertices[i], p.vertices[s[0]])) for i in s[1:]]
-        total += abs(_det(rows))
+        rows = [vsub(p.vertices[i], p.vertices[s[0]]) for i in s[1:]]
+        total += abs(det(rows))
     return total / math.factorial(k)
 
 

@@ -15,16 +15,13 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import GeneralPositionError, SamplingBudgetError
-from .euler import f_vector
+from .euler import RANGE_DOUBLING_PERIOD, SAMPLE_BUDGET, f_vector, half_alternating_sum
 from .linalg import SpanBuilder, Vector, is_zero, vscale, vsub
 from .polytope import Polytope, face_lattice
 from .projection import ComplexFace, SchlegelComplex, Shadow, project_along, schlegel
 
 OUTSIDE = "outside"
 Classification = Union[int, str]
-
-SAMPLE_BUDGET = 256
-RANGE_DOUBLING_PERIOD = 32
 
 
 @dataclass(frozen=True)
@@ -53,7 +50,6 @@ class Flag:
     orientation: int
     direction: Vector
     value: Fraction
-    classification: Optional[Classification] = None
 
 
 def sample_general_line(complex: SchlegelComplex, seed: int) -> GeneralLine:
@@ -206,11 +202,6 @@ class ProofReport:
         return not self.failures
 
 
-def _half_alternating(counts, upto: int) -> Fraction:
-    """(1/2) * sum of (-1)^c counts[c] for c in 0..upto (inclusive)."""
-    return Fraction(sum((-1) ** c * counts[c] for c in range(upto + 1)), 2)
-
-
 def verify_proof_schlegel(p: Polytope, facet_index: int, seed: int) -> ProofReport:
     """Build the complex, distribute and classify all flags, and check the
     per-cell, outside, and grand-total identities with their full chains."""
@@ -246,7 +237,7 @@ def verify_proof_schlegel(p: Polytope, facet_index: int, seed: int) -> ProofRepo
         gv = f_vector(face_lattice(shadow.polytope))
         if fv[k] != 1 or gv[k - 1] != 1:
             failures.append(f"cell {i}: top-face counts are {fv[k]}, {gv[k - 1]}")
-        via_counts = _half_alternating(fv, k - 1) - _half_alternating(gv, k - 2)
+        via_counts = half_alternating_sum(fv, k - 1) - half_alternating_sum(gv, k - 2)
         via_tops = Fraction(1 - sign_k * fv[k], 2) - Fraction(
             1 + sign_k * gv[k - 1], 2
         )
@@ -261,7 +252,7 @@ def verify_proof_schlegel(p: Polytope, facet_index: int, seed: int) -> ProofRepo
     gv0 = f_vector(
         face_lattice(project_along(complex.carrier, q.direction).polytope)
     )
-    out_via_counts = _half_alternating(fv0, k - 1) + _half_alternating(gv0, k - 2)
+    out_via_counts = half_alternating_sum(fv0, k - 1) + half_alternating_sum(gv0, k - 2)
     out_via_tops = Fraction(1 - sign_k * fv0[k], 2) + Fraction(
         1 + sign_k * gv0[k - 1], 2
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import Vector
-from .polytope import Polytope, face_lattice
+from .polytope import Polytope
 from .projection import SchlegelComplex
 
 CANVAS = Fraction(560)

@@ -242,6 +242,23 @@ class TestSchlegelSvg:
         assert exc.value.code == 2
 
 
+class TestSelftest:
+    def test_raising_criterion_is_a_failure_exit_1(self, capsys, monkeypatch):
+        from eulerlab import acceptance
+
+        def criterion_raises():
+            raise GeneralPositionError("general position violated")
+
+        passing = acceptance.CriterionOutcome(2, "passes", True)
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", (criterion_raises, lambda: passing))
+        code, out, err = run(["selftest"], capsys)
+        assert code == 1
+        assert "[ 1] FAIL  criterion_raises" in out
+        assert "raised GeneralPositionError: general position violated" in out
+        assert "[ 2] PASS  passes" in out
+        assert err == ""
+
+
 class TestUsage:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

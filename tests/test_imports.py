@@ -1,0 +1,62 @@
+"""Every module of the package uses each name it imports (stdlib-only lint)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "eulerlab"
+
+
+def _annotation_strings(tree: ast.AST):
+    """String annotations such as -> "Hyperplane", parsed as expressions."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs
+            every += [a for a in (args.vararg, args.kwarg) if a]
+            annotations = [a.annotation for a in every] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            continue
+        for ann in annotations:
+            for sub in ast.walk(ann) if ann else ():
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    yield ast.parse(sub.value, mode="eval")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = set()
+    for root in [tree, *_annotation_strings(tree)]:
+        used |= {n.id for n in ast.walk(root) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_detects_unused_import():
+    source = "from typing import Optional, Union\nimport math\nx: Optional[int] = math.pi\n"
+    assert unused_imports(source) == ["line 1: Union"]
+
+
+def test_counts_string_annotations_as_use():
+    source = "from a import B\ndef f() -> 'B':\n    pass\n"
+    assert unused_imports(source) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

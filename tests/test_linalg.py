@@ -1,5 +1,7 @@
 """Exact linear algebra: fixed examples plus algebraic invariants."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerlab.errors import DimensionMismatchError
 from eulerlab.linalg import (
     AffineSubspace,
     Hyperplane,
     SpanBuilder,
     affine_dim,
     affine_hull,
+    det,
     dot,
     format_rational,
     hyperplane_through,
@@ -38,14 +42,85 @@ def rationals(max_num=30, max_den=7):
     )
 
 
-def matrices(max_rows=5, max_cols=5):
+def sparse_rationals():
+    """Rationals with many zeros and small integers, so rank drops often."""
+    return st.one_of(st.just(F(0)), st.integers(-2, 2).map(F), rationals())
+
+
+def matrices(max_rows=5, max_cols=5, entries=rationals):
     return st.integers(1, max_cols).flatmap(
         lambda n: st.lists(
-            st.lists(rationals(), min_size=n, max_size=n).map(tuple),
+            st.lists(entries(), min_size=n, max_size=n).map(tuple),
             min_size=1,
             max_size=max_rows,
         )
     )
+
+
+def square_matrices(max_n=4):
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(sparse_rationals(), min_size=n, max_size=n).map(tuple),
+            min_size=n,
+            max_size=n,
+        )
+    )
+
+
+def plain_rref(rows, width):
+    """Reference: plain Fraction Gauss-Jordan; (nonzero rref rows, pivot columns)."""
+    mat = [list(map(Fraction, row)) for row in rows]
+    pivots = []
+    for col in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        mat[r] = [a / mat[r][col] for a in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+    return mat[: len(pivots)], pivots
+
+
+def plain_nullspace(rows, width):
+    mat, pivots = plain_rref(rows, width)
+    basis = []
+    for fc in (c for c in range(width) if c not in pivots):
+        v = [F(0)] * width
+        v[fc] = F(1)
+        for row, pc in zip(mat, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def plain_solve(rows, rhs):
+    n = len(rows[0])
+    mat, pivots = plain_rref([(*r, b) for r, b in zip(rows, rhs)], n + 1)
+    if pivots and pivots[-1] == n:
+        return None
+    x = [F(0)] * n
+    for row, col in zip(mat, pivots):
+        x[col] = row[n]
+    return tuple(x)
+
+
+def leibniz_det(rows):
+    n = len(rows)
+    total = F(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+# Bareiss elimination that skips rows with a 0 in the pivot column loses
+# exact division on this matrix.
+SKIPPED_ROW_CASE = [vec(0, 2, -1), vec(2, -1, 0), vec(-1, -2, 2)]
 
 
 class TestRationalText:
@@ -76,11 +151,12 @@ class TestRank:
     def test_zero_rows(self):
         assert rank([vec(0, 0), vec(0, 0)]) == 0
 
-    @given(matrices())
-    def test_matches_plain_elimination(self, rows):
-        from eulerlab.linalg import _fraction_rank
+    def test_rows_with_zero_in_pivot_column(self):
+        assert rank(SKIPPED_ROW_CASE) == 3
 
-        assert rank(rows) == _fraction_rank(rows)
+    @given(st.one_of(matrices(), matrices(entries=sparse_rationals)))
+    def test_matches_plain_elimination(self, rows):
+        assert rank(rows) == len(plain_rref(rows, len(rows[0]))[1])
 
     @given(matrices(), st.randoms(use_true_random=False))
     def test_row_permutation_invariant(self, rows, rng):
@@ -115,6 +191,16 @@ class TestSolveAndNullspace:
                 assert dot(row, v) == 0
         assert rank(basis) == len(basis)
 
+    @given(st.one_of(matrices(), matrices(entries=sparse_rationals)))
+    def test_nullspace_matches_plain_rref(self, rows):
+        width = len(rows[0])
+        assert nullspace(rows, width) == plain_nullspace(rows, width)
+
+    @given(matrices(entries=sparse_rationals), st.lists(sparse_rationals(), min_size=5, max_size=5))
+    def test_solve_matches_plain_rref(self, rows, rhs):
+        rhs = rhs[: len(rows)]
+        assert solve_linear(rows, rhs) == plain_solve(rows, rhs)
+
     @given(matrices())
     def test_solve_consistent_systems(self, rows):
         width = len(rows[0])
@@ -123,6 +209,22 @@ class TestSolveAndNullspace:
         x = solve_linear(rows, rhs)
         assert x is not None
         assert [dot(r, x) for r in rows] == rhs
+
+
+class TestDet:
+    def test_rows_with_zero_in_pivot_column(self):
+        assert det(SKIPPED_ROW_CASE) == -3
+
+    def test_empty_matrix(self):
+        assert det([]) == 1
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatchError):
+            det([vec(1, 2)])
+
+    @given(square_matrices())
+    def test_matches_leibniz(self, rows):
+        assert det(rows) == leibniz_det(rows)
 
 
 class TestSpanBuilder:
@@ -134,6 +236,20 @@ class TestSpanBuilder:
         assert span.rank == rank(rows)
         assert span.contains(vec(3, 7, 10))
         assert not span.contains(vec(0, 0, 1))
+
+    @given(
+        matrices(max_rows=7, entries=sparse_rationals),
+        st.lists(st.lists(sparse_rationals(), min_size=5, max_size=5), max_size=4),
+    )
+    def test_matches_rank(self, rows, probes):
+        width = len(rows[0])
+        span = SpanBuilder(width)
+        for i, row in enumerate(rows):
+            assert span.add(row) == (rank(rows[: i + 1]) > rank(rows[:i]))
+        assert span.rank == rank(rows)
+        for v in probes:
+            v = tuple(v[:width])
+            assert span.contains(v) == (rank([*rows, v]) == rank(rows))
 
 
 class TestAffine:
