@@ -19,7 +19,7 @@ from typing import Optional
 
 from .errors import EulerlabError, GeneralPositionError, SamplingBudgetError
 from .euler import euler_alternating_sum, f_vector
-from .folded_flags import verify_proof_folded
+from .folded_flags import other_facet, verify_proof_folded
 from .jsonio import (
     dumps,
     load_document,
@@ -82,40 +82,36 @@ def cmd_check(args) -> int:
 def _folded_pair(p, seed: int, facet: Optional[int]):
     if facet is None:
         return None
-    rng = random.Random(seed)
-    other = rng.randrange(len(p.facets) - 1)
-    if other >= facet:
-        other += 1
-    return (facet, other)
+    return (facet, other_facet(random.Random(seed), len(p.facets), facet))
+
+
+def _sums(sums: dict) -> str:
+    return ", ".join(f"{i}: {rational_str(v)}" for i, v in sorted(sums.items()))
+
+
+def _print_verdict(r) -> None:
+    print(f"  total: {rational_str(r.total)}; identity needs {rational_str(r.rhs_needed)}")
+    print(f"  flags: {r.flag_count}")
+    for line in r.failures:
+        print(f"  counterexample: {line}")
+    print(f"  {'PASS' if r.passed else 'FAIL'}")
 
 
 def _print_schlegel(r) -> None:
-    sums = ", ".join(
-        f"{i}: {rational_str(v)}" for i, v in sorted(r.per_cell_sums.items())
-    )
+    sums = _sums(r.per_cell_sums)
     print(f"schlegel proof: facet {r.facet_index}, seed {r.seed}")
     print(f"  cells: {r.cell_count}")
     print(f"  per-cell sums: {{{sums}}} (expected {rational_str(r.expected_per_cell)} each)")
     print(f"  outside sum: {rational_str(r.outside_sum)} (expected {rational_str(r.expected_outside)})")
-    print(f"  total: {rational_str(r.total)}; identity needs {rational_str(r.rhs_needed)}")
-    print(f"  flags: {r.flag_count}")
-    for line in r.failures:
-        print(f"  counterexample: {line}")
-    print(f"  {'PASS' if r.passed else 'FAIL'}")
+    _print_verdict(r)
 
 
 def _print_folded(r) -> None:
-    sums = ", ".join(
-        f"{i}: {rational_str(v)}" for i, v in sorted(r.per_facet_sums.items())
-    )
+    sums = _sums(r.per_facet_sums)
     print(f"folded proof: facet pair {r.facet_pair}, seed {r.seed}")
     print(f"  special pair sum: {rational_str(r.special_pair_sum)} (expected {rational_str(r.expected_special)})")
     print(f"  per-facet sums: {{{sums}}} (expected {rational_str(r.expected_per_facet)} each)")
-    print(f"  total: {rational_str(r.total)}; identity needs {rational_str(r.rhs_needed)}")
-    print(f"  flags: {r.flag_count}")
-    for line in r.failures:
-        print(f"  counterexample: {line}")
-    print(f"  {'PASS' if r.passed else 'FAIL'}")
+    _print_verdict(r)
 
 
 def cmd_verify(args) -> int:
@@ -125,6 +121,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"verify requires d >= 3 (document has dimension {p.dim})")
     schlegel_report = None
     folded_report = None
+    aborted = None
     try:
         if args.proof in ("schlegel", "both"):
             schlegel_report = verify_proof_schlegel(
@@ -138,9 +135,9 @@ def cmd_verify(args) -> int:
             _print_folded(folded_report)
     except (GeneralPositionError, SamplingBudgetError) as e:
         print(f"verification aborted: {e}", file=sys.stderr)
-        return 1
+        aborted = f"{type(e).__name__}: {e}"
     reports = [r for r in (schlegel_report, folded_report) if r is not None]
-    passed = all(r.passed for r in reports)
+    passed = aborted is None and all(r.passed for r in reports)
     print("PASS" if passed else "FAIL")
     if args.output:
         fv = f_vector(face_lattice(p))
@@ -160,6 +157,8 @@ def cmd_verify(args) -> int:
             folded_proof=folded_report,
             timestamp=_timestamp(args),
         )
+        if aborted is not None:
+            report["aborted"] = aborted
         _write_text(args.output, dumps(report))
     return 0 if passed else 1
 

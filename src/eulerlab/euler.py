@@ -1,16 +1,20 @@
 """f-vectors and the alternating-sum check f^0 - f^1 + ... + (-1)^d f^d = 1.
 
-Also the half alternating sums and the sampling schedule that the two
-flag-counting proof harnesses share.
+Also the core of the two flag-counting proof harnesses: the rejection loop
+that samples their certified lines, the identity chain of one piece of a
+flag count (a cell, the outside, or a facet), and the grand-total checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable, Iterable, Optional, TypeVar
 
+from .errors import SamplingBudgetError
 from .polytope import FaceLattice, Polytope, face_lattice
 
 FVector = tuple[int, ...]
+T = TypeVar("T")
 
 # Rejection sampling in both proof harnesses: the number of candidate lines
 # tried before giving up, and how many rejections double the coordinate range.
@@ -36,6 +40,75 @@ def half_alternating_sum(counts, upto: int) -> Fraction:
     return Fraction(sum((-1) ** c * counts[c] for c in range(upto + 1)), 2)
 
 
-def check_euler(p: Polytope) -> bool:
-    """Whether the alternating face-count sum of p equals 1."""
-    return euler_alternating_sum(f_vector(face_lattice(p))) == 1
+def rejection_sample(what: str, bound: int, attempt: Callable[[int], Optional[T]]) -> T:
+    """The first sample that attempt(bound) returns instead of None.
+
+    Tries SAMPLE_BUDGET times and doubles the coordinate range `bound`
+    every RANGE_DOUBLING_PERIOD tries; then raises, naming `what`.
+    """
+    for tries in range(SAMPLE_BUDGET):
+        if tries and tries % RANGE_DOUBLING_PERIOD == 0:
+            bound *= 2
+        sample = attempt(bound)
+        if sample is not None:
+            return sample
+    raise SamplingBudgetError(
+        f"no {what} found in {SAMPLE_BUDGET} tries (coordinate range up to {bound})"
+    )
+
+
+def check_chain(
+    failures: list[str],
+    label: str,
+    actual: Fraction,
+    expected: Fraction,
+    piece: Polytope,
+    shadow: Optional[Polytope] = None,
+    sign: int = -1,
+) -> None:
+    """Check actual == via_counts == via_tops == expected for a k-polytope
+    piece: half the alternating sum of its face counts below the top, plus
+    sign times that of its shadow's (if any), then the same from the top-face
+    counts alone.  A broken chain adds one line to failures."""
+    fv = f_vector(face_lattice(piece))
+    k = len(fv) - 1
+    sign_k = (-1) ** k
+    via_counts = half_alternating_sum(fv, k - 1)
+    via_tops = Fraction(1 - sign_k * fv[k], 2)
+    if shadow is not None:
+        gv = f_vector(face_lattice(shadow))
+        via_counts += sign * half_alternating_sum(gv, k - 2)
+        via_tops += sign * Fraction(1 + sign_k * gv[k - 1], 2)
+    if not (actual == via_counts == via_tops == expected):
+        failures.append(
+            f"{label} sum chain {actual} = {via_counts} = {via_tops} = {expected} broken"
+        )
+
+
+def check_totals(
+    failures: list[str],
+    f_p: FVector,
+    values: Iterable[Fraction],
+    piece_sums: Iterable[Fraction],
+    by: str,
+    decomposition: Fraction,
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Check the grand total of the flag values on a d-polytope, k = d - 1:
+    summed by base face it is the alternating sum of f^0..f^(k-1) (lhs) and
+    the total of the piece sums, which is `decomposition`; lhs is the needed
+    1 + (-1)^k (1 - f^k) (rhs).  Appends each broken link to failures and
+    returns (total_by_base, total, lhs, rhs)."""
+    k = len(f_p) - 2
+    lhs = Fraction(euler_alternating_sum(f_p[:k]))
+    rhs = Fraction(1 + (-1) ** k * (1 - f_p[k]))
+    total_by_base = sum(values, Fraction(0))
+    total = sum(piece_sums, Fraction(0))
+    if total_by_base != lhs:
+        failures.append(f"flag total {total_by_base} != alternating sum {lhs}")
+    if total_by_base != total:
+        failures.append(f"double count broken: {total_by_base} by base, {total} by {by}")
+    if total != decomposition:
+        failures.append(f"classified total {total} != decomposition {decomposition}")
+    if lhs != rhs:
+        failures.append(f"needed identity broken: {lhs} != {rhs}")
+    return total_by_base, total, lhs, rhs

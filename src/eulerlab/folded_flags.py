@@ -16,18 +16,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import GeneralPositionError, SamplingBudgetError
-from .euler import RANGE_DOUBLING_PERIOD, SAMPLE_BUDGET, f_vector, half_alternating_sum
+from .errors import GeneralPositionError
+from .euler import check_chain, check_totals, f_vector, rejection_sample
 from .linalg import (
     SpanBuilder,
     Vector,
     affine_dim,
-    affine_hull,
     barycenter,
     dot,
     is_zero,
     line_hyperplane_intersection,
-    line_meets_affine,
     vadd,
     vscale,
     vsub,
@@ -81,6 +79,12 @@ def _relint_point(p: Polytope, facet_index: int, rng: random.Random, bound: int)
     return point
 
 
+def other_facet(rng: random.Random, nf: int, i: int) -> int:
+    """A facet index drawn uniformly from the nf - 1 others than i."""
+    j = rng.randrange(nf - 1)
+    return j + 1 if j >= i else j
+
+
 def sample_transversal(
     p: Polytope, seed: int, facet_pair: Optional[tuple[int, int]] = None
 ) -> TransversalLine:
@@ -97,65 +101,58 @@ def sample_transversal(
     nf = len(p.facets)
     if facet_pair is None:
         i1 = rng.randrange(nf)
-        i2 = rng.randrange(nf - 1)
-        if i2 >= i1:
-            i2 += 1
-        facet_pair = (i1, i2)
+        facet_pair = (i1, other_facet(rng, nf, i1))
     i1, i2 = facet_pair
     if i1 == i2 or not (0 <= i1 < nf and 0 <= i2 < nf):
         raise ValueError(f"invalid facet pair {facet_pair}")
 
     lat = face_lattice(p)
-    k = p.dim - 1
-    face_data = []
-    for c in range(0, k):
+    faces = []
+    for c in range(0, p.dim - 1):
         for idx, face in enumerate(lat.faces(c)):
             pts = p.face_points(face)
-            sb = SpanBuilder(p.dim)
-            for q in pts[1:]:
-                sb.add(vsub(q, pts[0]))
-            face_data.append((c, idx, sb, affine_hull(pts)))
+            faces.append((c, idx, pts[0], SpanBuilder.through(pts)))
 
-    bound = 9
-    for attempt in range(SAMPLE_BUDGET):
-        if attempt and attempt % RANGE_DOUBLING_PERIOD == 0:
-            bound *= 2
+    def attempt(bound: int) -> Optional[TransversalLine]:
         t1 = _relint_point(p, i1, rng, bound)
         t2 = _relint_point(p, i2, rng, bound)
         direction = vsub(t2, t1)
         if is_zero(direction):
-            continue
-        entries = []
-        ok = True
-        for j, f in enumerate(p.facets):
-            good = dot(f.hyperplane.normal, direction) != 0
-            entries.append(CertificateEntry("facet-not-parallel", (j,), good))
-            ok = ok and good
-        for c, idx, sb, hull in face_data:
+            return None
+        entries = [
+            CertificateEntry(
+                "facet-not-parallel", (j,), dot(f.hyperplane.normal, direction) != 0
+            )
+            for j, f in enumerate(p.facets)
+        ]
+        for c, idx, base, span in faces:
+            # The line must miss each face's affine hull, base + span, and
+            # must not be parallel to a face of dimension >= 1.
             if c >= 1:
-                good = not sb.contains(direction)
+                good = not span.contains(direction)
                 entries.append(CertificateEntry("direction-independent", (c, idx), good))
-                ok = ok and good
                 if not good:
                     continue
-            good = not line_meets_affine(t1, direction, hull)
+            good = not span.meets_line(vsub(t1, base), direction)
             entries.append(CertificateEntry("affine-miss", (c, idx), good))
-            ok = ok and good
-        if not ok:
-            continue
+        if not all(e.ok for e in entries):
+            return None
         hits = tuple(
             line_hyperplane_intersection(t1, direction, f.hyperplane)
             for f in p.facets
         )
         for j, hit in enumerate(hits):
-            on_facet = p.contains(hit)
             if j in (i1, i2):
                 good = p.in_relative_interior_of_facet(hit, j)
             else:
-                good = not on_facet
+                good = not p.contains(hit)
             entries.append(CertificateEntry("incidence", (j,), good))
             if not good:
-                raise GeneralPositionError("general position violated")
+                where = "off the relative interior" if j in (i1, i2) else "on the facet"
+                raise GeneralPositionError(
+                    f"general position violated: incidence check failed: the line "
+                    f"meets the hyperplane of facet {j} {where}"
+                )
         return TransversalLine(
             facet_pair=(i1, i2),
             t1=t1,
@@ -164,7 +161,10 @@ def sample_transversal(
             facet_points=hits,
             certificate=tuple(entries),
         )
-    raise SamplingBudgetError("no transversal line found")
+
+    return rejection_sample(
+        f"transversal line through facets {i1} and {i2} for seed {seed}", 9, attempt
+    )
 
 
 def _section_polygon(p: Polytope, line: TransversalLine, x: Vector):
@@ -212,8 +212,13 @@ def fold_flags(
     x = barycenter(p.face_points(face))
     verts, cons = _section_polygon(p, line, x)
     x_chart = (Fraction(0), Fraction(1))
+
+    def violated(check: str) -> GeneralPositionError:
+        where = f"face {sorted(face.vertex_indices)}"
+        return GeneralPositionError(f"general position violated: {check} at {where}")
+
     if x_chart not in verts:
-        raise GeneralPositionError("general position violated")
+        raise violated("the base point is not a vertex of its plane section")
 
     def to_frame(uw):
         u, w = uw
@@ -242,17 +247,17 @@ def fold_flags(
                 if aa * mid[0] + bb * mid[1] == cc
             ]
             if len(active) != 1:
-                raise GeneralPositionError("general position violated")
+                raise violated(f"a section side lies in facets {active}, not in one")
             sides.append((active[0], v))
     # A polygon vertex has exactly two incident sides, necessarily in
     # distinct facets; anything else means the certificate lied.
     by_facet: dict[int, tuple] = {}
     for facet_idx, v in sides:
         if by_facet.get(facet_idx, v) != v:
-            raise GeneralPositionError("general position violated")
+            raise violated(f"two section sides lie in facet {facet_idx}")
         by_facet[facet_idx] = v
     if len(by_facet) != 2:
-        raise GeneralPositionError("general position violated")
+        raise violated(f"the section sides lie in facets {sorted(by_facet)}, not in two")
     value = Fraction((-1) ** face.dimension, 2)
     out = []
     for facet_idx, v in sorted(by_facet.items()):
@@ -277,17 +282,19 @@ def flag_collinear_with_assigned_point(flag: FoldedFlag, line: TransversalLine) 
 
 @dataclass
 class FoldedReport:
-    """Per-facet folded-flag sums with their full identity chains."""
+    """Per-facet folded-flag sums with their full identity chains (fields
+    in report key order)."""
 
+    proof: str = field(default="folded", init=False)
     dimension: int
     facet_pair: tuple[int, int]
     seed: Optional[int]
     special_pair_sum: Fraction
+    expected_special: Fraction
     per_facet_sums: dict[int, Fraction]
+    expected_per_facet: Fraction
     total_by_base: Fraction
     total_by_facet: Fraction
-    expected_special: Fraction
-    expected_per_facet: Fraction
     lhs_needed: Fraction
     rhs_needed: Fraction
     flag_count: int
@@ -318,26 +325,19 @@ def facet_assignment_sums(
     lat = face_lattice(p)
     failures: list[str] = []
 
+    # fold_flags raises unless a face's two flags go to two different facets.
     flags: list[FoldedFlag] = []
     for c in range(0, k):
         for face in lat.faces(c):
-            f1, f2 = fold_flags(p, face, line)
-            if f1.assigned_facet == f2.assigned_facet:
-                failures.append(
-                    f"flags of face {sorted(face.vertex_indices)} share facet "
-                    f"{f1.assigned_facet}"
-                )
-            flags.extend((f1, f2))
+            flags.extend(fold_flags(p, face, line))
 
+    sums = {i: Fraction(0) for i in range(len(p.facets))}
+    counts: dict[tuple[frozenset, int], int] = {}
     for flag in flags:
         if not flag_collinear_with_assigned_point(flag, line):
             failures.append(
                 f"flag at {flag.base_point} not collinear with its facet point"
             )
-
-    sums = {i: Fraction(0) for i in range(len(p.facets))}
-    counts: dict[tuple[frozenset, int], int] = {}
-    for flag in flags:
         sums[flag.assigned_facet] += flag.value
         key = (flag.base_face.vertex_indices, flag.assigned_facet)
         counts[key] = counts.get(key, 0) + 1
@@ -346,99 +346,56 @@ def facet_assignment_sums(
     expected_special = Fraction(1 - sign_k)
     expected_per_facet = Fraction(-sign_k)
 
-    for i in (i1, i2):
+    for i, facet in enumerate(p.facets):
+        # A chosen facet takes one flag per own face.  Any other facet takes
+        # one per (k-1)-face, and one per lower face exactly when that face's
+        # image is not a face of the facet's shadow from the line's point on
+        # its hyperplane.
         t_poly = facet_polytope(p, i)
-        fv = f_vector(face_lattice(t_poly))
-        own_faces = [
-            face
-            for face in lat.all_faces()
-            if face.dimension <= k - 1
-            and face.vertex_indices <= p.facets[i].vertex_indices
-        ]
-        for face in own_faces:
+        shadow = None
+        if i not in line.facet_pair:
+            apex = t_poly.frame.to_working(line.facet_points[i])
+            shadow = project_from_point(t_poly, apex)
+            local = {v: idx for idx, v in enumerate(t_poly.embedded_vertices)}
+        for face in lat.all_faces():
+            if face.dimension > k - 1 or not face.vertex_indices <= facet.vertex_indices:
+                continue
+            expected = 1
+            if shadow is not None and face.dimension < k - 1:
+                local_key = frozenset(local[p.vertices[v]] for v in face.vertex_indices)
+                expected = 0 if shadow.face_image[local_key] else 1
             got = counts.get((face.vertex_indices, i), 0)
-            if got != 1:
+            if got != expected:
                 failures.append(
                     f"facet {i}: face {sorted(face.vertex_indices)} contributed "
-                    f"{got} flags, expected 1"
+                    f"{got} flags, expected {expected}"
                 )
-        via_counts = half_alternating_sum(fv, k - 1)
-        via_top = Fraction(1 - sign_k * fv[k], 2)
-        if not (sums[i] == via_counts == via_top == expected_special / 2):
-            failures.append(
-                f"special facet {i}: sum chain {sums[i]} = {via_counts} = "
-                f"{via_top} = {expected_special / 2} broken"
+        if shadow is None:
+            check_chain(failures, f"special facet {i}:", sums[i], expected_special / 2, t_poly)
+        else:
+            check_chain(
+                failures, f"facet {i}:", sums[i], expected_per_facet, t_poly, shadow.polytope
             )
     if sums[i1] + sums[i2] != expected_special:
         failures.append(
             f"special pair sum {sums[i1] + sums[i2]} != {expected_special}"
         )
 
-    per_facet = {}
-    for i in range(len(p.facets)):
-        if i in (i1, i2):
-            continue
-        per_facet[i] = sums[i]
-        t_poly = facet_polytope(p, i)
-        local = {v: idx for idx, v in enumerate(t_poly.embedded_vertices)}
-        apex = t_poly.frame.to_working(line.facet_points[i])
-        shadow = project_from_point(t_poly, apex)
-        fv = f_vector(face_lattice(t_poly))
-        gv = f_vector(face_lattice(shadow.polytope))
-        if fv[k] != 1 or gv[k - 1] != 1:
-            failures.append(f"facet {i}: top-face counts are {fv[k]}, {gv[k - 1]}")
-        for face in lat.all_faces():
-            if face.dimension > k - 1:
-                continue
-            if not face.vertex_indices <= p.facets[i].vertex_indices:
-                continue
-            local_key = frozenset(local[p.vertices[v]] for v in face.vertex_indices)
-            got = counts.get((face.vertex_indices, i), 0)
-            if face.dimension == k - 1:
-                expected = 1
-            else:
-                expected = 0 if shadow.face_image[local_key] else 1
-            if got != expected:
-                failures.append(
-                    f"facet {i}: face {sorted(face.vertex_indices)} contributed "
-                    f"{got} flags, criterion expects {expected}"
-                )
-        via_counts = half_alternating_sum(fv, k - 1) - half_alternating_sum(gv, k - 2)
-        via_tops = Fraction(1 - sign_k * fv[k], 2) - Fraction(
-            1 + sign_k * gv[k - 1], 2
-        )
-        if not (sums[i] == via_counts == via_tops == expected_per_facet):
-            failures.append(
-                f"facet {i}: sum chain {sums[i]} = {via_counts} = {via_tops} "
-                f"= {expected_per_facet} broken"
-            )
-
-    f_p = f_vector(lat)
-    lhs = Fraction(sum((-1) ** c * f_p[c] for c in range(k)))
-    rhs = 1 + sign_k * (1 - f_p[k])
-    total_by_base = sum((f.value for f in flags), Fraction(0))
-    total_by_facet = sum(sums.values(), Fraction(0))
-    if total_by_base != lhs:
-        failures.append(f"flag total {total_by_base} != alternating sum {lhs}")
-    if total_by_base != total_by_facet:
-        failures.append(
-            f"double count broken: {total_by_base} by base, "
-            f"{total_by_facet} by facet"
-        )
-    decomposition = expected_special + (f_p[k] - 2) * expected_per_facet
-    if total_by_facet != decomposition:
-        failures.append(
-            f"classified total {total_by_facet} != decomposition {decomposition}"
-        )
-    if lhs != rhs:
-        failures.append(f"needed identity broken: {lhs} != {rhs}")
+    total_by_base, total_by_facet, lhs, rhs = check_totals(
+        failures,
+        f_vector(lat),
+        (f.value for f in flags),
+        sums.values(),
+        "facet",
+        expected_special + (len(p.facets) - 2) * expected_per_facet,
+    )
 
     return FoldedReport(
         dimension=p.dim,
         facet_pair=line.facet_pair,
         seed=seed,
         special_pair_sum=sums[i1] + sums[i2],
-        per_facet_sums=per_facet,
+        per_facet_sums={i: v for i, v in sums.items() if i not in line.facet_pair},
         total_by_base=total_by_base,
         total_by_facet=total_by_facet,
         expected_special=expected_special,

@@ -9,8 +9,9 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from .folded_flags import FoldedReport
 from .linalg import format_rational, parse_rational
@@ -18,8 +19,7 @@ from .polytope import Polytope, build_polytope
 from .schlegel_flags import ProofReport
 
 
-def rational_str(x) -> str:
-    return format_rational(Fraction(x))
+rational_str = format_rational
 
 
 def polytope_to_document(p: Polytope, name: Optional[str] = None) -> dict:
@@ -83,49 +83,23 @@ def load_document(path: str) -> dict:
     return validate_document(doc)
 
 
-def schlegel_report_to_dict(r: ProofReport) -> dict:
-    return {
-        "proof": "schlegel",
-        "dimension": r.dimension,
-        "facet_index": r.facet_index,
-        "seed": r.seed,
-        "cell_count": r.cell_count,
-        "per_cell_sums": {
-            str(i): rational_str(v) for i, v in sorted(r.per_cell_sums.items())
-        },
-        "expected_per_cell": rational_str(r.expected_per_cell),
-        "outside_sum": rational_str(r.outside_sum),
-        "expected_outside": rational_str(r.expected_outside),
-        "total_by_base": rational_str(r.total_by_base),
-        "total_by_classification": rational_str(r.total_by_classification),
-        "lhs_needed": rational_str(r.lhs_needed),
-        "rhs_needed": rational_str(r.rhs_needed),
-        "flag_count": r.flag_count,
-        "failures": list(r.failures),
-        "pass": r.passed,
-    }
+def report_to_dict(r: Union[ProofReport, FoldedReport]) -> dict:
+    """A proof report as JSON-ready data: one key per dataclass field, in
+    field order, then "pass".  Rationals become strings, dict keys strings
+    in ascending order, and tuples lists."""
+    d = {f.name: _jsonable(getattr(r, f.name)) for f in fields(r)}
+    d["pass"] = r.passed
+    return d
 
 
-def folded_report_to_dict(r: FoldedReport) -> dict:
-    return {
-        "proof": "folded",
-        "dimension": r.dimension,
-        "facet_pair": list(r.facet_pair),
-        "seed": r.seed,
-        "special_pair_sum": rational_str(r.special_pair_sum),
-        "expected_special": rational_str(r.expected_special),
-        "per_facet_sums": {
-            str(i): rational_str(v) for i, v in sorted(r.per_facet_sums.items())
-        },
-        "expected_per_facet": rational_str(r.expected_per_facet),
-        "total_by_base": rational_str(r.total_by_base),
-        "total_by_facet": rational_str(r.total_by_facet),
-        "lhs_needed": rational_str(r.lhs_needed),
-        "rhs_needed": rational_str(r.rhs_needed),
-        "flag_count": r.flag_count,
-        "failures": list(r.failures),
-        "pass": r.passed,
-    }
+def _jsonable(value: Any) -> Any:
+    if isinstance(value, Fraction):
+        return rational_str(value)
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in sorted(value.items())}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
 
 
 def run_report(
@@ -153,9 +127,7 @@ def run_report(
         "euler_sum": int(euler_sum),
         "pass": passed,
         "schlegel_proof": (
-            None if schlegel_proof is None else schlegel_report_to_dict(schlegel_proof)
+            None if schlegel_proof is None else report_to_dict(schlegel_proof)
         ),
-        "folded_proof": (
-            None if folded_proof is None else folded_report_to_dict(folded_proof)
-        ),
+        "folded_proof": None if folded_proof is None else report_to_dict(folded_proof),
     }

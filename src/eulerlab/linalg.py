@@ -163,6 +163,15 @@ class SpanBuilder:
         self._pivots: list[int] = []
         self._d = 1
 
+    @classmethod
+    def through(cls, points: Sequence[Vector]) -> "SpanBuilder":
+        """The direction space of the points' affine hull: the span of
+        every point minus the first."""
+        span = cls(len(points[0]))
+        for q in points[1:]:
+            span.add(vsub(q, points[0]))
+        return span
+
     def _reduce(self, v: Sequence[Fraction]) -> list[int]:
         """The row the kernel would hold for v (lifted) after the span's
         pivot steps: d*v minus the span rows weighted by v's pivot-column
@@ -177,6 +186,15 @@ class SpanBuilder:
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return not any(self._reduce(v))
+
+    def meets_line(self, point: Vector, direction: Vector) -> bool:
+        """Whether the line {point + t*direction} meets the span: exactly
+        when the reduced row of point is a multiple of that of direction."""
+        a, b = self._reduce(point), self._reduce(direction)
+        j = next((j for j, x in enumerate(b) if x), None)
+        if j is None:
+            return not any(a)
+        return all(x * b[j] == y * a[j] for x, y in zip(a, b))
 
     def add(self, v: Sequence[Fraction]) -> bool:
         """Add v to the span; True if it enlarged the space."""
@@ -259,10 +277,6 @@ class AffineSubspace:
     def dim(self) -> int:
         return len(self.direction_basis)
 
-    def contains(self, point: Vector) -> bool:
-        diff = vsub(point, self.base_point)
-        return rank(list(self.direction_basis) + [diff]) == len(self.direction_basis)
-
 
 def affine_hull(points: Sequence[Vector]) -> AffineSubspace:
     """Smallest affine subspace containing the points."""
@@ -297,13 +311,6 @@ def line_hyperplane_intersection(
         return None
     t = (h.offset - dot(h.normal, line_point)) / denom
     return vadd(line_point, vscale(line_dir, t))
-
-
-def line_meets_affine(line_point: Vector, line_dir: Vector, sub: AffineSubspace) -> bool:
-    """Whether the line {p + t·u} intersects the affine subspace."""
-    rows = list(sub.direction_basis) + [line_dir]
-    diff = vsub(line_point, sub.base_point)
-    return rank(rows + [diff]) == rank(rows)
 
 
 def hyperplane_through(points: Sequence[Vector], beneath: Vector) -> Hyperplane:

@@ -25,7 +25,6 @@ from .errors import (
     SamplingBudgetError,
 )
 from .linalg import (
-    AffineSubspace,
     Hyperplane,
     SpanBuilder,
     Vector,
@@ -88,7 +87,7 @@ class Face:
 
 
 class FaceLattice:
-    """All faces of a polytope grouped by dimension, with cover incidences."""
+    """All faces of a polytope grouped by dimension."""
 
     def __init__(self, faces_by_dimension: dict[int, tuple[Face, ...]]):
         self.faces_by_dimension = faces_by_dimension
@@ -105,19 +104,6 @@ class FaceLattice:
     def top(self) -> Face:
         (top,) = self.faces_by_dimension[self.dim]
         return top
-
-    @cached_property
-    def incidence(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Map c -> pairs (i, j) with faces(c)[i] contained in faces(c+1)[j]."""
-        out = {}
-        for c in range(self.dim):
-            pairs = []
-            for i, g in enumerate(self.faces(c)):
-                for j, h in enumerate(self.faces(c + 1)):
-                    if g.vertex_indices <= h.vertex_indices:
-                        pairs.append((i, j))
-            out[c] = tuple(pairs)
-        return out
 
     def children(self, face: Face) -> tuple[Face, ...]:
         """Faces of one dimension lower contained in the given face."""
@@ -257,18 +243,6 @@ def _hull_facets(points: Sequence[Vector], k: int) -> list[_WorkFacet]:
     return facets
 
 
-def _reframe(points: Sequence[Vector], hull: AffineSubspace) -> list[Vector]:
-    ambient = len(hull.base_point)
-    rows = [tuple(b[j] for b in hull.direction_basis) for j in range(ambient)]
-    out = []
-    for p in points:
-        w = solve_linear(rows, vsub(p, hull.base_point))
-        if w is None:  # cannot happen: hull spans the points
-            raise DegenerateInputError("point outside its own affine hull")
-        out.append(w)
-    return out
-
-
 def _assemble(
     work_points: Sequence[Vector],
     original_points: Sequence[Vector],
@@ -329,7 +303,7 @@ def build_polytope(points: Sequence[Sequence]) -> Polytope:
     if k == ambient:
         return _assemble(distinct, distinct, k, ambient, None)
     frame = AffineFrame(hull.base_point, hull.direction_basis)
-    work = _reframe(distinct, hull)
+    work = [frame.to_working(p) for p in distinct]
     return _assemble(work, distinct, k, ambient, frame)
 
 
@@ -417,9 +391,7 @@ def brute_force_face_lattice(p: Polytope, bound: int = ORACLE_BOUND) -> FaceLatt
     for size in range(1, n):
         for subset in itertools.combinations(range(n), size):
             base = p.vertices[subset[0]]
-            span = SpanBuilder(p.dim)
-            for i in subset[1:]:
-                span.add(vsub(p.vertices[i], base))
+            span = SpanBuilder.through([p.vertices[i] for i in subset])
             if span.rank == p.dim:
                 continue
             outside = [i for i in range(n) if i not in subset]

@@ -84,16 +84,15 @@ class ComplexFace:
 
 class SchlegelComplex:
     """Subdivision of the facet `carrier` induced by projecting the other
-    facets of `source` from a viewpoint just beyond the carrier.
+    facets of a polytope from a viewpoint just beyond the carrier.
 
     Carrier and cells are full-dimensional polytopes in a shared working
     frame of the carrier's hyperplane; `frame` maps those coordinates back
-    into the source polytope's frame.
+    into the polytope's frame.
     """
 
     def __init__(
         self,
-        source: Polytope,
         facet_index: int,
         viewpoint: Vector,
         frame: AffineFrame,
@@ -101,7 +100,6 @@ class SchlegelComplex:
         cells: tuple[Polytope, ...],
         cell_origin: tuple[int, ...],
     ):
-        self.source = source
         self.facet_index = facet_index
         self.viewpoint = viewpoint
         self.frame = frame
@@ -140,6 +138,12 @@ class SchlegelComplex:
         return self.faces_by_dimension.get(c, ())
 
 
+def _central_image(apex: Vector, plane: Hyperplane, x: Vector) -> Vector:
+    """Where the line from apex through x meets the plane."""
+    a = plane.side(apex)
+    return vadd(apex, vscale(vsub(x, apex), a / (a - plane.side(x))))
+
+
 def schlegel(p: Polytope, facet: Union[int, Face]) -> SchlegelComplex:
     """Schlegel complex of p at the given facet.
 
@@ -151,25 +155,21 @@ def schlegel(p: Polytope, facet: Union[int, Face]) -> SchlegelComplex:
     t_index = _facet_index(p, facet)
     t = p.facets[t_index]
     v = beyond_point(p, t_index)
-    n, b = t.hyperplane.normal, t.hyperplane.offset
     t_points = [p.vertices[i] for i in sorted(t.vertex_indices)]
     frame = AffineFrame(t_points[0], affine_hull(t_points).direction_basis)
     carrier = build_polytope([frame.to_working(x) for x in t_points])
-    denom_v = dot(n, v) - b  # > 0: the viewpoint is beyond the carrier plane
     cells = []
     origins = []
     for j, f in enumerate(p.facets):
         if j == t_index:
             continue
-        imgs = []
-        for idx in sorted(f.vertex_indices):
-            x = p.vertices[idx]
-            s = denom_v / (denom_v - (dot(n, x) - b))
-            imgs.append(frame.to_working(vadd(v, vscale(vsub(x, v), s))))
+        imgs = [
+            frame.to_working(_central_image(v, t.hyperplane, p.vertices[idx]))
+            for idx in sorted(f.vertex_indices)
+        ]
         cells.append(build_polytope(imgs))
         origins.append(j)
     return SchlegelComplex(
-        source=p,
         facet_index=t_index,
         viewpoint=v,
         frame=frame,
@@ -188,7 +188,6 @@ class Shadow:
     index set) to whether its image is a face of the shadow.
     """
 
-    source: Polytope
     polytope: Polytope
     vertex_images: tuple[Vector, ...]
     face_image: dict[frozenset[int], bool]
@@ -233,7 +232,6 @@ def _make_shadow(src: Polytope, images: Sequence[Vector]) -> Shadow:
         img = frozenset(images[i] for i in face.vertex_indices)
         face_image[face.vertex_indices] = img in by_dim.get(face.dimension, ())
     return Shadow(
-        source=src,
         polytope=shadow_poly,
         vertex_images=tuple(images),
         face_image=face_image,
@@ -288,8 +286,5 @@ def project_from_point(
         for v in src.vertices
     ):
         raise ValueError("screen must strictly separate the apex from the source")
-    images = []
-    for v in src.vertices:
-        s = apex_side / (apex_side - screen.side(v))
-        images.append(vadd(apex, vscale(vsub(v, apex), s)))
+    images = [_central_image(apex, screen, v) for v in src.vertices]
     return _make_shadow(src, images)

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import GeneralPositionError, SamplingBudgetError
-from .euler import RANGE_DOUBLING_PERIOD, SAMPLE_BUDGET, f_vector, half_alternating_sum
-from .linalg import SpanBuilder, Vector, is_zero, vscale, vsub
+from .errors import GeneralPositionError
+from .euler import check_chain, check_totals, f_vector, rejection_sample
+from .linalg import SpanBuilder, Vector, is_zero, vscale
 from .polytope import Polytope, face_lattice
 from .projection import ComplexFace, SchlegelComplex, Shadow, project_along, schlegel
 
@@ -61,27 +61,24 @@ def sample_general_line(complex: SchlegelComplex, seed: int) -> GeneralLine:
     """
     rng = random.Random(seed)
     k = complex.dim
-    spans = []
-    for c in range(1, k):
-        for idx, face in enumerate(complex.faces(c)):
-            pts = sorted(face.points)
-            sb = SpanBuilder(k)
-            for q in pts[1:]:
-                sb.add(vsub(q, pts[0]))
-            spans.append((c, idx, sb))
-    bound = 4
-    for attempt in range(SAMPLE_BUDGET):
-        if attempt and attempt % RANGE_DOUBLING_PERIOD == 0:
-            bound *= 2
+    spans = [
+        (c, idx, SpanBuilder.through(sorted(face.points)))
+        for c in range(1, k)
+        for idx, face in enumerate(complex.faces(c))
+    ]
+
+    def attempt(bound: int) -> Optional[GeneralLine]:
         cand = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(k))
         if is_zero(cand):
-            continue
+            return None
         entries = tuple(
             CertificateEntry(c, idx, not sb.contains(cand)) for c, idx, sb in spans
         )
         if all(e.independent for e in entries):
             return GeneralLine(direction=cand, certificate=entries)
-    raise SamplingBudgetError("no general direction found")
+        return None
+
+    return rejection_sample(f"general direction for seed {seed}", 4, attempt)
 
 
 def place_flags(complex: SchlegelComplex, q: GeneralLine) -> list[Flag]:
@@ -114,7 +111,11 @@ def _classify(complex: SchlegelComplex, base: Vector, direction: Vector) -> Clas
         return hits[0]
     if not hits and escapes:
         return OUTSIDE
-    raise GeneralPositionError("general position violated")
+    where = f"base point ({', '.join(map(str, base))})"
+    raise GeneralPositionError(
+        f"general position violated: the flag at {where} enters cells {hits} and "
+        f"{'leaves' if escapes else 'stays in'} the carrier, not exactly one of them"
+    )
 
 
 def classify_flag(flag: Flag, complex: SchlegelComplex) -> Classification:
@@ -176,18 +177,20 @@ def verify_projection_criterion(
 
 @dataclass
 class ProofReport:
-    """Every identity in the flag double count, checked exactly."""
+    """Every identity in the flag double count, checked exactly (fields in
+    report key order)."""
 
+    proof: str = field(default="schlegel", init=False)
     dimension: int
     facet_index: int
     seed: int
     cell_count: int
     per_cell_sums: dict[int, Fraction]
+    expected_per_cell: Fraction
     outside_sum: Fraction
+    expected_outside: Fraction
     total_by_base: Fraction
     total_by_classification: Fraction
-    expected_per_cell: Fraction
-    expected_outside: Fraction
     lhs_needed: Fraction
     rhs_needed: Fraction
     flag_count: int
@@ -209,7 +212,6 @@ def verify_proof_schlegel(p: Polytope, facet_index: int, seed: int) -> ProofRepo
     q = sample_general_line(complex, seed)
     flags = place_flags(complex, q)
     k = complex.dim
-    sign_k = (-1) ** k
     failures: list[str] = []
 
     per_cell = {i: Fraction(0) for i in range(complex.a)}
@@ -230,57 +232,21 @@ def verify_proof_schlegel(p: Polytope, facet_index: int, seed: int) -> ProofRepo
 
     expected_per_cell = Fraction((-1) ** (k - 1))
     expected_outside = Fraction(1)
-
     for i, cell in enumerate(complex.cells):
-        fv = f_vector(face_lattice(cell))
-        shadow = project_along(cell, q.direction)
-        gv = f_vector(face_lattice(shadow.polytope))
-        if fv[k] != 1 or gv[k - 1] != 1:
-            failures.append(f"cell {i}: top-face counts are {fv[k]}, {gv[k - 1]}")
-        via_counts = half_alternating_sum(fv, k - 1) - half_alternating_sum(gv, k - 2)
-        via_tops = Fraction(1 - sign_k * fv[k], 2) - Fraction(
-            1 + sign_k * gv[k - 1], 2
-        )
-        actual = per_cell[i]
-        if not (actual == via_counts == via_tops == expected_per_cell):
-            failures.append(
-                f"cell {i}: sum chain {actual} = {via_counts} = {via_tops} "
-                f"= {expected_per_cell} broken"
-            )
-
-    fv0 = f_vector(face_lattice(complex.carrier))
-    gv0 = f_vector(
-        face_lattice(project_along(complex.carrier, q.direction).polytope)
+        shadow = project_along(cell, q.direction).polytope
+        check_chain(failures, f"cell {i}:", per_cell[i], expected_per_cell, cell, shadow)
+    shadow = project_along(complex.carrier, q.direction).polytope
+    check_chain(
+        failures, "outside", outside_sum, expected_outside, complex.carrier, shadow, sign=1
     )
-    out_via_counts = half_alternating_sum(fv0, k - 1) + half_alternating_sum(gv0, k - 2)
-    out_via_tops = Fraction(1 - sign_k * fv0[k], 2) + Fraction(
-        1 + sign_k * gv0[k - 1], 2
+    total_by_base, total_by_cls, lhs, rhs = check_totals(
+        failures,
+        f_vector(face_lattice(p)),
+        (f.value for f in flags),
+        [*per_cell.values(), outside_sum],
+        "classification",
+        expected_per_cell * complex.a + 1,
     )
-    if not (outside_sum == out_via_counts == out_via_tops == expected_outside):
-        failures.append(
-            f"outside sum chain {outside_sum} = {out_via_counts} = "
-            f"{out_via_tops} = {expected_outside} broken"
-        )
-
-    f_p = f_vector(face_lattice(p))
-    lhs = Fraction(sum((-1) ** c * f_p[c] for c in range(k)))
-    rhs = 1 + sign_k * (1 - f_p[k])
-    total_by_base = sum((f.value for f in flags), Fraction(0))
-    total_by_cls = sum(per_cell.values(), outside_sum)
-    if total_by_base != lhs:
-        failures.append(f"flag total {total_by_base} != alternating sum {lhs}")
-    if total_by_base != total_by_cls:
-        failures.append(
-            f"double count broken: {total_by_base} by base, "
-            f"{total_by_cls} by classification"
-        )
-    if total_by_cls != expected_per_cell * complex.a + 1:
-        failures.append(
-            f"classified total {total_by_cls} != "
-            f"{expected_per_cell} * {complex.a} + 1"
-        )
-    if lhs != rhs:
-        failures.append(f"needed identity broken: {lhs} != {rhs}")
 
     return ProofReport(
         dimension=p.dim,

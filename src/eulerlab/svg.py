@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Vector
+from .linalg import Vector, dot
 from .polytope import Polytope
 from .projection import SchlegelComplex
 
@@ -31,9 +31,7 @@ PROJECTION_ROWS: tuple[Vector, Vector] = (
 
 
 def _project3(point: Vector) -> tuple[Fraction, Fraction]:
-    u = sum(a * c for a, c in zip(PROJECTION_ROWS[0], point))
-    v = sum(a * c for a, c in zip(PROJECTION_ROWS[1], point))
-    return (u, v)
+    return (dot(PROJECTION_ROWS[0], point), dot(PROJECTION_ROWS[1], point))
 
 
 def _fmt(x: Fraction) -> str:

@@ -6,7 +6,7 @@ import subprocess
 
 import pytest
 
-from eulerlab import cli
+from eulerlab import cli, euler
 from eulerlab.errors import GeneralPositionError
 
 
@@ -197,7 +197,9 @@ class TestVerify:
         assert "injected: per-cell sum mismatch" in out
         assert out.strip().endswith("FAIL")
 
-    def test_general_position_failure_exits_1(self, cube3, capsys, monkeypatch):
+    def test_general_position_failure_exits_1(
+        self, cube3, capsys, monkeypatch, tmp_path
+    ):
         def blow_up(p, seed, facet_pair=None):
             raise GeneralPositionError("general position violated")
 
@@ -205,6 +207,32 @@ class TestVerify:
         code, out, err = run(["verify", cube3, "--proof", "folded"], capsys)
         assert code == 1
         assert "general position violated" in err
+
+        # The aborted run still writes its report, with every finished proof.
+        out_path = tmp_path / "aborted.json"
+        argv = ["verify", cube3, "--proof", "both", "-o", str(out_path)]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        report = json.loads(out_path.read_text())
+        assert report["pass"] is False
+        assert report["aborted"] == "GeneralPositionError: general position violated"
+        assert report["schlegel_proof"]["pass"] is True
+        assert report["folded_proof"] is None
+        assert list(report)[-1] == "aborted"
+
+    def test_sampling_budget_exhausted_writes_report(
+        self, cube3, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(euler, "SAMPLE_BUDGET", 0)
+        out_path = tmp_path / "aborted.json"
+        argv = ["verify", cube3, "--proof", "schlegel", "--seed", "5", "-o", str(out_path)]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert "no general direction for seed 5 found in 0 tries" in err
+        report = json.loads(out_path.read_text())
+        assert report["pass"] is False
+        assert report["aborted"].startswith("SamplingBudgetError: no general direction")
+        assert report["schlegel_proof"] is None
 
 
 class TestSchlegelSvg:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerlab.euler import check_euler, euler_alternating_sum, f_vector
+from eulerlab.euler import euler_alternating_sum, f_vector
 from eulerlab.linalg import vec
 from eulerlab.polytope import (
     build_polytope,
@@ -43,21 +43,25 @@ class TestAlternatingSum:
         assert euler_alternating_sum((8, 12, 5, 1)) == 0
 
 
+def euler_holds(p) -> bool:
+    return euler_alternating_sum(f_vector(face_lattice(p))) == 1
+
+
 class TestCheckEuler:
     def test_families(self):
-        assert check_euler(generate("simplex:6"))
-        assert check_euler(generate("crosspolytope:5"))
-        assert check_euler(build_polytope([vec(0), vec(1)]))
+        assert euler_holds(generate("simplex:6"))
+        assert euler_holds(generate("crosspolytope:5"))
+        assert euler_holds(build_polytope([vec(0), vec(1)]))
 
     @pytest.mark.parametrize("d", range(1, 6))
     def test_all_families_per_dimension(self, d):
         for fam in ("simplex", "cube", "crosspolytope"):
-            assert check_euler(generate(f"{fam}:{d}"))
+            assert euler_holds(generate(f"{fam}:{d}"))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_random_polytopes(self, seed):
-        assert check_euler(generate("random:3,7,6", seed))
+        assert euler_holds(generate("random:3,7,6", seed))
 
     def test_facets_satisfy_it_too(self):
         # facets, viewed as polytopes of their own, have f-vectors of length

@@ -9,12 +9,11 @@ from eulerlab.folded_flags import verify_proof_folded
 from eulerlab.jsonio import (
     document_to_polytope,
     dumps,
-    folded_report_to_dict,
     load_document,
     polytope_to_document,
     rational_str,
+    report_to_dict,
     run_report,
-    schlegel_report_to_dict,
     validate_document,
 )
 from eulerlab.polytope import build_polytope, generate
@@ -95,7 +94,13 @@ class TestDocuments:
 class TestReports:
     def test_schlegel_report_dict(self):
         r = verify_proof_schlegel(generate("simplex:3"), 0, seed=0)
-        d = schlegel_report_to_dict(r)
+        d = report_to_dict(r)
+        assert list(d) == [
+            "proof", "dimension", "facet_index", "seed", "cell_count",
+            "per_cell_sums", "expected_per_cell", "outside_sum", "expected_outside",
+            "total_by_base", "total_by_classification", "lhs_needed", "rhs_needed",
+            "flag_count", "failures", "pass",
+        ]
         assert d["proof"] == "schlegel"
         assert d["cell_count"] == 3
         assert d["per_cell_sums"] == {"0": "-1", "1": "-1", "2": "-1"}
@@ -109,7 +114,13 @@ class TestReports:
 
     def test_folded_report_dict(self):
         r = verify_proof_folded(generate("cube:4"), 0, facet_pair=(0, 3))
-        d = folded_report_to_dict(r)
+        d = report_to_dict(r)
+        assert list(d) == [
+            "proof", "dimension", "facet_pair", "seed", "special_pair_sum",
+            "expected_special", "per_facet_sums", "expected_per_facet",
+            "total_by_base", "total_by_facet", "lhs_needed", "rhs_needed",
+            "flag_count", "failures", "pass",
+        ]
         assert d["proof"] == "folded"
         assert d["facet_pair"] == [0, 3]
         assert d["special_pair_sum"] == "2"

@@ -21,7 +21,6 @@ from eulerlab.linalg import (
     format_rational,
     hyperplane_through,
     line_hyperplane_intersection,
-    line_meets_affine,
     linear_feasible,
     nullspace,
     parse_rational,
@@ -107,6 +106,33 @@ def plain_solve(rows, rhs):
     for row, col in zip(mat, pivots):
         x[col] = row[n]
     return tuple(x)
+
+
+def lines_and_hulls(max_width=4, max_points=4):
+    """(point, direction, points): a line and the affine hull of points."""
+
+    def vectors(n):
+        return st.lists(sparse_rationals(), min_size=n, max_size=n).map(tuple)
+
+    return st.integers(1, max_width).flatmap(
+        lambda n: st.tuples(
+            vectors(n), vectors(n), st.lists(vectors(n), min_size=1, max_size=max_points)
+        )
+    )
+
+
+def hull_contains(hull, point):
+    """Reference: whether point lies on the affine subspace."""
+    diff = vsub(point, hull.base_point)
+    return rank(list(hull.direction_basis) + [diff]) == hull.dim
+
+
+def plain_line_meets_affine(point, direction, hull):
+    """Reference: the line {point + t*direction} meets base + span(basis)
+    exactly when point - base lies in span(basis + [direction])."""
+    rows = list(hull.direction_basis) + [direction]
+    diff = vsub(point, hull.base_point)
+    return rank(rows + [diff]) == rank(rows)
 
 
 def leibniz_det(rows):
@@ -256,13 +282,13 @@ class TestAffine:
     def test_single_point(self):
         sub = affine_hull([vec(3, 4)])
         assert sub.dim == 0
-        assert sub.contains(vec(3, 4))
-        assert not sub.contains(vec(3, 5))
+        assert hull_contains(sub, vec(3, 4))
+        assert not hull_contains(sub, vec(3, 5))
 
     def test_collinear_triple(self):
         sub = affine_hull([vec(0, 0), vec(1, 1), vec(2, 2)])
         assert sub.dim == 1
-        assert sub.contains(vec(-5, -5))
+        assert hull_contains(sub, vec(-5, -5))
 
     def test_plane_triple(self):
         assert affine_hull([vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0)]).dim == 2
@@ -333,10 +359,24 @@ class TestLineIntersections:
                 assert line_hyperplane_intersection(base, vec(s, s, s), h) == p
 
     def test_line_meets_affine(self):
-        seg = affine_hull([vec(0, 0, 0), vec(1, 0, 0)])
-        assert line_meets_affine(vec(0, -1, 0), vec(0, 1, 0), seg)
-        assert not line_meets_affine(vec(0, -1, 1), vec(0, 1, 0), seg)
+        pts = [vec(0, 0, 0), vec(1, 0, 0)]
+        seg = affine_hull(pts)
+        span = SpanBuilder.through(pts)
+        up = vec(0, 1, 0)
+        for point, meets in ((vec(0, -1, 0), True), (vec(0, -1, 1), False)):
+            assert plain_line_meets_affine(point, up, seg) == meets
+            assert span.meets_line(vsub(point, pts[0]), up) == meets
         assert isinstance(seg, AffineSubspace)
+
+    @given(lines_and_hulls())
+    @settings(max_examples=300)
+    def test_span_rule_matches_rank_rule(self, case):
+        # The folded harness asks the span rule only for directions off the
+        # span, but it agrees with the rank rule for every direction.
+        point, direction, pts = case
+        span = SpanBuilder.through(pts)
+        meets = span.meets_line(vsub(point, pts[0]), direction)
+        assert meets == plain_line_meets_affine(point, direction, affine_hull(pts))
 
 
 class TestLinearFeasible:

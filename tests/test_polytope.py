@@ -161,8 +161,8 @@ class TestFaceLattice:
     def test_incidence_pairs(self):
         lat = face_lattice(generate("simplex:2"))
         # each of the 3 edges contains 2 of the 3 vertices
-        assert len(lat.incidence[0]) == 6
-        assert len(lat.incidence[1]) == 3
+        assert sum(len(lat.children(e)) for e in lat.faces(1)) == 6
+        assert len(lat.children(lat.top)) == 3
 
 
 class TestOracle:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from eulerlab.errors import DimensionMismatchError, GeneralPositionError
 from eulerlab.euler import f_vector
-from eulerlab.linalg import Hyperplane, affine_hull, dot, vec
+from eulerlab.linalg import Hyperplane, affine_dim, affine_hull, dot, vec
 from eulerlab.polytope import build_polytope, face_lattice, generate, volume
 from eulerlab.projection import (
     beyond_point,
@@ -132,9 +132,10 @@ class TestSchlegelComplex:
         cx = schlegel(generate("cube:3"), 0)
         for c in range(cx.dim):
             for face in cx.faces(c):
-                hull = affine_hull(sorted(face.points))
-                assert hull.dim == c
-                assert hull.contains(face.base_point)
+                pts = sorted(face.points)
+                assert affine_hull(pts).dim == c
+                # the base point adds no dimension: it lies on the hull
+                assert affine_dim(pts + [face.base_point]) == c
 
     def test_viewpoint_beyond_carrier_facet(self):
         p = generate("simplex:4")
