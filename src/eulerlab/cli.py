@@ -22,8 +22,7 @@ from .euler import euler_alternating_sum, f_vector
 from .folded_flags import other_facet, verify_proof_folded
 from .jsonio import (
     dumps,
-    load_document,
-    document_to_polytope,
+    load_polytope,
     polytope_to_document,
     rational_str,
     run_report,
@@ -56,8 +55,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    doc = load_document(args.path)
-    p = document_to_polytope(doc)
+    doc, p = load_polytope(args.path)
     fv = f_vector(face_lattice(p))
     total = euler_alternating_sum(fv)
     passed = total == 1
@@ -115,8 +113,7 @@ def _print_folded(r) -> None:
 
 
 def cmd_verify(args) -> int:
-    doc = load_document(args.path)
-    p = document_to_polytope(doc)
+    doc, p = load_polytope(args.path)
     if p.dim < 3:
         raise ValueError(f"verify requires d >= 3 (document has dimension {p.dim})")
     schlegel_report = None
@@ -164,8 +161,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_schlegel_svg(args) -> int:
-    doc = load_document(args.path)
-    p = document_to_polytope(doc)
+    doc, p = load_polytope(args.path)
     if p.dim not in (3, 4):
         raise ValueError(
             f"schlegel-svg supports dimensions 3 and 4 (document has dimension {p.dim})"

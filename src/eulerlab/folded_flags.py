@@ -167,110 +167,105 @@ def sample_transversal(
     )
 
 
-def _section_polygon(p: Polytope, line: TransversalLine, x: Vector):
-    """The section N = P cut by the plane through q and x, as 2D data.
+def _cross(a, b) -> Fraction:
+    """The 2D cross product of the (alpha, beta) parts of two chart rows."""
+    return a[0] * b[1] - a[1] * b[0]
 
-    Returns (vertices, constraints) where vertices are exact (u, w)
-    coordinates in the chart t1 + u*direction + w*(x - t1), and constraints
-    are rows (alpha, beta, gamma) meaning alpha*u + beta*w <= gamma, one per
-    facet of p (same order).
-    """
-    e = line.direction
-    g = vsub(x, line.t1)
-    cons = []
-    for f in p.facets:
-        n = f.hyperplane.normal
-        cons.append(
-            (dot(n, e), dot(n, g), f.hyperplane.offset - dot(n, line.t1))
-        )
-    verts = set()
-    m = len(cons)
-    for i in range(m):
-        a1, b1, g1 = cons[i]
-        for j in range(i + 1, m):
-            a2, b2, g2 = cons[j]
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            u = (g1 * b2 - g2 * b1) / det
-            w = (a1 * g2 - a2 * g1) / det
-            if all(a * u + b * w <= c for a, b, c in cons):
-                verts.add((u, w))
-    return sorted(verts), cons
+
+def _along(row, r) -> Fraction:
+    """Rate of change of a chart row's left side along the direction r."""
+    return row[0] * r[0] + row[1] * r[1]
 
 
 def fold_flags(
     p: Polytope, face: Face, line: TransversalLine
 ) -> tuple[FoldedFlag, FoldedFlag]:
-    """Fold the face's two flags onto facets via the plane section.
+    """Fold the face's two flags onto facets by walking out from its base
+    point x in the plane section: O(m) work for m facets.
 
-    The base point must turn out to be a vertex of the section polygon and
-    each incident side must lie in exactly one facet, with the two sides in
-    different facets; all three are consequences of the certificate, so
-    violations raise GeneralPositionError.
+    In the chart t1 + u*direction + w*(x - t1) the point x sits at (0, 1)
+    and facet j is the row alpha_j*u + beta_j*w <= gamma_j.  The facets
+    through x cut out the cone of directions in which the section leaves x.
+    Its two extreme rays are the directions of the two sides at x; a side
+    lies in the facets through x whose row is constant along it, and a
+    ratio test over the other facets finds its far vertex.  The base point
+    must be a vertex of the section and the two sides must lie in one facet
+    each, two different ones; all of this follows from the certificate, so
+    a violation raises GeneralPositionError.
     """
     x = barycenter(p.face_points(face))
-    verts, cons = _section_polygon(p, line, x)
-    x_chart = (Fraction(0), Fraction(1))
+    e = line.direction
+    g = vsub(x, line.t1)
+    # (alpha_j, beta_j, slack_j): the slack of facet j at x is gamma_j - beta_j.
+    rows = [
+        (dot(f.hyperplane.normal, e), dot(f.hyperplane.normal, g), -f.hyperplane.side(x))
+        for f in p.facets
+    ]
 
     def violated(check: str) -> GeneralPositionError:
         where = f"face {sorted(face.vertex_indices)}"
         return GeneralPositionError(f"general position violated: {check} at {where}")
 
-    if x_chart not in verts:
+    # x is a vertex of the section exactly when it satisfies every row and
+    # two rows tight at x are not parallel.
+    active = [j for j, row in enumerate(rows) if row[2] == 0]
+    a = next((rows[j] for j in active if rows[j][:2] != (0, 0)), None)
+    b = None if a is None else next((rows[j] for j in active if _cross(a, rows[j])), None)
+    if b is None or any(row[2] < 0 for row in rows):
         raise violated("the base point is not a vertex of its plane section")
 
-    def to_frame(uw):
-        u, w = uw
-        return vadd(
-            line.t1, vadd(vscale(line.direction, u), vscale(vsub(x, line.t1), w))
+    # Clip the cone {r : a.r <= 0, b.r <= 0}, spanned by lo and hi, with
+    # every other row tight at x; it ends empty, a single ray or a pointed
+    # cone whose extreme rays lo and hi are the side directions.
+    sign = 1 if _cross(a, b) > 0 else -1
+    lo = (sign * a[1], -sign * a[0])
+    hi = (-sign * b[1], sign * b[0])
+    for j in active:
+        at_lo, at_hi = _along(rows[j], lo), _along(rows[j], hi)
+        if at_lo > 0 and at_hi > 0:
+            rays = []
+            break
+        if at_lo > 0:
+            lo = tuple(at_lo * h - at_hi * l for l, h in zip(lo, hi))
+        elif at_hi > 0:
+            hi = tuple(at_hi * l - at_lo * h for l, h in zip(lo, hi))
+    else:
+        rays = [lo, hi] if _cross(lo, hi) else [lo]
+
+    sides = []
+    for r in rays:
+        facets = [j for j in active if _along(rows[j], r) == 0]
+        # Ratio test: the side ends where the first other facet turns tight.
+        t = min(row[2] / d for row in rows if (d := _along(row, r)) > 0)
+        sides.append((facets, (t * r[0], 1 + t * r[1])))
+    # Check the side with the lower facet index first.  Two sides share one
+    # only when a facet's hyperplane holds the whole plane; then the side
+    # with the lower far vertex comes first.
+    sides.sort(key=lambda side: (side[0][0], side[1]))
+    for facets, _ in sides:
+        if len(facets) != 1:
+            raise violated(f"a section side lies in facets {facets}, not in one")
+    if len(sides) == 2 and sides[0][0] == sides[1][0]:
+        raise violated(f"two section sides lie in facet {sides[0][0][0]}")
+    if len(sides) != 2:
+        raise violated(
+            f"the section sides lie in facets {[f[0] for f, _ in sides]}, not in two"
         )
 
-    # Sides incident to x: among all polygon vertices, the two neighbours of
-    # x are found via the active-constraint structure: a side is the segment
-    # between two vertices sharing an active constraint, all other vertices
-    # strictly inside it.
-    sides = []
-    for j, (a, b, c) in enumerate(cons):
-        if a * x_chart[0] + b * x_chart[1] != c:
-            continue
-        mates = [
-            v
-            for v in verts
-            if v != x_chart and a * v[0] + b * v[1] == c
-        ]
-        for v in mates:
-            mid = ((x_chart[0] + v[0]) / 2, (x_chart[1] + v[1]) / 2)
-            active = [
-                jj
-                for jj, (aa, bb, cc) in enumerate(cons)
-                if aa * mid[0] + bb * mid[1] == cc
-            ]
-            if len(active) != 1:
-                raise violated(f"a section side lies in facets {active}, not in one")
-            sides.append((active[0], v))
-    # A polygon vertex has exactly two incident sides, necessarily in
-    # distinct facets; anything else means the certificate lied.
-    by_facet: dict[int, tuple] = {}
-    for facet_idx, v in sides:
-        if by_facet.get(facet_idx, v) != v:
-            raise violated(f"two section sides lie in facet {facet_idx}")
-        by_facet[facet_idx] = v
-    if len(by_facet) != 2:
-        raise violated(f"the section sides lie in facets {sorted(by_facet)}, not in two")
     value = Fraction((-1) ** face.dimension, 2)
-    out = []
-    for facet_idx, v in sorted(by_facet.items()):
-        out.append(
+    flags = []
+    for [facet_idx], (u, w) in sides:
+        end = vadd(line.t1, vadd(vscale(e, u), vscale(g, w)))
+        flags.append(
             FoldedFlag(
                 base_face=face,
                 base_point=x,
                 assigned_facet=facet_idx,
-                segment=(x, to_frame(v)),
+                segment=(x, end),
                 value=value,
             )
         )
-    return out[0], out[1]
+    return flags[0], flags[1]
 
 
 def flag_collinear_with_assigned_point(flag: FoldedFlag, line: TransversalLine) -> bool:

@@ -65,9 +65,12 @@ def validate_document(doc: Any) -> dict:
 
 
 def document_to_polytope(doc: dict) -> Polytope:
-    validate_document(doc)
-    points = [tuple(parse_rational(c) for c in v) for v in doc["vertices"]]
-    return build_polytope(points)
+    return _build(validate_document(doc))
+
+
+def _build(doc: dict) -> Polytope:
+    """The polytope of an already validated document."""
+    return build_polytope([tuple(parse_rational(c) for c in v) for v in doc["vertices"]])
 
 
 def dumps(obj: Any) -> str:
@@ -81,6 +84,12 @@ def load_document(path: str) -> dict:
     except json.JSONDecodeError as e:
         raise ValueError(f"invalid JSON in {path}: {e}") from e
     return validate_document(doc)
+
+
+def load_polytope(path: str) -> tuple[dict, Polytope]:
+    """The document at path and its polytope, validated once."""
+    doc = load_document(path)
+    return doc, _build(doc)
 
 
 def report_to_dict(r: Union[ProofReport, FoldedReport]) -> dict:

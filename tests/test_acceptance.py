@@ -7,7 +7,8 @@ tolerances.
 
 import pytest
 
-from eulerlab.acceptance import ALL_CRITERIA
+from eulerlab import folded_flags
+from eulerlab.acceptance import ALL_CRITERIA, criterion_6
 
 
 @pytest.mark.parametrize(
@@ -20,3 +21,14 @@ def test_criterion(criterion):
     for line in outcome.details:
         print(f"      {line}")
     assert outcome.passed, "\n".join(outcome.details)
+
+
+def test_criterion_6_fails_when_a_flag_is_not_collinear(monkeypatch):
+    # Criterion 6 does not re-fold the flags; the collinearity check inside
+    # each folded run must be enough to make it FAIL.
+    monkeypatch.setattr(
+        folded_flags, "flag_collinear_with_assigned_point", lambda flag, line: False
+    )
+    outcome = criterion_6()
+    assert not outcome.passed
+    assert any("not collinear with its facet point" in d for d in outcome.details)

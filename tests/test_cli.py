@@ -6,7 +6,7 @@ import subprocess
 
 import pytest
 
-from eulerlab import cli, euler
+from eulerlab import cli, euler, jsonio
 from eulerlab.errors import GeneralPositionError
 
 
@@ -113,6 +113,33 @@ class TestCheck:
     def test_missing_file_exits_2(self, capsys):
         code, out, err = run(["check", "/nonexistent/thing.json"], capsys)
         assert code == 2
+
+    def test_malformed_document_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dimension": 1, "vertices": [["1.5"]]}))
+        code, out, err = run(["check", str(path)], capsys)
+        assert code == 2
+        assert err == "error: not a rational literal: '1.5'\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check"], ["verify", "--proof", "folded"], ["schlegel-svg", "-o", "cube3.svg"]],
+    )
+    def test_document_is_validated_once(
+        self, argv, cube3, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+
+        def counting(doc):
+            calls.append(doc)
+            return validate(doc)
+
+        validate = jsonio.validate_document
+        monkeypatch.setattr(jsonio, "validate_document", counting)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run([argv[0], cube3, *argv[1:]], capsys)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_identity_failure_exits_1(self, cube3, capsys, monkeypatch):
         monkeypatch.setattr(cli, "euler_alternating_sum", lambda fv: 0)

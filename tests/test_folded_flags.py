@@ -3,17 +3,108 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eulerlab.errors import SamplingBudgetError
-from eulerlab.linalg import affine_dim, dot, is_zero, vsub
+from eulerlab.errors import GeneralPositionError, SamplingBudgetError
+from eulerlab.linalg import affine_dim, barycenter, dot, is_zero, vadd, vscale, vsub
 from eulerlab.polytope import face_lattice, generate
 from eulerlab.folded_flags import (
+    TransversalLine,
     facet_assignment_sums,
     flag_collinear_with_assigned_point,
     fold_flags,
     sample_transversal,
     verify_proof_folded,
 )
+
+
+def section_polygon(p, line, x):
+    """The section of p by the plane through the line and x, as 2D data.
+
+    Returns (vertices, constraints): vertices are exact (u, w) coordinates
+    in the chart t1 + u*direction + w*(x - t1), and constraints are rows
+    (alpha, beta, gamma) meaning alpha*u + beta*w <= gamma, one per facet.
+    Every pair of rows is intersected and kept if it satisfies all rows:
+    O(m^3) for m facets.
+    """
+    e = line.direction
+    g = vsub(x, line.t1)
+    cons = []
+    for f in p.facets:
+        n = f.hyperplane.normal
+        cons.append((dot(n, e), dot(n, g), f.hyperplane.offset - dot(n, line.t1)))
+    verts = set()
+    for i, (a1, b1, g1) in enumerate(cons):
+        for a2, b2, g2 in cons[i + 1:]:
+            det = a1 * b2 - a2 * b1
+            if det == 0:
+                continue
+            u = (g1 * b2 - g2 * b1) / det
+            w = (a1 * g2 - a2 * g1) / det
+            if all(a * u + b * w <= c for a, b, c in cons):
+                verts.add((u, w))
+    return sorted(verts), cons
+
+
+def reference_fold(p, face, line):
+    """fold_flags by brute force over the whole section polygon: the
+    ((assigned facet, segment, value), ...) of the two flags, or a raise
+    with the same GeneralPositionError text."""
+    x = barycenter(p.face_points(face))
+    verts, cons = section_polygon(p, line, x)
+    origin = (Fraction(0), Fraction(1))
+
+    def violated(check):
+        where = f"face {sorted(face.vertex_indices)}"
+        return GeneralPositionError(f"general position violated: {check} at {where}")
+
+    if origin not in verts:
+        raise violated("the base point is not a vertex of its plane section")
+    # A side at x runs from x to another vertex on the line of a row tight
+    # at x; the facets tight at its midpoint are the ones that hold it.
+    sides = []
+    for a, b, c in cons:
+        if b != c:
+            continue
+        for v in verts:
+            if v == origin or a * v[0] + b * v[1] != c:
+                continue
+            mid = (v[0] / 2, (1 + v[1]) / 2)
+            active = [
+                j for j, (aa, bb, cc) in enumerate(cons) if aa * mid[0] + bb * mid[1] == cc
+            ]
+            if len(active) != 1:
+                raise violated(f"a section side lies in facets {active}, not in one")
+            sides.append((active[0], v))
+    by_facet = {}
+    for facet_idx, v in sides:
+        if by_facet.get(facet_idx, v) != v:
+            raise violated(f"two section sides lie in facet {facet_idx}")
+        by_facet[facet_idx] = v
+    if len(by_facet) != 2:
+        raise violated(f"the section sides lie in facets {sorted(by_facet)}, not in two")
+    g = vsub(x, line.t1)
+    value = Fraction((-1) ** face.dimension, 2)
+    return tuple(
+        (facet_idx, (x, vadd(line.t1, vadd(vscale(line.direction, u), vscale(g, w)))), value)
+        for facet_idx, (u, w) in sorted(by_facet.items())
+    )
+
+
+def folded(p, face, line):
+    """fold_flags in the reference's terms."""
+    return tuple(
+        (f.assigned_facet, f.segment, f.value) for f in fold_flags(p, face, line)
+    )
+
+
+def outcome(fn, *args):
+    """fn's result, or the text of the GeneralPositionError it raises."""
+    try:
+        return fn(*args)
+    except GeneralPositionError as e:
+        return str(e)
 
 
 def opposite_pair(p):
@@ -173,6 +264,83 @@ class TestFoldFlags:
                         f.assigned_facet for f in fold_flags(p, face, line)
                     }
                     assert 0 in assigned
+
+
+def hand_line(t1, direction):
+    """A TransversalLine through t1 along direction, without a certificate:
+    fold_flags reads only t1 and direction."""
+    t1 = tuple(Fraction(c) for c in t1)
+    direction = tuple(Fraction(c) for c in direction)
+    return TransversalLine((0, 1), t1, vadd(t1, direction), direction, (), ())
+
+
+class TestFoldFlagsAgainstReference:
+    @given(
+        d=st.integers(3, 5),
+        extra=st.integers(0, 3),
+        hull_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_walk_matches_full_polygon(self, d, extra, hull_seed, seed):
+        # At most 7 points keep the O(m^3) reference fast.
+        p = generate(f"random:{d},{min(d + 1 + extra, 7)},6", hull_seed)
+        line = sample_transversal(p, seed)
+        lat = face_lattice(p)
+        for c in range(d - 1):
+            for face in lat.faces(c):
+                assert outcome(folded, p, face, line) == outcome(
+                    reference_fold, p, face, line
+                )
+
+    # Hand-built planes on the unit cube, which sampled lines never give.
+    # Facets 3, 4 and 5 are z <= 1, y <= 1 and x <= 1; vertex 7 is (1, 1, 1)
+    # and vertex 6 is (1, 1, 0).
+    @pytest.mark.parametrize(
+        "face_ids,t1,direction,check",
+        [
+            # The plane x = y holds the edge 6-7, and its midpoint is the
+            # middle of a side of the section rectangle.
+            (
+                {6, 7},
+                ("1/2", "1/2", "1/2"),
+                (0, 0, 1),
+                "the base point is not a vertex of its plane section",
+            ),
+            # The same plane at vertex 7: the side along the edge 6-7 lies in
+            # the facets x <= 1 and y <= 1.
+            (
+                {7},
+                ("1/2", "1/2", "1/2"),
+                (0, 0, 1),
+                "a section side lies in facets [4, 5], not in one",
+            ),
+            # The plane z = 1 is facet 3's: both sides at vertex 7 lie in two
+            # facets, and the one with the lower far vertex is reported.
+            (
+                {7},
+                ("1/2", "1/2", 1),
+                (1, 0, 0),
+                "a section side lies in facets [3, 4], not in one",
+            ),
+            # The plane x + y + z = 3 touches the cube at vertex 7 only.
+            (
+                {7},
+                (3, 0, 0),
+                (-1, 1, 0),
+                "the section sides lie in facets [], not in two",
+            ),
+        ],
+    )
+    def test_general_position_raises(self, face_ids, t1, direction, check):
+        p = generate("cube:3")
+        face = next(f for f in face_lattice(p).all_faces() if f.vertex_indices == face_ids)
+        line = hand_line(t1, direction)
+        text = f"general position violated: {check} at face {sorted(face_ids)}"
+        assert outcome(reference_fold, p, face, line) == text
+        with pytest.raises(GeneralPositionError) as raised:
+            fold_flags(p, face, line)
+        assert str(raised.value) == text
 
 
 class TestFacetAssignmentSums:
