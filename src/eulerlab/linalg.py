@@ -3,9 +3,12 @@
 Every coordinate in this package is a :class:`fractions.Fraction`, so all
 predicates (rank, incidence, sidedness) are decided exactly.  Vectors are
 plain tuples of Fractions; matrices are lists of such row tuples.  One
-fraction-free (Bareiss) Gauss-Jordan elimination serves rank, nullspace,
-solve, span and det: it lifts each row to integers and keeps every entry
-an integer, which is much faster than Fraction pivoting at this scale.
+fraction-free (Bareiss) pivot step, `_pivot`, serves both the Gauss-Jordan
+elimination behind rank, nullspace, solve and span and the phase-1 simplex
+of `linear_feasible`: each lifts its rows to integers and keeps every entry
+an integer, which is much faster than Fraction pivoting at this scale.  The
+simplex keeps its objective as one more tableau row and gives each slack a
+coefficient of +-1 in its lifted row.
 """
 
 from __future__ import annotations
@@ -74,14 +77,10 @@ def barycenter(points: Sequence[Vector]) -> Vector:
     return tuple(sum(col, Fraction(0)) / n for col in zip(*points))
 
 
-def _scale(row: Sequence[Fraction]) -> int:
-    """Least positive integer that makes every entry of a rational row whole."""
-    return math.lcm(*(x.denominator for x in row))
-
-
-def _lift(row: Sequence[Fraction]) -> list[int]:
-    """The row times its scale, as ints."""
-    m = _scale(row)
+def lift(row: Sequence[Fraction]) -> list[int]:
+    """The rational row times the least positive integer that makes every
+    entry whole, as ints."""
+    m = math.lcm(*(x.denominator for x in row))
     return [x.numerator * (m // x.denominator) for x in row]
 
 
@@ -113,7 +112,7 @@ def _eliminate(
     rows are zero.  sign is the parity of the row swaps, so for a square
     matrix of full rank its determinant is sign * d over the lift scales.
     """
-    mat = [_lift(r) for r in rows]
+    mat = [lift(r) for r in rows]
     if any(len(r) != width for r in mat):
         raise DimensionMismatchError("rows of unequal length")
     pivots: list[int] = []
@@ -138,16 +137,6 @@ def rank(rows: Sequence[Vector]) -> int:
     if not rows:
         return 0
     return len(_eliminate(rows, len(rows[0]))[1])
-
-
-def det(rows: Sequence[Vector]) -> Fraction:
-    """Exact determinant of a square matrix."""
-    n = len(rows)
-    mat, pivots, sign = _eliminate(rows, n)
-    if len(pivots) < n:
-        return Fraction(0)
-    d = mat[-1][pivots[-1]] if n else 1
-    return Fraction(sign * d, math.prod(map(_scale, rows)))
 
 
 class SpanBuilder:
@@ -176,7 +165,7 @@ class SpanBuilder:
         """The row the kernel would hold for v (lifted) after the span's
         pivot steps: d*v minus the span rows weighted by v's pivot-column
         entries.  It is zero exactly when v lies in the span."""
-        v = _lift(v)
+        v = lift(v)
         w = [self._d * a for a in v]
         for row, p in zip(self._rows, self._pivots):
             f = v[p]
@@ -260,7 +249,7 @@ class Hyperplane:
 
     def normalized(self) -> "Hyperplane":
         """Integer coefficients with gcd 1; orientation preserved."""
-        lifted = _lift([*self.normal, self.offset])
+        lifted = lift([*self.normal, self.offset])
         g = math.gcd(*(abs(v) for v in lifted))
         lifted = [v // g for v in lifted]
         return Hyperplane(tuple(Fraction(v) for v in lifted[:-1]), Fraction(lifted[-1]))
@@ -343,73 +332,71 @@ def linear_feasible(
 ) -> Optional[Vector]:
     """Exact witness for {y : rows·y <= rhs}, or None when infeasible.
 
-    Phase-1 simplex with Bland's rule over rationals.  Free variables are
-    split as y = u - w; each constraint gets a slack, and rows whose
-    right-hand side is negative get an artificial variable.
+    Phase-1 simplex with Bland's rule on an integer tableau (lrs style,
+    Avis 2000).  Free variables are split as y = u - w.  Each row is lifted
+    to integers with its rhs and negated when the rhs is negative; its slack
+    (and, for a negated row, its artificial) gets coefficient +-1, which only
+    rescales a variable that has to be >= 0.  The phase-1 objective, the sum
+    of the artificials, is one more row: the costs minus the artificial rows.
+    Every row, that one included, goes through the fraction-free pivot
+    `_pivot`, so the real tableau is the integer one over the last pivot d.
     """
     m = len(rows)
     if m == 0:
         return tuple()
     n = len(rows[0])
-    ncols = 2 * n + m  # u, w, slacks; artificials appended after
-    tableau: list[list[Fraction]] = []
+    width = 2 * n + m  # u, w, slacks; artificials after them, then the rhs
+    lifted = [lift([*row, b]) for row, b in zip(rows, rhs, strict=True)]
+    negative = [i for i, row in enumerate(lifted) if row[-1] < 0]
+    total = width + len(negative)
+    art = dict(zip(negative, range(width, total)))
+    tableau: list[list[int]] = []
     basis: list[int] = []
-    art_cols: list[int] = []
-    for i in range(m):
-        row = [Fraction(c) for c in rows[i]]
-        b = Fraction(rhs[i])
-        sign = 1 if b >= 0 else -1
-        line = [sign * c for c in row] + [-sign * c for c in row]
-        line += [Fraction(0)] * m
-        line[2 * n + i] = Fraction(sign)
-        tableau.append([*line, sign * b])
-        if sign == 1:
-            basis.append(2 * n + i)
-        else:
-            basis.append(-1)  # placeholder, artificial assigned below
-    for i in range(m):
-        if basis[i] == -1:
-            col = ncols + len(art_cols)
-            art_cols.append(col)
-            for r in range(m):
-                tableau[r].insert(col, Fraction(1 if r == i else 0))
-            basis[i] = col
-    total = ncols + len(art_cols)
-    cost = [Fraction(0)] * total
-    for c in art_cols:
-        cost[c] = Fraction(1)
+    objective = [0] * (total + 1)
+    for i, row in enumerate(lifted):
+        if len(row) != n + 1:
+            raise DimensionMismatchError("rows of unequal length")
+        sign = -1 if i in art else 1
+        a = [sign * x for x in row]
+        line = a[:n] + [-x for x in a[:n]] + [0] * (total - 2 * n) + [a[n]]
+        line[2 * n + i] = sign
+        if i in art:
+            line[art[i]] = 1
+            objective = [x - y for x, y in zip(objective, line)]
+            objective[art[i]] = 0  # its cost 1 minus the 1 in its own row
+        tableau.append(line)
+        basis.append(art.get(i, 2 * n + i))
+    tableau.append(objective)
 
-    def reduced_cost(j: int) -> Fraction:
-        return cost[j] - sum(cost[basis[i]] * tableau[i][j] for i in range(m))
-
+    d = 1
     while True:
-        enter = next((j for j in range(total) if reduced_cost(j) < 0), None)
+        enter = next((j for j in range(total) if objective[j] < 0), None)
         if enter is None:
             break
-        ratios = [
-            (tableau[i][total] / tableau[i][enter], basis[i], i)
-            for i in range(m)
-            if tableau[i][enter] > 0
-        ]
-        if not ratios:  # unbounded phase-1 objective cannot happen
-            raise RuntimeError("phase-1 simplex unbounded")
-        _, _, leave = min(ratios)
-        pr = tableau[leave]
-        p = pr[enter]
-        tableau[leave] = [a / p for a in pr]
+        leave = None
         for i in range(m):
-            if i != leave and tableau[i][enter]:
-                f = tableau[i][enter]
-                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leave])]
+            f = tableau[i][enter]
+            if f <= 0:
+                continue
+            if leave is not None:
+                # rhs_i / f against the least ratio so far, cross-multiplied;
+                # a tie goes to the lower basis index.
+                gap = tableau[i][total] * den - num * f
+                if gap > 0 or (gap == 0 and basis[i] > basis[leave]):
+                    continue
+            leave, num, den = i, tableau[i][total], f
+        if leave is None:  # unbounded phase-1 objective cannot happen
+            raise RuntimeError("phase-1 simplex unbounded")
+        d = _pivot(tableau, leave, enter, d)
+        objective = tableau[m]
         basis[leave] = enter
 
-    objective = sum(cost[basis[i]] * tableau[i][total] for i in range(m))
-    if objective != 0:
+    if objective[total] != 0:
         return None
     y = [Fraction(0)] * n
     for i, bcol in enumerate(basis):
         if bcol < n:
-            y[bcol] += tableau[i][total]
+            y[bcol] += Fraction(tableau[i][total], d)
         elif bcol < 2 * n:
-            y[bcol - n] -= tableau[i][total]
+            y[bcol - n] -= Fraction(tableau[i][total], d)
     return tuple(y)

@@ -11,7 +11,6 @@ decides face-ness of every vertex subset by exact linear feasibility.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,9 +31,9 @@ from .linalg import (
     affine_hull,
     as_vector,
     barycenter,
-    det,
     dot,
     hyperplane_through,
+    lift,
     linear_feasible,
     nullspace,
     rank,
@@ -358,22 +357,21 @@ def face_lattice(p: Polytope) -> FaceLattice:
     return p.lattice
 
 
-def _is_face_lp(p: Polytope, subset: tuple[int, ...], outside: list[int]) -> bool:
+def _is_face_lp(rows: list[list[int]], subset: tuple[int, ...], outside: list[int]) -> bool:
     """Exact test: does a hyperplane contain `subset` with all `outside`
-    vertices strictly on one side?  Decided by rational linear feasibility."""
-    d = p.dim
+    vertices strictly on one side?  Decided by exact linear feasibility.
+
+    rows[i] is vertex i's row (v, -1) lifted to integers: a positive multiple,
+    so a·v - b keeps its sign and the test does not change.
+    """
     # Solutions (a, b) of a·s = b for s in subset form the nullspace of these rows.
-    eq_rows = [p.vertices[i] + (Fraction(-1),) for i in subset]
-    basis = nullspace(eq_rows, d + 1)
+    basis = [lift(nb) for nb in nullspace([rows[i] for i in subset], len(rows[0]))]
     if not basis:
         return False
-    # Strict separation a·v - b < 0 scales to a·v - b <= -1.
-    cons = []
-    for v in outside:
-        row = p.vertices[v] + (Fraction(-1),)
-        cons.append(tuple(dot(row, nb) for nb in basis))
-    rhs = [Fraction(-1)] * len(cons)
-    return linear_feasible(cons, rhs) is not None
+    # Strict separation a·v - b < 0 scales to a·v - b <= -1; so does any
+    # positive scaling of a constraint row or of a nullspace coordinate.
+    cons = [[sum(a * b for a, b in zip(rows[v], nb)) for nb in basis] for v in outside]
+    return linear_feasible(cons, [-1] * len(cons)) is not None
 
 
 def brute_force_face_lattice(p: Polytope, bound: int = ORACLE_BOUND) -> FaceLattice:
@@ -387,24 +385,25 @@ def brute_force_face_lattice(p: Polytope, bound: int = ORACLE_BOUND) -> FaceLatt
     if p.dim == 0:
         return FaceLattice({0: (Face(frozenset({0}), 0),)})
     by_dim: dict[int, list[Face]] = {p.dim: [Face(frozenset(range(n)), p.dim)]}
-    seen: set[frozenset[int]] = set()
+    # Vertex i as the integer row (v, -1) times a positive scale: the rows of
+    # S span a space of dimension dim aff(S) + 1 that holds the row of every
+    # point of aff(S) and of no other.
+    rows = [lift((*v, -1)) for v in p.vertices]
     for size in range(1, n):
         for subset in itertools.combinations(range(n), size):
-            base = p.vertices[subset[0]]
-            span = SpanBuilder.through([p.vertices[i] for i in subset])
-            if span.rank == p.dim:
+            span = SpanBuilder(p.dim + 1)
+            for i in subset:
+                span.add(rows[i])
+            dim = span.rank - 1
+            if dim == p.dim:
                 continue
             outside = [i for i in range(n) if i not in subset]
             # A vertex of P in the affine hull of S but outside S kills S
             # outright (it would have to lie on the separating hyperplane).
-            if any(span.contains(vsub(p.vertices[v], base)) for v in outside):
+            if any(span.contains(rows[v]) for v in outside):
                 continue
-            if not _is_face_lp(p, subset, outside):
-                continue
-            key = frozenset(subset)
-            if key not in seen:
-                seen.add(key)
-                by_dim.setdefault(span.rank, []).append(Face(key, span.rank))
+            if _is_face_lp(rows, subset, outside):
+                by_dim.setdefault(dim, []).append(Face(frozenset(subset), dim))
     for faces in by_dim.values():
         faces.sort(key=lambda f: sorted(f.vertex_indices))
     return FaceLattice({c: tuple(faces) for c, faces in by_dim.items()})
@@ -416,41 +415,6 @@ def facet_polytope(p: Polytope, i: int) -> Polytope:
     The sub-polytope's `embedded_vertices` live in p's working frame.
     """
     return build_polytope(p.facet_vertices(i))
-
-
-def _triangulate(
-    lat: FaceLattice, face: Face, memo: dict[Face, list[tuple[int, ...]]]
-) -> list[tuple[int, ...]]:
-    """Pulling triangulation of a face into vertex-index simplices."""
-    if face in memo:
-        return memo[face]
-    if face.dimension == 0:
-        (v,) = face.vertex_indices
-        memo[face] = [(v,)]
-        return memo[face]
-    pivot = min(face.vertex_indices)
-    simplices = []
-    for child in lat.children(face):
-        if pivot in child.vertex_indices:
-            continue
-        for s in _triangulate(lat, child, memo):
-            simplices.append(s + (pivot,))
-    memo[face] = simplices
-    return simplices
-
-
-def volume(p: Polytope) -> Fraction:
-    """Exact dim(p)-dimensional volume in the working frame."""
-    k = p.dim
-    if k == 0:
-        return Fraction(1)
-    lat = face_lattice(p)
-    memo: dict[Face, list[tuple[int, ...]]] = {}
-    total = Fraction(0)
-    for s in _triangulate(lat, lat.top, memo):
-        rows = [vsub(p.vertices[i], p.vertices[s[0]]) for i in s[1:]]
-        total += abs(det(rows))
-    return total / math.factorial(k)
 
 
 def _parse_family(kind: str) -> tuple[str, list[int]]:

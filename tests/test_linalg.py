@@ -4,11 +4,13 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerlab import polytope
 from eulerlab.errors import DimensionMismatchError
 from eulerlab.linalg import (
     AffineSubspace,
@@ -16,7 +18,6 @@ from eulerlab.linalg import (
     SpanBuilder,
     affine_dim,
     affine_hull,
-    det,
     dot,
     format_rational,
     hyperplane_through,
@@ -29,6 +30,7 @@ from eulerlab.linalg import (
     vec,
     vsub,
 )
+from volumes import det
 
 F = Fraction
 
@@ -142,6 +144,111 @@ def leibniz_det(rows):
         inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
         total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
     return total
+
+
+def plain_linear_feasible(rows, rhs):
+    """Reference: phase-1 simplex with Bland's rule over Fractions, with
+    y = u - w, one slack per row and an artificial for each row whose rhs
+    is negative; every reduced cost is recomputed from the cost vector."""
+    m = len(rows)
+    if m == 0:
+        return tuple()
+    n = len(rows[0])
+    ncols = 2 * n + m
+    tableau = []
+    basis = []
+    art_cols = []
+    for i in range(m):
+        row = [F(c) for c in rows[i]]
+        b = F(rhs[i])
+        sign = 1 if b >= 0 else -1
+        line = [sign * c for c in row] + [-sign * c for c in row] + [F(0)] * m
+        line[2 * n + i] = F(sign)
+        tableau.append([*line, sign * b])
+        basis.append(2 * n + i if sign == 1 else -1)
+    for i in range(m):
+        if basis[i] == -1:
+            col = ncols + len(art_cols)
+            art_cols.append(col)
+            for r in range(m):
+                tableau[r].insert(col, F(1 if r == i else 0))
+            basis[i] = col
+    total = ncols + len(art_cols)
+    cost = [F(0)] * total
+    for c in art_cols:
+        cost[c] = F(1)
+
+    def reduced_cost(j):
+        return cost[j] - sum(cost[basis[i]] * tableau[i][j] for i in range(m))
+
+    while True:
+        enter = next((j for j in range(total) if reduced_cost(j) < 0), None)
+        if enter is None:
+            break
+        ratios = [
+            (tableau[i][total] / tableau[i][enter], basis[i], i)
+            for i in range(m)
+            if tableau[i][enter] > 0
+        ]
+        _, _, leave = min(ratios)
+        p = tableau[leave][enter]
+        tableau[leave] = [a / p for a in tableau[leave]]
+        for i in range(m):
+            if i != leave and tableau[i][enter]:
+                f = tableau[i][enter]
+                tableau[i] = [a - f * b for a, b in zip(tableau[i], tableau[leave])]
+        basis[leave] = enter
+    if sum(cost[basis[i]] * tableau[i][total] for i in range(m)) != 0:
+        return None
+    y = [F(0)] * n
+    for i, bcol in enumerate(basis):
+        if bcol < n:
+            y[bcol] += tableau[i][total]
+        elif bcol < 2 * n:
+            y[bcol - n] -= tableau[i][total]
+    return tuple(y)
+
+
+@st.composite
+def lp_systems(draw, max_width=4, max_rows=7):
+    """(rows, rhs) with zero rows, duplicate and parallel rows, and rhs 0."""
+    n = draw(st.integers(1, max_width))
+    rows, rhs = [], []
+    for _ in range(draw(st.integers(1, max_rows))):
+        kind = draw(st.sampled_from(["fresh", "zero", "copy"] if rows else ["fresh", "zero"]))
+        if kind == "fresh":
+            row = tuple(draw(st.lists(sparse_rationals(), min_size=n, max_size=n)))
+            b = draw(st.one_of(st.just(F(0)), rationals(6, 4)))
+        elif kind == "zero":
+            row, b = (F(0),) * n, draw(st.sampled_from([F(-1), F(0), F(1)]))
+        else:
+            k = draw(st.integers(0, len(rows) - 1))
+            s = draw(st.one_of(st.just(F(1)), rationals(4, 3).filter(bool)))
+            row = tuple(s * x for x in rows[k])
+            b = draw(st.one_of(st.just(s * rhs[k]), st.just(F(0)), rationals(6, 4)))
+        rows.append(row)
+        rhs.append(b)
+    return rows, rhs
+
+
+def oracle_systems(p):
+    """Every system the brute-force face oracle hands to linear_feasible on p."""
+    systems = []
+
+    def record(rows, rhs):
+        systems.append((rows, rhs))
+        return linear_feasible(rows, rhs)
+
+    with mock.patch.object(polytope, "linear_feasible", record):
+        polytope.brute_force_face_lattice(p)
+    return systems
+
+
+def assert_matches_reference(rows, rhs):
+    y = linear_feasible(rows, rhs)
+    assert (y is None) == (plain_linear_feasible(rows, rhs) is None)
+    if y is not None:
+        assert all(dot(r, y) <= b for r, b in zip(rows, rhs))
 
 
 # Bareiss elimination that skips rows with a 0 in the pivot column loses
@@ -435,6 +542,45 @@ class TestLinearFeasible:
         y = linear_feasible(rows, [F(-1), F(-1)])
         assert y is not None
         assert dot(rows[0], y) <= -1 and dot(rows[1], y) <= -1
+
+    def test_zero_row(self):
+        assert linear_feasible([vec(0, 0)], [F(-1)]) is None
+        y = linear_feasible([vec(0, 0), vec(1, 1)], [F(0), F(-1)])
+        assert y is not None and dot(vec(1, 1), y) <= -1
+
+    def test_all_rhs_zero(self):
+        # Every slack starts basic at level 0: a degenerate start.
+        rows = [vec(1, 1), vec(-1, 2), vec(0, -1), vec(1, 1)]
+        y = linear_feasible(rows, [F(0)] * 4)
+        assert y is not None
+        assert all(dot(r, y) <= 0 for r in rows)
+
+    def test_degenerate_pivots(self):
+        # x = y from two zero-rhs rows, then x + y >= 2 (feasible) or
+        # x + y <= 0 with x >= 1 (infeasible).
+        rows = [vec(1, -1), vec(-1, 1), vec(-1, -1)]
+        y = linear_feasible(rows, [F(0), F(0), F(-2)])
+        assert y is not None and y[0] == y[1] and y[0] + y[1] >= 2
+        rows = [vec(1, -1), vec(-1, 1), vec(1, 1), vec(-1, 0)]
+        assert linear_feasible(rows, [F(0), F(0), F(0), F(-1)]) is None
+
+    def test_integer_rows(self):
+        rows = [(1, 2), (-3, 1), (2, -5)]
+        y = linear_feasible(rows, [-1, -1, 7])
+        assert y is not None
+        assert all(dot(vec(*r), y) <= b for r, b in zip(rows, [-1, -1, 7]))
+        assert linear_feasible([(1, 1), (-1, -1)], [-1, -1]) is None
+
+    @given(lp_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_plain_simplex(self, system):
+        assert_matches_reference(*system)
+
+    @given(st.sampled_from(["random:3,7,4", "random:3,8,6", "random:4,8,3"]), st.integers(0, 10**6))
+    @settings(max_examples=8, deadline=None)
+    def test_matches_plain_simplex_on_oracle_systems(self, spec, seed):
+        for rows, rhs in oracle_systems(polytope.generate(spec, seed)):
+            assert_matches_reference(rows, rhs)
 
     def test_no_constraints(self):
         assert linear_feasible([], []) == ()

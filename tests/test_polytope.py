@@ -19,8 +19,8 @@ from eulerlab.polytope import (
     facet_polytope,
     generate,
     point_polytope,
-    volume,
 )
+from volumes import volume
 
 F = Fraction
 

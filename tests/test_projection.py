@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from eulerlab.errors import DimensionMismatchError, GeneralPositionError
 from eulerlab.euler import f_vector
 from eulerlab.linalg import Hyperplane, affine_dim, affine_hull, dot, vec
-from eulerlab.polytope import build_polytope, face_lattice, generate, volume
+from eulerlab.polytope import build_polytope, face_lattice, generate
 from eulerlab.projection import (
     beyond_point,
     project_along,
     project_from_point,
     schlegel,
 )
+from volumes import volume
 
 
 def F(a, b=1):

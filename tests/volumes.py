@@ -1,0 +1,54 @@
+"""Exact determinants and volumes for tests: nothing in the package needs
+them, but the sum of cell volumes is a strong check on a Schlegel complex."""
+
+import math
+from fractions import Fraction
+
+from eulerlab.linalg import _eliminate, vsub
+from eulerlab.polytope import Face, FaceLattice, Polytope, face_lattice
+
+
+def det(rows):
+    """Exact determinant of a square matrix, by the package's elimination."""
+    n = len(rows)
+    mat, pivots, sign = _eliminate(rows, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    d = mat[-1][pivots[-1]] if n else 1
+    scales = (math.lcm(*(Fraction(x).denominator for x in row)) for row in rows)
+    return Fraction(sign * d, math.prod(scales))
+
+
+def triangulate(
+    lat: FaceLattice, face: Face, memo: dict[Face, list[tuple[int, ...]]]
+) -> list[tuple[int, ...]]:
+    """Pulling triangulation of a face into vertex-index simplices."""
+    if face in memo:
+        return memo[face]
+    if face.dimension == 0:
+        (v,) = face.vertex_indices
+        memo[face] = [(v,)]
+        return memo[face]
+    pivot = min(face.vertex_indices)
+    simplices = []
+    for child in lat.children(face):
+        if pivot in child.vertex_indices:
+            continue
+        for s in triangulate(lat, child, memo):
+            simplices.append(s + (pivot,))
+    memo[face] = simplices
+    return simplices
+
+
+def volume(p: Polytope) -> Fraction:
+    """Exact dim(p)-dimensional volume in the working frame."""
+    k = p.dim
+    if k == 0:
+        return Fraction(1)
+    lat = face_lattice(p)
+    memo: dict[Face, list[tuple[int, ...]]] = {}
+    total = Fraction(0)
+    for s in triangulate(lat, lat.top, memo):
+        rows = [vsub(p.vertices[i], p.vertices[s[0]]) for i in s[1:]]
+        total += abs(det(rows))
+    return total / math.factorial(k)
