@@ -17,7 +17,7 @@ from .errors import GeneralPositionError, SamplingBudgetError
 from .euler import euler_alternating_sum, f_vector
 from .folded_flags import sample_transversal, verify_proof_folded
 from .linalg import Hyperplane, dot
-from .polytope import brute_force_face_lattice, face_lattice, generate
+from .polytope import ORACLE_BOUND, brute_force_face_lattice, face_lattice, generate
 from .projection import beyond_point, project_from_point, schlegel
 from .schlegel_flags import (
     sample_general_line,
@@ -102,15 +102,15 @@ def criterion_2() -> CriterionOutcome:
     cases = [(spec, None) for spec in FAMILY_SPECS] + RANDOM_SPECS
     for spec, seed in cases:
         p = generate(spec, seed) if seed is not None else generate(spec)
-        if len(p.vertices) > 12:
+        if len(p.vertices) > ORACLE_BOUND:
             continue
-        oracle = brute_force_face_lattice(p, bound=12)
+        oracle = brute_force_face_lattice(p, bound=ORACLE_BOUND)
         if not face_lattice(p).same_faces(oracle):
             failures.append(f"{spec} seed {seed}: lattice disagrees with oracle")
         compared += 1
     return _outcome(
         2,
-        "face lattice matches the brute-force oracle (<= 12 vertices)",
+        f"face lattice matches the brute-force oracle (<= {ORACLE_BOUND} vertices)",
         failures,
         [f"{compared} polytopes compared"],
     )

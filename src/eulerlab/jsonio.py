@@ -81,7 +81,7 @@ def load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # deep nesting recurses
         raise ValueError(f"invalid JSON in {path}: {e}") from e
     return validate_document(doc)
 

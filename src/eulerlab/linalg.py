@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError
 
@@ -28,10 +28,6 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 def vec(*coords) -> Vector:
     """Build a Vector, coercing ints/strings to Fraction."""
-    return tuple(Fraction(c) for c in coords)
-
-
-def as_vector(coords: Iterable) -> Vector:
     return tuple(Fraction(c) for c in coords)
 
 

@@ -4,8 +4,10 @@ A Polytope always stores its vertices in a full-dimensional "working" frame
 of its own intrinsic dimension.  Inputs of lower affine dimension are
 re-expressed in a rational affine frame (the original embedding is kept in
 `embedded_vertices` and `frame`).  Facet enumeration is incremental
-beneath-beyond insertion with exact predicates; the independent oracle
-decides face-ness of every vertex subset by exact linear feasibility.
+beneath-beyond insertion with exact predicates.  Each facet keeps the set of
+input points on it, and vertices and face dimensions are read from those
+incidences alone.  The independent oracle decides face-ness of every vertex
+subset by exact linear feasibility.
 """
 
 from __future__ import annotations
@@ -29,16 +31,15 @@ from .linalg import (
     Vector,
     affine_dim,
     affine_hull,
-    as_vector,
     barycenter,
     dot,
     hyperplane_through,
     lift,
     linear_feasible,
     nullspace,
-    rank,
     solve_linear,
     vadd,
+    vec,
     vscale,
     vsub,
 )
@@ -197,48 +198,43 @@ def _initial_simplex(points: Sequence[Vector], k: int) -> list[int]:
 
 
 def _hull_facets(points: Sequence[Vector], k: int) -> list[_WorkFacet]:
-    """Beneath-beyond hull of full-dimensional points; exact, degeneracy-safe."""
-    simplex = _initial_simplex(points, k)
+    """Beneath-beyond hull of full-dimensional points; exact, degeneracy-safe.
+
+    Each facet's `inc` holds every inserted point on its plane, and nothing
+    else records incidence.  A new facet's plane H runs through the new
+    point p and a horizon ridge R = v & b, for v visible and b a kept facet
+    whose plane misses p.  H meets the old hull in a face holding R, and a
+    larger one would be a facet through R: v or b.  So the inserted points
+    on H are those on R, `v.inc & b.inc`, and p.
+    """
+    simplex = set(_initial_simplex(points, k))
     interior = barycenter([points[i] for i in simplex])
     facets: list[_WorkFacet] = []
     for omit in simplex:
         wall = [points[i] for i in simplex if i != omit]
-        h = hyperplane_through(wall, interior)
-        facets.append(_WorkFacet(h, {i for i in simplex if h.side(points[i]) == 0}))
-    processed = set(simplex)
+        facets.append(_WorkFacet(hyperplane_through(wall, interior), simplex - {omit}))
     for j, p in enumerate(points):
-        if j in processed:
+        if j in simplex:
             continue
         sides = [f.h.side(p) for f in facets]
-        if all(s <= 0 for s in sides):
-            for f, s in zip(facets, sides):
-                if s == 0:
-                    f.inc.add(j)
-            processed.add(j)
-            continue
-        visible = [f for f, s in zip(facets, sides) if s > 0]
-        kept = [f for f, s in zip(facets, sides) if s <= 0]
         for f, s in zip(facets, sides):
             if s == 0:
                 f.inc.add(j)
-        kept_planes = {(f.h.normal, f.h.offset) for f in kept}
-        candidates: dict[tuple, Hyperplane] = {}
+        visible = [f for f, s in zip(facets, sides) if s > 0]
+        if not visible:
+            continue
+        kept = [f for f, s in zip(facets, sides) if s <= 0]
+        new: list[_WorkFacet] = []
         for v in visible:
             for b in kept:
+                if j in b.inc:
+                    continue  # p is on b's plane, so b grows and spans no new one
                 shared = v.inc & b.inc
-                if affine_dim([points[i] for i in shared]) != k - 2:
+                if len(shared) < k - 1 or affine_dim([points[i] for i in shared]) != k - 2:
                     continue
-                wall = [points[i] for i in sorted(shared)] + [p]
-                h = hyperplane_through(wall, interior)
-                candidates[(h.normal, h.offset)] = h
-        for key, h in candidates.items():
-            if key in kept_planes:
-                continue  # p was coplanar with an existing facet; already extended
-            inc = {i for i in processed if h.side(points[i]) == 0}
-            inc.add(j)
-            kept.append(_WorkFacet(h, inc))
-        facets = kept
-        processed.add(j)
+                wall = [points[i] for i in shared] + [p]
+                new.append(_WorkFacet(hyperplane_through(wall, interior), shared | {j}))
+        facets = kept + new
     return facets
 
 
@@ -250,12 +246,13 @@ def _assemble(
     frame: Optional[AffineFrame],
 ) -> Polytope:
     facets_work = _hull_facets(work_points, k)
-    active: dict[int, list[Vector]] = {}
+    # The facets through point i meet in the least face holding i, so i is a
+    # vertex exactly when no other point lies on all of them.
+    meet: dict[int, set[int]] = {}
     for f in facets_work:
         for i in f.inc:
-            active.setdefault(i, []).append(f.h.normal)
-    extreme = [i for i in range(len(work_points)) if rank(active.get(i, [])) == k]
-    extreme.sort(key=lambda i: work_points[i])
+            meet[i] = meet[i] & f.inc if i in meet else f.inc
+    extreme = sorted((i for i, m in meet.items() if m == {i}), key=lambda i: work_points[i])
     renum = {old: new for new, old in enumerate(extreme)}
     facet_list = []
     for f in facets_work:
@@ -282,7 +279,7 @@ def build_polytope(points: Sequence[Sequence]) -> Polytope:
     whose affine hull has lower dimension than the ambient space are restated
     in an intrinsic rational frame (recorded in `frame`).
     """
-    pts = [as_vector(p) for p in points]
+    pts = [vec(*p) for p in points]
     if not pts:
         raise DegenerateInputError("degenerate input")
     ambient = len(pts[0])
@@ -308,7 +305,7 @@ def build_polytope(points: Sequence[Sequence]) -> Polytope:
 
 def point_polytope(point: Sequence) -> Polytope:
     """Internal 0-dimensional polytope (a single point); shadows need these."""
-    p = as_vector(point)
+    p = vec(*point)
     frame = AffineFrame(p, ())
     return Polytope(
         ambient_dim=len(p),
@@ -321,31 +318,30 @@ def point_polytope(point: Sequence) -> Polytope:
 
 
 def _lattice_from_facets(p: Polytope) -> FaceLattice:
+    """Close the facet vertex sets under intersection, recording above[x]:
+    each face m with x = m & F != m for a facet F.  A face x below the top
+    is a facet of some face G, and x = G & F for a facet F holding x but not
+    G; so dim x is one less than the least dim over above[x]."""
     n = len(p.vertices)
-    full = (1 << n) - 1
     if p.dim == 0:
         return FaceLattice({0: (Face(frozenset({0}), 0),)})
-    facet_masks = []
-    for f in p.facets:
-        m = 0
-        for i in f.vertex_indices:
-            m |= 1 << i
-        facet_masks.append(m)
-    seen: set[int] = set(facet_masks)
-    stack = list(seen)
+    facet_masks = [sum(1 << i for i in f.vertex_indices) for f in p.facets]
+    full = (1 << n) - 1
+    above: dict[int, list[int]] = {full: []}
+    stack = [full]
     while stack:
         m = stack.pop()
         for fm in facet_masks:
             x = m & fm
-            if x and x not in seen:
-                seen.add(x)
-                stack.append(x)
-    seen.add(full)
+            if x and x != m:
+                if x not in above:
+                    stack.append(x)
+                above.setdefault(x, []).append(m)
+    dims: dict[int, int] = {}
     by_dim: dict[int, list[Face]] = {}
-    for m in seen:
-        idx = frozenset(i for i in range(n) if m >> i & 1)
-        d = affine_dim([p.vertices[i] for i in sorted(idx)])
-        by_dim.setdefault(d, []).append(Face(idx, d))
+    for x in sorted(above, key=int.bit_count, reverse=True):
+        d = dims[x] = min((dims[m] - 1 for m in above[x]), default=p.dim)
+        by_dim.setdefault(d, []).append(Face(frozenset(i for i in range(n) if x >> i & 1), d))
     for faces in by_dim.values():
         faces.sort(key=lambda f: sorted(f.vertex_indices))
     return FaceLattice({c: tuple(faces) for c, faces in by_dim.items()})
@@ -353,7 +349,7 @@ def _lattice_from_facets(p: Polytope) -> FaceLattice:
 
 def face_lattice(p: Polytope) -> FaceLattice:
     """All faces of p (dimensions 0..dim) by closing facet vertex sets
-    under intersection; dimensions assigned by exact affine rank."""
+    under intersection; dimensions are read off that closure."""
     return p.lattice
 
 

@@ -114,6 +114,13 @@ class TestCheck:
         code, out, err = run(["check", "/nonexistent/thing.json"], capsys)
         assert code == 2
 
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(["check", str(path)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: invalid JSON in {path}: ")
+
     def test_malformed_document_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"dimension": 1, "vertices": [["1.5"]]}))

@@ -7,6 +7,7 @@ because a verify report embeds the input path string.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -43,3 +44,45 @@ def test_schlegel_svg_bytes(workdir):
     assert cli.main(["generate", "cube:4", "--seed", "0", "-o", "p.json"]) == 0
     assert cli.main(["schlegel-svg", "p.json", "-o", "cube4.svg"]) == 0
     assert sha256(workdir / "cube4.svg") == SVG_DIGEST
+
+
+# cube:3 with every degenerate kind of extra point the hull must drop: the
+# centre (interior), the edge midpoints (on two facets), the face centres
+# (on one facet) and a repeated vertex.
+HALF = "1/2"
+CUBE3_EXTRAS = [[a, b, c] for a in "01" for b in "01" for c in "01"] + [
+    [HALF, HALF, HALF],
+    *([x, y, HALF] for x in "01" for y in "01"),
+    *([x, HALF, y] for x in "01" for y in "01"),
+    *([HALF, x, y] for x in "01" for y in "01"),
+    *([HALF, HALF, x] for x in "01"),
+    *([HALF, x, HALF] for x in "01"),
+    *([x, HALF, HALF] for x in "01"),
+    ["1", "1", "1"],
+]
+CHECK_DIGEST = "0a95a8bdb7801eb186c24b1618ab7d39171cbb4f1e90ef200c917c94d6f9aba3"
+DEGENERATE_VERIFY_DIGEST = "c2b03b9a9f13a2eca635dacacc49fb1c65b4c194f5a80a192136c1777ce19f4c"
+GENERATE_DIGEST = "b14c2116908996e4c07e4240a9ab32df0181df27714adae99d6a4b8942ec5fe8"
+
+
+@pytest.fixture
+def cube3_extras(workdir):
+    doc = {"dimension": 3, "vertices": CUBE3_EXTRAS, "name": "cube3-extras"}
+    (workdir / "p.json").write_text(json.dumps(doc))
+    return workdir
+
+
+def test_degenerate_check_report_bytes(cube3_extras):
+    assert cli.main(["check", "p.json", "-o", "report.json"]) == 0
+    assert sha256(cube3_extras / "report.json") == CHECK_DIGEST
+
+
+def test_degenerate_verify_report_bytes(cube3_extras):
+    argv = ["verify", "p.json", "--proof", "both", "--seed", "0", "-o", "report.json"]
+    assert cli.main(argv) == 0
+    assert sha256(cube3_extras / "report.json") == DEGENERATE_VERIFY_DIGEST
+
+
+def test_generate_bytes(workdir):
+    assert cli.main(["generate", "random:5,14,10", "--seed", "1", "-o", "p.json"]) == 0
+    assert sha256(workdir / "p.json") == GENERATE_DIGEST

@@ -1,18 +1,36 @@
 """Hull construction, face lattices, the brute-force oracle, and generators."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerlab import linalg
 from eulerlab.errors import (
     DegenerateInputError,
     DimensionMismatchError,
     OracleBoundError,
 )
-from eulerlab.linalg import dot, vec, vsub
+from eulerlab.linalg import (
+    Hyperplane,
+    affine_dim,
+    affine_hull,
+    barycenter,
+    dot,
+    hyperplane_through,
+    rank,
+    vec,
+    vsub,
+)
 from eulerlab.polytope import (
+    AffineFrame,
+    Face,
+    Facet,
+    Polytope,
+    _initial_simplex,
+    _WorkFacet,
     brute_force_face_lattice,
     build_polytope,
     face_lattice,
@@ -23,6 +41,112 @@ from eulerlab.polytope import (
 from volumes import volume
 
 F = Fraction
+
+
+def reference_hull_facets(points, k):
+    """Beneath-beyond with incidence re-derived: each new facet's incidence
+    is a rescan of every processed point, and a new plane equal to a kept
+    facet's plane is dropped by comparing the planes."""
+    simplex = _initial_simplex(points, k)
+    interior = barycenter([points[i] for i in simplex])
+    facets = []
+    for omit in simplex:
+        wall = [points[i] for i in simplex if i != omit]
+        h = hyperplane_through(wall, interior)
+        facets.append(_WorkFacet(h, {i for i in simplex if h.side(points[i]) == 0}))
+    processed = set(simplex)
+    for j, p in enumerate(points):
+        if j in processed:
+            continue
+        sides = [f.h.side(p) for f in facets]
+        for f, s in zip(facets, sides):
+            if s == 0:
+                f.inc.add(j)
+        visible = [f for f, s in zip(facets, sides) if s > 0]
+        kept = [f for f, s in zip(facets, sides) if s <= 0]
+        kept_planes = {(f.h.normal, f.h.offset) for f in kept}
+        candidates = {}
+        for v in visible:
+            for b in kept:
+                shared = v.inc & b.inc
+                if affine_dim([points[i] for i in shared]) != k - 2:
+                    continue
+                h = hyperplane_through([points[i] for i in sorted(shared)] + [p], interior)
+                candidates[(h.normal, h.offset)] = h
+        for key, h in candidates.items():
+            if key not in kept_planes:
+                inc = {i for i in processed if h.side(points[i]) == 0}
+                kept.append(_WorkFacet(h, inc | {j}))
+        facets = kept
+        processed.add(j)
+    return facets
+
+
+def reference_polytope(points):
+    """build_polytope on the reference hull, where a point is a vertex when
+    the normals of the facets through it have full rank."""
+    distinct = list(dict.fromkeys(vec(*q) for q in points))
+    hull = affine_hull(distinct)
+    k, ambient = hull.dim, len(distinct[0])
+    frame = None if k == ambient else AffineFrame(hull.base_point, hull.direction_basis)
+    work = distinct if frame is None else [frame.to_working(q) for q in distinct]
+    facets = reference_hull_facets(work, k)
+    active = {}
+    for f in facets:
+        for i in f.inc:
+            active.setdefault(i, []).append(f.h.normal)
+    extreme = [i for i in range(len(work)) if rank(active.get(i, [])) == k]
+    extreme.sort(key=lambda i: work[i])
+    renum = {old: new for new, old in enumerate(extreme)}
+    facet_list = [Facet(f.h, frozenset(renum[i] for i in f.inc if i in renum)) for f in facets]
+    facet_list.sort(key=lambda f: (f.hyperplane.normal, f.hyperplane.offset))
+    return Polytope(
+        ambient_dim=ambient,
+        dim=k,
+        vertices=tuple(work[i] for i in extreme),
+        embedded_vertices=tuple(distinct[i] for i in extreme),
+        facets=tuple(facet_list),
+        frame=frame,
+    )
+
+
+def reference_faces_by_dimension(p):
+    """Facet vertex sets closed under intersection, each face's dimension
+    the affine dimension of its vertices."""
+    faces = {f.vertex_indices for f in p.facets}
+    stack = list(faces)
+    while stack:
+        m = stack.pop()
+        for f in p.facets:
+            x = m & f.vertex_indices
+            if x and x not in faces:
+                faces.add(x)
+                stack.append(x)
+    faces.add(frozenset(range(len(p.vertices))))
+    by_dim = {}
+    for idx in faces:
+        d = affine_dim([p.vertices[i] for i in sorted(idx)])
+        by_dim.setdefault(d, []).append(Face(idx, d))
+    return {d: tuple(sorted(fs, key=lambda f: sorted(f.vertex_indices))) for d, fs in by_dim.items()}
+
+
+@st.composite
+def hull_inputs(draw):
+    """Small rational point sets in d = 1..6 plus midpoints of drawn pairs
+    (repeats when a pair is one point twice, else interior or on a facet)
+    and the barycenter, in shuffled order, sometimes lifted onto a
+    hyperplane one dimension up."""
+    d = draw(st.integers(1, 6))
+    coord = st.builds(F, st.integers(-2, 2), st.sampled_from([1, 2]))
+    base = draw(st.lists(st.tuples(*[coord] * d), min_size=2, max_size=d + 5))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(base), st.sampled_from(base)), max_size=4))
+    pts = base + [tuple((a + b) / 2 for a, b in zip(x, y)) for x, y in pairs]
+    if draw(st.booleans()):
+        pts.append(barycenter(base))
+    if d < 6 and draw(st.booleans()):
+        a = draw(st.tuples(*[st.integers(-2, 2)] * d))
+        pts = [(*x, dot(vec(*a), x) + 1) for x in pts]
+    return draw(st.permutations(pts))
 
 
 def unit_square_points():
@@ -113,6 +237,18 @@ class TestBuildPolytope:
         assert set(p.vertices) <= set(pts)
 
 
+    @given(hull_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rescanning_reference(self, pts):
+        if len(set(pts)) < 2:
+            return
+        p, ref = build_polytope(pts), reference_polytope(pts)
+        assert p.vertices == ref.vertices
+        assert p.embedded_vertices == ref.embedded_vertices
+        assert p.facets == ref.facets
+        assert face_lattice(p).faces_by_dimension == reference_faces_by_dimension(ref)
+
+
 class TestFaceLattice:
     def test_cube3_counts(self):
         lat = face_lattice(generate("cube:3"))
@@ -163,6 +299,35 @@ class TestFaceLattice:
         # each of the 3 edges contains 2 of the 3 vertices
         assert sum(len(lat.children(e)) for e in lat.faces(1)) == 6
         assert len(lat.children(lat.top)) == 3
+
+
+# Eliminations and side tests for generate plus face_lattice at seed 0.
+# These depend on no machine; a change that moves them on purpose restates
+# them here and says why.
+WORK_COUNTS = {
+    "cube:5": {"eliminate": 90, "side": 252},
+    "crosspolytope:5": {"eliminate": 98, "side": 40},
+    "random:4,30,10": {"eliminate": 665, "side": 1216},
+}
+
+
+@pytest.mark.parametrize("spec", sorted(WORK_COUNTS))
+def test_work_counts(spec, monkeypatch):
+    counts = Counter()
+    eliminate, side = linalg._eliminate, Hyperplane.side
+
+    def counting_eliminate(*args):
+        counts["eliminate"] += 1
+        return eliminate(*args)
+
+    def counting_side(self, point):
+        counts["side"] += 1
+        return side(self, point)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(Hyperplane, "side", counting_side)
+    face_lattice(generate(spec, seed=0))
+    assert counts == WORK_COUNTS[spec]
 
 
 class TestOracle:
