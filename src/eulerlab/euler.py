@@ -1,17 +1,20 @@
 """f-vectors and the alternating-sum check f^0 - f^1 + ... + (-1)^d f^d = 1.
 
 Also the core of the two flag-counting proof harnesses: the rejection loop
-that samples their certified lines, the identity chain of one piece of a
-flag count (a cell, the outside, or a facet), and the grand-total checks.
+that samples their certified lines, the check of one piece of a flag count
+(a cell, the outside, or a facet) face by face against its shadow and then
+as a sum chain, and the grand-total checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, TypeVar
+from typing import Callable, Iterable, Mapping, Optional, TypeVar
 
 from .errors import SamplingBudgetError
+from .linalg import Vector, format_point
 from .polytope import FaceLattice, Polytope, face_lattice
+from .projection import Shadow
 
 FVector = tuple[int, ...]
 T = TypeVar("T")
@@ -57,32 +60,62 @@ def rejection_sample(what: str, bound: int, attempt: Callable[[int], Optional[T]
     )
 
 
-def check_chain(
+def check_piece(
     failures: list[str],
     label: str,
+    piece: Polytope,
+    received: Mapping[frozenset[Vector], int],
     actual: Fraction,
     expected: Fraction,
-    piece: Polytope,
-    shadow: Optional[Polytope] = None,
+    shadow: Optional[Shadow] = None,
     sign: int = -1,
 ) -> None:
-    """Check actual == via_counts == via_tops == expected for a k-polytope
-    piece: half the alternating sum of its face counts below the top, plus
-    sign times that of its shadow's (if any), then the same from the top-face
-    counts alone.  A broken chain adds one line to failures."""
-    fv = f_vector(face_lattice(piece))
-    k = len(fv) - 1
+    """Check one piece of a flag count (a cell, the outside or a facet), a
+    k-polytope, face by face and then as a sum.
+
+    `received` counts the flags the piece took at each face, keyed by the
+    face's vertex points.  A (k-1)-face must take 1 flag and a lower face
+    1 + sign * [its image is a face of the shadow]; a flag at a point set
+    that is no face of the piece is a failure too.  Then the sum chain:
+    actual == via_counts == via_tops == expected, where via_counts is half
+    the alternating sum of the piece's face counts below the top plus sign
+    times that of its shadow's, and via_tops is the same from the top-face
+    counts alone.  Each broken check adds one line to failures.
+    """
+    lat = face_lattice(piece)
+    k = lat.dim
+    faces = set()
+    for c in range(k):
+        for face in lat.faces(c):
+            key = frozenset(piece.embedded_vertices[j] for j in face.vertex_indices)
+            faces.add(key)
+            want = 1
+            if shadow is not None and c < k - 1:
+                want += sign * shadow.is_face_image(face)
+            got = received.get(key, 0)
+            if got != want:
+                failures.append(
+                    f"{label}: dim-{c} face {_points(key)} took {got} flags, expected {want}"
+                )
+    for key in sorted(received.keys() - faces, key=sorted):
+        failures.append(f"{label}: {received[key]} flags at {_points(key)}, not a face")
+
+    fv = f_vector(lat)
     sign_k = (-1) ** k
     via_counts = half_alternating_sum(fv, k - 1)
     via_tops = Fraction(1 - sign_k * fv[k], 2)
     if shadow is not None:
-        gv = f_vector(face_lattice(shadow))
+        gv = f_vector(face_lattice(shadow.polytope))
         via_counts += sign * half_alternating_sum(gv, k - 2)
         via_tops += sign * Fraction(1 + sign_k * gv[k - 1], 2)
     if not (actual == via_counts == via_tops == expected):
         failures.append(
-            f"{label} sum chain {actual} = {via_counts} = {via_tops} = {expected} broken"
+            f"{label}: sum chain {actual} = {via_counts} = {via_tops} = {expected} broken"
         )
+
+
+def _points(key: frozenset[Vector]) -> str:
+    return f"[{', '.join(map(format_point, sorted(key)))}]"
 
 
 def check_totals(

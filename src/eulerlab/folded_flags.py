@@ -12,18 +12,20 @@ facets the line does not meet.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .errors import GeneralPositionError
-from .euler import check_chain, check_totals, f_vector, rejection_sample
+from .euler import check_piece, check_totals, f_vector, rejection_sample
 from .linalg import (
     SpanBuilder,
     Vector,
     affine_dim,
     barycenter,
     dot,
+    format_point,
     is_zero,
     line_hyperplane_intersection,
     vadd,
@@ -327,50 +329,30 @@ def facet_assignment_sums(
             flags.extend(fold_flags(p, face, line))
 
     sums = {i: Fraction(0) for i in range(len(p.facets))}
-    counts: dict[tuple[frozenset, int], int] = {}
+    received: dict[int, Counter] = {i: Counter() for i in sums}
     for flag in flags:
         if not flag_collinear_with_assigned_point(flag, line):
             failures.append(
-                f"flag at {flag.base_point} not collinear with its facet point"
+                f"flag at {format_point(flag.base_point)} not collinear with its facet point"
             )
         sums[flag.assigned_facet] += flag.value
-        key = (flag.base_face.vertex_indices, flag.assigned_facet)
-        counts[key] = counts.get(key, 0) + 1
+        received[flag.assigned_facet][frozenset(p.face_points(flag.base_face))] += 1
 
     i1, i2 = line.facet_pair
     expected_special = Fraction(1 - sign_k)
     expected_per_facet = Fraction(-sign_k)
 
-    for i, facet in enumerate(p.facets):
-        # A chosen facet takes one flag per own face.  Any other facet takes
-        # one per (k-1)-face, and one per lower face exactly when that face's
-        # image is not a face of the facet's shadow from the line's point on
-        # its hyperplane.
+    for i in sums:
+        # A chosen facet takes one flag per own face; any other facet is
+        # checked against its shadow from the line's point on its hyperplane.
         t_poly = facet_polytope(p, i)
-        shadow = None
-        if i not in line.facet_pair:
-            apex = t_poly.frame.to_working(line.facet_points[i])
-            shadow = project_from_point(t_poly, apex)
-            local = {v: idx for idx, v in enumerate(t_poly.embedded_vertices)}
-        for face in lat.all_faces():
-            if face.dimension > k - 1 or not face.vertex_indices <= facet.vertex_indices:
-                continue
-            expected = 1
-            if shadow is not None and face.dimension < k - 1:
-                local_key = frozenset(local[p.vertices[v]] for v in face.vertex_indices)
-                expected = 0 if shadow.face_image[local_key] else 1
-            got = counts.get((face.vertex_indices, i), 0)
-            if got != expected:
-                failures.append(
-                    f"facet {i}: face {sorted(face.vertex_indices)} contributed "
-                    f"{got} flags, expected {expected}"
-                )
-        if shadow is None:
-            check_chain(failures, f"special facet {i}:", sums[i], expected_special / 2, t_poly)
+        if i in line.facet_pair:
+            label, expected, shadow = f"special facet {i}", expected_special / 2, None
         else:
-            check_chain(
-                failures, f"facet {i}:", sums[i], expected_per_facet, t_poly, shadow.polytope
-            )
+            apex = t_poly.frame.to_working(line.facet_points[i])
+            label, expected = f"facet {i}", expected_per_facet
+            shadow = project_from_point(t_poly, apex)
+        check_piece(failures, label, t_poly, received[i], sums[i], expected, shadow)
     if sums[i1] + sums[i2] != expected_special:
         failures.append(
             f"special pair sum {sums[i1] + sums[i2]} != {expected_special}"

@@ -43,6 +43,11 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+def format_point(x: Vector) -> str:
+    """A point as rational strings, e.g. (0, 1/2, 1)."""
+    return f"({', '.join(map(format_rational, x))})"
+
+
 def vadd(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 

@@ -38,9 +38,7 @@ from .linalg import (
     linear_feasible,
     nullspace,
     solve_linear,
-    vadd,
     vec,
-    vscale,
     vsub,
 )
 
@@ -54,12 +52,6 @@ class AffineFrame:
 
     base: Vector
     basis: tuple[Vector, ...]
-
-    def to_ambient(self, w: Vector) -> Vector:
-        x = self.base
-        for c, b in zip(w, self.basis, strict=True):
-            x = vadd(x, vscale(b, c))
-        return x
 
     def to_working(self, x: Vector) -> Vector:
         """Coordinates of an ambient point lying on the frame's subspace."""
@@ -104,14 +96,6 @@ class FaceLattice:
     def top(self) -> Face:
         (top,) = self.faces_by_dimension[self.dim]
         return top
-
-    def children(self, face: Face) -> tuple[Face, ...]:
-        """Faces of one dimension lower contained in the given face."""
-        return tuple(
-            g
-            for g in self.faces(face.dimension - 1)
-            if g.vertex_indices <= face.vertex_indices
-        )
 
     def vertex_set_families(self) -> dict[int, frozenset[frozenset[int]]]:
         return {

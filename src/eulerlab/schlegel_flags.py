@@ -2,23 +2,26 @@
 
 Every face of the complex of dimension 0..k-1 gets two flags (opposite
 directions of a certified general-position line, value (1/2)(-1)^c each).
-Each flag lands in exactly one cell or escapes the carrier; summing per
-cell, over the escapees, and over base faces yields an identity chain that
-is checked exactly, term by term.
+Each flag lands in exactly one cell or escapes the carrier.  Every cell,
+and the outside, is checked face by face against its shadow along the line
+(a face's flags land in it once, or per the shadow); summing per cell,
+over the escapees, and over base faces yields an identity chain that is
+checked exactly, term by term.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import GeneralPositionError
-from .euler import check_chain, check_totals, f_vector, rejection_sample
-from .linalg import SpanBuilder, Vector, is_zero, vscale
+from .euler import check_piece, check_totals, f_vector, rejection_sample
+from .linalg import SpanBuilder, Vector, format_point, is_zero, vscale
 from .polytope import Polytope, face_lattice
-from .projection import ComplexFace, SchlegelComplex, Shadow, project_along, schlegel
+from .projection import ComplexFace, SchlegelComplex, project_along, schlegel
 
 OUTSIDE = "outside"
 Classification = Union[int, str]
@@ -100,7 +103,10 @@ def place_flags(complex: SchlegelComplex, q: GeneralLine) -> list[Flag]:
     return flags
 
 
-def _classify(complex: SchlegelComplex, base: Vector, direction: Vector) -> Classification:
+def classify_flag(flag: Flag, complex: SchlegelComplex) -> Classification:
+    """The unique cell whose tangent cone at the base point contains the
+    flag, or OUTSIDE when the flag leaves the carrier."""
+    base, direction = flag.base_point, flag.direction
     hits = [
         i
         for i, cell in enumerate(complex.cells)
@@ -111,68 +117,11 @@ def _classify(complex: SchlegelComplex, base: Vector, direction: Vector) -> Clas
         return hits[0]
     if not hits and escapes:
         return OUTSIDE
-    where = f"base point ({', '.join(map(str, base))})"
     raise GeneralPositionError(
-        f"general position violated: the flag at {where} enters cells {hits} and "
-        f"{'leaves' if escapes else 'stays in'} the carrier, not exactly one of them"
+        f"general position violated: the flag at base point {format_point(base)} "
+        f"enters cells {hits} and {'leaves' if escapes else 'stays in'} the carrier, "
+        f"not exactly one of them"
     )
-
-
-def classify_flag(flag: Flag, complex: SchlegelComplex) -> Classification:
-    """The unique cell whose tangent cone at the base point contains the
-    flag, or OUTSIDE when the flag leaves the carrier."""
-    return _classify(complex, flag.base_point, flag.direction)
-
-
-@dataclass
-class CriterionResult:
-    ok: bool
-    counterexample: Optional[dict] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_projection_criterion(
-    complex: SchlegelComplex,
-    q: GeneralLine,
-    shadows: Optional[dict[int, Shadow]] = None,
-) -> CriterionResult:
-    """Exhaustively check, for every (cell, face) pair, that flag membership
-    matches the shadow predicate: a (k-1)-face always contributes exactly
-    one flag to its cell; a lower face contributes one iff its image is not
-    a face of the cell's shadow, and zero otherwise."""
-    k = complex.dim
-    for i, cell in enumerate(complex.cells):
-        shadow = (
-            shadows[i] if shadows is not None else project_along(cell, q.direction)
-        )
-        lat = face_lattice(cell)
-        for c in range(k):
-            for face in lat.faces(c):
-                base = ComplexFace(frozenset(cell.face_points(face)), c).base_point
-                got = sum(
-                    _classify(complex, base, vscale(q.direction, s)) == i
-                    for s in (1, -1)
-                )
-                if c == k - 1:
-                    expected = 1
-                else:
-                    expected = 0 if shadow.is_face_image(face) else 1
-                if got != expected:
-                    return CriterionResult(
-                        ok=False,
-                        counterexample={
-                            "cell": i,
-                            "face_dimension": c,
-                            "face_vertices": sorted(
-                                sorted(v) for v in cell.face_points(face)
-                            ),
-                            "expected": expected,
-                            "got": got,
-                        },
-                    )
-    return CriterionResult(ok=True)
 
 
 @dataclass
@@ -206,7 +155,8 @@ class ProofReport:
 
 
 def verify_proof_schlegel(p: Polytope, facet_index: int, seed: int) -> ProofReport:
-    """Build the complex, distribute and classify all flags, and check the
+    """Build the complex, distribute and classify all flags, check every
+    cell and the outside face by face against its shadow, and check the
     per-cell, outside, and grand-total identities with their full chains."""
     complex = schlegel(p, facet_index)
     q = sample_general_line(complex, seed)
@@ -214,36 +164,35 @@ def verify_proof_schlegel(p: Polytope, facet_index: int, seed: int) -> ProofRepo
     k = complex.dim
     failures: list[str] = []
 
-    per_cell = {i: Fraction(0) for i in range(complex.a)}
-    outside_sum = Fraction(0)
-    for j in range(0, len(flags), 2):
-        pair = flags[j], flags[j + 1]
-        kinds = [classify_flag(f, complex) for f in pair]
-        if kinds[0] == kinds[1] and kinds[0] != OUTSIDE:
-            failures.append(
-                f"both flags of a dim-{pair[0].base_face.dimension} base point "
-                f"landed in cell {kinds[0]}"
-            )
-        for f, kind in zip(pair, kinds):
-            if kind == OUTSIDE:
-                outside_sum += f.value
-            else:
-                per_cell[kind] += f.value
+    # Per cell and for the outside: the flag sum and the flags at each face.
+    sums = {kind: Fraction(0) for kind in [*range(complex.a), OUTSIDE]}
+    received: dict[Classification, Counter] = {kind: Counter() for kind in sums}
+    for f in flags:
+        kind = classify_flag(f, complex)
+        sums[kind] += f.value
+        received[kind][f.base_face.points] += 1
+    outside_sum = sums.pop(OUTSIDE)
 
     expected_per_cell = Fraction((-1) ** (k - 1))
     expected_outside = Fraction(1)
     for i, cell in enumerate(complex.cells):
-        shadow = project_along(cell, q.direction).polytope
-        check_chain(failures, f"cell {i}:", per_cell[i], expected_per_cell, cell, shadow)
-    shadow = project_along(complex.carrier, q.direction).polytope
-    check_chain(
-        failures, "outside", outside_sum, expected_outside, complex.carrier, shadow, sign=1
+        shadow = project_along(cell, q.direction)
+        check_piece(failures, f"cell {i}", cell, received[i], sums[i], expected_per_cell, shadow)
+    check_piece(
+        failures,
+        "outside",
+        complex.carrier,
+        received[OUTSIDE],
+        outside_sum,
+        expected_outside,
+        project_along(complex.carrier, q.direction),
+        sign=1,
     )
     total_by_base, total_by_cls, lhs, rhs = check_totals(
         failures,
         f_vector(face_lattice(p)),
         (f.value for f in flags),
-        [*per_cell.values(), outside_sum],
+        [*sums.values(), outside_sum],
         "classification",
         expected_per_cell * complex.a + 1,
     )
@@ -253,7 +202,7 @@ def verify_proof_schlegel(p: Polytope, facet_index: int, seed: int) -> ProofRepo
         facet_index=complex.facet_index,
         seed=seed,
         cell_count=complex.a,
-        per_cell_sums=per_cell,
+        per_cell_sums=sums,
         outside_sum=outside_sum,
         total_by_base=total_by_base,
         total_by_classification=total_by_cls,

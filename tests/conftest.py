@@ -1,0 +1,50 @@
+"""Shared fixtures."""
+
+from collections import Counter
+
+import pytest
+
+from eulerlab import linalg
+from eulerlab.linalg import Hyperplane
+
+
+@pytest.fixture
+def work_counts(monkeypatch) -> Counter:
+    """Counts of exact eliminations and hyperplane side tests made while the
+    test runs; clear() it to start a count.  Neither depends on the machine."""
+    counts = Counter()
+    eliminate, side = linalg._eliminate, Hyperplane.side
+
+    def counting_eliminate(*args):
+        counts["eliminate"] += 1
+        return eliminate(*args)
+
+    def counting_side(self, point):
+        counts["side"] += 1
+        return side(self, point)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(Hyperplane, "side", counting_side)
+    return counts
+
+
+@pytest.fixture
+def flip_first_shadow(monkeypatch):
+    """Patch a harness's shadow builder, module.name, so that the first
+    shadow it builds gives the wrong answer for one vertex image."""
+
+    def patch(module, name: str) -> None:
+        build = getattr(module, name)
+
+        def first_flipped(*args):
+            shadow = build(*args)
+            if not flipped:
+                key = next(k for k in shadow.face_image if len(k) == 1)
+                shadow.face_image[key] = not shadow.face_image[key]
+                flipped.append(key)
+            return shadow
+
+        flipped = []
+        monkeypatch.setattr(module, name, first_flipped)
+
+    return patch

@@ -32,3 +32,5 @@ def test_criterion_6_fails_when_a_flag_is_not_collinear(monkeypatch):
     outcome = criterion_6()
     assert not outcome.passed
     assert any("not collinear with its facet point" in d for d in outcome.details)
+    # Failure lines give points as rational strings, not Python reprs.
+    assert not any("Fraction(" in d for d in outcome.details)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerlab.euler import euler_alternating_sum, f_vector
+from eulerlab.euler import check_piece, euler_alternating_sum, f_vector
 from eulerlab.linalg import vec
 from eulerlab.polytope import (
     build_polytope,
@@ -85,3 +85,33 @@ class TestFVectorValidation:
         )
         with pytest.raises(ValueError):
             f_vector(bad)
+
+
+class TestCheckPiece:
+    # The unit square with no shadow: one flag at each vertex and edge, and
+    # the sum 4/2 - 4/2 = 0 = (1 - 1) / 2 from the top-face count alone.
+    def square(self):
+        p = generate("cube:2")
+        lat = face_lattice(p)
+        received = {
+            frozenset(p.face_points(face)): 1 for c in (0, 1) for face in lat.faces(c)
+        }
+        return p, received
+
+    def test_holds(self):
+        p, received = self.square()
+        failures = []
+        check_piece(failures, "piece", p, received, Fraction(0), Fraction(0))
+        assert failures == []
+
+    def test_names_each_broken_face_and_stray_flag(self):
+        p, received = self.square()
+        del received[frozenset({vec(0, 0)})]
+        received[frozenset({vec("1/2", 0)})] = 1
+        failures = []
+        check_piece(failures, "piece", p, received, Fraction(0), Fraction(1))
+        assert failures == [
+            "piece: dim-0 face [(0, 0)] took 0 flags, expected 1",
+            "piece: 1 flags at [(1/2, 0)], not a face",
+            "piece: sum chain 0 = 0 = 0 = 1 broken",
+        ]

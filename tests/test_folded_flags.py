@@ -1,11 +1,13 @@
 """Tests for the folded-flag count along a transversal line."""
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerlab import folded_flags
 from eulerlab.errors import GeneralPositionError, SamplingBudgetError
 from eulerlab.linalg import affine_dim, barycenter, dot, is_zero, vadd, vscale, vsub
 from eulerlab.polytope import face_lattice, generate
@@ -410,6 +412,18 @@ class TestFacetAssignmentSums:
         fv = f_vector_of(p)
         k = p.dim - 1
         assert report.total == 1 + (-1) ** k * (1 - fv[k])
+
+    def test_corrupted_shadow_is_caught(self, flip_first_shadow):
+        # Flip one vertex entry of the first shadow: that facet's face check
+        # must name it, in rational strings.
+        flip_first_shadow(folded_flags, "project_from_point")
+        report = verify_proof_folded(generate("cube:3"), 0)
+        assert not report.passed
+        assert len(report.failures) == 1
+        assert re.fullmatch(
+            r"facet \d+: dim-0 face \[\(\d+, \d+, \d+\)\] took \d flags, expected \d",
+            report.failures[0],
+        )
 
     def test_report_metadata(self):
         p = generate("cube:3")

@@ -1,11 +1,17 @@
-"""Every module of the package uses each name it imports (stdlib-only lint)."""
+"""Stdlib-only lints: every module of the package uses each name it imports,
+and everything the package defines is named by the package itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "eulerlab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "eulerlab"
+# The benchmark's tracer names package functions in strings such as
+# "jsonio.document_to_polytope", so those count as uses too.
+PERFBENCH = ROOT / "perfbench" / "run.py"
 
 
 def _annotation_strings(tree: ast.AST):
@@ -60,3 +66,38 @@ def test_counts_string_annotations_as_use():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def definitions(tree: ast.AST):
+    """Functions, methods and classes defined in a module, dunders aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.lineno, node.name
+
+
+def names_used(tree: ast.AST) -> set[str]:
+    """Names read as variables or attributes, string annotations included."""
+    used = set()
+    for root in [tree, *_annotation_strings(tree)]:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_definition_is_named_in_the_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    used = set().union(*map(names_used, trees.values()))
+    for node in ast.walk(ast.parse(PERFBENCH.read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(re.findall(r"\w+", node.value))
+    unnamed = [
+        f"{name}:{line} {defined}"
+        for name, tree in trees.items()
+        for line, defined in definitions(tree)
+        if defined not in used
+    ]
+    assert unnamed == []

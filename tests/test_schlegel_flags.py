@@ -1,9 +1,11 @@
 """Tests for the flag double count over a Schlegel complex."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
+from eulerlab import schlegel_flags
 from eulerlab.euler import f_vector
 from eulerlab.linalg import SpanBuilder, vscale, vsub
 from eulerlab.polytope import face_lattice, generate
@@ -13,7 +15,6 @@ from eulerlab.schlegel_flags import (
     classify_flag,
     place_flags,
     sample_general_line,
-    verify_projection_criterion,
     verify_proof_schlegel,
 )
 
@@ -151,45 +152,46 @@ class TestClassifyFlag:
 
 
 class TestProjectionCriterion:
+    # Every Schlegel run checks each cell and the outside face by face
+    # against its shadow: a (k-1)-face takes one flag, a lower face one
+    # exactly when its image is not a face of the cell's shadow (for the
+    # outside: two when it is, one when not).
     @pytest.mark.parametrize(
         "spec,seed", [("cube:3", 0), ("simplex:3", 1), ("simplex:4", 0), ("cube:4", 0)]
     )
     def test_holds_exhaustively(self, spec, seed):
-        cx = schlegel(generate(spec), 0)
-        q = sample_general_line(cx, seed)
-        result = verify_projection_criterion(cx, q)
-        assert result.ok
-        assert result.counterexample is None
-        assert bool(result)
+        report = verify_proof_schlegel(generate(spec), 0, seed)
+        assert report.passed
+        assert report.failures == []
 
-    def test_corrupted_shadow_is_caught(self):
-        cx = schlegel(generate("cube:3"), 0)
-        q = sample_general_line(cx, 0)
-        shadows = {
-            i: project_along(cell, q.direction) for i, cell in enumerate(cx.cells)
-        }
-        key = next(k for k in shadows[0].face_image if len(k) == 1)
-        shadows[0].face_image[key] = not shadows[0].face_image[key]
-        result = verify_projection_criterion(cx, q, shadows=shadows)
-        assert not result.ok
-        ce = result.counterexample
-        assert ce["cell"] == 0
-        assert ce["face_dimension"] == 0
-        assert ce["expected"] != ce["got"]
+    def test_corrupted_shadow_is_caught(self, flip_first_shadow):
+        # Shadows are built cell by cell, so the first one is cell 0's.
+        flip_first_shadow(schlegel_flags, "project_along")
+        report = verify_proof_schlegel(generate("cube:3"), 0, 0)
+        assert not report.passed
+        match = re.fullmatch(
+            r"cell (\d+): dim-(\d+) face \[.*\] took (\d) flags, expected (\d)",
+            report.failures[0],
+        )
+        cell, dim, got, expected = map(int, match.groups())
+        assert cell == 0
+        assert dim == 0
+        assert expected != got
+        assert "Fraction(" not in report.failures[0]
 
-    def test_shadow_from_wrong_direction_is_caught(self):
+    def test_shadow_from_wrong_direction_is_caught(self, monkeypatch):
         # A shadow taken along a different line disagrees with the flag
         # census somewhere.
         cx = schlegel(generate("cube:3"), 0)
         q = sample_general_line(cx, 0)
         q_other = sample_general_line(cx, 11)
         assert q.direction != q_other.direction
-        shadows = {
-            i: project_along(cell, q_other.direction)
-            for i, cell in enumerate(cx.cells)
-        }
-        result = verify_projection_criterion(cx, q, shadows=shadows)
-        assert not result.ok
+        monkeypatch.setattr(
+            schlegel_flags,
+            "project_along",
+            lambda src, direction: project_along(src, q_other.direction),
+        )
+        assert not verify_proof_schlegel(generate("cube:3"), 0, 0).passed
 
 
 class TestVerifyProof:

@@ -19,6 +19,13 @@ def det(rows):
     return Fraction(sign * d, math.prod(scales))
 
 
+def children(lat: FaceLattice, face: Face) -> tuple[Face, ...]:
+    """Faces of one dimension lower contained in the given face."""
+    return tuple(
+        g for g in lat.faces(face.dimension - 1) if g.vertex_indices <= face.vertex_indices
+    )
+
+
 def triangulate(
     lat: FaceLattice, face: Face, memo: dict[Face, list[tuple[int, ...]]]
 ) -> list[tuple[int, ...]]:
@@ -31,7 +38,7 @@ def triangulate(
         return memo[face]
     pivot = min(face.vertex_indices)
     simplices = []
-    for child in lat.children(face):
+    for child in children(lat, face):
         if pivot in child.vertex_indices:
             continue
         for s in triangulate(lat, child, memo):
