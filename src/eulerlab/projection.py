@@ -10,7 +10,7 @@ face-lattice comparison rather than any silhouette criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -71,15 +71,28 @@ def beyond_point(p: Polytope, facet: Union[int, Face]) -> Vector:
 
 @dataclass(frozen=True)
 class ComplexFace:
-    """A face of a polyhedral complex, identified by its exact point set."""
+    """A face of a polyhedral complex, identified by its exact point set.
+
+    Its incidences, which take no part in equality: `cells` pairs the index
+    of each cell that has this face as a face with the indices of that
+    cell's facets containing it, and `carrier_facets` indexes the carrier's
+    facets containing it.
+    """
 
     points: frozenset[Vector]
     dimension: int
+    cells: tuple[tuple[int, tuple[int, ...]], ...] = field(compare=False, repr=False)
+    carrier_facets: tuple[int, ...] = field(compare=False, repr=False)
 
     @cached_property
     def base_point(self) -> Vector:
         """Vertex barycenter; always in the relative interior."""
         return barycenter(sorted(self.points))
+
+
+# Signs of facet normals against a direction: per cell per facet, then per
+# carrier facet.
+SignTable = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
 class SchlegelComplex:
@@ -88,7 +101,10 @@ class SchlegelComplex:
 
     Carrier and cells are full-dimensional polytopes in a shared working
     frame of the carrier's hyperplane; `frame` maps those coordinates back
-    into the polytope's frame.
+    into the polytope's frame.  The complex is face-to-face, so each face
+    records the cells and facets it lies in (see ComplexFace); `facet_signs`
+    holds one table per line direction of the sign of every facet normal
+    against it.
     """
 
     def __init__(
@@ -106,6 +122,7 @@ class SchlegelComplex:
         self.carrier = carrier
         self.cells = cells
         self.cell_origin = cell_origin
+        self._signs: dict[Vector, SignTable] = {}
 
     @property
     def a(self) -> int:
@@ -118,24 +135,55 @@ class SchlegelComplex:
     @cached_property
     def faces_by_dimension(self) -> dict[int, tuple[ComplexFace, ...]]:
         """Distinct proper faces of the complex (dims 0..k-1), deduplicated
-        by exact point set across all cells."""
-        seen: dict[int, set[frozenset[Vector]]] = {}
-        for cell in self.cells:
+        by exact point set across all cells, with their incidences.
+
+        A cell's facet contains a face exactly when it holds the face's
+        vertices, a vertex-index test.  A carrier facet does when it holds
+        the face's points: a complex vertex that is no carrier vertex is
+        the image of a vertex off the carrier's facet of the polytope, so it
+        lies in the carrier's interior."""
+        seen: dict[frozenset[Vector], tuple[int, list]] = {}
+        for i, cell in enumerate(self.cells):
             lat = face_lattice(cell)
             for c in range(cell.dim):
                 for face in lat.faces(c):
                     pts = frozenset(cell.face_points(face))
-                    seen.setdefault(c, set()).add(pts)
-        return {
-            c: tuple(
-                ComplexFace(pts, c)
-                for pts in sorted(seen[c], key=lambda s: sorted(s))
-            )
-            for c in sorted(seen)
-        }
+                    through = tuple(
+                        h
+                        for h, f in enumerate(cell.facets)
+                        if face.vertex_indices <= f.vertex_indices
+                    )
+                    seen.setdefault(pts, (c, []))[1].append((i, through))
+        carrier = self.carrier
+        carrier_facets = [
+            frozenset(carrier.facet_vertices(h)) for h in range(len(carrier.facets))
+        ]
+        by_dim: dict[int, list[ComplexFace]] = {}
+        for pts in sorted(seen, key=sorted):
+            c, cells = seen[pts]
+            on = tuple(h for h, f in enumerate(carrier_facets) if pts <= f)
+            by_dim.setdefault(c, []).append(ComplexFace(pts, c, tuple(cells), on))
+        return {c: tuple(by_dim[c]) for c in sorted(by_dim)}
 
     def faces(self, c: int) -> tuple[ComplexFace, ...]:
         return self.faces_by_dimension.get(c, ())
+
+    def facet_signs(self, direction: Vector) -> SignTable:
+        """sign(n·direction) as -1, 0 or 1 for the outer normal n of every
+        facet of every cell, and of every carrier facet; computed once per
+        direction."""
+        signs = self._signs.get(direction)
+        if signs is None:
+            signs = self._signs[direction] = (
+                tuple(_normal_signs(cell, direction) for cell in self.cells),
+                _normal_signs(self.carrier, direction),
+            )
+        return signs
+
+
+def _normal_signs(p: Polytope, direction: Vector) -> tuple[int, ...]:
+    products = (dot(f.hyperplane.normal, direction) for f in p.facets)
+    return tuple((s > 0) - (s < 0) for s in products)
 
 
 def _central_image(apex: Vector, plane: Hyperplane, x: Vector) -> Vector:

@@ -2,11 +2,13 @@
 
 Every face of the complex of dimension 0..k-1 gets two flags (opposite
 directions of a certified general-position line, value (1/2)(-1)^c each).
-Each flag lands in exactly one cell or escapes the carrier.  Every cell,
-and the outside, is checked face by face against its shadow along the line
-(a face's flags land in it once, or per the shadow); summing per cell,
-over the escapees, and over base faces yields an identity chain that is
-checked exactly, term by term.
+Each flag lands in exactly one cell or escapes the carrier.  That cell is
+found by face incidence: among the cells having the flag's base face as a
+face, read off one sign table per line (the sign of each facet normal
+against the line's direction).  Every cell, and the outside, is checked
+face by face against its shadow along the line (a face's flags land in it
+once, or per the shadow); summing per cell, over the escapees, and over
+base faces yields an identity chain that is checked exactly, term by term.
 """
 
 from __future__ import annotations
@@ -105,20 +107,29 @@ def place_flags(complex: SchlegelComplex, q: GeneralLine) -> list[Flag]:
 
 def classify_flag(flag: Flag, complex: SchlegelComplex) -> Classification:
     """The unique cell whose tangent cone at the base point contains the
-    flag, or OUTSIDE when the flag leaves the carrier."""
-    base, direction = flag.base_point, flag.direction
+    flag, or OUTSIDE when the flag leaves the carrier.
+
+    The base point lies in the relative interior of the base face, and the
+    complex is face-to-face, so the cells holding it are the cells that
+    have the base face as a face, and the facets through it are the facets
+    containing that face.  A cell takes the flag when the flag's direction
+    has a product <= 0 with the outer normal of each such facet; the flag
+    leaves when that product is > 0 for some carrier facet through the
+    face.  The signs of the products come from the complex's sign table
+    for the flag's line, so no flag evaluates a facet.
+    """
+    face, o = flag.base_face, flag.orientation
+    cell_signs, carrier_signs = complex.facet_signs(vscale(flag.direction, o))
     hits = [
-        i
-        for i, cell in enumerate(complex.cells)
-        if cell.contains(base) and cell.in_tangent_cone(base, direction)
+        i for i, through in face.cells if all(o * cell_signs[i][h] <= 0 for h in through)
     ]
-    escapes = not complex.carrier.in_tangent_cone(base, direction)
+    escapes = any(o * carrier_signs[h] > 0 for h in face.carrier_facets)
     if len(hits) == 1 and not escapes:
         return hits[0]
     if not hits and escapes:
         return OUTSIDE
     raise GeneralPositionError(
-        f"general position violated: the flag at base point {format_point(base)} "
+        f"general position violated: the flag at base point {format_point(flag.base_point)} "
         f"enters cells {hits} and {'leaves' if escapes else 'stays in'} the carrier, "
         f"not exactly one of them"
     )

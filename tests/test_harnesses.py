@@ -1,12 +1,22 @@
-"""Properties both proof harnesses share, and their predicate work."""
+"""Properties of the two proof harnesses, and their predicate work."""
+
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerlab import projection
+from eulerlab.euler import f_vector
 from eulerlab.folded_flags import verify_proof_folded
-from eulerlab.polytope import generate
-from eulerlab.schlegel_flags import verify_proof_schlegel
+from eulerlab.polytope import Polytope, build_polytope, face_lattice, generate
+from eulerlab.schlegel_flags import (
+    classify_flag,
+    place_flags,
+    sample_general_line,
+    verify_proof_schlegel,
+)
 
 
 @given(
@@ -34,9 +44,9 @@ RUNS = {
 # after generate.  A change that moves them on purpose restates them here
 # and says why.
 HARNESS_WORK_COUNTS = {
-    ("cube:4", "schlegel"): {"eliminate": 380, "side": 6911},
+    ("cube:4", "schlegel"): {"eliminate": 380, "side": 457},
     ("cube:4", "folded"): {"eliminate": 542, "side": 1135},
-    ("crosspolytope:4", "schlegel"): {"eliminate": 342, "side": 6614},
+    ("crosspolytope:4", "schlegel"): {"eliminate": 342, "side": 190},
     ("crosspolytope:4", "folded"): {"eliminate": 504, "side": 1491},
 }
 
@@ -47,3 +57,106 @@ def test_harness_work_counts(spec, proof, work_counts):
     work_counts.clear()
     assert RUNS[proof](p).passed
     assert work_counts == HARNESS_WORK_COUNTS[spec, proof]
+
+
+@pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4"])
+def test_classification_is_one_table_per_line(spec, monkeypatch, work_counts):
+    # Classifying every flag of one line evaluates no facet inequality and
+    # takes each facet normal's product with the line once.
+    cx = projection.schlegel(generate(spec), 0)
+    flags = place_flags(cx, sample_general_line(cx, 0))
+    calls = Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(projection, "dot")
+    counted(Polytope, "contains")
+    counted(Polytope, "in_tangent_cone")
+    work_counts.clear()
+    for flag in flags:
+        classify_flag(flag, cx)
+    assert work_counts["side"] == 0
+    assert calls["contains"] == calls["in_tangent_cone"] == 0
+    assert calls["dot"] <= sum(len(c.facets) for c in cx.cells) + len(cx.carrier.facets)
+
+
+def _schlegel_numbers(points, facet_points, seed):
+    """The Schlegel run's numbers on the hull of points, at the facet whose
+    vertices are facet_points."""
+    p = build_polytope(points)
+    facet = next(
+        i
+        for i, f in enumerate(p.facets)
+        if {p.embedded_vertices[j] for j in f.vertex_indices} == facet_points
+    )
+    r = verify_proof_schlegel(p, facet, seed)
+    assert r.failures == []
+    return (
+        f_vector(face_lattice(p)),
+        r.cell_count,
+        sorted(r.per_cell_sums.values()),
+        r.outside_sum,
+        r.total_by_base,
+        r.total_by_classification,
+        r.lhs_needed,
+        r.rhs_needed,
+    )
+
+
+@st.composite
+def unimodular_maps(draw, d):
+    """x -> Ax + t with A an integer matrix of determinant +-1 (a product of
+    row additions and sign flips) and t rational."""
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    index = st.integers(0, d - 1)
+    for i, j, m in draw(st.lists(st.tuples(index, index, st.integers(-2, 2)), max_size=6)):
+        if i != j:
+            rows[i] = [a + m * b for a, b in zip(rows[i], rows[j])]
+    for i in draw(st.lists(st.integers(0, d - 1), max_size=2)):
+        rows[i] = [-a for a in rows[i]]
+    t = [Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 3))) for _ in range(d)]
+    return lambda x: tuple(sum(a * c for a, c in zip(row, x)) + s for row, s in zip(rows, t))
+
+
+@given(
+    d=st.integers(3, 4),
+    extra=st.integers(0, 2),
+    hull_seed=st.integers(0, 2**16),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=15, deadline=None)
+def test_schlegel_numbers_survive_relabelling_affine_maps_and_redundant_points(
+    d, extra, hull_seed, seed, data
+):
+    # The incidence lookup takes the complex to be face-to-face; these input
+    # changes keep the polytope and so must keep every number of the run.
+    p = generate(f"random:{d},{d + 1 + extra},6", hull_seed)
+    points = list(p.embedded_vertices)
+    facet = seed % len(p.facets)
+    facet_points = {points[j] for j in p.facets[facet].vertex_indices}
+    numbers = _schlegel_numbers(points, facet_points, seed)
+
+    shuffled = data.draw(st.permutations(points))
+    assert _schlegel_numbers(shuffled, facet_points, seed) == numbers
+
+    image = data.draw(unimodular_maps(d))
+    mapped = [image(x) for x in points]
+    assert _schlegel_numbers(mapped, {image(x) for x in facet_points}, seed) == numbers
+
+    n = len(points)
+    weights = st.lists(st.integers(1, 4), min_size=n, max_size=n)
+    interior = [
+        tuple(sum(w * x[i] for w, x in zip(ws, points)) / sum(ws) for i in range(d))
+        for ws in data.draw(st.lists(weights, min_size=1, max_size=3))
+    ]
+    duplicates = data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=3))
+    padded = data.draw(st.permutations(points + interior + duplicates))
+    assert _schlegel_numbers(padded, facet_points, seed) == numbers

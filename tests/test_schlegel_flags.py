@@ -1,22 +1,67 @@
 """Tests for the flag double count over a Schlegel complex."""
 
+import itertools
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerlab import schlegel_flags
+from eulerlab.errors import GeneralPositionError
 from eulerlab.euler import f_vector
-from eulerlab.linalg import SpanBuilder, vscale, vsub
+from eulerlab.linalg import SpanBuilder, format_point, is_zero, vscale, vsub
 from eulerlab.polytope import face_lattice, generate
 from eulerlab.projection import project_along, schlegel
 from eulerlab.schlegel_flags import (
     OUTSIDE,
+    GeneralLine,
     classify_flag,
     place_flags,
     sample_general_line,
     verify_proof_schlegel,
 )
+
+
+def full_scan_classify(flag, complex):
+    """Reference classifier: ask every cell whether it holds the base point
+    and takes the flag in its tangent cone, re-evaluating every facet."""
+    base, direction = flag.base_point, flag.direction
+    hits = [
+        i
+        for i, cell in enumerate(complex.cells)
+        if cell.contains(base) and cell.in_tangent_cone(base, direction)
+    ]
+    escapes = not complex.carrier.in_tangent_cone(base, direction)
+    if len(hits) == 1 and not escapes:
+        return hits[0]
+    if not hits and escapes:
+        return OUTSIDE
+    raise GeneralPositionError(
+        f"general position violated: the flag at base point {format_point(base)} "
+        f"enters cells {hits} and {'leaves' if escapes else 'stays in'} the carrier, "
+        f"not exactly one of them"
+    )
+
+
+def outcome(classify, flag, complex):
+    """The classification, or the text of the general-position raise."""
+    try:
+        return classify(flag, complex)
+    except GeneralPositionError as err:
+        return f"raised: {err}"
+
+
+def assert_same_as_full_scan(complex, line) -> int:
+    """Every flag of the line classifies as the full scan does; returns how
+    many flags made both raise."""
+    raised = 0
+    for flag in place_flags(complex, line):
+        got = outcome(classify_flag, flag, complex)
+        assert got == outcome(full_scan_classify, flag, complex)
+        raised += str(got).startswith("raised")
+    return raised
 
 
 class TestSampleGeneralLine:
@@ -149,6 +194,38 @@ class TestClassifyFlag:
                 assert OUTSIDE in (classify_flag(a, cx), classify_flag(b, cx))
                 checked += 1
         assert checked == len(corners)
+
+
+class TestIncidenceLookup:
+    # classify_flag finds the cell by face incidence and a per-line sign
+    # table; the full scan over all cells is the reference it must match.
+    @given(
+        d=st.integers(3, 5),
+        extra=st.integers(0, 3),
+        hull_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_matches_full_scan_on_certified_lines(self, d, extra, hull_seed, seed):
+        p = generate(f"random:{d},{d + 1 + extra},6", hull_seed)
+        cx = schlegel(p, seed % len(p.facets))
+        assert assert_same_as_full_scan(cx, sample_general_line(cx, seed)) == 0
+
+    @pytest.mark.parametrize(
+        "spec,facets", [("cube:3", range(6)), ("simplex:4", [0])], ids=["cube:3", "simplex:4"]
+    )
+    def test_matches_full_scan_on_every_small_direction(self, spec, facets):
+        # Uncertified lines: some are parallel to a face, so a facet normal
+        # has sign 0 against them, and some make the full scan raise.
+        p = generate(spec)
+        raised = 0
+        for facet in facets:
+            cx = schlegel(p, facet)
+            for q in itertools.product((-1, 0, 1), repeat=cx.dim):
+                if not is_zero(q):
+                    line = GeneralLine(tuple(map(Fraction, q)), ())
+                    raised += assert_same_as_full_scan(cx, line)
+        assert raised > 0
 
 
 class TestProjectionCriterion:
