@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the seed in a run's raises."""
+
+from contextlib import contextmanager
+from typing import Iterator
 
 
 class EulerlabError(Exception):
@@ -27,3 +30,13 @@ class GeneralPositionError(EulerlabError, RuntimeError):
     This signals a certification bug: with a valid certificate, the
     conditions checked by the raising code are theorems.
     """
+
+
+@contextmanager
+def naming_seed(seed: int) -> Iterator[None]:
+    """Re-raise a GeneralPositionError from the block with "(seed N)" after
+    its text, so that an aborted run names the seed that broke it."""
+    try:
+        yield
+    except GeneralPositionError as err:
+        raise GeneralPositionError(f"{err} (seed {seed})") from err

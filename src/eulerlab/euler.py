@@ -1,13 +1,14 @@
 """f-vectors and the alternating-sum check f^0 - f^1 + ... + (-1)^d f^d = 1.
 
 Also the core of the two flag-counting proof harnesses: the rejection loop
-that samples their certified lines, the check of one piece of a flag count
-(a cell, the outside, or a facet) face by face against its shadow and then
-as a sum chain, and the grand-total checks.
+that samples their certified lines, the entries of those certificates, the
+check of one piece of a flag count (a cell, the outside, or a facet) face by
+face against its shadow and then as a sum chain, and the grand-total checks.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, TypeVar
 
@@ -41,6 +42,15 @@ def euler_alternating_sum(f: FVector) -> int:
 def half_alternating_sum(counts, upto: int) -> Fraction:
     """(1/2) * sum of (-1)^c counts[c] for c in 0..upto (inclusive)."""
     return Fraction(sum((-1) ** c * counts[c] for c in range(upto + 1)), 2)
+
+
+@dataclass(frozen=True)
+class CertificateEntry:
+    """One exact check of a named kind on a subject, backing a sampled line."""
+
+    kind: str  # "facet-not-parallel" | "affine-miss" | "incidence"
+    subject: tuple  # a facet, a (cell, facet) pair or a ridge's (facet, facet)
+    ok: bool
 
 
 def rejection_sample(what: str, bound: int, attempt: Callable[[int], Optional[T]]) -> T:

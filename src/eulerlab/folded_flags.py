@@ -17,39 +17,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import GeneralPositionError
-from .euler import check_piece, check_totals, f_vector, rejection_sample
-from .linalg import (
-    SpanBuilder,
-    Vector,
-    affine_dim,
-    barycenter,
-    dot,
-    format_point,
-    is_zero,
-    line_hyperplane_intersection,
-    vadd,
-    vscale,
-    vsub,
-)
+from .errors import GeneralPositionError, naming_seed
+from .euler import CertificateEntry, check_piece, check_totals, f_vector, rejection_sample
+from .linalg import Vector, affine_dim, barycenter, dot, format_point, is_zero, vadd, vscale, vsub
 from .polytope import Face, Polytope, face_lattice, facet_polytope
 from .projection import project_from_point
-
-
-@dataclass(frozen=True)
-class CertificateEntry:
-    """One exact check (by kind) backing a sampled transversal line."""
-
-    kind: str  # "facet-not-parallel" | "direction-independent" | "affine-miss" | "incidence"
-    subject: tuple
-    ok: bool
 
 
 @dataclass(frozen=True)
 class TransversalLine:
     """Line through relative-interior points of two facets, with exact
     general-position certificate and its intersection point on every
-    facet's hyperplane."""
+    facet's hyperplane.  The certificate holds one "facet-not-parallel" and
+    one "incidence" entry per facet and one "affine-miss" entry per ridge."""
 
     facet_pair: tuple[int, int]
     t1: Vector
@@ -93,6 +73,11 @@ def sample_transversal(
     """Sample interior points on two facets until the joining line passes
     every general-position check; all checks land in the certificate.
 
+    The line t1 + s*e must meet each facet hyperplane j, at s_j =
+    -side_j(t1) / (n_j.e); as every face lies in a facet, it is then parallel
+    to no face of dimension >= 1.  It must miss the affine hull of each face
+    of dimension <= d-2: each lies in a ridge, whose hull is the meet of the
+    hyperplanes of its two facets a and b, so s_a != s_b for every ridge.
     The incidence condition - the line's point on facet hyperplane i lies
     on the facet itself exactly for the two chosen facets - is a theorem
     given convexity, so its failure raises instead of resampling.
@@ -108,12 +93,10 @@ def sample_transversal(
     if i1 == i2 or not (0 <= i1 < nf and 0 <= i2 < nf):
         raise ValueError(f"invalid facet pair {facet_pair}")
 
-    lat = face_lattice(p)
-    faces = []
-    for c in range(0, p.dim - 1):
-        for idx, face in enumerate(lat.faces(c)):
-            pts = p.face_points(face)
-            faces.append((c, idx, pts[0], SpanBuilder.through(pts)))
+    ridges = [
+        tuple(j for j, f in enumerate(p.facets) if r.vertex_indices <= f.vertex_indices)
+        for r in face_lattice(p).faces(p.dim - 2)
+    ]
 
     def attempt(bound: int) -> Optional[TransversalLine]:
         t1 = _relint_point(p, i1, rng, bound)
@@ -121,28 +104,15 @@ def sample_transversal(
         direction = vsub(t2, t1)
         if is_zero(direction):
             return None
-        entries = [
-            CertificateEntry(
-                "facet-not-parallel", (j,), dot(f.hyperplane.normal, direction) != 0
-            )
-            for j, f in enumerate(p.facets)
-        ]
-        for c, idx, base, span in faces:
-            # The line must miss each face's affine hull, base + span, and
-            # must not be parallel to a face of dimension >= 1.
-            if c >= 1:
-                good = not span.contains(direction)
-                entries.append(CertificateEntry("direction-independent", (c, idx), good))
-                if not good:
-                    continue
-            good = not span.meets_line(vsub(t1, base), direction)
-            entries.append(CertificateEntry("affine-miss", (c, idx), good))
-        if not all(e.ok for e in entries):
+        rates = [dot(f.hyperplane.normal, direction) for f in p.facets]
+        if 0 in rates:
             return None
-        hits = tuple(
-            line_hyperplane_intersection(t1, direction, f.hyperplane)
-            for f in p.facets
-        )
+        s = [-f.hyperplane.side(t1) / rate for f, rate in zip(p.facets, rates)]
+        if any(s[a] == s[b] for a, b in ridges):
+            return None
+        entries = [CertificateEntry("facet-not-parallel", (j,), True) for j in range(nf)]
+        entries += [CertificateEntry("affine-miss", (a, b), True) for a, b in ridges]
+        hits = tuple(vadd(t1, vscale(direction, s_j)) for s_j in s)
         for j, hit in enumerate(hits):
             if j in (i1, i2):
                 good = p.in_relative_interior_of_facet(hit, j)
@@ -388,5 +358,6 @@ def verify_proof_folded(
     p: Polytope, seed: int, facet_pair: Optional[tuple[int, int]] = None
 ) -> FoldedReport:
     """Sample a certified transversal line and run the full folded check."""
-    line = sample_transversal(p, seed, facet_pair)
-    return facet_assignment_sums(p, line, seed=seed)
+    with naming_seed(seed):
+        line = sample_transversal(p, seed, facet_pair)
+        return facet_assignment_sums(p, line, seed=seed)

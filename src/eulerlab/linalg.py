@@ -1,4 +1,4 @@
-"""Exact rational linear algebra and affine-geometry predicates.
+"""Exact rational linear algebra: vectors, spans, affine hulls, hyperplanes and an LP.
 
 Every coordinate in this package is a :class:`fractions.Fraction`, so all
 predicates (rank, incidence, sidedness) are decided exactly.  Vectors are
@@ -153,15 +153,6 @@ class SpanBuilder:
         self._pivots: list[int] = []
         self._d = 1
 
-    @classmethod
-    def through(cls, points: Sequence[Vector]) -> "SpanBuilder":
-        """The direction space of the points' affine hull: the span of
-        every point minus the first."""
-        span = cls(len(points[0]))
-        for q in points[1:]:
-            span.add(vsub(q, points[0]))
-        return span
-
     def _reduce(self, v: Sequence[Fraction]) -> list[int]:
         """The row the kernel would hold for v (lifted) after the span's
         pivot steps: d*v minus the span rows weighted by v's pivot-column
@@ -176,15 +167,6 @@ class SpanBuilder:
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         return not any(self._reduce(v))
-
-    def meets_line(self, point: Vector, direction: Vector) -> bool:
-        """Whether the line {point + t*direction} meets the span: exactly
-        when the reduced row of point is a multiple of that of direction."""
-        a, b = self._reduce(point), self._reduce(direction)
-        j = next((j for j, x in enumerate(b) if x), None)
-        if j is None:
-            return not any(a)
-        return all(x * b[j] == y * a[j] for x, y in zip(a, b))
 
     def add(self, v: Sequence[Fraction]) -> bool:
         """Add v to the span; True if it enlarged the space."""
@@ -288,19 +270,6 @@ def affine_dim(points: Sequence[Vector]) -> int:
         return -1
     base = points[0]
     return rank([vsub(p, base) for p in points[1:]])
-
-
-def line_hyperplane_intersection(
-    line_point: Vector, line_dir: Vector, h: Hyperplane
-) -> Optional[Vector]:
-    """Unique line/hyperplane intersection point, or None when parallel."""
-    if is_zero(line_dir):
-        raise ValueError("line direction must be nonzero")
-    denom = dot(h.normal, line_dir)
-    if denom == 0:
-        return None
-    t = (h.offset - dot(h.normal, line_point)) / denom
-    return vadd(line_point, vscale(line_dir, t))
 
 
 def hyperplane_through(points: Sequence[Vector], beneath: Vector) -> Hyperplane:

@@ -103,8 +103,8 @@ class SchlegelComplex:
     frame of the carrier's hyperplane; `frame` maps those coordinates back
     into the polytope's frame.  The complex is face-to-face, so each face
     records the cells and facets it lies in (see ComplexFace); `facet_signs`
-    holds one table per line direction of the sign of every facet normal
-    against it.
+    tabulates the sign of every facet normal against a line direction and
+    keeps the last direction's table.
     """
 
     def __init__(
@@ -122,7 +122,7 @@ class SchlegelComplex:
         self.carrier = carrier
         self.cells = cells
         self.cell_origin = cell_origin
-        self._signs: dict[Vector, SignTable] = {}
+        self._signs: Optional[tuple[Vector, SignTable]] = None
 
     @property
     def a(self) -> int:
@@ -170,15 +170,13 @@ class SchlegelComplex:
 
     def facet_signs(self, direction: Vector) -> SignTable:
         """sign(n·direction) as -1, 0 or 1 for the outer normal n of every
-        facet of every cell, and of every carrier facet; computed once per
-        direction."""
-        signs = self._signs.get(direction)
-        if signs is None:
-            signs = self._signs[direction] = (
-                tuple(_normal_signs(cell, direction) for cell in self.cells),
-                _normal_signs(self.carrier, direction),
-            )
-        return signs
+        facet of every cell, and of every carrier facet.  Only the last
+        direction's table is kept: the sampler tabulates each candidate, and
+        every flag of the accepted line then reads that line's table."""
+        if self._signs is None or self._signs[0] != direction:
+            cells = tuple(_normal_signs(cell, direction) for cell in self.cells)
+            self._signs = (direction, (cells, _normal_signs(self.carrier, direction)))
+        return self._signs[1]
 
 
 def _normal_signs(p: Polytope, direction: Vector) -> tuple[int, ...]:

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import GeneralPositionError
-from .euler import check_piece, check_totals, f_vector, rejection_sample
-from .linalg import SpanBuilder, Vector, format_point, is_zero, vscale
+from .errors import GeneralPositionError, naming_seed
+from .euler import CertificateEntry, check_piece, check_totals, f_vector, rejection_sample
+from .linalg import Vector, format_point, is_zero, vscale
 from .polytope import Polytope, face_lattice
 from .projection import ComplexFace, SchlegelComplex, project_along, schlegel
 
@@ -30,17 +30,9 @@ Classification = Union[int, str]
 
 
 @dataclass(frozen=True)
-class CertificateEntry:
-    """One exact non-parallelism check backing a sampled direction."""
-
-    dimension: int
-    face_index: int
-    independent: bool
-
-
-@dataclass(frozen=True)
 class GeneralLine:
-    """A direction certified non-parallel to every complex face of dim >= 1."""
+    """A direction certified non-parallel to every complex face of dim >= 1:
+    one "facet-not-parallel" entry per facet of every cell."""
 
     direction: Vector
     certificate: tuple[CertificateEntry, ...]
@@ -60,28 +52,29 @@ class Flag:
 def sample_general_line(complex: SchlegelComplex, seed: int) -> GeneralLine:
     """Rejection-sample an integer direction within the carrier frame.
 
-    Accepts iff appending the direction to every face's direction basis
-    (faces of dimension 1..k-1) increases its rank; the certificate records
-    each check.  The coordinate range doubles every 32 rejected tries.
+    Accepts a nonzero direction iff the complex's sign table for it has no 0
+    for a cell facet.  That is non-parallelism to every complex face of
+    dimension 1..k-1: each lies in a cell facet, whose direction space is
+    its normal's orthogonal complement, and each cell facet is such a face.
+    The certificate has one entry per cell facet.  The coordinate range
+    doubles every 32 rejected tries.
     """
     rng = random.Random(seed)
     k = complex.dim
-    spans = [
-        (c, idx, SpanBuilder.through(sorted(face.points)))
-        for c in range(1, k)
-        for idx, face in enumerate(complex.faces(c))
-    ]
 
     def attempt(bound: int) -> Optional[GeneralLine]:
         cand = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(k))
         if is_zero(cand):
             return None
+        cell_signs, _ = complex.facet_signs(cand)
+        if any(0 in signs for signs in cell_signs):
+            return None
         entries = tuple(
-            CertificateEntry(c, idx, not sb.contains(cand)) for c, idx, sb in spans
+            CertificateEntry("facet-not-parallel", (i, h), True)
+            for i, signs in enumerate(cell_signs)
+            for h in range(len(signs))
         )
-        if all(e.independent for e in entries):
-            return GeneralLine(direction=cand, certificate=entries)
-        return None
+        return GeneralLine(direction=cand, certificate=entries)
 
     return rejection_sample(f"general direction for seed {seed}", 4, attempt)
 
@@ -169,58 +162,59 @@ def verify_proof_schlegel(p: Polytope, facet_index: int, seed: int) -> ProofRepo
     """Build the complex, distribute and classify all flags, check every
     cell and the outside face by face against its shadow, and check the
     per-cell, outside, and grand-total identities with their full chains."""
-    complex = schlegel(p, facet_index)
-    q = sample_general_line(complex, seed)
-    flags = place_flags(complex, q)
-    k = complex.dim
-    failures: list[str] = []
+    with naming_seed(seed):
+        complex = schlegel(p, facet_index)
+        q = sample_general_line(complex, seed)
+        flags = place_flags(complex, q)
+        k = complex.dim
+        failures: list[str] = []
 
-    # Per cell and for the outside: the flag sum and the flags at each face.
-    sums = {kind: Fraction(0) for kind in [*range(complex.a), OUTSIDE]}
-    received: dict[Classification, Counter] = {kind: Counter() for kind in sums}
-    for f in flags:
-        kind = classify_flag(f, complex)
-        sums[kind] += f.value
-        received[kind][f.base_face.points] += 1
-    outside_sum = sums.pop(OUTSIDE)
+        # Per cell and for the outside: the flag sum and the flags at each face.
+        sums = {kind: Fraction(0) for kind in [*range(complex.a), OUTSIDE]}
+        received: dict[Classification, Counter] = {kind: Counter() for kind in sums}
+        for f in flags:
+            kind = classify_flag(f, complex)
+            sums[kind] += f.value
+            received[kind][f.base_face.points] += 1
+        outside_sum = sums.pop(OUTSIDE)
 
-    expected_per_cell = Fraction((-1) ** (k - 1))
-    expected_outside = Fraction(1)
-    for i, cell in enumerate(complex.cells):
-        shadow = project_along(cell, q.direction)
-        check_piece(failures, f"cell {i}", cell, received[i], sums[i], expected_per_cell, shadow)
-    check_piece(
-        failures,
-        "outside",
-        complex.carrier,
-        received[OUTSIDE],
-        outside_sum,
-        expected_outside,
-        project_along(complex.carrier, q.direction),
-        sign=1,
-    )
-    total_by_base, total_by_cls, lhs, rhs = check_totals(
-        failures,
-        f_vector(face_lattice(p)),
-        (f.value for f in flags),
-        [*sums.values(), outside_sum],
-        "classification",
-        expected_per_cell * complex.a + 1,
-    )
+        expected_per_cell = Fraction((-1) ** (k - 1))
+        expected_outside = Fraction(1)
+        for i, cell in enumerate(complex.cells):
+            shadow = project_along(cell, q.direction)
+            check_piece(failures, f"cell {i}", cell, received[i], sums[i], expected_per_cell, shadow)
+        check_piece(
+            failures,
+            "outside",
+            complex.carrier,
+            received[OUTSIDE],
+            outside_sum,
+            expected_outside,
+            project_along(complex.carrier, q.direction),
+            sign=1,
+        )
+        total_by_base, total_by_cls, lhs, rhs = check_totals(
+            failures,
+            f_vector(face_lattice(p)),
+            (f.value for f in flags),
+            [*sums.values(), outside_sum],
+            "classification",
+            expected_per_cell * complex.a + 1,
+        )
 
-    return ProofReport(
-        dimension=p.dim,
-        facet_index=complex.facet_index,
-        seed=seed,
-        cell_count=complex.a,
-        per_cell_sums=sums,
-        outside_sum=outside_sum,
-        total_by_base=total_by_base,
-        total_by_classification=total_by_cls,
-        expected_per_cell=expected_per_cell,
-        expected_outside=expected_outside,
-        lhs_needed=lhs,
-        rhs_needed=rhs,
-        flag_count=len(flags),
-        failures=failures,
-    )
+        return ProofReport(
+            dimension=p.dim,
+            facet_index=complex.facet_index,
+            seed=seed,
+            cell_count=complex.a,
+            per_cell_sums=sums,
+            outside_sum=outside_sum,
+            total_by_base=total_by_base,
+            total_by_classification=total_by_cls,
+            expected_per_cell=expected_per_cell,
+            expected_outside=expected_outside,
+            lhs_needed=lhs,
+            rhs_needed=rhs,
+            flag_count=len(flags),
+            failures=failures,
+        )

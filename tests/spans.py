@@ -1,0 +1,40 @@
+"""Face spans for tests: the per-face general-position checks that both
+samplers made before they certified lines from facet normals alone.  The
+reference samplers, and the tests that re-prove a sampled line's general
+position face by face, build on these."""
+
+from typing import Optional
+
+from eulerlab.linalg import Hyperplane, SpanBuilder, Vector, dot, is_zero, vadd, vscale, vsub
+
+
+def through(points) -> SpanBuilder:
+    """The direction space of the points' affine hull: the span of every
+    point minus the first."""
+    span = SpanBuilder(len(points[0]))
+    for q in points[1:]:
+        span.add(vsub(q, points[0]))
+    return span
+
+
+def meets_line(span: SpanBuilder, point: Vector, direction: Vector) -> bool:
+    """Whether the line {point + t*direction} meets the span: exactly when
+    the reduced row of point is a multiple of that of direction."""
+    a, b = span._reduce(point), span._reduce(direction)
+    j = next((j for j, x in enumerate(b) if x), None)
+    if j is None:
+        return not any(a)
+    return all(x * b[j] == y * a[j] for x, y in zip(a, b))
+
+
+def line_hyperplane_intersection(
+    line_point: Vector, line_dir: Vector, h: Hyperplane
+) -> Optional[Vector]:
+    """Unique line/hyperplane intersection point, or None when parallel."""
+    if is_zero(line_dir):
+        raise ValueError("line direction must be nonzero")
+    denom = dot(h.normal, line_dir)
+    if denom == 0:
+        return None
+    t = (h.offset - dot(h.normal, line_point)) / denom
+    return vadd(line_point, vscale(line_dir, t))

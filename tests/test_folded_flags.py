@@ -1,5 +1,6 @@
 """Tests for the folded-flag count along a transversal line."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -9,16 +10,105 @@ from hypothesis import strategies as st
 
 from eulerlab import folded_flags
 from eulerlab.errors import GeneralPositionError, SamplingBudgetError
+from eulerlab.euler import CertificateEntry, rejection_sample
 from eulerlab.linalg import affine_dim, barycenter, dot, is_zero, vadd, vscale, vsub
 from eulerlab.polytope import face_lattice, generate
 from eulerlab.folded_flags import (
     TransversalLine,
+    _relint_point,
     facet_assignment_sums,
     flag_collinear_with_assigned_point,
     fold_flags,
+    other_facet,
     sample_transversal,
     verify_proof_folded,
 )
+from spans import line_hyperplane_intersection, meets_line, through
+
+
+def reference_sample_transversal(p, seed, facet_pair=None):
+    """The sampler as it was before it read facet normals: besides the
+    facet rates, each face of dimension <= d-2 gets its own span, which the
+    line must miss and, for dimension >= 1, not be parallel to."""
+    if p.dim < 3:
+        raise ValueError("transversal proof requires d >= 3")
+    rng = random.Random(seed)
+    nf = len(p.facets)
+    if facet_pair is None:
+        i1 = rng.randrange(nf)
+        facet_pair = (i1, other_facet(rng, nf, i1))
+    i1, i2 = facet_pair
+    if i1 == i2 or not (0 <= i1 < nf and 0 <= i2 < nf):
+        raise ValueError(f"invalid facet pair {facet_pair}")
+
+    lat = face_lattice(p)
+    faces = []
+    for c in range(0, p.dim - 1):
+        for idx, face in enumerate(lat.faces(c)):
+            pts = p.face_points(face)
+            faces.append((c, idx, pts[0], through(pts)))
+
+    def attempt(bound):
+        t1 = _relint_point(p, i1, rng, bound)
+        t2 = _relint_point(p, i2, rng, bound)
+        direction = vsub(t2, t1)
+        if is_zero(direction):
+            return None
+        entries = [
+            CertificateEntry(
+                "facet-not-parallel", (j,), dot(f.hyperplane.normal, direction) != 0
+            )
+            for j, f in enumerate(p.facets)
+        ]
+        for c, idx, base, span in faces:
+            # The line must miss each face's affine hull, base + span, and
+            # must not be parallel to a face of dimension >= 1.
+            if c >= 1:
+                good = not span.contains(direction)
+                entries.append(CertificateEntry("direction-independent", (c, idx), good))
+                if not good:
+                    continue
+            good = not meets_line(span, vsub(t1, base), direction)
+            entries.append(CertificateEntry("affine-miss", (c, idx), good))
+        if not all(e.ok for e in entries):
+            return None
+        hits = tuple(
+            line_hyperplane_intersection(t1, direction, f.hyperplane)
+            for f in p.facets
+        )
+        for j, hit in enumerate(hits):
+            if j in (i1, i2):
+                good = p.in_relative_interior_of_facet(hit, j)
+            else:
+                good = not p.contains(hit)
+            entries.append(CertificateEntry("incidence", (j,), good))
+            if not good:
+                where = "off the relative interior" if j in (i1, i2) else "on the facet"
+                raise GeneralPositionError(
+                    f"general position violated: incidence check failed: the line "
+                    f"meets the hyperplane of facet {j} {where}"
+                )
+        return TransversalLine(
+            facet_pair=(i1, i2),
+            t1=t1,
+            t2=t2,
+            direction=direction,
+            facet_points=hits,
+            certificate=tuple(entries),
+        )
+
+    return rejection_sample(
+        f"transversal line through facets {i1} and {i2} for seed {seed}", 9, attempt
+    )
+
+
+def sampled_line(sample, p, seed, facet_pair=None):
+    """The sampled line's points and facet pair, or the text of the raise."""
+    try:
+        line = sample(p, seed, facet_pair)
+    except (GeneralPositionError, SamplingBudgetError) as err:
+        return f"raised: {err}"
+    return line.t1, line.t2, line.facet_points, line.facet_pair
 
 
 def section_polygon(p, line, x):
@@ -166,11 +256,52 @@ class TestSampleTransversal:
             assert e.ok
             kinds[e.kind] = kinds.get(e.kind, 0) + 1
         fv = f_vector_of(p)
-        assert kinds["facet-not-parallel"] == len(p.facets)
-        assert kinds["incidence"] == len(p.facets)
-        # affine-miss entries for every face of dimension <= k-1.
-        assert kinds["affine-miss"] == fv[0] + fv[1]
-        assert kinds["direction-independent"] == fv[1]
+        # One affine-miss entry per ridge: every lower face lies in a ridge.
+        assert kinds == {
+            "facet-not-parallel": len(p.facets),
+            "affine-miss": fv[p.dim - 2],
+            "incidence": len(p.facets),
+        }
+
+    @pytest.mark.parametrize("spec", ["cube:3", "cube:4", "simplex:4", "crosspolytope:4"])
+    def test_line_avoids_every_face(self, spec):
+        # Re-prove general position face by face: the line is parallel to no
+        # face of dimension >= 1 and misses the affine hull of every face of
+        # dimension <= d-2.
+        p = generate(spec)
+        lat = face_lattice(p)
+        for seed in range(4):
+            line = sample_transversal(p, seed)
+            for c in range(p.dim):
+                for face in lat.faces(c):
+                    pts = p.face_points(face)
+                    span = through(pts)
+                    if c >= 1:
+                        assert not span.contains(line.direction)
+                    if c <= p.dim - 2:
+                        assert not meets_line(span, vsub(line.t1, pts[0]), line.direction)
+
+    @pytest.mark.parametrize("pair", [None, (0, 1), (0, 2), (1, 2)])
+    @pytest.mark.parametrize("spec", ["cube:3", "cube:4", "simplex:4", "crosspolytope:4"])
+    def test_same_lines_as_the_per_face_reference(self, spec, pair):
+        p = generate(spec)
+        for seed in range(6):
+            assert sampled_line(sample_transversal, p, seed, pair) == sampled_line(
+                reference_sample_transversal, p, seed, pair
+            )
+
+    @given(
+        d=st.integers(3, 5),
+        extra=st.integers(0, 3),
+        hull_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_same_lines_as_the_reference_on_random_hulls(self, d, extra, hull_seed, seed):
+        p = generate(f"random:{d},{d + 1 + extra},6", hull_seed)
+        assert sampled_line(sample_transversal, p, seed) == sampled_line(
+            reference_sample_transversal, p, seed
+        )
 
     def test_explicit_pair_respected(self):
         p = generate("cube:4")
@@ -424,6 +555,18 @@ class TestFacetAssignmentSums:
             r"facet \d+: dim-0 face \[\(\d+, \d+, \d+\)\] took \d flags, expected \d",
             report.failures[0],
         )
+
+    def test_general_position_raise_names_the_seed(self, monkeypatch):
+        # A hand-built line in the plane x = y makes folding raise; the run
+        # adds its seed to the direct text.
+        p = generate("cube:3")
+        line = hand_line(("1/2", "1/2", "1/2"), (0, 0, 1))
+        direct = outcome(facet_assignment_sums, p, line)
+        assert direct.startswith("general position violated")
+        monkeypatch.setattr(folded_flags, "sample_transversal", lambda *args: line)
+        with pytest.raises(GeneralPositionError) as raised:
+            verify_proof_folded(p, 4)
+        assert str(raised.value) == direct + " (seed 4)"
 
     def test_report_metadata(self):
         p = generate("cube:3")

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerlab import projection
+from eulerlab import linalg, projection
 from eulerlab.euler import f_vector
-from eulerlab.folded_flags import verify_proof_folded
+from eulerlab.folded_flags import sample_transversal, verify_proof_folded
 from eulerlab.polytope import Polytope, build_polytope, face_lattice, generate
 from eulerlab.schlegel_flags import (
     classify_flag,
@@ -42,12 +42,13 @@ RUNS = {
 
 # Eliminations and side tests of one run at seed 0 (Schlegel at facet 0),
 # after generate.  A change that moves them on purpose restates them here
-# and says why.
+# and says why.  The folded sampler takes one side test per facet for the
+# line's parameters on every candidate that meets all facet hyperplanes.
 HARNESS_WORK_COUNTS = {
     ("cube:4", "schlegel"): {"eliminate": 380, "side": 457},
-    ("cube:4", "folded"): {"eliminate": 542, "side": 1135},
+    ("cube:4", "folded"): {"eliminate": 542, "side": 1143},
     ("crosspolytope:4", "schlegel"): {"eliminate": 342, "side": 190},
-    ("crosspolytope:4", "folded"): {"eliminate": 504, "side": 1491},
+    ("crosspolytope:4", "folded"): {"eliminate": 504, "side": 1539},
 }
 
 
@@ -57,6 +58,26 @@ def test_harness_work_counts(spec, proof, work_counts):
     work_counts.clear()
     assert RUNS[proof](p).passed
     assert work_counts == HARNESS_WORK_COUNTS[spec, proof]
+
+
+@pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4", "random:4,12,10"])
+def test_sampling_builds_no_face_span(spec, monkeypatch):
+    # Both samplers certify a line from facet normals alone.
+    p = generate(spec, seed=0)
+    face_lattice(p)
+    cx = projection.schlegel(p, 0)
+    built = Counter()
+    init = linalg.SpanBuilder.__init__
+
+    def counting_init(self, width):
+        built["span"] += 1
+        init(self, width)
+
+    monkeypatch.setattr(linalg.SpanBuilder, "__init__", counting_init)
+    for seed in range(3):
+        sample_general_line(cx, seed)
+        sample_transversal(p, seed)
+    assert built["span"] == 0
 
 
 @pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4"])
@@ -87,16 +108,20 @@ def test_classification_is_one_table_per_line(spec, monkeypatch, work_counts):
     assert calls["dot"] <= sum(len(c.facets) for c in cx.cells) + len(cx.carrier.facets)
 
 
-def _schlegel_numbers(points, facet_points, seed):
-    """The Schlegel run's numbers on the hull of points, at the facet whose
-    vertices are facet_points."""
-    p = build_polytope(points)
-    facet = next(
+def _facet_at(p, facet_points) -> int:
+    """The index of p's facet whose vertices are facet_points."""
+    return next(
         i
         for i, f in enumerate(p.facets)
         if {p.embedded_vertices[j] for j in f.vertex_indices} == facet_points
     )
-    r = verify_proof_schlegel(p, facet, seed)
+
+
+def _schlegel_numbers(points, facet_points, seed):
+    """The Schlegel run's numbers on the hull of points, at the facet whose
+    vertices are facet_points."""
+    p = build_polytope(points)
+    r = verify_proof_schlegel(p, _facet_at(p, facet_points), seed)
     assert r.failures == []
     return (
         f_vector(face_lattice(p)),
@@ -125,6 +150,32 @@ def unimodular_maps(draw, d):
     return lambda x: tuple(sum(a * c for a, c in zip(row, x)) + s for row, s in zip(rows, t))
 
 
+def _assert_numbers_survive(numbers_of, points, marked, data):
+    """numbers_of(points, marked) stays the same when the points are
+    shuffled, mapped by an integer unimodular map plus a rational
+    translation, or padded with interior and duplicate points; `marked` is
+    a tuple of point sets (facets) that the map carries along."""
+    d = len(points[0])
+    numbers = numbers_of(points, marked)
+
+    shuffled = data.draw(st.permutations(points))
+    assert numbers_of(shuffled, marked) == numbers
+
+    image = data.draw(unimodular_maps(d))
+    mapped = [image(x) for x in points]
+    assert numbers_of(mapped, tuple({image(x) for x in m} for m in marked)) == numbers
+
+    n = len(points)
+    weights = st.lists(st.integers(1, 4), min_size=n, max_size=n)
+    interior = [
+        tuple(sum(w * x[i] for w, x in zip(ws, points)) / sum(ws) for i in range(d))
+        for ws in data.draw(st.lists(weights, min_size=1, max_size=3))
+    ]
+    duplicates = data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=3))
+    padded = data.draw(st.permutations(points + interior + duplicates))
+    assert numbers_of(padded, marked) == numbers
+
+
 @given(
     d=st.integers(3, 4),
     extra=st.integers(0, 2),
@@ -142,21 +193,52 @@ def test_schlegel_numbers_survive_relabelling_affine_maps_and_redundant_points(
     points = list(p.embedded_vertices)
     facet = seed % len(p.facets)
     facet_points = {points[j] for j in p.facets[facet].vertex_indices}
-    numbers = _schlegel_numbers(points, facet_points, seed)
+    _assert_numbers_survive(
+        lambda pts, marked: _schlegel_numbers(pts, marked[0], seed),
+        points,
+        (facet_points,),
+        data,
+    )
 
-    shuffled = data.draw(st.permutations(points))
-    assert _schlegel_numbers(shuffled, facet_points, seed) == numbers
 
-    image = data.draw(unimodular_maps(d))
-    mapped = [image(x) for x in points]
-    assert _schlegel_numbers(mapped, {image(x) for x in facet_points}, seed) == numbers
+def _folded_numbers(points, pair_points, seed):
+    """The folded run's numbers on the hull of points, at the facet pair
+    whose vertices are pair_points."""
+    p = build_polytope(points)
+    pair = tuple(_facet_at(p, facet_points) for facet_points in pair_points)
+    r = verify_proof_folded(p, seed, facet_pair=pair)
+    assert r.failures == []
+    return (
+        f_vector(face_lattice(p)),
+        r.special_pair_sum,
+        sorted(r.per_facet_sums.values()),
+        r.total_by_base,
+        r.total_by_facet,
+        r.lhs_needed,
+        r.rhs_needed,
+    )
 
-    n = len(points)
-    weights = st.lists(st.integers(1, 4), min_size=n, max_size=n)
-    interior = [
-        tuple(sum(w * x[i] for w, x in zip(ws, points)) / sum(ws) for i in range(d))
-        for ws in data.draw(st.lists(weights, min_size=1, max_size=3))
-    ]
-    duplicates = data.draw(st.lists(st.sampled_from(points), min_size=1, max_size=3))
-    padded = data.draw(st.permutations(points + interior + duplicates))
-    assert _schlegel_numbers(padded, facet_points, seed) == numbers
+
+@given(
+    d=st.integers(3, 4),
+    extra=st.integers(0, 2),
+    hull_seed=st.integers(0, 2**16),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+@settings(max_examples=15, deadline=None)
+def test_folded_numbers_survive_relabelling_affine_maps_and_redundant_points(
+    d, extra, hull_seed, seed, data
+):
+    # The same input changes at the image of the same facet pair.
+    p = generate(f"random:{d},{d + 1 + extra},6", hull_seed)
+    points = list(p.embedded_vertices)
+    nf = len(p.facets)
+    i1 = seed % nf
+    i2 = (i1 + 1 + seed // nf % (nf - 1)) % nf
+    pair_points = tuple(
+        {points[j] for j in p.facets[i].vertex_indices} for i in (i1, i2)
+    )
+    _assert_numbers_survive(
+        lambda pts, marked: _folded_numbers(pts, marked, seed), points, pair_points, data
+    )

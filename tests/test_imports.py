@@ -1,8 +1,10 @@
-"""Stdlib-only lints: every module of the package uses each name it imports,
-and everything the package defines is named by the package itself."""
+"""Stdlib-only lints: the package imports only the standard library, every
+module of the package uses each name it imports, and everything the package
+defines is named by the package itself."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,6 +53,33 @@ def unused_imports(source: str) -> list[str]:
         ):
             used |= {elt.value for elt in node.value.elts}
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def absolute_imports(source: str) -> list[str]:
+    """The top-level module of every absolute import in the source."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    return names
+
+
+def test_finds_absolute_imports_only():
+    source = "import os.path, hypothesis as h\nfrom . import linalg\nfrom json import dumps\n"
+    assert absolute_imports(source) == ["os", "hypothesis", "json"]
+
+
+def test_package_imports_only_the_standard_library():
+    # The runtime has no dependency outside the standard library.
+    outside = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in absolute_imports(path.read_text())
+        if name not in sys.stdlib_module_names
+    ]
+    assert outside == []
 
 
 def test_detects_unused_import():

@@ -21,7 +21,6 @@ from eulerlab.linalg import (
     dot,
     format_rational,
     hyperplane_through,
-    line_hyperplane_intersection,
     linear_feasible,
     nullspace,
     parse_rational,
@@ -30,6 +29,7 @@ from eulerlab.linalg import (
     vec,
     vsub,
 )
+from spans import line_hyperplane_intersection, meets_line, through
 from volumes import det
 
 F = Fraction
@@ -468,21 +468,20 @@ class TestLineIntersections:
     def test_line_meets_affine(self):
         pts = [vec(0, 0, 0), vec(1, 0, 0)]
         seg = affine_hull(pts)
-        span = SpanBuilder.through(pts)
+        span = through(pts)
         up = vec(0, 1, 0)
         for point, meets in ((vec(0, -1, 0), True), (vec(0, -1, 1), False)):
             assert plain_line_meets_affine(point, up, seg) == meets
-            assert span.meets_line(vsub(point, pts[0]), up) == meets
+            assert meets_line(span, vsub(point, pts[0]), up) == meets
         assert isinstance(seg, AffineSubspace)
 
     @given(lines_and_hulls())
     @settings(max_examples=300)
     def test_span_rule_matches_rank_rule(self, case):
-        # The folded harness asks the span rule only for directions off the
-        # span, but it agrees with the rank rule for every direction.
+        # The reference folded sampler asks the span rule only for directions
+        # off the span, but it agrees with the rank rule for every direction.
         point, direction, pts = case
-        span = SpanBuilder.through(pts)
-        meets = span.meets_line(vsub(point, pts[0]), direction)
+        meets = meets_line(through(pts), vsub(point, pts[0]), direction)
         assert meets == plain_line_meets_affine(point, direction, affine_hull(pts))
 
 

@@ -1,6 +1,7 @@
 """Tests for the flag double count over a Schlegel complex."""
 
 import itertools
+import random
 import re
 from fractions import Fraction
 
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerlab import schlegel_flags
-from eulerlab.errors import GeneralPositionError
-from eulerlab.euler import f_vector
+from eulerlab.errors import GeneralPositionError, SamplingBudgetError
+from eulerlab.euler import CertificateEntry, f_vector, rejection_sample
 from eulerlab.linalg import SpanBuilder, format_point, is_zero, vscale, vsub
 from eulerlab.polytope import face_lattice, generate
 from eulerlab.projection import project_along, schlegel
@@ -22,6 +23,42 @@ from eulerlab.schlegel_flags import (
     sample_general_line,
     verify_proof_schlegel,
 )
+from spans import through
+
+
+def reference_sample_general_line(complex, seed):
+    """The sampler as it was before it read facet normals: accept iff
+    appending the direction to every face's direction basis (faces of
+    dimension 1..k-1) increases its rank, with one entry per face."""
+    rng = random.Random(seed)
+    k = complex.dim
+    spans = [
+        (c, idx, through(sorted(face.points)))
+        for c in range(1, k)
+        for idx, face in enumerate(complex.faces(c))
+    ]
+
+    def attempt(bound):
+        cand = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(k))
+        if is_zero(cand):
+            return None
+        entries = tuple(
+            CertificateEntry("direction-independent", (c, idx), not sb.contains(cand))
+            for c, idx, sb in spans
+        )
+        if all(e.ok for e in entries):
+            return GeneralLine(direction=cand, certificate=entries)
+        return None
+
+    return rejection_sample(f"general direction for seed {seed}", 4, attempt)
+
+
+def sampled_direction(sample, complex, seed):
+    """The sampled direction, or the text of the raise."""
+    try:
+        return sample(complex, seed).direction
+    except (GeneralPositionError, SamplingBudgetError) as err:
+        return f"raised: {err}"
 
 
 def full_scan_classify(flag, complex):
@@ -75,14 +112,15 @@ class TestSampleGeneralLine:
         assert q3.direction != q1.direction or q3.certificate != q1.certificate
 
     def test_certificate_covers_all_positive_faces(self):
+        # Every complex face of dimension 1..k-1 lies in a cell facet, so one
+        # ok entry per cell facet covers them all.
         cx = schlegel(generate("cube:4"), 0)
         q = sample_general_line(cx, 0)
-        counted = {c: 0 for c in range(1, cx.dim)}
-        for entry in q.certificate:
-            assert entry.independent
-            counted[entry.dimension] += 1
-        for c in range(1, cx.dim):
-            assert counted[c] == len(cx.faces(c))
+        assert q.certificate == tuple(
+            CertificateEntry("facet-not-parallel", (i, h), True)
+            for i, cell in enumerate(cx.cells)
+            for h in range(len(cell.facets))
+        )
 
     def test_direction_independent_of_every_face(self):
         # Re-verify the certificate from scratch: the direction must lie
@@ -104,7 +142,36 @@ class TestSampleGeneralLine:
         cx = schlegel(generate(spec), 0)
         for seed in range(40):
             q = sample_general_line(cx, seed)
-            assert all(e.independent for e in q.certificate)
+            assert all(e.ok for e in q.certificate)
+
+    @pytest.mark.parametrize("facet", range(3))
+    @pytest.mark.parametrize("spec", ["cube:3", "cube:4", "simplex:4", "crosspolytope:4"])
+    def test_same_lines_as_the_per_face_reference(self, spec, facet):
+        cx = schlegel(generate(spec), facet)
+        for seed in range(6):
+            assert sampled_direction(sample_general_line, cx, seed) == sampled_direction(
+                reference_sample_general_line, cx, seed
+            )
+
+    @given(
+        d=st.integers(3, 5),
+        extra=st.integers(0, 3),
+        hull_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_same_lines_as_the_reference_on_random_hulls(self, d, extra, hull_seed, seed):
+        p = generate(f"random:{d},{d + 1 + extra},6", hull_seed)
+        cx = schlegel(p, seed % len(p.facets))
+        assert sampled_direction(sample_general_line, cx, seed) == sampled_direction(
+            reference_sample_general_line, cx, seed
+        )
+
+    def test_keeps_only_the_accepted_lines_signs(self):
+        cx = schlegel(generate("cube:3"), 0)
+        q = sample_general_line(cx, 0)
+        assert cx._signs[0] == q.direction
+        assert all(0 not in signs for signs in cx._signs[1][0])
 
 
 class TestPlaceFlags:
@@ -317,6 +384,19 @@ class TestVerifyProof:
         assert report.passed
         nf = len(p.facets)
         assert report.total == -(nf - 1) + 1
+
+    def test_general_position_raise_names_the_seed(self, monkeypatch):
+        # A line along a carrier edge is not certified and makes a flag
+        # classification raise; the run adds its seed to the direct text.
+        p = generate("cube:3")
+        cx = schlegel(p, 0)
+        line = GeneralLine((Fraction(1), Fraction(0)), ())
+        raises = [outcome(classify_flag, f, cx) for f in place_flags(cx, line)]
+        first = next(r for r in raises if str(r).startswith("raised: "))
+        monkeypatch.setattr(schlegel_flags, "sample_general_line", lambda complex, seed: line)
+        with pytest.raises(GeneralPositionError) as raised:
+            verify_proof_schlegel(p, 0, seed=7)
+        assert str(raised.value) == first.removeprefix("raised: ") + " (seed 7)"
 
     def test_report_records_run_metadata(self):
         p = generate("cube:3")
