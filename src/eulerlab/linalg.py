@@ -3,9 +3,10 @@
 Every coordinate in this package is a :class:`fractions.Fraction`, so all
 predicates (rank, incidence, sidedness) are decided exactly.  Vectors are
 plain tuples of Fractions; matrices are lists of such row tuples.  One
-fraction-free (Bareiss) pivot step, `_pivot`, serves both the Gauss-Jordan
-elimination behind rank, nullspace, solve and span and the phase-1 simplex
-of `linear_feasible`: each lifts its rows to integers and keeps every entry
+fraction-free (Bareiss) pivot step, `_pivot`, serves the package's two
+kernels: the incremental Gauss-Jordan elimination of `SpanBuilder`, which
+rank, nullspace, solve and affine hulls all run on, and the phase-1 simplex
+of `linear_feasible`.  Each lifts its rows to integers and keeps every entry
 an integer, which is much faster than Fraction pivoting at this scale.  The
 simplex keeps its objective as one more tableau row and gives each slack a
 coefficient of +-1 in its lifted row.
@@ -102,49 +103,14 @@ def _pivot(mat: list[list[int]], r: int, col: int, prev: int) -> int:
     return p
 
 
-def _eliminate(
-    rows: Sequence[Sequence[Fraction]], width: int
-) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of rational rows.
-
-    Each row is first lifted to integers.  Returns (mat, pivots, sign): row i
-    of mat, for i < len(pivots), is d times row i of the reduced row echelon
-    form, where d = mat[i][pivots[i]] is the same for every i; the remaining
-    rows are zero.  sign is the parity of the row swaps, so for a square
-    matrix of full rank its determinant is sign * d over the lift scales.
-    """
-    mat = [lift(r) for r in rows]
-    if any(len(r) != width for r in mat):
-        raise DimensionMismatchError("rows of unequal length")
-    pivots: list[int] = []
-    sign = 1
-    prev = 1
-    for col in range(width):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            mat[r], mat[piv] = mat[piv], mat[r]
-            sign = -sign
-        prev = _pivot(mat, r, col, prev)
-        pivots.append(col)
-    return mat, pivots, sign
-
-
-def rank(rows: Sequence[Vector]) -> int:
-    """Exact rank of the linear span of the given row vectors."""
-    rows = list(rows)
-    if not rows:
-        return 0
-    return len(_eliminate(rows, len(rows[0]))[1])
-
-
 class SpanBuilder:
-    """Incrementally maintained row space; supports exact membership tests.
+    """Incrementally maintained row space: the package's exact elimination.
 
-    Holds the state of the elimination kernel: integer rows that are d times
-    the reduced row echelon form of the span.
+    Holds integer rows that are d times the reduced row echelon form of the
+    span, in the order they were added.  A new row's pivot is its first
+    nonzero column after reduction, and no column that depends on earlier
+    ones over the row space can come first, so the pivots are exactly the
+    RREF pivots.
     """
 
     def __init__(self, width: int):
@@ -157,6 +123,10 @@ class SpanBuilder:
         """The row the kernel would hold for v (lifted) after the span's
         pivot steps: d*v minus the span rows weighted by v's pivot-column
         entries.  It is zero exactly when v lies in the span."""
+        if len(v) != self.width:
+            raise DimensionMismatchError(
+                f"row of length {len(v)} in a span of width {self.width}"
+            )
         v = lift(v)
         w = [self._d * a for a in v]
         for row, p in zip(self._rows, self._pivots):
@@ -183,6 +153,42 @@ class SpanBuilder:
     def rank(self) -> int:
         return len(self._rows)
 
+    def nullspace(self) -> list[Vector]:
+        """Basis of {x : row·x = 0 for every row of the span}: per free
+        column, 1 there, 0 in the other free columns, and minus the RREF
+        entries in the pivot columns."""
+        rows = dict(zip(self._pivots, self._rows))
+        basis = []
+        for fc in range(self.width):
+            if fc in rows:
+                continue
+            v = [Fraction(0)] * self.width
+            v[fc] = Fraction(1)
+            for pc, row in rows.items():
+                v[pc] = Fraction(-row[fc], self._d)
+            basis.append(tuple(v))
+        return basis
+
+
+def _span(rows: Sequence[Sequence[Fraction]], width: int) -> SpanBuilder:
+    span = SpanBuilder(width)
+    for row in rows:
+        span.add(row)
+    return span
+
+
+def rank(rows: Sequence[Vector]) -> int:
+    """Exact rank of the linear span of the given row vectors."""
+    rows = list(rows)
+    if not rows:
+        return 0
+    return _span(rows, len(rows[0])).rank
+
+
+def nullspace(rows: Sequence[Vector], width: int) -> list[Vector]:
+    """Basis of {x : rows·x = 0} in Q^width."""
+    return _span(rows, width).nullspace()
+
 
 def solve_linear(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> Optional[Vector]:
     """One exact solution of rows·x = rhs, or None if inconsistent.
@@ -190,29 +196,35 @@ def solve_linear(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> Optional[Ve
     For underdetermined consistent systems the free variables are set to 0.
     """
     n = len(rows[0]) if rows else 0
-    aug = [(*row, b) for row, b in zip(rows, rhs, strict=True)]
-    mat, pivots, _ = _eliminate(aug, n + 1)
-    if pivots and pivots[-1] == n:
+    span = _span([(*row, b) for row, b in zip(rows, rhs, strict=True)], n + 1)
+    if n in span._pivots:
         return None
     x = [Fraction(0)] * n
-    for row, col in zip(mat, pivots):
-        x[col] = Fraction(row[n], row[col])
+    for row, col in zip(span._rows, span._pivots):
+        x[col] = Fraction(row[n], span._d)
     return tuple(x)
 
 
-def nullspace(rows: Sequence[Vector], width: int) -> list[Vector]:
-    """Basis of {x : rows·x = 0} in Q^width."""
-    mat, pivots, _ = _eliminate(rows, width)
-    basis = []
-    for fc in range(width):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * width
-        v[fc] = Fraction(1)
-        for row, pc in zip(mat, pivots):
-            v[pc] = Fraction(-row[fc], row[pc])
-        basis.append(tuple(v))
-    return basis
+@dataclass(frozen=True)
+class AffineSubspace:
+    """base_point + span(direction_basis), with an independent basis; it
+    charts each of its points by the coordinates in that basis."""
+
+    base_point: Vector
+    direction_basis: tuple[Vector, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.direction_basis)
+
+    def to_working(self, x: Vector) -> Vector:
+        """Coordinates in direction_basis of a point on the subspace."""
+        basis, base = self.direction_basis, self.base_point
+        rows = [tuple(b[j] for b in basis) for j in range(len(base))]
+        w = solve_linear(rows, vsub(x, base))
+        if w is None:
+            raise ValueError("point not on the affine subspace")
+        return w
 
 
 @dataclass(frozen=True)
@@ -236,18 +248,6 @@ class Hyperplane:
         g = math.gcd(*(abs(v) for v in lifted))
         lifted = [v // g for v in lifted]
         return Hyperplane(tuple(Fraction(v) for v in lifted[:-1]), Fraction(lifted[-1]))
-
-
-@dataclass(frozen=True)
-class AffineSubspace:
-    """base_point + span(direction_basis), with an independent basis."""
-
-    base_point: Vector
-    direction_basis: tuple[Vector, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.direction_basis)
 
 
 def affine_hull(points: Sequence[Vector]) -> AffineSubspace:

@@ -26,6 +26,7 @@ from .errors import (
     SamplingBudgetError,
 )
 from .linalg import (
+    AffineSubspace,
     Hyperplane,
     SpanBuilder,
     Vector,
@@ -36,30 +37,12 @@ from .linalg import (
     hyperplane_through,
     lift,
     linear_feasible,
-    nullspace,
-    solve_linear,
     vec,
     vsub,
 )
 
 ORACLE_BOUND = 12
 GENERATOR_RETRIES = 64
-
-
-@dataclass(frozen=True)
-class AffineFrame:
-    """Rational chart mapping working coordinates into an ambient space."""
-
-    base: Vector
-    basis: tuple[Vector, ...]
-
-    def to_working(self, x: Vector) -> Vector:
-        """Coordinates of an ambient point lying on the frame's subspace."""
-        rows = [tuple(b[j] for b in self.basis) for j in range(len(self.base))]
-        w = solve_linear(rows, vsub(x, self.base))
-        if w is None:
-            raise ValueError("point not on the frame's affine subspace")
-        return w
 
 
 @dataclass(frozen=True)
@@ -121,7 +104,7 @@ class Polytope:
     vertices: tuple[Vector, ...]
     embedded_vertices: tuple[Vector, ...]
     facets: tuple[Facet, ...]
-    frame: Optional[AffineFrame] = None
+    frame: Optional[AffineSubspace] = None
 
     @cached_property
     def lattice(self) -> FaceLattice:
@@ -227,7 +210,7 @@ def _assemble(
     original_points: Sequence[Vector],
     k: int,
     ambient: int,
-    frame: Optional[AffineFrame],
+    frame: Optional[AffineSubspace],
 ) -> Polytope:
     facets_work = _hull_facets(work_points, k)
     # The facets through point i meet in the least face holding i, so i is a
@@ -278,11 +261,10 @@ def build_polytope(points: Sequence[Sequence]) -> Polytope:
             distinct.append(p)
     if len(distinct) < 2:
         raise DegenerateInputError("degenerate input")
-    hull = affine_hull(distinct)
-    k = hull.dim
+    frame = affine_hull(distinct)
+    k = frame.dim
     if k == ambient:
         return _assemble(distinct, distinct, k, ambient, None)
-    frame = AffineFrame(hull.base_point, hull.direction_basis)
     work = [frame.to_working(p) for p in distinct]
     return _assemble(work, distinct, k, ambient, frame)
 
@@ -290,14 +272,13 @@ def build_polytope(points: Sequence[Sequence]) -> Polytope:
 def point_polytope(point: Sequence) -> Polytope:
     """Internal 0-dimensional polytope (a single point); shadows need these."""
     p = vec(*point)
-    frame = AffineFrame(p, ())
     return Polytope(
         ambient_dim=len(p),
         dim=0,
         vertices=(tuple(),),
         embedded_vertices=(p,),
         facets=(),
-        frame=frame,
+        frame=AffineSubspace(p, ()),
     )
 
 
@@ -337,15 +318,16 @@ def face_lattice(p: Polytope) -> FaceLattice:
     return p.lattice
 
 
-def _is_face_lp(rows: list[list[int]], subset: tuple[int, ...], outside: list[int]) -> bool:
-    """Exact test: does a hyperplane contain `subset` with all `outside`
-    vertices strictly on one side?  Decided by exact linear feasibility.
+def _is_face_lp(rows: list[list[int]], span: SpanBuilder, outside: list[int]) -> bool:
+    """Exact test: does a hyperplane contain the subset whose rows `span`
+    holds, with all `outside` vertices strictly on one side?  Decided by
+    exact linear feasibility.
 
     rows[i] is vertex i's row (v, -1) lifted to integers: a positive multiple,
     so a·v - b keeps its sign and the test does not change.
     """
-    # Solutions (a, b) of a·s = b for s in subset form the nullspace of these rows.
-    basis = [lift(nb) for nb in nullspace([rows[i] for i in subset], len(rows[0]))]
+    # Solutions (a, b) of a·s = b for s in the subset form the span's nullspace.
+    basis = [lift(nb) for nb in span.nullspace()]
     if not basis:
         return False
     # Strict separation a·v - b < 0 scales to a·v - b <= -1; so does any
@@ -382,7 +364,7 @@ def brute_force_face_lattice(p: Polytope, bound: int = ORACLE_BOUND) -> FaceLatt
             # outright (it would have to lie on the separating hyperplane).
             if any(span.contains(rows[v]) for v in outside):
                 continue
-            if _is_face_lp(rows, subset, outside):
+            if _is_face_lp(rows, span, outside):
                 by_dim.setdefault(dim, []).append(Face(frozenset(subset), dim))
     for faces in by_dim.values():
         faces.sort(key=lambda f: sorted(f.vertex_indices))

@@ -29,7 +29,6 @@ from .linalg import (
     vsub,
 )
 from .polytope import (
-    AffineFrame,
     Face,
     Polytope,
     build_polytope,
@@ -100,28 +99,21 @@ class SchlegelComplex:
     facets of a polytope from a viewpoint just beyond the carrier.
 
     Carrier and cells are full-dimensional polytopes in a shared working
-    frame of the carrier's hyperplane; `frame` maps those coordinates back
-    into the polytope's frame.  The complex is face-to-face, so each face
-    records the cells and facets it lies in (see ComplexFace); `facet_signs`
-    tabulates the sign of every facet normal against a line direction and
-    keeps the last direction's table.
+    frame of the carrier's hyperplane.  The complex is face-to-face, so each
+    face records the cells and facets it lies in (see ComplexFace);
+    `facet_signs` tabulates the sign of every facet normal against a line
+    direction and keeps the last direction's table.
     """
 
     def __init__(
         self,
         facet_index: int,
-        viewpoint: Vector,
-        frame: AffineFrame,
         carrier: Polytope,
         cells: tuple[Polytope, ...],
-        cell_origin: tuple[int, ...],
     ):
         self.facet_index = facet_index
-        self.viewpoint = viewpoint
-        self.frame = frame
         self.carrier = carrier
         self.cells = cells
-        self.cell_origin = cell_origin
         self._signs: Optional[tuple[Vector, SignTable]] = None
 
     @property
@@ -202,10 +194,9 @@ def schlegel(p: Polytope, facet: Union[int, Face]) -> SchlegelComplex:
     t = p.facets[t_index]
     v = beyond_point(p, t_index)
     t_points = [p.vertices[i] for i in sorted(t.vertex_indices)]
-    frame = AffineFrame(t_points[0], affine_hull(t_points).direction_basis)
+    frame = affine_hull(t_points)
     carrier = build_polytope([frame.to_working(x) for x in t_points])
     cells = []
-    origins = []
     for j, f in enumerate(p.facets):
         if j == t_index:
             continue
@@ -214,15 +205,7 @@ def schlegel(p: Polytope, facet: Union[int, Face]) -> SchlegelComplex:
             for idx in sorted(f.vertex_indices)
         ]
         cells.append(build_polytope(imgs))
-        origins.append(j)
-    return SchlegelComplex(
-        facet_index=t_index,
-        viewpoint=v,
-        frame=frame,
-        carrier=carrier,
-        cells=tuple(cells),
-        cell_origin=tuple(origins),
-    )
+    return SchlegelComplex(facet_index=t_index, carrier=carrier, cells=tuple(cells))
 
 
 @dataclass

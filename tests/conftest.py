@@ -10,20 +10,20 @@ from eulerlab.linalg import Hyperplane
 
 @pytest.fixture
 def work_counts(monkeypatch) -> Counter:
-    """Counts of exact eliminations and hyperplane side tests made while the
+    """Counts of exact pivot steps and hyperplane side tests made while the
     test runs; clear() it to start a count.  Neither depends on the machine."""
     counts = Counter()
-    eliminate, side = linalg._eliminate, Hyperplane.side
+    pivot, side = linalg._pivot, Hyperplane.side
 
-    def counting_eliminate(*args):
-        counts["eliminate"] += 1
-        return eliminate(*args)
+    def counting_pivot(*args):
+        counts["pivot"] += 1
+        return pivot(*args)
 
     def counting_side(self, point):
         counts["side"] += 1
         return side(self, point)
 
-    monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(linalg, "_pivot", counting_pivot)
     monkeypatch.setattr(Hyperplane, "side", counting_side)
     return counts
 

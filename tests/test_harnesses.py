@@ -40,15 +40,15 @@ RUNS = {
     "folded": lambda p: verify_proof_folded(p, 0),
 }
 
-# Eliminations and side tests of one run at seed 0 (Schlegel at facet 0),
-# after generate.  A change that moves them on purpose restates them here
+# Exact pivot steps and side tests of one run at seed 0 (Schlegel at facet
+# 0), after generate.  A change that moves them on purpose restates them here
 # and says why.  The folded sampler takes one side test per facet for the
 # line's parameters on every candidate that meets all facet hyperplanes.
 HARNESS_WORK_COUNTS = {
-    ("cube:4", "schlegel"): {"eliminate": 380, "side": 457},
-    ("cube:4", "folded"): {"eliminate": 542, "side": 1143},
-    ("crosspolytope:4", "schlegel"): {"eliminate": 342, "side": 190},
-    ("crosspolytope:4", "folded"): {"eliminate": 504, "side": 1539},
+    ("cube:4", "schlegel"): {"pivot": 719, "side": 457},
+    ("cube:4", "folded"): {"pivot": 930, "side": 1143},
+    ("crosspolytope:4", "schlegel"): {"pivot": 761, "side": 190},
+    ("crosspolytope:4", "folded"): {"pivot": 996, "side": 1539},
 }
 
 

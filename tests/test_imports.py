@@ -1,6 +1,6 @@
 """Stdlib-only lints: the package imports only the standard library, every
 module of the package uses each name it imports, and everything the package
-defines is named by the package itself."""
+defines, self attributes included, is read by the package itself."""
 
 import ast
 import re
@@ -105,28 +105,78 @@ def definitions(tree: ast.AST):
                 yield node.lineno, node.name
 
 
+def attributes_stored(tree: ast.AST):
+    """Attributes that methods set on self, as `self.X = ...`."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            yield node.lineno, node.attr
+
+
 def names_used(tree: ast.AST) -> set[str]:
-    """Names read as variables or attributes, string annotations included."""
+    """Names read (loaded) as variables or attributes, string annotations
+    included; a store is no use."""
     used = set()
     for root in [tree, *_annotation_strings(tree)]:
         for node in ast.walk(root):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
     return used
 
 
-def test_every_definition_is_named_in_the_package():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    used = set().union(*map(names_used, trees.values()))
-    for node in ast.walk(ast.parse(PERFBENCH.read_text())):
+def attributes_read(tree: ast.AST) -> set[str]:
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unnamed_in(trees: dict[str, ast.AST], perfbench: str) -> list[str]:
+    """Definitions that no module of the package names, and self attributes
+    that none reads as an attribute, unless a string of the benchmark names
+    them."""
+    named = set()
+    for node in ast.walk(ast.parse(perfbench)):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            used.update(re.findall(r"\w+", node.value))
-    unnamed = [
+            named.update(re.findall(r"\w+", node.value))
+    used = named.union(*map(names_used, trees.values()))
+    read = named.union(*map(attributes_read, trees.values()))
+    return [
         f"{name}:{line} {defined}"
         for name, tree in trees.items()
         for line, defined in definitions(tree)
         if defined not in used
+    ] + [
+        f"{name}:{line} {attr}"
+        for name, tree in trees.items()
+        for line, attr in attributes_stored(tree)
+        if attr not in read
     ]
-    assert unnamed == []
+
+
+def test_a_stored_attribute_needs_a_reader():
+    source = """\
+class A:
+    def __init__(self):
+        self.kept = 1
+        self.read = 2
+
+    def f(self):
+        self.kept = self.read
+
+
+A().f()
+"""
+    assert unnamed_in({"a.py": ast.parse(source)}, "") == ["a.py:3 kept", "a.py:7 kept"]
+
+
+def test_every_definition_is_named_in_the_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert unnamed_in(trees, PERFBENCH.read_text()) == []

@@ -366,7 +366,7 @@ class TestSpanBuilder:
         span = SpanBuilder(3)
         grew = [span.add(r) for r in rows]
         assert grew == [True, False, True, False]
-        assert span.rank == rank(rows)
+        assert span.rank == 2
         assert span.contains(vec(3, 7, 10))
         assert not span.contains(vec(0, 0, 1))
 
@@ -374,15 +374,37 @@ class TestSpanBuilder:
         matrices(max_rows=7, entries=sparse_rationals),
         st.lists(st.lists(sparse_rationals(), min_size=5, max_size=5), max_size=4),
     )
-    def test_matches_rank(self, rows, probes):
+    def test_matches_plain_rref(self, rows, probes):
+        # rank runs on SpanBuilder too, so the reference is plain_rref.
         width = len(rows[0])
+
+        def plain_rank(some):
+            return len(plain_rref(some, width)[1])
+
         span = SpanBuilder(width)
         for i, row in enumerate(rows):
-            assert span.add(row) == (rank(rows[: i + 1]) > rank(rows[:i]))
-        assert span.rank == rank(rows)
+            assert span.add(row) == (plain_rank(rows[: i + 1]) > plain_rank(rows[:i]))
+        assert sorted(span._pivots) == plain_rref(rows, width)[1]
         for v in probes:
             v = tuple(v[:width])
-            assert span.contains(v) == (rank([*rows, v]) == rank(rows))
+            assert span.contains(v) == (plain_rank([*rows, v]) == plain_rank(rows))
+
+    @pytest.mark.parametrize("ragged", [[vec(1, 2, 3), vec(1, 2)], [vec(1, 2), vec(1, 2, 3)]])
+    def test_rejects_ragged_rows(self, ragged):
+        width = len(ragged[0])
+        span = SpanBuilder(width)
+        span.add(ragged[0])
+        with pytest.raises(DimensionMismatchError):
+            span.add(ragged[1])
+        with pytest.raises(DimensionMismatchError):
+            span.contains(ragged[1])
+        assert span.rank == 1
+        with pytest.raises(DimensionMismatchError):
+            rank(ragged)
+        with pytest.raises(DimensionMismatchError):
+            nullspace(ragged, width)
+        with pytest.raises(DimensionMismatchError):
+            solve_linear(ragged, [F(1), F(2)])
 
 
 class TestAffine:

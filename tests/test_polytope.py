@@ -24,7 +24,6 @@ from eulerlab.linalg import (
     vsub,
 )
 from eulerlab.polytope import (
-    AffineFrame,
     Face,
     Facet,
     Polytope,
@@ -44,8 +43,8 @@ F = Fraction
 
 def to_ambient(frame, w):
     """The ambient point with working coordinates w in the frame."""
-    x = frame.base
-    for c, b in zip(w, frame.basis, strict=True):
+    x = frame.base_point
+    for c, b in zip(w, frame.direction_basis, strict=True):
         x = vadd(x, vscale(b, c))
     return x
 
@@ -95,7 +94,7 @@ def reference_polytope(points):
     distinct = list(dict.fromkeys(vec(*q) for q in points))
     hull = affine_hull(distinct)
     k, ambient = hull.dim, len(distinct[0])
-    frame = None if k == ambient else AffineFrame(hull.base_point, hull.direction_basis)
+    frame = None if k == ambient else hull
     work = distinct if frame is None else [frame.to_working(q) for q in distinct]
     facets = reference_hull_facets(work, k)
     active = {}
@@ -308,13 +307,13 @@ class TestFaceLattice:
         assert len(children(lat, lat.top)) == 3
 
 
-# Eliminations and side tests for generate plus face_lattice at seed 0.
+# Exact pivot steps and side tests for generate plus face_lattice at seed 0.
 # These depend on no machine; a change that moves them on purpose restates
 # them here and says why.
 WORK_COUNTS = {
-    "cube:5": {"eliminate": 90, "side": 252},
-    "crosspolytope:5": {"eliminate": 98, "side": 40},
-    "random:4,30,10": {"eliminate": 665, "side": 1216},
+    "cube:5": {"pivot": 312, "side": 252},
+    "crosspolytope:5": {"pivot": 372, "side": 40},
+    "random:4,30,10": {"pivot": 1717, "side": 1216},
 }
 
 

@@ -124,11 +124,6 @@ class TestSchlegelComplex:
         for c in range(p.dim - 1):
             assert len(cx.faces(c)) == fv[c]
 
-    def test_cell_origin_covers_other_facets(self):
-        p = generate("cube:4")
-        cx = schlegel(p, 3)
-        assert sorted(cx.cell_origin) == [j for j in range(8) if j != 3]
-
     def test_complex_faces_have_relative_interior_base(self):
         cx = schlegel(generate("cube:3"), 0)
         for c in range(cx.dim):
@@ -137,12 +132,6 @@ class TestSchlegelComplex:
                 assert affine_hull(pts).dim == c
                 # the base point adds no dimension: it lies on the hull
                 assert affine_dim(pts + [face.base_point]) == c
-
-    def test_viewpoint_beyond_carrier_facet(self):
-        p = generate("simplex:4")
-        cx = schlegel(p, 2)
-        h = p.facets[2].hyperplane
-        assert h.side(cx.viewpoint) > 0
 
 
 class TestProjectAlong:

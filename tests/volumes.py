@@ -1,22 +1,30 @@
 """Exact determinants and volumes for tests: nothing in the package needs
 them, but the sum of cell volumes is a strong check on a Schlegel complex."""
 
+import itertools
 import math
 from fractions import Fraction
 
-from eulerlab.linalg import _eliminate, vsub
+from eulerlab.linalg import SpanBuilder, vsub
 from eulerlab.polytope import Face, FaceLattice, Polytope, face_lattice
 
 
 def det(rows):
-    """Exact determinant of a square matrix, by the package's elimination."""
+    """Exact determinant of a square matrix, by the package's elimination.
+
+    Row i of a full-rank matrix pivots on column pivots[i], and the span's d
+    is the determinant of the lifted rows with their columns in that order;
+    so the sign is the parity of that order."""
     n = len(rows)
-    mat, pivots, sign = _eliminate(rows, n)
-    if len(pivots) < n:
+    span = SpanBuilder(n)
+    for row in rows:
+        span.add(row)
+    if span.rank < n:
         return Fraction(0)
-    d = mat[-1][pivots[-1]] if n else 1
+    pivots = span._pivots
+    inversions = sum(a > b for a, b in itertools.combinations(pivots, 2))
     scales = (math.lcm(*(Fraction(x).denominator for x in row)) for row in rows)
-    return Fraction(sign * d, math.prod(scales))
+    return Fraction((-1) ** inversions * span._d, math.prod(scales))
 
 
 def children(lat: FaceLattice, face: Face) -> tuple[Face, ...]:
