@@ -15,11 +15,23 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .errors import GeneralPositionError, naming_seed
 from .euler import CertificateEntry, check_piece, check_totals, f_vector, rejection_sample
-from .linalg import Vector, affine_dim, barycenter, dot, format_point, is_zero, vadd, vscale, vsub
+from .linalg import (
+    Vector,
+    affine_dim,
+    barycenter,
+    dot,
+    format_point,
+    is_zero,
+    lift,
+    vadd,
+    vscale,
+    vsub,
+)
 from .polytope import Face, Polytope, face_lattice, facet_polytope
 from .projection import project_from_point
 
@@ -139,12 +151,12 @@ def sample_transversal(
     )
 
 
-def _cross(a, b) -> Fraction:
+def _cross(a, b) -> int:
     """The 2D cross product of the (alpha, beta) parts of two chart rows."""
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _along(row, r) -> Fraction:
+def _along(row, r) -> int:
     """Rate of change of a chart row's left side along the direction r."""
     return row[0] * r[0] + row[1] * r[1]
 
@@ -153,7 +165,7 @@ def fold_flags(
     p: Polytope, face: Face, line: TransversalLine
 ) -> tuple[FoldedFlag, FoldedFlag]:
     """Fold the face's two flags onto facets by walking out from its base
-    point x in the plane section: O(m) work for m facets.
+    point x in the plane section: O(m) integer work for m facets.
 
     In the chart t1 + u*direction + w*(x - t1) the point x sits at (0, 1)
     and facet j is the row alpha_j*u + beta_j*w <= gamma_j.  The facets
@@ -164,15 +176,30 @@ def fold_flags(
     must be a vertex of the section and the two sides must lie in one facet
     each, two different ones; all of this follows from the certificate, so
     a violation raises GeneralPositionError.
+
+    The rows are ints, read off the polytope's slack matrix S (see
+    SlackMatrix).  With L the lcm of the denominators of t1 and the
+    direction, A_j = L*n_j.direction, T_j = L*side_j(t1) and sigma_j the sum
+    of S[j][v] over the face's vertices v, row j is (A_j*V|F|,
+    sigma_j*L - T_j*V|F|, -sigma_j*L): the rational row times the positive
+    c_j*V*|F|*L.  A positive scale per row moves no sign, ray or ratio, so
+    only the ratio t, the base point and the side ends are Fractions.
     """
     x = barycenter(p.face_points(face))
     e = line.direction
     g = vsub(x, line.t1)
+    slack = p.slack
+    # Per line: L*t1 with L appended, and L*direction, as ints.
+    *lifted, big_l = lift([*line.t1, *e, 1])
+    lt1, le = (*lifted[: p.dim], big_l), lifted[p.dim :]
+    idx = sorted(face.vertex_indices)
+    vf = slack.scale * len(idx)
     # (alpha_j, beta_j, slack_j): the slack of facet j at x is gamma_j - beta_j.
-    rows = [
-        (dot(f.hyperplane.normal, e), dot(f.hyperplane.normal, g), -f.hyperplane.side(x))
-        for f in p.facets
-    ]
+    rows = []
+    for plane, srow in zip(slack.planes, slack.rows):
+        rate, at_t1 = sum(map(mul, plane, le)), sum(map(mul, plane, lt1))
+        sigma = sum(srow[v] for v in idx)
+        rows.append((rate * vf, sigma * big_l - at_t1 * vf, -sigma * big_l))
 
     def violated(check: str) -> GeneralPositionError:
         where = f"face {sorted(face.vertex_indices)}"
@@ -207,8 +234,14 @@ def fold_flags(
     sides = []
     for r in rays:
         facets = [j for j in active if _along(rows[j], r) == 0]
-        # Ratio test: the side ends where the first other facet turns tight.
-        t = min(row[2] / d for row in rows if (d := _along(row, r)) > 0)
+        # Ratio test: the side ends where the first other facet turns tight,
+        # at the least slack / rate, compared by cross-multiplying.
+        num, den = 0, 0
+        for row in rows:
+            d = _along(row, r)
+            if d > 0 and (not den or row[2] * den < num * d):
+                num, den = row[2], d
+        t = Fraction(num, den)
         sides.append((facets, (t * r[0], 1 + t * r[1])))
     # Check the side with the lower facet index first.  Two sides share one
     # only when a facet's hyperplane holds the whole plane; then the side

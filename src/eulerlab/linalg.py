@@ -5,11 +5,11 @@ predicates (rank, incidence, sidedness) are decided exactly.  Vectors are
 plain tuples of Fractions; matrices are lists of such row tuples.  One
 fraction-free (Bareiss) pivot step, `_pivot`, serves the package's two
 kernels: the incremental Gauss-Jordan elimination of `SpanBuilder`, which
-rank, nullspace, solve and affine hulls all run on, and the phase-1 simplex
-of `linear_feasible`.  Each lifts its rows to integers and keeps every entry
-an integer, which is much faster than Fraction pivoting at this scale.  The
-simplex keeps its objective as one more tableau row and gives each slack a
-coefficient of +-1 in its lifted row.
+rank, nullspace, solve, affine hulls and their charts run on, and the
+phase-1 simplex of `linear_feasible`.  Each lifts its rows to integers and
+keeps every entry an integer, which is much faster than Fraction pivoting at
+this scale.  The simplex keeps its objective as one more tableau row and
+gives each slack a coefficient of +-1 in its lifted row.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError
@@ -217,14 +219,38 @@ class AffineSubspace:
     def dim(self) -> int:
         return len(self.direction_basis)
 
+    @cached_property
+    def _chart(self) -> SpanBuilder:
+        """The span of the rows (b_1[j], ..., b_k[j], unit_j), one per
+        ambient coordinate j: the transposed basis next to the identity,
+        eliminated once per subspace.
+
+        Each span row (R | C) has R = C times the transposed basis.  The
+        basis is independent, so k rows have R = d*unit_p, for the span's
+        d and their pivot p < k, and the others have R = 0."""
+        n = len(self.base_point)
+        rows = [
+            (*(b[j] for b in self.direction_basis), *(int(i == j) for i in range(n)))
+            for j in range(n)
+        ]
+        return _span(rows, self.dim + n)
+
     def to_working(self, x: Vector) -> Vector:
-        """Coordinates in direction_basis of a point on the subspace."""
-        basis, base = self.direction_basis, self.base_point
-        rows = [tuple(b[j] for b in basis) for j in range(len(base))]
-        w = solve_linear(rows, vsub(x, base))
-        if w is None:
-            raise ValueError("point not on the affine subspace")
-        return w
+        """Coordinates in direction_basis of a point on the subspace.
+
+        With y = x - base_point, the chart row with pivot p < k gives
+        C.y = d*w_p, and the point is on the subspace exactly when C.y = 0
+        for every other row; y is lifted to ints for these products."""
+        span, k = self._chart, self.dim
+        *y, scale = lift([*vsub(x, self.base_point), 1])
+        w = [Fraction(0)] * k
+        for row, p in zip(span._rows, span._pivots):
+            c_y = sum(map(mul, row[k:], y))
+            if p < k:
+                w[p] = Fraction(c_y, scale * span._d)
+            elif c_y:
+                raise ValueError("point not on the affine subspace")
+        return tuple(w)
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,15 @@ re-expressed in a rational affine frame (the original embedding is kept in
 `embedded_vertices` and `frame`).  Facet enumeration is incremental
 beneath-beyond insertion with exact predicates.  Each facet keeps the set of
 input points on it, and vertices and face dimensions are read from those
-incidences alone.  The independent oracle decides face-ness of every vertex
-subset by exact linear feasibility.
+incidences alone.  The slack matrix, built on first use, holds every facet
+inequality at every vertex in ints.  The independent oracle decides
+face-ness of every vertex subset by exact linear feasibility.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,6 +112,21 @@ class Polytope:
     def lattice(self) -> FaceLattice:
         return _lattice_from_facets(self)
 
+    @cached_property
+    def slack(self) -> "SlackMatrix":
+        """The slack matrix in ints, built on first use: see SlackMatrix."""
+        planes = tuple(
+            tuple(lift([*f.hyperplane.normal, -f.hyperplane.offset])) for f in self.facets
+        )
+        scale = math.lcm(*(x.denominator for v in self.vertices for x in v))
+        points = [
+            (*(x.numerator * (scale // x.denominator) for x in v), scale) for v in self.vertices
+        ]
+        rows = tuple(
+            tuple(sum(a * b for a, b in zip(plane, v)) for v in points) for plane in planes
+        )
+        return SlackMatrix(planes, scale, rows)
+
     def facet_vertices(self, i: int) -> tuple[Vector, ...]:
         return tuple(self.vertices[j] for j in sorted(self.facets[i].vertex_indices))
 
@@ -143,6 +160,22 @@ class Polytope:
         return all(
             f.hyperplane.side(x) < 0 for j, f in enumerate(self.facets) if j != i
         )
+
+
+@dataclass(frozen=True)
+class SlackMatrix:
+    """A polytope's slack matrix in ints (Yannakakis 1991): its zero
+    pattern is the vertex-facet incidence.
+
+    `planes[j]` is facet j's row (normal, -offset) lifted to ints, c_j > 0
+    times it (c_j = 1 for the gcd-1 integer planes the hull makes); `scale`
+    is V, the lcm of the vertex denominators; and `rows[j][v]` is
+    planes[j]·(V·v, V) = c_j·V·side_j(v).
+    """
+
+    planes: tuple[tuple[int, ...], ...]
+    scale: int
+    rows: tuple[tuple[int, ...], ...]
 
 
 class _WorkFacet:

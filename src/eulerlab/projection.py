@@ -250,12 +250,12 @@ def _make_shadow(src: Polytope, images: Sequence[Vector]) -> Shadow:
             f"shadow has dimension {shadow_poly.dim}, expected {src.dim - 1}"
         )
     shadow_lat = face_lattice(shadow_poly)
-    by_dim: dict[int, list[frozenset[Vector]]] = {}
+    by_dim: dict[int, set[frozenset[Vector]]] = {}
     for c in range(shadow_poly.dim + 1):
-        by_dim[c] = [
+        by_dim[c] = {
             frozenset(shadow_poly.embedded_vertices[i] for i in g.vertex_indices)
             for g in shadow_lat.faces(c)
-        ]
+        }
     face_image = {}
     for face in face_lattice(src).all_faces():
         img = frozenset(images[i] for i in face.vertex_indices)

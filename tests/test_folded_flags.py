@@ -1,19 +1,21 @@
 """Tests for the folded-flag count along a transversal line."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eulerlab import folded_flags
 from eulerlab.errors import GeneralPositionError, SamplingBudgetError
 from eulerlab.euler import CertificateEntry, rejection_sample
-from eulerlab.linalg import affine_dim, barycenter, dot, is_zero, vadd, vscale, vsub
-from eulerlab.polytope import face_lattice, generate
+from eulerlab.linalg import affine_dim, barycenter, dot, is_zero, lift, vadd, vscale, vsub
+from eulerlab.polytope import build_polytope, face_lattice, generate
 from eulerlab.folded_flags import (
+    FoldedFlag,
     TransversalLine,
     _relint_point,
     facet_assignment_sums,
@@ -182,6 +184,95 @@ def reference_fold(p, face, line):
         (facet_idx, (x, vadd(line.t1, vadd(vscale(line.direction, u), vscale(g, w)))), value)
         for facet_idx, (u, w) in sorted(by_facet.items())
     )
+
+
+def _cross(a, b) -> Fraction:
+    """The 2D cross product of the (alpha, beta) parts of two chart rows."""
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _along(row, r) -> Fraction:
+    """Rate of change of a chart row's left side along the direction r."""
+    return row[0] * r[0] + row[1] * r[1]
+
+
+def fraction_fold(p, face, line):
+    """fold_flags as it was before its rows were ints: the same walk on
+    three Fraction dot products per facet, the rows (n_j.e, n_j.(x - t1),
+    -side_j(x))."""
+    x = barycenter(p.face_points(face))
+    e = line.direction
+    g = vsub(x, line.t1)
+    # (alpha_j, beta_j, slack_j): the slack of facet j at x is gamma_j - beta_j.
+    rows = [
+        (dot(f.hyperplane.normal, e), dot(f.hyperplane.normal, g), -f.hyperplane.side(x))
+        for f in p.facets
+    ]
+
+    def violated(check: str) -> GeneralPositionError:
+        where = f"face {sorted(face.vertex_indices)}"
+        return GeneralPositionError(f"general position violated: {check} at {where}")
+
+    # x is a vertex of the section exactly when it satisfies every row and
+    # two rows tight at x are not parallel.
+    active = [j for j, row in enumerate(rows) if row[2] == 0]
+    a = next((rows[j] for j in active if rows[j][:2] != (0, 0)), None)
+    b = None if a is None else next((rows[j] for j in active if _cross(a, rows[j])), None)
+    if b is None or any(row[2] < 0 for row in rows):
+        raise violated("the base point is not a vertex of its plane section")
+
+    # Clip the cone {r : a.r <= 0, b.r <= 0}, spanned by lo and hi, with
+    # every other row tight at x; it ends empty, a single ray or a pointed
+    # cone whose extreme rays lo and hi are the side directions.
+    sign = 1 if _cross(a, b) > 0 else -1
+    lo = (sign * a[1], -sign * a[0])
+    hi = (-sign * b[1], sign * b[0])
+    for j in active:
+        at_lo, at_hi = _along(rows[j], lo), _along(rows[j], hi)
+        if at_lo > 0 and at_hi > 0:
+            rays = []
+            break
+        if at_lo > 0:
+            lo = tuple(at_lo * h - at_hi * l for l, h in zip(lo, hi))
+        elif at_hi > 0:
+            hi = tuple(at_hi * l - at_lo * h for l, h in zip(lo, hi))
+    else:
+        rays = [lo, hi] if _cross(lo, hi) else [lo]
+
+    sides = []
+    for r in rays:
+        facets = [j for j in active if _along(rows[j], r) == 0]
+        # Ratio test: the side ends where the first other facet turns tight.
+        t = min(row[2] / d for row in rows if (d := _along(row, r)) > 0)
+        sides.append((facets, (t * r[0], 1 + t * r[1])))
+    # Check the side with the lower facet index first.  Two sides share one
+    # only when a facet's hyperplane holds the whole plane; then the side
+    # with the lower far vertex comes first.
+    sides.sort(key=lambda side: (side[0][0], side[1]))
+    for facets, _ in sides:
+        if len(facets) != 1:
+            raise violated(f"a section side lies in facets {facets}, not in one")
+    if len(sides) == 2 and sides[0][0] == sides[1][0]:
+        raise violated(f"two section sides lie in facet {sides[0][0][0]}")
+    if len(sides) != 2:
+        raise violated(
+            f"the section sides lie in facets {[f[0] for f, _ in sides]}, not in two"
+        )
+
+    value = Fraction((-1) ** face.dimension, 2)
+    flags = []
+    for [facet_idx], (u, w) in sides:
+        end = vadd(line.t1, vadd(vscale(e, u), vscale(g, w)))
+        flags.append(
+            FoldedFlag(
+                base_face=face,
+                base_point=x,
+                assigned_facet=facet_idx,
+                segment=(x, end),
+                value=value,
+            )
+        )
+    return flags[0], flags[1]
 
 
 def folded(p, face, line):
@@ -425,6 +516,50 @@ class TestFoldFlagsAgainstReference:
                 assert outcome(folded, p, face, line) == outcome(
                     reference_fold, p, face, line
                 )
+
+    @given(
+        d=st.integers(3, 5),
+        extra=st.integers(0, 4),
+        hull_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_integer_rows_match_the_fraction_walk(self, d, extra, hull_seed, seed):
+        # x -> x/3 + 1/7 gives every vertex a denominator, so V > 1.
+        p = generate(f"random:{d},{d + 1 + extra},9", hull_seed)
+        p = build_polytope(
+            [[c / 3 + Fraction(1, 7) for c in v] for v in p.vertices]
+        )
+        line = sample_transversal(p, seed)
+        assume(lift([*line.t1, *line.direction, 1])[-1] > 1)
+        assert p.slack.scale > 1
+        lat = face_lattice(p)
+        for c in range(d - 1):
+            for face in lat.faces(c):
+                assert outcome(fold_flags, p, face, line) == outcome(
+                    fraction_fold, p, face, line
+                )
+
+    def test_integer_rows_match_the_fraction_walk_on_hand_lines(self):
+        # Every {-1, 0, 1} direction through three points in and around a
+        # shifted cube, planes in general position or not: the same flags or
+        # the same raise text.
+        p = build_polytope(
+            [[c / 2 + Fraction(1, 7) for c in v] for v in generate("cube:3").vertices]
+        )
+        lat = face_lattice(p)
+        raised = 0
+        for t1 in [("1/2", "1/2", "1/2"), ("1/2", "1/2", "9/14"), ("3", "1/7", "1/7")]:
+            for direction in itertools.product((-1, 0, 1), repeat=3):
+                if not any(direction):
+                    continue
+                line = hand_line(t1, direction)
+                for c in range(2):
+                    for face in lat.faces(c):
+                        got = outcome(fold_flags, p, face, line)
+                        assert got == outcome(fraction_fold, p, face, line)
+                        raised += isinstance(got, str)
+        assert 0 < raised < 3 * 26 * 20
 
     # Hand-built planes on the unit cube, which sampled lines never give.
     # Facets 3, 4 and 5 are z <= 1, y <= 1 and x <= 1; vertex 7 is (1, 1, 1)

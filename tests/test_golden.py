@@ -8,6 +8,7 @@ because a verify report embeds the input path string.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -81,6 +82,24 @@ def test_degenerate_verify_report_bytes(cube3_extras):
     argv = ["verify", "p.json", "--proof", "both", "--seed", "0", "-o", "report.json"]
     assert cli.main(argv) == 0
     assert sha256(cube3_extras / "report.json") == DEGENERATE_VERIFY_DIGEST
+
+
+# crosspolytope:4 scaled by 10^40 and shifted by 1/7 in every coordinate:
+# huge numerators and a denominator in every vertex.
+HUGE_VERTICES = [
+    [str(Fraction(s * 10**40 if j == i else 0) + Fraction(1, 7)) for j in range(4)]
+    for i in range(4)
+    for s in (1, -1)
+]
+HUGE_VERIFY_DIGEST = "2ad1503f76c6ba173d988e72ce3e3d29f0d4b611ce63ee6b542c0f7da884341d"
+
+
+def test_huge_shifted_verify_report_bytes(workdir):
+    doc = {"dimension": 4, "vertices": HUGE_VERTICES, "name": "crosspolytope4-huge"}
+    (workdir / "p.json").write_text(json.dumps(doc))
+    argv = ["verify", "p.json", "--proof", "both", "--seed", "0", "-o", "report.json"]
+    assert cli.main(argv) == 0
+    assert sha256(workdir / "report.json") == HUGE_VERIFY_DIGEST
 
 
 def test_generate_bytes(workdir):

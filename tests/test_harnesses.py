@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerlab import linalg, projection
+from eulerlab import folded_flags, linalg, projection
 from eulerlab.euler import f_vector
-from eulerlab.folded_flags import sample_transversal, verify_proof_folded
+from eulerlab.folded_flags import fold_flags, sample_transversal, verify_proof_folded
 from eulerlab.polytope import Polytope, build_polytope, face_lattice, generate
 from eulerlab.schlegel_flags import (
     classify_flag,
@@ -44,11 +44,13 @@ RUNS = {
 # 0), after generate.  A change that moves them on purpose restates them here
 # and says why.  The folded sampler takes one side test per facet for the
 # line's parameters on every candidate that meets all facet hyperplanes.
+# Folding reads the slack matrix and takes no side test; a frame charts its
+# points with one elimination, not one per point.
 HARNESS_WORK_COUNTS = {
-    ("cube:4", "schlegel"): {"pivot": 719, "side": 457},
-    ("cube:4", "folded"): {"pivot": 930, "side": 1143},
-    ("crosspolytope:4", "schlegel"): {"pivot": 761, "side": 190},
-    ("crosspolytope:4", "folded"): {"pivot": 996, "side": 1539},
+    ("cube:4", "schlegel"): {"pivot": 531, "side": 457},
+    ("cube:4", "folded"): {"pivot": 674, "side": 567},
+    ("crosspolytope:4", "schlegel"): {"pivot": 573, "side": 190},
+    ("crosspolytope:4", "folded"): {"pivot": 756, "side": 515},
 }
 
 
@@ -106,6 +108,30 @@ def test_classification_is_one_table_per_line(spec, monkeypatch, work_counts):
     assert work_counts["side"] == 0
     assert calls["contains"] == calls["in_tangent_cone"] == 0
     assert calls["dot"] <= sum(len(c.facets) for c in cx.cells) + len(cx.carrier.facets)
+
+
+@pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4"])
+def test_folding_is_integer_rows_from_the_slack_matrix(spec, monkeypatch, work_counts):
+    # Folding every face of one line, slack matrix included, evaluates no
+    # facet inequality and takes no rational dot product.
+    p = generate(spec)
+    line = sample_transversal(p, 0)
+    lat = face_lattice(p)
+    calls = Counter()
+    dot = linalg.dot
+
+    def counting_dot(*args):
+        calls["dot"] += 1
+        return dot(*args)
+
+    monkeypatch.setattr(linalg, "dot", counting_dot)
+    monkeypatch.setattr(folded_flags, "dot", counting_dot)
+    work_counts.clear()
+    for c in range(p.dim - 1):
+        for face in lat.faces(c):
+            fold_flags(p, face, line)
+    assert work_counts["side"] == 0
+    assert calls["dot"] == 0
 
 
 def _facet_at(p, facet_points) -> int:

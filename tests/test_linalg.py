@@ -436,6 +436,41 @@ class TestAffine:
         assert affine_dim(moved) == affine_dim(pts)
 
 
+    @given(
+        lines_and_hulls(max_width=5, max_points=5),
+        st.lists(sparse_rationals(), max_size=5),
+    )
+    @settings(max_examples=150)
+    def test_to_working_matches_plain_solve(self, drawn, coeffs):
+        # A point of the subspace charts to its coefficients; any other
+        # point charts as plain_solve says, or raises when it has no chart.
+        point, _, pts = drawn
+        sub = affine_hull(pts)
+        rows = [tuple(b[j] for b in sub.direction_basis) for j in range(len(point))]
+        coeffs = (coeffs + [F(0)] * sub.dim)[: sub.dim]
+        on = sub.base_point
+        for c, b in zip(coeffs, sub.direction_basis):
+            on = tuple(x + c * y for x, y in zip(on, b))
+        assert sub.to_working(on) == tuple(coeffs)
+        if sub.dim:
+            expected = plain_solve(rows, vsub(point, sub.base_point))
+        else:
+            expected = () if point == sub.base_point else None
+        if expected is None:
+            with pytest.raises(ValueError, match="point not on the affine subspace"):
+                sub.to_working(point)
+        else:
+            assert sub.to_working(point) == expected
+
+    def test_frame_charts_with_one_elimination(self, work_counts):
+        sub = affine_hull([vec(1, 2, 3, 4), vec(2, 2, 3, 5), vec(1, F(1, 2), 3, 4)])
+        sub.to_working(vec(1, 2, 3, 4))
+        work_counts.clear()
+        for t in range(5):
+            assert sub.to_working(vec(1 + t, 2 - 3 * t, 3, 4 + t)) == (F(t), F(2 * t))
+        assert work_counts["pivot"] == 0
+
+
 class TestHyperplane:
     def test_rejects_zero_normal(self):
         with pytest.raises(ValueError):
