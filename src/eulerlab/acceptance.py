@@ -112,59 +112,51 @@ def criterion_2() -> CriterionOutcome:
     )
 
 
-def _check_schlegel_run(r, per_cell, total, failures, label) -> None:
-    if r.cell_count != len(r.per_cell_sums):
-        failures.append(f"{label}: cell bookkeeping broken")
-    if any(v != per_cell for v in r.per_cell_sums.values()):
-        failures.append(f"{label}: a per-cell sum differs from {per_cell}")
-    if r.outside_sum != 1:
-        failures.append(f"{label}: outside sum {r.outside_sum} != 1")
-    if not (r.total == r.lhs_needed == r.rhs_needed == total):
-        failures.append(f"{label}: total {r.total} != {total}")
-    if not r.passed:
-        failures.extend(f"{label}: {f}" for f in r.failures)
+def _schlegel_runs(targets, failures: list[str]) -> list:
+    """Run the Schlegel proof on every target facet and seed, checking its
+    sums; return the (label, report) pairs."""
+    runs = []
+    for spec, facets, per_cell, total in targets:
+        p = generate(spec)
+        for facet in facets:
+            for seed in SEEDS:
+                label = f"{spec} facet {facet} seed {seed}"
+                r = verify_proof_schlegel(p, facet, seed)
+                if r.cell_count != len(r.per_cell_sums):
+                    failures.append(f"{label}: cell bookkeeping broken")
+                if any(v != per_cell for v in r.per_cell_sums.values()):
+                    failures.append(f"{label}: a per-cell sum differs from {per_cell}")
+                if r.outside_sum != 1:
+                    failures.append(f"{label}: outside sum {r.outside_sum} != 1")
+                if not (r.total == r.lhs_needed == r.rhs_needed == total):
+                    failures.append(f"{label}: total {r.total} != {total}")
+                failures.extend(f"{label}: {f}" for f in r.failures)
+                runs.append((label, r))
+    return runs
 
 
 def criterion_3() -> CriterionOutcome:
     """Schlegel proof on the 4-cube: 7 cells, +1 each, outside 1, total 8."""
     failures: list[str] = []
-    p = generate("cube:4")
-    runs = 0
-    for facet in (0, 3):
-        for seed in SEEDS:
-            r = verify_proof_schlegel(p, facet, seed)
-            if r.cell_count != 7:
-                failures.append(f"facet {facet} seed {seed}: {r.cell_count} cells != 7")
-            _check_schlegel_run(
-                r, Fraction(1), Fraction(8), failures, f"facet {facet} seed {seed}"
-            )
-            runs += 1
+    runs = _schlegel_runs(SCHLEGEL_TARGETS[:1], failures)
+    failures += [f"{label}: {r.cell_count} cells != 7" for label, r in runs if r.cell_count != 7]
     return _outcome(
         3,
         "Schlegel proof on cube:4 (7 cells, per-cell +1, outside 1, total 8)",
         failures,
-        [f"{runs} runs (2 facets x {len(SEEDS)} seeds)"],
+        [f"{len(runs)} runs (2 facets x {len(SEEDS)} seeds)"],
     )
 
 
 def criterion_4() -> CriterionOutcome:
     """Schlegel proof on cube:3, simplex:3, simplex:4."""
     failures: list[str] = []
-    runs = 0
-    for spec, facets, per_cell, total in SCHLEGEL_TARGETS[1:]:
-        p = generate(spec)
-        for facet in facets:
-            for seed in SEEDS:
-                r = verify_proof_schlegel(p, facet, seed)
-                _check_schlegel_run(
-                    r, per_cell, total, failures, f"{spec} facet {facet} seed {seed}"
-                )
-                runs += 1
+    runs = _schlegel_runs(SCHLEGEL_TARGETS[1:], failures)
     return _outcome(
         4,
         "Schlegel proof on cube:3, simplex:3, simplex:4 (totals -4, -2, +5)",
         failures,
-        [f"{runs} runs"],
+        [f"{len(runs)} runs"],
     )
 
 

@@ -230,10 +230,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, EulerlabError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, EulerlabError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -105,10 +105,7 @@ def sample_transversal(
     if i1 == i2 or not (0 <= i1 < nf and 0 <= i2 < nf):
         raise ValueError(f"invalid facet pair {facet_pair}")
 
-    ridges = [
-        tuple(j for j, f in enumerate(p.facets) if r.vertex_indices <= f.vertex_indices)
-        for r in face_lattice(p).faces(p.dim - 2)
-    ]
+    ridges = [p.facets_of(r) for r in face_lattice(p).faces(p.dim - 2)]
 
     def attempt(bound: int) -> Optional[TransversalLine]:
         t1 = _relint_point(p, i1, rng, bound)

@@ -5,10 +5,11 @@ of its own intrinsic dimension.  Inputs of lower affine dimension are
 re-expressed in a rational affine frame (the original embedding is kept in
 `embedded_vertices` and `frame`).  Facet enumeration is incremental
 beneath-beyond insertion with exact predicates.  Each facet keeps the set of
-input points on it, and vertices and face dimensions are read from those
-incidences alone.  The slack matrix, built on first use, holds every facet
-inequality at every vertex in ints.  The independent oracle decides
-face-ness of every vertex subset by exact linear feasibility.
+input points on it, and vertices, face dimensions and the facets holding a
+face are read from those incidences alone.  The slack matrix, built on
+first use, holds every facet inequality at every vertex in ints.  The
+independent oracle decides face-ness of every vertex subset by exact linear
+feasibility.
 """
 
 from __future__ import annotations
@@ -132,6 +133,13 @@ class Polytope:
 
     def face_points(self, face: Face) -> tuple[Vector, ...]:
         return tuple(self.vertices[j] for j in sorted(face.vertex_indices))
+
+    def facets_of(self, face: Face) -> tuple[int, ...]:
+        """Indices of the facets holding the face: those whose vertex sets
+        contain the face's."""
+        return tuple(
+            i for i, f in enumerate(self.facets) if face.vertex_indices <= f.vertex_indices
+        )
 
     def contains(self, x: Vector) -> bool:
         if self.dim == 0:

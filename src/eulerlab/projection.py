@@ -1,7 +1,8 @@
 """Projections shared by both verification harnesses.
 
-Three constructions: the Schlegel complex of a polytope at a facet (central
-projection from a beyond point onto the facet's hyperplane), orthogonal
+Three constructions: the Schlegel complex of a polytope at a facet (each
+vertex centrally projected once, from a beyond point onto the facet's
+hyperplane; its faces' incidences come from `Polytope.facets_of`), orthogonal
 projection of a polytope along a direction, and central projection from an
 exterior point in the polytope's own hyperplane.  Shadows carry the exact
 "image of this face is a face of the shadow" predicate, computed by full
@@ -129,31 +130,27 @@ class SchlegelComplex:
         """Distinct proper faces of the complex (dims 0..k-1), deduplicated
         by exact point set across all cells, with their incidences.
 
-        A cell's facet contains a face exactly when it holds the face's
-        vertices, a vertex-index test.  A carrier facet does when it holds
-        the face's points: a complex vertex that is no carrier vertex is
-        the image of a vertex off the carrier's facet of the polytope, so it
-        lies in the carrier's interior."""
+        Each cell and the carrier answer which of their facets hold a face
+        (`Polytope.facets_of`).  A complex face lies in a carrier facet only
+        when it is a carrier face: a complex vertex that is no carrier
+        vertex is the image of a vertex off the carrier's facet of the
+        polytope, so it lies in the carrier's interior."""
         seen: dict[frozenset[Vector], tuple[int, list]] = {}
         for i, cell in enumerate(self.cells):
             lat = face_lattice(cell)
             for c in range(cell.dim):
                 for face in lat.faces(c):
                     pts = frozenset(cell.face_points(face))
-                    through = tuple(
-                        h
-                        for h, f in enumerate(cell.facets)
-                        if face.vertex_indices <= f.vertex_indices
-                    )
-                    seen.setdefault(pts, (c, []))[1].append((i, through))
+                    seen.setdefault(pts, (c, []))[1].append((i, cell.facets_of(face)))
         carrier = self.carrier
-        carrier_facets = [
-            frozenset(carrier.facet_vertices(h)) for h in range(len(carrier.facets))
-        ]
+        carrier_facets = {
+            frozenset(carrier.face_points(face)): carrier.facets_of(face)
+            for face in face_lattice(carrier).all_faces()
+        }
         by_dim: dict[int, list[ComplexFace]] = {}
         for pts in sorted(seen, key=sorted):
             c, cells = seen[pts]
-            on = tuple(h for h, f in enumerate(carrier_facets) if pts <= f)
+            on = carrier_facets.get(pts, ())
             by_dim.setdefault(c, []).append(ComplexFace(pts, c, tuple(cells), on))
         return {c: tuple(by_dim[c]) for c in sorted(by_dim)}
 
@@ -163,8 +160,8 @@ class SchlegelComplex:
     def facet_signs(self, direction: Vector) -> SignTable:
         """sign(n·direction) as -1, 0 or 1 for the outer normal n of every
         facet of every cell, and of every carrier facet.  Only the last
-        direction's table is kept: the sampler tabulates each candidate, and
-        every flag of the accepted line then reads that line's table."""
+        direction's table is kept: the sampler tabulates its accepted line,
+        and every flag of that line then reads the line's table."""
         if self._signs is None or self._signs[0] != direction:
             cells = tuple(_normal_signs(cell, direction) for cell in self.cells)
             self._signs = (direction, (cells, _normal_signs(self.carrier, direction)))
@@ -185,27 +182,22 @@ def _central_image(apex: Vector, plane: Hyperplane, x: Vector) -> Vector:
 def schlegel(p: Polytope, facet: Union[int, Face]) -> SchlegelComplex:
     """Schlegel complex of p at the given facet.
 
-    Every other facet is centrally projected from a beyond point onto the
-    facet's hyperplane; the resulting cells tile the carrier.
+    Every vertex of p is centrally projected once, from a beyond point onto
+    the facet's hyperplane, and charted in the facet's frame; each facet's
+    images span its piece.  The carrier is the facet's own piece, as a
+    vertex on its plane is its own image; the other pieces are the cells,
+    and they tile the carrier.
     """
     if p.dim < 3:
         raise ValueError("Schlegel requires d >= 3")
     t_index = _facet_index(p, facet)
-    t = p.facets[t_index]
+    plane = p.facets[t_index].hyperplane
     v = beyond_point(p, t_index)
-    t_points = [p.vertices[i] for i in sorted(t.vertex_indices)]
-    frame = affine_hull(t_points)
-    carrier = build_polytope([frame.to_working(x) for x in t_points])
-    cells = []
-    for j, f in enumerate(p.facets):
-        if j == t_index:
-            continue
-        imgs = [
-            frame.to_working(_central_image(v, t.hyperplane, p.vertices[idx]))
-            for idx in sorted(f.vertex_indices)
-        ]
-        cells.append(build_polytope(imgs))
-    return SchlegelComplex(facet_index=t_index, carrier=carrier, cells=tuple(cells))
+    frame = affine_hull(p.facet_vertices(t_index))
+    images = [frame.to_working(_central_image(v, plane, x)) for x in p.vertices]
+    pieces = [build_polytope([images[i] for i in sorted(f.vertex_indices)]) for f in p.facets]
+    carrier = pieces.pop(t_index)
+    return SchlegelComplex(facet_index=t_index, carrier=carrier, cells=tuple(pieces))
 
 
 @dataclass

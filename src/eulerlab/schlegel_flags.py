@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from .errors import GeneralPositionError, naming_seed
 from .euler import CertificateEntry, check_piece, check_totals, f_vector, rejection_sample
-from .linalg import Vector, format_point, is_zero, vscale
+from .linalg import Vector, dot, format_point, is_zero, vscale
 from .polytope import Polytope, face_lattice
 from .projection import ComplexFace, SchlegelComplex, project_along, schlegel
 
@@ -52,8 +52,9 @@ class Flag:
 def sample_general_line(complex: SchlegelComplex, seed: int) -> GeneralLine:
     """Rejection-sample an integer direction within the carrier frame.
 
-    Accepts a nonzero direction iff the complex's sign table for it has no 0
-    for a cell facet.  That is non-parallelism to every complex face of
+    Accepts a nonzero direction iff no cell facet's normal has product 0
+    with it; the first 0 rejects it, and only the accepted line gets the
+    complex's sign table.  That is non-parallelism to every complex face of
     dimension 1..k-1: each lies in a cell facet, whose direction space is
     its normal's orthogonal complement, and each cell facet is such a face.
     The certificate has one entry per cell facet.  The coordinate range
@@ -64,11 +65,11 @@ def sample_general_line(complex: SchlegelComplex, seed: int) -> GeneralLine:
 
     def attempt(bound: int) -> Optional[GeneralLine]:
         cand = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(k))
-        if is_zero(cand):
+        if is_zero(cand) or any(
+            dot(f.hyperplane.normal, cand) == 0 for cell in complex.cells for f in cell.facets
+        ):
             return None
         cell_signs, _ = complex.facet_signs(cand)
-        if any(0 in signs for signs in cell_signs):
-            return None
         entries = tuple(
             CertificateEntry("facet-not-parallel", (i, h), True)
             for i, signs in enumerate(cell_signs)

@@ -17,9 +17,16 @@ from eulerlab import cli
 VERIFY_DIGESTS = {
     "cube:4": "bd50ff75a0d2a1da8bd1365487b119f831dc9b058097abdb55e2779fa387a6bf",
     "crosspolytope:4": "89dc659d03424de12355cce55eab38ed35e595df655b26c73c83b9486808a1d5",
+    "crosspolytope:5": "7855fdcc0fe7336285310982e9be57ca25442d3c303fde225e76de51d8617e4a",
     "random:3,8,10": "0786d1e7c321c906a72b877731d9ead3dd3a01304f8efc99373905417b2663db",
+    "random:4,12,10": "21a8521891f60edf2302f56db711cd7076ee89cc788f13bc5e446ace8ab7d577",
 }
-SVG_DIGEST = "3b3bfdbf9a1f414e4ca24aedcca5ad14f2e635bea03bfe6b7dfdc9ed7d43c454"
+SVG_DIGESTS = {
+    ("cube:4", 0): "3b3bfdbf9a1f414e4ca24aedcca5ad14f2e635bea03bfe6b7dfdc9ed7d43c454",
+    # Planar diagrams (d = 3) draw each cell's vertices in the cell's own order.
+    ("cube:3", 0): "c31947aebc71173a4c490422a73f32584b899a9ee6aa2b520d69af39d8b45662",
+    ("random:3,8,10", 1): "15afd9d5db437eb4866ca5a0f90449b306f601dbfd12eacb3c094d082479949d",
+}
 
 
 def sha256(path) -> str:
@@ -42,9 +49,10 @@ def test_verify_report_bytes(spec, workdir):
 
 
 def test_schlegel_svg_bytes(workdir):
-    assert cli.main(["generate", "cube:4", "--seed", "0", "-o", "p.json"]) == 0
-    assert cli.main(["schlegel-svg", "p.json", "-o", "cube4.svg"]) == 0
-    assert sha256(workdir / "cube4.svg") == SVG_DIGEST
+    for (spec, facet), digest in SVG_DIGESTS.items():
+        assert cli.main(["generate", spec, "--seed", "0", "-o", "p.json"]) == 0
+        assert cli.main(["schlegel-svg", "p.json", "--facet", str(facet), "-o", "d.svg"]) == 0
+        assert sha256(workdir / "d.svg") == digest, spec
 
 
 # cube:3 with every degenerate kind of extra point the hull must drop: the

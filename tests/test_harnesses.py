@@ -45,11 +45,12 @@ RUNS = {
 # and says why.  The folded sampler takes one side test per facet for the
 # line's parameters on every candidate that meets all facet hyperplanes.
 # Folding reads the slack matrix and takes no side test; a frame charts its
-# points with one elimination, not one per point.
+# points with one elimination, not one per point.  The Schlegel build images
+# each vertex of the polytope once, with two side tests.
 HARNESS_WORK_COUNTS = {
-    ("cube:4", "schlegel"): {"pivot": 531, "side": 457},
+    ("cube:4", "schlegel"): {"pivot": 531, "side": 377},
     ("cube:4", "folded"): {"pivot": 674, "side": 567},
-    ("crosspolytope:4", "schlegel"): {"pivot": 573, "side": 190},
+    ("crosspolytope:4", "schlegel"): {"pivot": 573, "side": 86},
     ("crosspolytope:4", "folded"): {"pivot": 756, "side": 515},
 }
 

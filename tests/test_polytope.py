@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerlab.acceptance import FAMILY_SPECS
 from eulerlab.errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -305,6 +306,28 @@ class TestFaceLattice:
         # each of the 3 edges contains 2 of the 3 vertices
         assert sum(len(children(lat, e)) for e in lat.faces(1)) == 6
         assert len(children(lat, lat.top)) == 3
+
+
+class TestFacetsOf:
+    # The facets holding a face, read from vertex sets, are the facets whose
+    # planes pass through the face's barycenter, a point of its relative
+    # interior; and every ridge lies in exactly two facets.
+    @staticmethod
+    def assert_matches_active_facets(p):
+        lat = face_lattice(p)
+        for face in lat.all_faces():
+            assert p.facets_of(face) == p.active_facets(barycenter(p.face_points(face)))
+        assert all(len(p.facets_of(r)) == 2 for r in lat.faces(p.dim - 2))
+
+    @pytest.mark.parametrize("spec", [s for s in FAMILY_SPECS if not s.endswith(":1")])
+    def test_families(self, spec):
+        self.assert_matches_active_facets(generate(spec))
+
+    @given(hull_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_hulls_with_interior_coplanar_and_repeated_points(self, pts):
+        if len(set(pts)) >= 2:
+            self.assert_matches_active_facets(build_polytope(pts))
 
 
 # Exact pivot steps and side tests for generate plus face_lattice at seed 0.
