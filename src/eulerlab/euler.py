@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, TypeVar
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import SamplingBudgetError
 from .linalg import Vector, format_point
@@ -74,7 +74,8 @@ def check_piece(
     failures: list[str],
     label: str,
     piece: Polytope,
-    received: Mapping[frozenset[Vector], int],
+    points: Sequence[Vector],
+    received: Mapping[frozenset[int], int],
     actual: Fraction,
     expected: Fraction,
     shadow: Optional[Shadow] = None,
@@ -83,10 +84,11 @@ def check_piece(
     """Check one piece of a flag count (a cell, the outside or a facet), a
     k-polytope, face by face and then as a sum.
 
-    `received` counts the flags the piece took at each face, keyed by the
-    face's vertex points.  A (k-1)-face must take 1 flag and a lower face
-    1 + sign * [its image is a face of the shadow]; a flag at a point set
-    that is no face of the piece is a failure too.  Then the sum chain:
+    `received` counts the flags the piece took at each face, keyed by its
+    vertex indices in `points`, the polytope's vertices in the piece's
+    embedding (matched to the piece's vertices once).  A (k-1)-face must
+    take 1 flag and a lower face 1 + sign * [its image is a face of the
+    shadow]; a flag at no face is a failure too.  Then the sum chain:
     actual == via_counts == via_tops == expected, where via_counts is half
     the alternating sum of the piece's face counts below the top plus sign
     times that of its shadow's, and via_tops is the same from the top-face
@@ -94,10 +96,12 @@ def check_piece(
     """
     lat = face_lattice(piece)
     k = lat.dim
+    vertex_of = {x: v for v, x in enumerate(points)}
+    names = [vertex_of[x] for x in piece.embedded_vertices]
     faces = set()
     for c in range(k):
         for face in lat.faces(c):
-            key = frozenset(piece.embedded_vertices[j] for j in face.vertex_indices)
+            key = frozenset(names[j] for j in face.vertex_indices)
             faces.add(key)
             want = 1
             if shadow is not None and c < k - 1:
@@ -105,10 +109,10 @@ def check_piece(
             got = received.get(key, 0)
             if got != want:
                 failures.append(
-                    f"{label}: dim-{c} face {_points(key)} took {got} flags, expected {want}"
+                    f"{label}: dim-{c} face {_points(points, key)} took {got} flags, expected {want}"
                 )
-    for key in sorted(received.keys() - faces, key=sorted):
-        failures.append(f"{label}: {received[key]} flags at {_points(key)}, not a face")
+    for key in sorted(received.keys() - faces, key=lambda key: _sorted_points(points, key)):
+        failures.append(f"{label}: {received[key]} flags at {_points(points, key)}, not a face")
 
     fv = f_vector(lat)
     sign_k = (-1) ** k
@@ -124,8 +128,12 @@ def check_piece(
         )
 
 
-def _points(key: frozenset[Vector]) -> str:
-    return f"[{', '.join(map(format_point, sorted(key)))}]"
+def _sorted_points(points: Sequence[Vector], key: frozenset[int]) -> list[Vector]:
+    return sorted(points[v] for v in key)
+
+
+def _points(points: Sequence[Vector], key: frozenset[int]) -> str:
+    return f"[{', '.join(map(format_point, _sorted_points(points, key)))}]"
 
 
 def check_totals(

@@ -336,7 +336,7 @@ def facet_assignment_sums(
                 f"flag at {format_point(flag.base_point)} not collinear with its facet point"
             )
         sums[flag.assigned_facet] += flag.value
-        received[flag.assigned_facet][frozenset(p.face_points(flag.base_face))] += 1
+        received[flag.assigned_facet][flag.base_face.vertex_indices] += 1
 
     i1, i2 = line.facet_pair
     expected_special = Fraction(1 - sign_k)
@@ -352,7 +352,7 @@ def facet_assignment_sums(
             apex = t_poly.frame.to_working(line.facet_points[i])
             label, expected = f"facet {i}", expected_per_facet
             shadow = project_from_point(t_poly, apex)
-        check_piece(failures, label, t_poly, received[i], sums[i], expected, shadow)
+        check_piece(failures, label, t_poly, p.vertices, received[i], sums[i], expected, shadow)
     if sums[i1] + sums[i2] != expected_special:
         failures.append(
             f"special pair sum {sums[i1] + sums[i2]} != {expected_special}"

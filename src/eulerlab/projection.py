@@ -2,11 +2,12 @@
 
 Three constructions: the Schlegel complex of a polytope at a facet (each
 vertex centrally projected once, from a beyond point onto the facet's
-hyperplane; its faces' incidences come from `Polytope.facets_of`), orthogonal
-projection of a polytope along a direction, and central projection from an
-exterior point in the polytope's own hyperplane.  Shadows carry the exact
-"image of this face is a face of the shadow" predicate, computed by full
-face-lattice comparison rather than any silhouette criterion.
+hyperplane; faces are named by their vertex indices in the polytope, and
+their incidences come from `Polytope.facets_of`), orthogonal projection of
+a polytope along a direction, and central projection from an exterior point
+in the polytope's own hyperplane.  Shadows carry the exact "image of this
+face is a face of the shadow" predicate, computed by full face-lattice
+comparison of vertex index sets rather than any silhouette criterion.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, GeneralPositionError
 from .linalg import (
@@ -38,25 +39,15 @@ from .polytope import (
 )
 
 
-def _facet_index(p: Polytope, facet: Union[int, Face]) -> int:
-    if isinstance(facet, int):
-        if not 0 <= facet < len(p.facets):
-            raise ValueError(f"facet index {facet} out of range")
-        return facet
-    for i, f in enumerate(p.facets):
-        if f.vertex_indices == facet.vertex_indices:
-            return i
-    raise ValueError("face is not a facet of this polytope")
-
-
-def beyond_point(p: Polytope, facet: Union[int, Face]) -> Vector:
-    """A rational point beyond the given facet and beneath all others.
+def beyond_point(p: Polytope, i: int) -> Vector:
+    """A rational point beyond facet i and beneath all others.
 
     Starts one unit outward from the facet's vertex barycenter and halves
     the step until every strict inequality holds (all are open conditions
     satisfied in the limit, so this terminates).
     """
-    i = _facet_index(p, facet)
+    if not 0 <= i < len(p.facets):
+        raise ValueError(f"facet index {i} out of range")
     h = p.facets[i].hyperplane
     center = barycenter(p.facet_vertices(i))
     step = Fraction(1)
@@ -71,7 +62,8 @@ def beyond_point(p: Polytope, facet: Union[int, Face]) -> Vector:
 
 @dataclass(frozen=True)
 class ComplexFace:
-    """A face of a polyhedral complex, identified by its exact point set.
+    """A face of a Schlegel complex, the image of a face of the polytope
+    projected and named by that face's vertex indices there.
 
     Its incidences, which take no part in equality: `cells` pairs the index
     of each cell that has this face as a face with the indices of that
@@ -79,15 +71,10 @@ class ComplexFace:
     facets containing it.
     """
 
-    points: frozenset[Vector]
+    vertex_indices: frozenset[int]
     dimension: int
     cells: tuple[tuple[int, tuple[int, ...]], ...] = field(compare=False, repr=False)
     carrier_facets: tuple[int, ...] = field(compare=False, repr=False)
-
-    @cached_property
-    def base_point(self) -> Vector:
-        """Vertex barycenter; always in the relative interior."""
-        return barycenter(sorted(self.points))
 
 
 # Signs of facet normals against a direction: per cell per facet, then per
@@ -95,27 +82,24 @@ class ComplexFace:
 SignTable = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
+@dataclass(eq=False)
 class SchlegelComplex:
     """Subdivision of the facet `carrier` induced by projecting the other
     facets of a polytope from a viewpoint just beyond the carrier.
 
     Carrier and cells are full-dimensional polytopes in a shared working
-    frame of the carrier's hyperplane.  The complex is face-to-face, so each
-    face records the cells and facets it lies in (see ComplexFace);
+    frame of the carrier's hyperplane, spanned by `images`, the polytope's
+    vertices projected into that frame.  The complex is face-to-face, so
+    each face records the cells and facets it lies in (see ComplexFace);
     `facet_signs` tabulates the sign of every facet normal against a line
     direction and keeps the last direction's table.
     """
 
-    def __init__(
-        self,
-        facet_index: int,
-        carrier: Polytope,
-        cells: tuple[Polytope, ...],
-    ):
-        self.facet_index = facet_index
-        self.carrier = carrier
-        self.cells = cells
-        self._signs: Optional[tuple[Vector, SignTable]] = None
+    facet_index: int
+    carrier: Polytope
+    cells: tuple[Polytope, ...]
+    images: tuple[Vector, ...]
+    _signs: Optional[tuple[Vector, SignTable]] = field(default=None, init=False, repr=False)
 
     @property
     def a(self) -> int:
@@ -127,35 +111,44 @@ class SchlegelComplex:
 
     @cached_property
     def faces_by_dimension(self) -> dict[int, tuple[ComplexFace, ...]]:
-        """Distinct proper faces of the complex (dims 0..k-1), deduplicated
-        by exact point set across all cells, with their incidences.
+        """Distinct proper faces of the complex (dims 0..k-1) with their
+        incidences, ordered by their sorted images.  A face is named by its
+        vertex indices in the polytope: each piece's vertices are matched
+        to the images once.
 
         Each cell and the carrier answer which of their facets hold a face
         (`Polytope.facets_of`).  A complex face lies in a carrier facet only
         when it is a carrier face: a complex vertex that is no carrier
         vertex is the image of a vertex off the carrier's facet of the
         polytope, so it lies in the carrier's interior."""
-        seen: dict[frozenset[Vector], tuple[int, list]] = {}
-        for i, cell in enumerate(self.cells):
-            lat = face_lattice(cell)
-            for c in range(cell.dim):
+        vertex_of = {x: v for v, x in enumerate(self.images)}
+
+        def proper_faces(piece: Polytope):
+            names = [vertex_of[x] for x in piece.vertices]
+            lat = face_lattice(piece)
+            for c in range(piece.dim):
                 for face in lat.faces(c):
-                    pts = frozenset(cell.face_points(face))
-                    seen.setdefault(pts, (c, []))[1].append((i, cell.facets_of(face)))
-        carrier = self.carrier
-        carrier_facets = {
-            frozenset(carrier.face_points(face)): carrier.facets_of(face)
-            for face in face_lattice(carrier).all_faces()
-        }
-        by_dim: dict[int, list[ComplexFace]] = {}
-        for pts in sorted(seen, key=sorted):
-            c, cells = seen[pts]
-            on = carrier_facets.get(pts, ())
-            by_dim.setdefault(c, []).append(ComplexFace(pts, c, tuple(cells), on))
-        return {c: tuple(by_dim[c]) for c in sorted(by_dim)}
+                    key = frozenset(names[j] for j in face.vertex_indices)
+                    yield key, c, piece.facets_of(face)
+
+        seen: dict[frozenset[int], tuple[int, list]] = {}
+        for i, cell in enumerate(self.cells):
+            for key, c, through in proper_faces(cell):
+                seen.setdefault(key, (c, []))[1].append((i, through))
+        carrier_facets = {key: through for key, _, through in proper_faces(self.carrier)}
+        faces = sorted(
+            (ComplexFace(key, c, tuple(cells), carrier_facets.get(key, ()))
+             for key, (c, cells) in seen.items()),
+            key=self.face_points,
+        )
+        return {c: tuple(f for f in faces if f.dimension == c) for c in range(self.dim)}
 
     def faces(self, c: int) -> tuple[ComplexFace, ...]:
         return self.faces_by_dimension.get(c, ())
+
+    def face_points(self, face: ComplexFace) -> list[Vector]:
+        """The face's vertex images in the carrier frame, sorted."""
+        return sorted(self.images[v] for v in face.vertex_indices)
 
     def facet_signs(self, direction: Vector) -> SignTable:
         """sign(n·direction) as -1, 0 or 1 for the outer normal n of every
@@ -179,8 +172,8 @@ def _central_image(apex: Vector, plane: Hyperplane, x: Vector) -> Vector:
     return vadd(apex, vscale(vsub(x, apex), a / (a - plane.side(x))))
 
 
-def schlegel(p: Polytope, facet: Union[int, Face]) -> SchlegelComplex:
-    """Schlegel complex of p at the given facet.
+def schlegel(p: Polytope, facet: int) -> SchlegelComplex:
+    """Schlegel complex of p at facet index `facet`.
 
     Every vertex of p is centrally projected once, from a beyond point onto
     the facet's hyperplane, and charted in the facet's frame; each facet's
@@ -190,27 +183,27 @@ def schlegel(p: Polytope, facet: Union[int, Face]) -> SchlegelComplex:
     """
     if p.dim < 3:
         raise ValueError("Schlegel requires d >= 3")
-    t_index = _facet_index(p, facet)
-    plane = p.facets[t_index].hyperplane
-    v = beyond_point(p, t_index)
-    frame = affine_hull(p.facet_vertices(t_index))
-    images = [frame.to_working(_central_image(v, plane, x)) for x in p.vertices]
+    v = beyond_point(p, facet)
+    plane = p.facets[facet].hyperplane
+    frame = affine_hull(p.facet_vertices(facet))
+    images = tuple(frame.to_working(_central_image(v, plane, x)) for x in p.vertices)
     pieces = [build_polytope([images[i] for i in sorted(f.vertex_indices)]) for f in p.facets]
-    carrier = pieces.pop(t_index)
-    return SchlegelComplex(facet_index=t_index, carrier=carrier, cells=tuple(pieces))
+    carrier = pieces.pop(facet)
+    return SchlegelComplex(facet, carrier, tuple(pieces), images)
 
 
 @dataclass
 class Shadow:
     """Projection image of a polytope, one dimension down.
 
-    `vertex_images` holds the image of every source vertex in the shadow's
-    embedding coordinates; `face_image` maps each source face (by vertex
-    index set) to whether its image is a face of the shadow.
+    `vertex_map` gives, for each source vertex, the index of the shadow
+    vertex that is its image, or None when its image is no shadow vertex;
+    `face_image` maps each source face (by vertex index set) to whether its
+    image is a face of the shadow.
     """
 
     polytope: Polytope
-    vertex_images: tuple[Vector, ...]
+    vertex_map: tuple[Optional[int], ...]
     face_image: dict[frozenset[int], bool]
 
     def is_face_image(self, face: Face) -> bool:
@@ -220,20 +213,17 @@ class Shadow:
         """Shadow faces per dimension, each named by the set of source
         vertices landing on its vertex set (for frame-free comparison)."""
         lat = face_lattice(self.polytope)
-        out: dict[int, set[frozenset[int]]] = {}
-        for c in range(lat.dim + 1):
-            for g in lat.faces(c):
-                pts = {self.polytope.embedded_vertices[i] for i in g.vertex_indices}
-                label = frozenset(
-                    v for v, img in enumerate(self.vertex_images) if img in pts
-                )
-                out.setdefault(c, set()).add(label)
-        return {c: frozenset(labels) for c, labels in out.items()}
+        return {
+            c: frozenset(
+                frozenset(v for v, w in enumerate(self.vertex_map) if w in g.vertex_indices)
+                for g in lat.faces(c)
+            )
+            for c in range(lat.dim + 1)
+        }
 
 
 def _make_shadow(src: Polytope, images: Sequence[Vector]) -> Shadow:
-    distinct = set(images)
-    if len(distinct) == 1:
+    if all(x == images[0] for x in images):
         shadow_poly = point_polytope(images[0])
     else:
         shadow_poly = build_polytope(images)
@@ -241,22 +231,16 @@ def _make_shadow(src: Polytope, images: Sequence[Vector]) -> Shadow:
         raise GeneralPositionError(
             f"shadow has dimension {shadow_poly.dim}, expected {src.dim - 1}"
         )
-    shadow_lat = face_lattice(shadow_poly)
-    by_dim: dict[int, set[frozenset[Vector]]] = {}
-    for c in range(shadow_poly.dim + 1):
-        by_dim[c] = {
-            frozenset(shadow_poly.embedded_vertices[i] for i in g.vertex_indices)
-            for g in shadow_lat.faces(c)
-        }
-    face_image = {}
-    for face in face_lattice(src).all_faces():
-        img = frozenset(images[i] for i in face.vertex_indices)
-        face_image[face.vertex_indices] = img in by_dim.get(face.dimension, ())
-    return Shadow(
-        polytope=shadow_poly,
-        vertex_images=tuple(images),
-        face_image=face_image,
-    )
+    # An image that is no shadow vertex maps to None, so no face holding it matches.
+    vertex_of = {x: w for w, x in enumerate(shadow_poly.embedded_vertices)}
+    vertex_map = tuple(vertex_of.get(x) for x in images)
+    families = face_lattice(shadow_poly).vertex_set_families()
+    face_image = {
+        face.vertex_indices: frozenset(vertex_map[i] for i in face.vertex_indices)
+        in families.get(face.dimension, ())
+        for face in face_lattice(src).all_faces()
+    }
+    return Shadow(polytope=shadow_poly, vertex_map=vertex_map, face_image=face_image)
 
 
 def project_along(src: Polytope, direction: Vector) -> Shadow:

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from .errors import GeneralPositionError, naming_seed
 from .euler import CertificateEntry, check_piece, check_totals, f_vector, rejection_sample
-from .linalg import Vector, dot, format_point, is_zero, vscale
+from .linalg import Vector, barycenter, dot, format_point, is_zero, vscale
 from .polytope import Polytope, face_lattice
 from .projection import ComplexFace, SchlegelComplex, project_along, schlegel
 
@@ -86,11 +86,12 @@ def place_flags(complex: SchlegelComplex, q: GeneralLine) -> list[Flag]:
     for c in sorted(complex.faces_by_dimension):
         value = Fraction((-1) ** c, 2)
         for face in complex.faces(c):
+            base_point = barycenter(complex.face_points(face))
             for orientation in (1, -1):
                 flags.append(
                     Flag(
                         base_face=face,
-                        base_point=face.base_point,
+                        base_point=base_point,
                         orientation=orientation,
                         direction=vscale(q.direction, orientation),
                         value=value,
@@ -176,18 +177,22 @@ def verify_proof_schlegel(p: Polytope, facet_index: int, seed: int) -> ProofRepo
         for f in flags:
             kind = classify_flag(f, complex)
             sums[kind] += f.value
-            received[kind][f.base_face.points] += 1
+            received[kind][f.base_face.vertex_indices] += 1
         outside_sum = sums.pop(OUTSIDE)
 
         expected_per_cell = Fraction((-1) ** (k - 1))
         expected_outside = Fraction(1)
         for i, cell in enumerate(complex.cells):
             shadow = project_along(cell, q.direction)
-            check_piece(failures, f"cell {i}", cell, received[i], sums[i], expected_per_cell, shadow)
+            check_piece(
+                failures, f"cell {i}", cell, complex.images, received[i], sums[i],
+                expected_per_cell, shadow,
+            )
         check_piece(
             failures,
             "outside",
             complex.carrier,
+            complex.images,
             received[OUTSIDE],
             outside_sum,
             expected_outside,

@@ -91,23 +91,21 @@ def _render_subdivision(cx: SchlegelComplex) -> list[str]:
 
 
 def _render_wireframe(cx: SchlegelComplex) -> list[str]:
-    vertices = [next(iter(f.points)) for f in cx.faces(0)]
-    edges = [sorted(f.points) for f in cx.faces(1)]
-    flat = {p: _project3(p) for p in vertices}
-    mapper = _Mapper(list(flat.values()))
+    flat = [_project3(cx.face_points(f)[0]) for f in cx.faces(0)]
+    mapper = _Mapper(flat)
     body = [
         "  <!-- wireframe under the parallel projection"
         " u = x + z/3, v = y + z/4 -->",
         '  <g stroke="#000" stroke-width="1.2">',
     ]
-    for a, b in edges:
+    for a, b in map(cx.face_points, cx.faces(1)):
         body.append(
             f'    <path d="M {mapper(_project3(a))} L {mapper(_project3(b))}" />'
         )
     body.append("  </g>")
     body.append('  <g fill="#000">')
-    for p in vertices:
-        x, y = mapper(flat[p]).split()
+    for v in flat:
+        x, y = mapper(v).split()
         body.append(f'    <circle cx="{x}" cy="{y}" r="3" />')
     body.append("  </g>")
     return body

@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -10,10 +11,11 @@ from eulerlab.linalg import Hyperplane
 
 @pytest.fixture
 def work_counts(monkeypatch) -> Counter:
-    """Counts of exact pivot steps and hyperplane side tests made while the
-    test runs; clear() it to start a count.  Neither depends on the machine."""
+    """Counts of exact pivot steps, hyperplane side tests and Fraction hashes
+    made while the test runs; clear() it to start a count.  None depends on
+    the machine."""
     counts = Counter()
-    pivot, side = linalg._pivot, Hyperplane.side
+    pivot, side, fraction_hash = linalg._pivot, Hyperplane.side, Fraction.__hash__
 
     def counting_pivot(*args):
         counts["pivot"] += 1
@@ -23,8 +25,13 @@ def work_counts(monkeypatch) -> Counter:
         counts["side"] += 1
         return side(self, point)
 
+    def counting_hash(self):
+        counts["hash"] += 1
+        return fraction_hash(self)
+
     monkeypatch.setattr(linalg, "_pivot", counting_pivot)
     monkeypatch.setattr(Hyperplane, "side", counting_side)
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
     return counts
 
 

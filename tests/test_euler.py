@@ -90,28 +90,29 @@ class TestFVectorValidation:
 class TestCheckPiece:
     # The unit square with no shadow: one flag at each vertex and edge, and
     # the sum 4/2 - 4/2 = 0 = (1 - 1) / 2 from the top-face count alone.
+    # Faces are keyed by their vertex indices in the square itself.
     def square(self):
         p = generate("cube:2")
         lat = face_lattice(p)
-        received = {
-            frozenset(p.face_points(face)): 1 for c in (0, 1) for face in lat.faces(c)
-        }
+        received = {face.vertex_indices: 1 for c in (0, 1) for face in lat.faces(c)}
         return p, received
 
     def test_holds(self):
         p, received = self.square()
         failures = []
-        check_piece(failures, "piece", p, received, Fraction(0), Fraction(0))
+        check_piece(failures, "piece", p, p.vertices, received, Fraction(0), Fraction(0))
         assert failures == []
 
     def test_names_each_broken_face_and_stray_flag(self):
         p, received = self.square()
-        del received[frozenset({vec(0, 0)})]
-        received[frozenset({vec("1/2", 0)})] = 1
+        origin, far = p.vertices.index(vec(0, 0)), p.vertices.index(vec(1, 1))
+        del received[frozenset({origin})]
+        # The diagonal is no face of the square.
+        received[frozenset({origin, far})] = 1
         failures = []
-        check_piece(failures, "piece", p, received, Fraction(0), Fraction(1))
+        check_piece(failures, "piece", p, p.vertices, received, Fraction(0), Fraction(1))
         assert failures == [
             "piece: dim-0 face [(0, 0)] took 0 flags, expected 1",
-            "piece: 1 flags at [(1/2, 0)], not a face",
+            "piece: 1 flags at [(0, 0), (1, 1)], not a face",
             "piece: sum chain 0 = 0 = 0 = 1 broken",
         ]

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -684,12 +683,7 @@ class TestFacetAssignmentSums:
         # must name it, in rational strings.
         flip_first_shadow(folded_flags, "project_from_point")
         report = verify_proof_folded(generate("cube:3"), 0)
-        assert not report.passed
-        assert len(report.failures) == 1
-        assert re.fullmatch(
-            r"facet \d+: dim-0 face \[\(\d+, \d+, \d+\)\] took \d flags, expected \d",
-            report.failures[0],
-        )
+        assert report.failures == ["facet 0: dim-0 face [(0, 0, 0)] took 1 flags, expected 0"]
 
     def test_general_position_raise_names_the_seed(self, monkeypatch):
         # A hand-built line in the plane x = y makes folding raise; the run

@@ -22,7 +22,9 @@ VERIFY_DIGESTS = {
     "random:4,12,10": "21a8521891f60edf2302f56db711cd7076ee89cc788f13bc5e446ace8ab7d577",
 }
 SVG_DIGESTS = {
+    # Wireframes (d = 4) draw edges and vertices in the complex's face order.
     ("cube:4", 0): "3b3bfdbf9a1f414e4ca24aedcca5ad14f2e635bea03bfe6b7dfdc9ed7d43c454",
+    ("random:4,12,10", 3): "3b211b5e82d07343d415d6fc15124bac8bd4e82f930b3154c78c539f5b39139e",
     # Planar diagrams (d = 3) draw each cell's vertices in the cell's own order.
     ("cube:3", 0): "c31947aebc71173a4c490422a73f32584b899a9ee6aa2b520d69af39d8b45662",
     ("random:3,8,10", 1): "15afd9d5db437eb4866ca5a0f90449b306f601dbfd12eacb3c094d082479949d",

@@ -40,18 +40,20 @@ RUNS = {
     "folded": lambda p: verify_proof_folded(p, 0),
 }
 
-# Exact pivot steps and side tests of one run at seed 0 (Schlegel at facet
-# 0), after generate.  A change that moves them on purpose restates them here
-# and says why.  The folded sampler takes one side test per facet for the
+# Exact pivot steps, side tests and Fraction hashes of one run at seed 0
+# (Schlegel at facet 0), after generate.  A change that moves them on purpose
+# restates them here and says why.  The folded sampler takes one side test per facet for the
 # line's parameters on every candidate that meets all facet hyperplanes.
 # Folding reads the slack matrix and takes no side test; a frame charts its
 # points with one elimination, not one per point.  The Schlegel build images
-# each vertex of the polytope once, with two side tests.
+# each vertex of the polytope once, with two side tests.  Faces are keyed by
+# vertex indices, so Fraction hashes come from matching each piece's and each
+# shadow's vertices to points once per vertex (and from the hulls' inputs).
 HARNESS_WORK_COUNTS = {
-    ("cube:4", "schlegel"): {"pivot": 531, "side": 377},
-    ("cube:4", "folded"): {"pivot": 674, "side": 567},
-    ("crosspolytope:4", "schlegel"): {"pivot": 573, "side": 86},
-    ("crosspolytope:4", "folded"): {"pivot": 756, "side": 515},
+    ("cube:4", "schlegel"): {"pivot": 531, "side": 377, "hash": 1672},
+    ("cube:4", "folded"): {"pivot": 674, "side": 567, "hash": 1808},
+    ("crosspolytope:4", "schlegel"): {"pivot": 573, "side": 86, "hash": 1672},
+    ("crosspolytope:4", "folded"): {"pivot": 756, "side": 515, "hash": 1928},
 }
 
 

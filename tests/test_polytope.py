@@ -330,13 +330,14 @@ class TestFacetsOf:
             self.assert_matches_active_facets(build_polytope(pts))
 
 
-# Exact pivot steps and side tests for generate plus face_lattice at seed 0.
+# Exact pivot steps, side tests and Fraction hashes (the hull's input points)
+# for generate plus face_lattice at seed 0.
 # These depend on no machine; a change that moves them on purpose restates
 # them here and says why.
 WORK_COUNTS = {
-    "cube:5": {"pivot": 312, "side": 252},
-    "crosspolytope:5": {"pivot": 372, "side": 40},
-    "random:4,30,10": {"pivot": 1717, "side": 1216},
+    "cube:5": {"pivot": 312, "side": 252, "hash": 320},
+    "crosspolytope:5": {"pivot": 372, "side": 40, "hash": 100},
+    "random:4,30,10": {"pivot": 1717, "side": 1216, "hash": 240},
 }
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from eulerlab.errors import DimensionMismatchError, GeneralPositionError
 from eulerlab.euler import f_vector
-from eulerlab.linalg import Hyperplane, affine_dim, affine_hull, dot, vec
+from eulerlab.linalg import Hyperplane, affine_dim, affine_hull, barycenter, dot, vec
 from eulerlab.polytope import build_polytope, face_lattice, generate
 from eulerlab.projection import (
     beyond_point,
@@ -52,19 +52,28 @@ class TestBeyondPoint:
             assert p.facets[i].hyperplane.side(v) > 0
             assert sum(1 for f in p.facets if f.hyperplane.side(v) > 0) == 1
 
-    def test_accepts_face_object(self):
-        p = generate("simplex:3")
-        face = face_lattice(p).faces(2)[0]
-        v = beyond_point(p, face)
-        assert not p.contains(v)
-
     def test_rejects_non_facet(self):
         p = generate("cube:3")
-        edge = face_lattice(p).faces(1)[0]
-        with pytest.raises(ValueError):
-            beyond_point(p, edge)
         with pytest.raises(ValueError):
             beyond_point(p, 17)
+
+
+def assert_faces_are_source_faces(p, t):
+    """The complex at facet t has exactly p's faces of dimension <= d-2, by
+    vertex indices.  Each lies in the cells of the other facets holding it
+    (cell j - 1 for facet j > t) and on the carrier's boundary exactly when
+    the carrier holds it."""
+    cx = schlegel(p, t)
+    lat = face_lattice(p)
+    for c in range(p.dim - 1):
+        named = {f.vertex_indices: f for f in cx.faces(c)}
+        assert len(named) == len(cx.faces(c))
+        assert named.keys() == {f.vertex_indices for f in lat.faces(c)}
+        for face in lat.faces(c):
+            facets = p.facets_of(face)
+            cells = [i for i, _ in named[face.vertex_indices].cells]
+            assert cells == [j - (j > t) for j in facets if j != t]
+            assert bool(named[face.vertex_indices].carrier_facets) == (t in facets)
 
 
 class TestSchlegelComplex:
@@ -116,22 +125,29 @@ class TestSchlegelComplex:
         "spec", ["cube:3", "simplex:3", "crosspolytope:3", "simplex:4", "cube:4"]
     )
     def test_face_counts_match_source(self, spec):
-        # The complex's distinct faces of dimension c, carrier boundary
-        # included, are in bijection with the source's c-faces.
         p = generate(spec)
-        fv = f_vector(face_lattice(p))
-        cx = schlegel(p, 0)
-        for c in range(p.dim - 1):
-            assert len(cx.faces(c)) == fv[c]
+        for t in (0, len(p.facets) - 1):
+            assert_faces_are_source_faces(p, t)
+
+    @given(
+        d=st.integers(3, 5),
+        extra=st.integers(0, 2),
+        hull_seed=st.integers(0, 2**16),
+        last=st.booleans(),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_faces_match_source_on_random_hulls(self, d, extra, hull_seed, last):
+        p = generate(f"random:{d},{d + 1 + extra},6", hull_seed)
+        assert_faces_are_source_faces(p, len(p.facets) - 1 if last else 0)
 
     def test_complex_faces_have_relative_interior_base(self):
         cx = schlegel(generate("cube:3"), 0)
         for c in range(cx.dim):
             for face in cx.faces(c):
-                pts = sorted(face.points)
+                pts = cx.face_points(face)
                 assert affine_hull(pts).dim == c
                 # the base point adds no dimension: it lies on the hull
-                assert affine_dim(pts + [face.base_point]) == c
+                assert affine_dim(pts + [barycenter(pts)]) == c
 
 
 class TestProjectAlong:
@@ -248,7 +264,12 @@ class TestProjectFromPoint:
         sq = generate("cube:2")
         sh = project_from_point(sq, (F(2), F(0)))
         assert sh.polytope.dim == 1
-        assert len(set(sh.vertex_images)) == 3
+        # (0,0) and (1,0) image to one shadow vertex, (1,1) to the other, and
+        # (0,1) to a point inside the shadow.
+        lands = dict(zip(sq.vertices, sh.vertex_map))
+        assert lands[vec(0, 0)] == lands[vec(1, 0)] != lands[vec(1, 1)]
+        assert {lands[vec(0, 0)], lands[vec(1, 1)]} == {0, 1}
+        assert lands[vec(0, 1)] is None
         lat = face_lattice(sq)
         # The edge through (0,0)-(1,0) lies on a line through the apex, so
         # its image is a single point: not a face image (dimension drops).
