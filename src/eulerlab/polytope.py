@@ -3,13 +3,14 @@
 A Polytope always stores its vertices in a full-dimensional "working" frame
 of its own intrinsic dimension.  Inputs of lower affine dimension are
 re-expressed in a rational affine frame (the original embedding is kept in
-`embedded_vertices` and `frame`).  Facet enumeration is incremental
-beneath-beyond insertion with exact predicates.  Each facet keeps the set of
-input points on it, and vertices, face dimensions and the facets holding a
-face are read from those incidences alone.  The slack matrix, built on
-first use, holds every facet inequality at every vertex in ints.  The
-independent oracle decides face-ness of every vertex subset by exact linear
-feasibility.
+`embedded_vertices` and `frame`).  Facets of a new point set come from
+incremental beneath-beyond insertion with exact predicates; a facet taken as
+a polytope (`facet_polytope`) reads its own off the parent's ridges.  Each
+facet keeps the set of input points on it, and vertices, face dimensions
+and the facets holding a face are read from those incidences alone.  The
+slack matrix, built on first use, holds every facet inequality at every
+vertex in ints.  The independent oracle decides face-ness of every vertex
+subset by exact linear feasibility.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     DegenerateInputError,
@@ -65,10 +66,13 @@ class Face:
 
 
 class FaceLattice:
-    """All faces of a polytope grouped by dimension."""
+    """All faces of a polytope by dimension, each group sorted by vertex indices."""
 
-    def __init__(self, faces_by_dimension: dict[int, tuple[Face, ...]]):
-        self.faces_by_dimension = faces_by_dimension
+    def __init__(self, faces_by_dimension: dict[int, Sequence[Face]]):
+        self.faces_by_dimension = {
+            c: tuple(sorted(faces, key=lambda f: sorted(f.vertex_indices)))
+            for c, faces in faces_by_dimension.items()
+        }
         self.dim = max(faces_by_dimension)
 
     def faces(self, c: int) -> tuple[Face, ...]:
@@ -186,12 +190,9 @@ class SlackMatrix:
     rows: tuple[tuple[int, ...], ...]
 
 
-class _WorkFacet:
-    __slots__ = ("h", "inc")
-
-    def __init__(self, h: Hyperplane, inc: set[int]):
-        self.h = h
-        self.inc = inc
+class _WorkFacet(NamedTuple):
+    h: Hyperplane
+    inc: set[int]
 
 
 def _initial_simplex(points: Sequence[Vector], k: int) -> list[int]:
@@ -246,14 +247,17 @@ def _hull_facets(points: Sequence[Vector], k: int) -> list[_WorkFacet]:
     return facets
 
 
-def _assemble(
-    work_points: Sequence[Vector],
-    original_points: Sequence[Vector],
-    k: int,
-    ambient: int,
-    frame: Optional[AffineSubspace],
-) -> Polytope:
-    facets_work = _hull_facets(work_points, k)
+def _assemble(distinct: Sequence[Vector], find_facets) -> Polytope:
+    """The canonical Polytope of distinct points, framed in their affine
+    hull, whose facets `find_facets(work_points, k)` returns as _WorkFacets
+    of the points charted in k coordinates."""
+    if len(distinct) < 2:
+        raise DegenerateInputError("degenerate input")
+    ambient = len(distinct[0])
+    frame = affine_hull(distinct)
+    k = frame.dim
+    work_points = distinct if k == ambient else [frame.to_working(p) for p in distinct]
+    facets_work = find_facets(work_points, k)
     # The facets through point i meet in the least face holding i, so i is a
     # vertex exactly when no other point lies on all of them.
     meet: dict[int, set[int]] = {}
@@ -274,9 +278,9 @@ def _assemble(
         ambient_dim=ambient,
         dim=k,
         vertices=tuple(work_points[i] for i in extreme),
-        embedded_vertices=tuple(original_points[i] for i in extreme),
+        embedded_vertices=tuple(distinct[i] for i in extreme),
         facets=tuple(facet_list),
-        frame=frame,
+        frame=frame if k < ambient else None,
     )
 
 
@@ -288,26 +292,9 @@ def build_polytope(points: Sequence[Sequence]) -> Polytope:
     in an intrinsic rational frame (recorded in `frame`).
     """
     pts = [vec(*p) for p in points]
-    if not pts:
-        raise DegenerateInputError("degenerate input")
-    ambient = len(pts[0])
-    for p in pts:
-        if len(p) != ambient:
-            raise DimensionMismatchError("points of mixed dimension")
-    distinct: list[Vector] = []
-    seen = set()
-    for p in pts:
-        if p not in seen:
-            seen.add(p)
-            distinct.append(p)
-    if len(distinct) < 2:
-        raise DegenerateInputError("degenerate input")
-    frame = affine_hull(distinct)
-    k = frame.dim
-    if k == ambient:
-        return _assemble(distinct, distinct, k, ambient, None)
-    work = [frame.to_working(p) for p in distinct]
-    return _assemble(work, distinct, k, ambient, frame)
+    if any(len(p) != len(pts[0]) for p in pts):
+        raise DimensionMismatchError("points of mixed dimension")
+    return _assemble(list(dict.fromkeys(pts)), _hull_facets)
 
 
 def point_polytope(point: Sequence) -> Polytope:
@@ -329,8 +316,6 @@ def _lattice_from_facets(p: Polytope) -> FaceLattice:
     is a facet of some face G, and x = G & F for a facet F holding x but not
     G; so dim x is one less than the least dim over above[x]."""
     n = len(p.vertices)
-    if p.dim == 0:
-        return FaceLattice({0: (Face(frozenset({0}), 0),)})
     facet_masks = [sum(1 << i for i in f.vertex_indices) for f in p.facets]
     full = (1 << n) - 1
     above: dict[int, list[int]] = {full: []}
@@ -348,9 +333,7 @@ def _lattice_from_facets(p: Polytope) -> FaceLattice:
     for x in sorted(above, key=int.bit_count, reverse=True):
         d = dims[x] = min((dims[m] - 1 for m in above[x]), default=p.dim)
         by_dim.setdefault(d, []).append(Face(frozenset(i for i in range(n) if x >> i & 1), d))
-    for faces in by_dim.values():
-        faces.sort(key=lambda f: sorted(f.vertex_indices))
-    return FaceLattice({c: tuple(faces) for c, faces in by_dim.items()})
+    return FaceLattice(by_dim)
 
 
 def face_lattice(p: Polytope) -> FaceLattice:
@@ -385,8 +368,6 @@ def brute_force_face_lattice(p: Polytope, bound: int = ORACLE_BOUND) -> FaceLatt
     n = len(p.vertices)
     if n > bound:
         raise OracleBoundError("oracle bound exceeded")
-    if p.dim == 0:
-        return FaceLattice({0: (Face(frozenset({0}), 0),)})
     by_dim: dict[int, list[Face]] = {p.dim: [Face(frozenset(range(n)), p.dim)]}
     # Vertex i as the integer row (v, -1) times a positive scale: the rows of
     # S span a space of dimension dim aff(S) + 1 that holds the row of every
@@ -407,17 +388,33 @@ def brute_force_face_lattice(p: Polytope, bound: int = ORACLE_BOUND) -> FaceLatt
                 continue
             if _is_face_lp(rows, span, outside):
                 by_dim.setdefault(dim, []).append(Face(frozenset(subset), dim))
-    for faces in by_dim.values():
-        faces.sort(key=lambda f: sorted(f.vertex_indices))
-    return FaceLattice({c: tuple(faces) for c, faces in by_dim.items()})
+    return FaceLattice(by_dim)
 
 
-def facet_polytope(p: Polytope, i: int) -> Polytope:
+def facet_polytope(p: Polytope, i: int, images: Optional[Sequence[Vector]] = None) -> Polytope:
     """Facet i of p as a polytope of its own (working frame of dimension d-1).
 
-    The sub-polytope's `embedded_vertices` live in p's working frame.
+    Its points are the images of the facet's vertices: p's own by default,
+    so `embedded_vertices` live in p's working frame, or any images of p's
+    vertices that keep the facet's face lattice, such as a Schlegel
+    projection's.  No hull runs: its facets are the ridges of p in F_i
+    (Kaibel & Pfetsch 2002), each plane through a ridge's images and
+    oriented by the barycenter of F_i's images.
     """
-    return build_polytope(p.facet_vertices(i))
+    images = p.vertices if images is None else images
+    held = p.facets[i].vertex_indices
+    local = {v: j for j, v in enumerate(sorted(held))}
+    ridges = [
+        {local[v] for v in r.vertex_indices}
+        for r in face_lattice(p).faces(p.dim - 2)
+        if r.vertex_indices <= held
+    ]
+
+    def ridge_facets(work: Sequence[Vector], k: int) -> list[_WorkFacet]:
+        inside = barycenter(work)
+        return [_WorkFacet(hyperplane_through([work[j] for j in r], inside), r) for r in ridges]
+
+    return _assemble([images[v] for v in local], ridge_facets)
 
 
 def _parse_family(kind: str) -> tuple[str, list[int]]:

@@ -2,10 +2,11 @@
 
 Three constructions: the Schlegel complex of a polytope at a facet (each
 vertex centrally projected once, from a beyond point onto the facet's
-hyperplane; faces are named by their vertex indices in the polytope, and
-their incidences come from `Polytope.facets_of`), orthogonal projection of
-a polytope along a direction, and central projection from an exterior point
-in the polytope's own hyperplane.  Shadows carry the exact "image of this
+hyperplane; each piece is a facet on those images, read off the polytope's
+ridges; faces are named by their vertex indices, with incidences from
+`Polytope.facets_of`), orthogonal projection along a direction, and central
+projection from an exterior point in the polytope's own hyperplane.  Shadows
+are new point sets, so they run the hull, and carry the exact "image of this
 face is a face of the shadow" predicate, computed by full face-lattice
 comparison of vertex index sets rather than any silhouette criterion.
 """
@@ -35,6 +36,7 @@ from .polytope import (
     Polytope,
     build_polytope,
     face_lattice,
+    facet_polytope,
     point_polytope,
 )
 
@@ -176,8 +178,9 @@ def schlegel(p: Polytope, facet: int) -> SchlegelComplex:
     """Schlegel complex of p at facet index `facet`.
 
     Every vertex of p is centrally projected once, from a beyond point onto
-    the facet's hyperplane, and charted in the facet's frame; each facet's
-    images span its piece.  The carrier is the facet's own piece, as a
+    the facet's hyperplane, and charted in the facet's frame.  The map keeps
+    each facet's face lattice, so its piece is `facet_polytope` on the
+    images, read off p's ridges.  The carrier is the facet's own piece, as a
     vertex on its plane is its own image; the other pieces are the cells,
     and they tile the carrier.
     """
@@ -187,7 +190,7 @@ def schlegel(p: Polytope, facet: int) -> SchlegelComplex:
     plane = p.facets[facet].hyperplane
     frame = affine_hull(p.facet_vertices(facet))
     images = tuple(frame.to_working(_central_image(v, plane, x)) for x in p.vertices)
-    pieces = [build_polytope([images[i] for i in sorted(f.vertex_indices)]) for f in p.facets]
+    pieces = [facet_polytope(p, j, images) for j in range(len(p.facets))]
     carrier = pieces.pop(facet)
     return SchlegelComplex(facet, carrier, tuple(pieces), images)
 

@@ -46,14 +46,17 @@ RUNS = {
 # line's parameters on every candidate that meets all facet hyperplanes.
 # Folding reads the slack matrix and takes no side test; a frame charts its
 # points with one elimination, not one per point.  The Schlegel build images
-# each vertex of the polytope once, with two side tests.  Faces are keyed by
-# vertex indices, so Fraction hashes come from matching each piece's and each
-# shadow's vertices to points once per vertex (and from the hulls' inputs).
+# each vertex of the polytope once, with two side tests.  Facet pieces and
+# Schlegel cells are read from the polytope's ridges and run no hull, so
+# their points cost no side test and no hull pivot; only the shadows run the
+# hull.  Faces are keyed by vertex indices, so Fraction hashes come from
+# matching each piece's and each shadow's vertices to points once per vertex
+# and from the shadows' input points, each hashed once to drop repeats.
 HARNESS_WORK_COUNTS = {
-    ("cube:4", "schlegel"): {"pivot": 531, "side": 377, "hash": 1672},
-    ("cube:4", "folded"): {"pivot": 674, "side": 567, "hash": 1808},
-    ("crosspolytope:4", "schlegel"): {"pivot": 573, "side": 86, "hash": 1672},
-    ("crosspolytope:4", "folded"): {"pivot": 756, "side": 515, "hash": 1928},
+    ("cube:4", "schlegel"): {"pivot": 395, "side": 209, "hash": 1160},
+    ("cube:4", "folded"): {"pivot": 538, "side": 399, "hash": 1152},
+    ("crosspolytope:4", "schlegel"): {"pivot": 525, "side": 86, "hash": 1160},
+    ("crosspolytope:4", "folded"): {"pivot": 708, "side": 515, "hash": 1248},
 }
 
 

@@ -333,11 +333,12 @@ class TestFacetsOf:
 # Exact pivot steps, side tests and Fraction hashes (the hull's input points)
 # for generate plus face_lattice at seed 0.
 # These depend on no machine; a change that moves them on purpose restates
-# them here and says why.
+# them here and says why.  The input's points are hashed once each, to drop
+# repeats (dict.fromkeys), so hash is n·d.
 WORK_COUNTS = {
-    "cube:5": {"pivot": 312, "side": 252, "hash": 320},
-    "crosspolytope:5": {"pivot": 372, "side": 40, "hash": 100},
-    "random:4,30,10": {"pivot": 1717, "side": 1216, "hash": 240},
+    "cube:5": {"pivot": 312, "side": 252, "hash": 160},
+    "crosspolytope:5": {"pivot": 372, "side": 40, "hash": 50},
+    "random:4,30,10": {"pivot": 1717, "side": 1216, "hash": 120},
 }
 
 
@@ -359,6 +360,12 @@ class TestOracle:
     def test_cube3_matches_fast_lattice(self):
         p = generate("cube:3")
         assert face_lattice(p).same_faces(brute_force_face_lattice(p))
+
+    def test_point_matches_fast_lattice(self):
+        q = point_polytope(vec(2, 3))
+        lat = brute_force_face_lattice(q)
+        assert lat.vertex_set_families() == {0: frozenset({frozenset({0})})}
+        assert face_lattice(q).same_faces(lat)
 
     def test_equivalence_on_small_families(self):
         for kind in [
@@ -454,6 +461,10 @@ class TestVolumeAndSubpolytopes:
         assert len(q.vertices) == 4
         # embedded vertices live in p's frame and are actual cube vertices
         assert set(q.embedded_vertices) <= set(p.vertices)
+
+    def test_facet_of_segment_is_degenerate(self):
+        with pytest.raises(DegenerateInputError, match="degenerate input"):
+            facet_polytope(generate("simplex:1"), 0)
 
     def test_point_polytope(self):
         q = point_polytope(vec(2, 3))

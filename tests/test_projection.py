@@ -1,15 +1,17 @@
 """Tests for beyond points, Schlegel complexes, and shadows."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerlab import polytope
 from eulerlab.errors import DimensionMismatchError, GeneralPositionError
 from eulerlab.euler import f_vector
 from eulerlab.linalg import Hyperplane, affine_dim, affine_hull, barycenter, dot, vec
-from eulerlab.polytope import build_polytope, face_lattice, generate
+from eulerlab.polytope import build_polytope, face_lattice, facet_polytope, generate
 from eulerlab.projection import (
     beyond_point,
     project_along,
@@ -148,6 +150,55 @@ class TestSchlegelComplex:
                 assert affine_hull(pts).dim == c
                 # the base point adds no dimension: it lies on the hull
                 assert affine_dim(pts + [barycenter(pts)]) == c
+
+
+def assert_pieces_match_hulls(p, facet):
+    """Every facet piece, and every piece of the Schlegel complex at
+    `facet`, equals the hull of its points."""
+    for i in range(len(p.facets)):
+        assert facet_polytope(p, i) == build_polytope(p.facet_vertices(i)), i
+    cx = schlegel(p, facet)
+    hulls = [build_polytope([cx.images[v] for v in sorted(f.vertex_indices)]) for f in p.facets]
+    assert cx.carrier == hulls.pop(facet)
+    assert cx.cells == tuple(hulls)
+
+
+class TestPiecesFromIncidences:
+    # Facet pieces and Schlegel cells are read from the polytope's ridges;
+    # the hull of the same points is the reference.
+    @given(
+        d=st.integers(3, 5),
+        extra=st.integers(0, 6),
+        bound=st.integers(1, 2),
+        hull_seed=st.integers(0, 2**16),
+        last=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_random_hulls_with_coplanar_points(self, d, extra, bound, hull_seed, last):
+        p = generate(f"random:{d},{d + 1 + extra},{bound}", hull_seed)
+        assert_pieces_match_hulls(p, len(p.facets) - 1 if last else 0)
+
+    @pytest.mark.parametrize("spec", ["cube:5", "crosspolytope:5"])
+    def test_families(self, spec):
+        p = generate(spec)
+        assert_pieces_match_hulls(p, 0)
+        assert_pieces_match_hulls(p, len(p.facets) - 1)
+
+    @pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4", "random:4,12,10"])
+    def test_pieces_run_no_hull(self, spec, monkeypatch):
+        p = generate(spec, seed=0)
+        hulls = Counter()
+        hull_facets = polytope._hull_facets
+
+        def counting_hull(*args):
+            hulls["hull"] += 1
+            return hull_facets(*args)
+
+        monkeypatch.setattr(polytope, "_hull_facets", counting_hull)
+        schlegel(p, 0)
+        for i in range(len(p.facets)):
+            facet_polytope(p, i)
+        assert hulls["hull"] == 0
 
 
 class TestProjectAlong:
