@@ -1,15 +1,16 @@
 """Exact rational linear algebra: vectors, spans, affine hulls, hyperplanes and an LP.
 
-Every coordinate in this package is a :class:`fractions.Fraction`, so all
-predicates (rank, incidence, sidedness) are decided exactly.  Vectors are
-plain tuples of Fractions; matrices are lists of such row tuples.  One
-fraction-free (Bareiss) pivot step, `_pivot`, serves the package's two
-kernels: the incremental Gauss-Jordan elimination of `SpanBuilder`, which
-rank, nullspace, solve, affine hulls and their charts run on, and the
-phase-1 simplex of `linear_feasible`.  Each lifts its rows to integers and
-keeps every entry an integer, which is much faster than Fraction pivoting at
-this scale.  The simplex keeps its objective as one more tableau row and
-gives each slack a coefficient of +-1 in its lifted row.
+Vectors are plain tuples of :class:`fractions.Fraction`, matrices lists of
+such rows.  Predicates (rank, incidence, sidedness) are decided exactly, on
+Fractions or on ints: `lift` and `lift_points` scale a row or a point set by
+one positive integer, which moves no sign.  One fraction-free (Bareiss)
+pivot step, `_pivot`, serves the package's two kernels: the incremental
+Gauss-Jordan elimination of `SpanBuilder`, which rank, nullspace, solve,
+affine hulls and their charts run on, and the phase-1 simplex of
+`linear_feasible`.  Each lifts its rows to ints and keeps every entry an
+int, much faster than Fraction pivoting at this scale.  The simplex keeps
+its objective as one more tableau row and gives each slack a coefficient of
++-1 in its lifted row.
 """
 
 from __future__ import annotations
@@ -88,6 +89,13 @@ def lift(row: Sequence[Fraction]) -> list[int]:
     return [x.numerator * (m // x.denominator) for x in row]
 
 
+def lift_points(points: Sequence[Vector]) -> tuple[int, list[tuple[int, ...]]]:
+    """V, the lcm of every coordinate's denominator, and each point times V
+    as ints: one positive scale for all, so no sign and no incidence moves."""
+    scale = math.lcm(*(x.denominator for p in points for x in p))
+    return scale, [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+
+
 def _pivot(mat: list[list[int]], r: int, col: int, prev: int) -> int:
     """One fraction-free Gauss-Jordan step on mat[r][col]; returns the pivot.
 
@@ -155,21 +163,18 @@ class SpanBuilder:
     def rank(self) -> int:
         return len(self._rows)
 
-    def nullspace(self) -> list[Vector]:
-        """Basis of {x : row·x = 0 for every row of the span}: per free
-        column, 1 there, 0 in the other free columns, and minus the RREF
-        entries in the pivot columns."""
-        rows = dict(zip(self._pivots, self._rows))
-        basis = []
-        for fc in range(self.width):
-            if fc in rows:
-                continue
-            v = [Fraction(0)] * self.width
-            v[fc] = Fraction(1)
-            for pc, row in rows.items():
-                v[pc] = Fraction(-row[fc], self._d)
-            basis.append(tuple(v))
-        return basis
+    def integer_nullspace(self) -> list[list[int]]:
+        """Basis of {x : row·x = 0 for every row of the span} times |d|, in
+        ints: per free column, |d| there, 0 in the other free columns, and in
+        each pivot column minus its row's entry times the sign of d (the rows
+        are d times the RREF)."""
+        cols, rows = range(self.width), dict(zip(self._pivots, self._rows))
+        sign = 1 if self._d > 0 else -1
+        return [
+            [sign * (self._d if c == fc else -rows[c][fc] if c in rows else 0) for c in cols]
+            for fc in cols
+            if fc not in rows
+        ]
 
 
 def _span(rows: Sequence[Sequence[Fraction]], width: int) -> SpanBuilder:
@@ -188,8 +193,9 @@ def rank(rows: Sequence[Vector]) -> int:
 
 
 def nullspace(rows: Sequence[Vector], width: int) -> list[Vector]:
-    """Basis of {x : rows·x = 0} in Q^width."""
-    return _span(rows, width).nullspace()
+    """Basis of {x : rows·x = 0} in Q^width: the integer nullspace over |d|."""
+    span = _span(rows, width)
+    return [tuple(Fraction(x, abs(span._d)) for x in v) for v in span.integer_nullspace()]
 
 
 def solve_linear(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> Optional[Vector]:
@@ -306,21 +312,17 @@ def hyperplane_through(points: Sequence[Vector], beneath: Vector) -> Hyperplane:
     """
     base = points[0]
     width = len(base)
-    diffs = [vsub(p, base) for p in points[1:]]
-    normals = nullspace(diffs, width)
+    normals = _span([vsub(p, base) for p in points[1:]], width).integer_nullspace()
     if len(normals) != 1:
         raise ValueError(
             f"points span affine dimension {width - len(normals)}, need {width - 1}"
         )
     normal = normals[0]
-    offset = dot(normal, base)
-    gap = dot(normal, beneath) - offset
+    gap = dot(normal, beneath) - dot(normal, base)
     if gap == 0:
         raise ValueError("orientation point lies on the hyperplane")
-    if gap > 0:
-        normal = vscale(normal, -1)
-        offset = -offset
-    return Hyperplane(normal, offset).normalized()
+    sign = -1 if gap > 0 else 1
+    return Hyperplane(vscale(normal, sign), sign * dot(normal, base)).normalized()
 
 
 def linear_feasible(

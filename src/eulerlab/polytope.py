@@ -4,13 +4,13 @@ A Polytope always stores its vertices in a full-dimensional "working" frame
 of its own intrinsic dimension.  Inputs of lower affine dimension are
 re-expressed in a rational affine frame (the original embedding is kept in
 `embedded_vertices` and `frame`).  Facets of a new point set come from
-incremental beneath-beyond insertion with exact predicates; a facet taken as
-a polytope (`facet_polytope`) reads its own off the parent's ridges.  Each
-facet keeps the set of input points on it, and vertices, face dimensions
-and the facets holding a face are read from those incidences alone.  The
-slack matrix, built on first use, holds every facet inequality at every
-vertex in ints.  The independent oracle decides face-ness of every vertex
-subset by exact linear feasibility.
+incremental beneath-beyond insertion on the points lifted to ints; a facet
+taken as a polytope (`facet_polytope`) reads its own off the parent's
+ridges.  Each facet keeps the set of input points on it, and vertices, face
+dimensions and the facets holding a face are read from those incidences
+alone.  The slack matrix, built on first use, holds every facet inequality
+at every vertex in ints.  The independent oracle decides face-ness of every
+vertex subset by exact linear feasibility.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -40,6 +41,7 @@ from .linalg import (
     dot,
     hyperplane_through,
     lift,
+    lift_points,
     linear_feasible,
     vec,
     vsub,
@@ -123,13 +125,9 @@ class Polytope:
         planes = tuple(
             tuple(lift([*f.hyperplane.normal, -f.hyperplane.offset])) for f in self.facets
         )
-        scale = math.lcm(*(x.denominator for v in self.vertices for x in v))
-        points = [
-            (*(x.numerator * (scale // x.denominator) for x in v), scale) for v in self.vertices
-        ]
-        rows = tuple(
-            tuple(sum(a * b for a, b in zip(plane, v)) for v in points) for plane in planes
-        )
+        scale, lifted = lift_points(self.vertices)
+        points = [(*q, scale) for q in lifted]
+        rows = tuple(tuple(sum(map(mul, plane, v)) for v in points) for plane in planes)
         return SlackMatrix(planes, scale, rows)
 
     def facet_vertices(self, i: int) -> tuple[Vector, ...]:
@@ -206,45 +204,64 @@ def _initial_simplex(points: Sequence[Vector], k: int) -> list[int]:
     raise DegenerateInputError("points do not span the working frame")
 
 
+def _sides(planes, q: Sequence[int]) -> list[int]:
+    """n·q - b for each integer plane (n, b, inc): 0 on it, > 0 beyond."""
+    return [sum(map(mul, n, q)) - b for n, b, _ in planes]
+
+
 def _hull_facets(points: Sequence[Vector], k: int) -> list[_WorkFacet]:
     """Beneath-beyond hull of full-dimensional points; exact, degeneracy-safe.
 
+    It runs on ints: points lifted once to q = V·x (lift_points), and each
+    plane a primitive (n, b), n·q <= b inside, read off the integer nullspace
+    of its wall and oriented by the sum of the initial simplex's points.
     Each facet's `inc` holds every inserted point on its plane, and nothing
     else records incidence.  A new facet's plane H runs through the new
     point p and a horizon ridge R = v & b, for v visible and b a kept facet
     whose plane misses p.  H meets the old hull in a face holding R, and a
     larger one would be a facet through R: v or b.  So the inserted points
-    on H are those on R, `v.inc & b.inc`, and p.
+    on H are those on R, `v.inc & b.inc`, and p.  A final facet's Hyperplane
+    is the primitive form of (V·n, b), as hyperplane_through gives it.
     """
-    simplex = set(_initial_simplex(points, k))
-    interior = barycenter([points[i] for i in simplex])
-    facets: list[_WorkFacet] = []
-    for omit in simplex:
-        wall = [points[i] for i in simplex if i != omit]
-        facets.append(_WorkFacet(hyperplane_through(wall, interior), simplex - {omit}))
-    for j, p in enumerate(points):
+    scale, lifted = lift_points(points)
+    simplex = set(_initial_simplex(lifted, k))
+    inside = [sum(c) for c in zip(*(lifted[i] for i in simplex))]
+
+    def plane(wall: list[int], inc: set[int]):
+        base, span = lifted[wall[0]], SpanBuilder(k)
+        for i in wall[1:]:
+            span.add(vsub(lifted[i], base))
+        (n,) = span.integer_nullspace()
+        b = sum(map(mul, n, base))
+        g = math.gcd(*n) * (-1 if sum(map(mul, n, inside)) > (k + 1) * b else 1)
+        return [x // g for x in n], b // g, inc
+
+    facets = [plane([i for i in simplex if i != omit], simplex - {omit}) for omit in simplex]
+    for j, q in enumerate(lifted):
         if j in simplex:
             continue
-        sides = [f.h.side(p) for f in facets]
-        for f, s in zip(facets, sides):
+        sides = _sides(facets, q)
+        for (_, _, inc), s in zip(facets, sides):
             if s == 0:
-                f.inc.add(j)
-        visible = [f for f, s in zip(facets, sides) if s > 0]
+                inc.add(j)
+        visible = [inc for (_, _, inc), s in zip(facets, sides) if s > 0]
         if not visible:
             continue
         kept = [f for f, s in zip(facets, sides) if s <= 0]
-        new: list[_WorkFacet] = []
-        for v in visible:
-            for b in kept:
-                if j in b.inc:
+        new = []
+        for v_inc in visible:
+            for _, _, b_inc in kept:
+                if j in b_inc:
                     continue  # p is on b's plane, so b grows and spans no new one
-                shared = v.inc & b.inc
-                if len(shared) < k - 1 or affine_dim([points[i] for i in shared]) != k - 2:
+                shared = v_inc & b_inc
+                if len(shared) < k - 1 or affine_dim([lifted[i] for i in shared]) != k - 2:
                     continue
-                wall = [points[i] for i in shared] + [p]
-                new.append(_WorkFacet(hyperplane_through(wall, interior), shared | {j}))
+                new.append(plane([*shared, j], shared | {j}))
         facets = kept + new
-    return facets
+    return [
+        _WorkFacet(Hyperplane(vec(*n), Fraction(b, scale)).normalized(), inc)
+        for n, b, inc in facets
+    ]
 
 
 def _assemble(distinct: Sequence[Vector], find_facets) -> Polytope:
@@ -351,7 +368,8 @@ def _is_face_lp(rows: list[list[int]], span: SpanBuilder, outside: list[int]) ->
     so a·v - b keeps its sign and the test does not change.
     """
     # Solutions (a, b) of a·s = b for s in the subset form the span's nullspace.
-    basis = [lift(nb) for nb in span.nullspace()]
+    # Its integer basis over each vector's gcd is the rational basis lifted.
+    basis = [[x // math.gcd(*nb) for x in nb] for nb in span.integer_nullspace()]
     if not basis:
         return False
     # Strict separation a·v - b < 0 scales to a·v - b <= -1; so does any

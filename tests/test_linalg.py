@@ -329,6 +329,23 @@ class TestSolveAndNullspace:
         width = len(rows[0])
         assert nullspace(rows, width) == plain_nullspace(rows, width)
 
+    @given(st.one_of(matrices(), matrices(entries=sparse_rationals)))
+    def test_integer_nullspace_over_d_is_the_nullspace(self, rows):
+        # Each integer basis vector holds the span's |d| > 0 in its free
+        # column; over it, the vector is the plain RREF basis vector, which
+        # holds 1 there.
+        width = len(rows[0])
+        span = SpanBuilder(width)
+        for row in rows:
+            span.add(row)
+        free = [c for c in range(width) if c not in plain_rref(rows, width)[1]]
+        basis = span.integer_nullspace()
+        assert len(basis) == len(free)
+        assert len({v[fc] for v, fc in zip(basis, free)}) <= 1
+        assert all(v[fc] > 0 and all(type(x) is int for x in v) for v, fc in zip(basis, free))
+        over_d = [tuple(F(x, v[fc]) for x in v) for v, fc in zip(basis, free)]
+        assert over_d == plain_nullspace(rows, width)
+
     @given(matrices(entries=sparse_rationals), st.lists(sparse_rationals(), min_size=5, max_size=5))
     def test_solve_matches_plain_rref(self, rows, rhs):
         rhs = rhs[: len(rows)]

@@ -156,6 +156,21 @@ def hull_inputs(draw):
     return draw(st.permutations(pts))
 
 
+@st.composite
+def large_hull_inputs(draw):
+    """Point sets in d = 2..6 with numerators up to 10^30, each point over
+    one denominator from {1, 2, 3, 7}, so V often takes a factor from one
+    point alone.  Some points share the top last coordinate and so lie on
+    one facet, and some are drawn twice; the order is shuffled."""
+    d = draw(st.integers(2, 6))
+    nums = st.tuples(*[st.integers(-(10**30), 10**30)] * d)
+    dens = st.sampled_from([1, 2, 3, 7])
+    pts = draw(st.lists(st.tuples(nums, dens, st.booleans()), min_size=2, max_size=d + 5))
+    pts = [(*(F(n, q) for n in ns[:-1]), F(10**31) if top else F(ns[-1], q)) for ns, q, top in pts]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    return draw(st.permutations(pts))
+
+
 def unit_square_points():
     return [vec(0, 0), vec(1, 0), vec(0, 1), vec(1, 1)]
 
@@ -244,9 +259,8 @@ class TestBuildPolytope:
         assert set(p.vertices) <= set(pts)
 
 
-    @given(hull_inputs())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_rescanning_reference(self, pts):
+    @staticmethod
+    def assert_matches_reference(pts):
         if len(set(pts)) < 2:
             return
         p, ref = build_polytope(pts), reference_polytope(pts)
@@ -254,6 +268,18 @@ class TestBuildPolytope:
         assert p.embedded_vertices == ref.embedded_vertices
         assert p.facets == ref.facets
         assert face_lattice(p).faces_by_dimension == reference_faces_by_dimension(ref)
+
+    @given(hull_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rescanning_reference(self, pts):
+        self.assert_matches_reference(pts)
+
+    # The hull lifts every point by V, the lcm of all denominators: here V
+    # mixes 2, 3 and 7 and the lifted coordinates run past 10^30.
+    @given(large_hull_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_rescanning_reference_with_large_mixed_coordinates(self, pts):
+        self.assert_matches_reference(pts)
 
 
 class TestFaceLattice:
