@@ -84,10 +84,10 @@ def check_piece(
     """Check one piece of a flag count (a cell, the outside or a facet), a
     k-polytope, face by face and then as a sum.
 
-    `received` counts the flags the piece took at each face, keyed by its
-    vertex indices in `points`, the polytope's vertices in the piece's
-    embedding (matched to the piece's vertices once).  A (k-1)-face must
-    take 1 flag and a lower face 1 + sign * [its image is a face of the
+    `received` counts the flags the piece took at each face, keyed by the
+    names of its vertices (`piece.names`); only the failure lines read
+    `points`, where points[v] is the point named v.  A (k-1)-face must take
+    1 flag and a lower face 1 + sign * [its image is a face of the
     shadow]; a flag at no face is a failure too.  Then the sum chain:
     actual == via_counts == via_tops == expected, where via_counts is half
     the alternating sum of the piece's face counts below the top plus sign
@@ -96,12 +96,10 @@ def check_piece(
     """
     lat = face_lattice(piece)
     k = lat.dim
-    vertex_of = {x: v for v, x in enumerate(points)}
-    names = [vertex_of[x] for x in piece.embedded_vertices]
     faces = set()
     for c in range(k):
         for face in lat.faces(c):
-            key = frozenset(names[j] for j in face.vertex_indices)
+            key = frozenset(piece.names[j] for j in face.vertex_indices)
             faces.add(key)
             want = 1
             if shadow is not None and c < k - 1:

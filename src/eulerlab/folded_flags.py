@@ -53,10 +53,10 @@ class TransversalLine:
 
 @dataclass(frozen=True)
 class FoldedFlag:
-    """A polygon side incident to a base point, inside a unique facet."""
+    """A polygon side inside a unique facet; `segment` runs from the base
+    point to the side's far vertex."""
 
     base_face: Face
-    base_point: Vector
     assigned_facet: int
     segment: tuple[Vector, Vector]
     value: Fraction
@@ -261,7 +261,6 @@ def fold_flags(
         flags.append(
             FoldedFlag(
                 base_face=face,
-                base_point=x,
                 assigned_facet=facet_idx,
                 segment=(x, end),
                 value=value,
@@ -333,7 +332,7 @@ def facet_assignment_sums(
     for flag in flags:
         if not flag_collinear_with_assigned_point(flag, line):
             failures.append(
-                f"flag at {format_point(flag.base_point)} not collinear with its facet point"
+                f"flag at {format_point(flag.segment[0])} not collinear with its facet point"
             )
         sums[flag.assigned_facet] += flag.value
         received[flag.assigned_facet][flag.base_face.vertex_indices] += 1

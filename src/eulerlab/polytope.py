@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -106,6 +106,9 @@ class Polytope:
     `vertices` are the extreme points in working coordinates (length = dim);
     `embedded_vertices` are the same points in the original input frame and
     equal `vertices` when no reframing happened (frame is None then).
+    `names` names each vertex: its index in the parent for a facet piece
+    (`facet_polytope`), its own index otherwise.  Names take no part in
+    equality, so a piece equals the hull of its points.
     """
 
     ambient_dim: int
@@ -114,6 +117,7 @@ class Polytope:
     embedded_vertices: tuple[Vector, ...]
     facets: tuple[Facet, ...]
     frame: Optional[AffineSubspace] = None
+    names: tuple[int, ...] = field(compare=False, repr=False, kw_only=True)
 
     @cached_property
     def lattice(self) -> FaceLattice:
@@ -264,10 +268,11 @@ def _hull_facets(points: Sequence[Vector], k: int) -> list[_WorkFacet]:
     ]
 
 
-def _assemble(distinct: Sequence[Vector], find_facets) -> Polytope:
+def _assemble(distinct: Sequence[Vector], find_facets, labels=None) -> Polytope:
     """The canonical Polytope of distinct points, framed in their affine
     hull, whose facets `find_facets(work_points, k)` returns as _WorkFacets
-    of the points charted in k coordinates."""
+    of the points charted in k coordinates.  Each vertex is named by its
+    point's entry in `labels`, or by its own index when there are none."""
     if len(distinct) < 2:
         raise DegenerateInputError("degenerate input")
     ambient = len(distinct[0])
@@ -298,6 +303,7 @@ def _assemble(distinct: Sequence[Vector], find_facets) -> Polytope:
         embedded_vertices=tuple(distinct[i] for i in extreme),
         facets=tuple(facet_list),
         frame=frame if k < ambient else None,
+        names=tuple(range(len(extreme)) if labels is None else (labels[i] for i in extreme)),
     )
 
 
@@ -324,6 +330,7 @@ def point_polytope(point: Sequence) -> Polytope:
         embedded_vertices=(p,),
         facets=(),
         frame=AffineSubspace(p, ()),
+        names=(0,),
     )
 
 
@@ -415,9 +422,10 @@ def facet_polytope(p: Polytope, i: int, images: Optional[Sequence[Vector]] = Non
     Its points are the images of the facet's vertices: p's own by default,
     so `embedded_vertices` live in p's working frame, or any images of p's
     vertices that keep the facet's face lattice, such as a Schlegel
-    projection's.  No hull runs: its facets are the ridges of p in F_i
-    (Kaibel & Pfetsch 2002), each plane through a ridge's images and
-    oriented by the barycenter of F_i's images.
+    projection's.  Each vertex is named by its index in p.  No hull runs:
+    its facets are the ridges of p in F_i (Kaibel & Pfetsch 2002), each
+    plane through a ridge's images and oriented by the barycenter of F_i's
+    images.
     """
     images = p.vertices if images is None else images
     held = p.facets[i].vertex_indices
@@ -432,7 +440,7 @@ def facet_polytope(p: Polytope, i: int, images: Optional[Sequence[Vector]] = Non
         inside = barycenter(work)
         return [_WorkFacet(hyperplane_through([work[j] for j in r], inside), r) for r in ridges]
 
-    return _assemble([images[v] for v in local], ridge_facets)
+    return _assemble([images[v] for v in local], ridge_facets, list(local))
 
 
 def _parse_family(kind: str) -> tuple[str, list[int]]:

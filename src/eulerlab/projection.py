@@ -91,17 +91,17 @@ class SchlegelComplex:
 
     Carrier and cells are full-dimensional polytopes in a shared working
     frame of the carrier's hyperplane, spanned by `images`, the polytope's
-    vertices projected into that frame.  The complex is face-to-face, so
-    each face records the cells and facets it lies in (see ComplexFace);
+    vertices projected into that frame; every piece names its vertices by
+    their indices in the polytope.  The complex is face-to-face, so each
+    face records the cells and facets it lies in (see ComplexFace);
     `facet_signs` tabulates the sign of every facet normal against a line
-    direction and keeps the last direction's table.
+    direction.
     """
 
     facet_index: int
     carrier: Polytope
     cells: tuple[Polytope, ...]
     images: tuple[Vector, ...]
-    _signs: Optional[tuple[Vector, SignTable]] = field(default=None, init=False, repr=False)
 
     @property
     def a(self) -> int:
@@ -115,22 +115,19 @@ class SchlegelComplex:
     def faces_by_dimension(self) -> dict[int, tuple[ComplexFace, ...]]:
         """Distinct proper faces of the complex (dims 0..k-1) with their
         incidences, ordered by their sorted images.  A face is named by its
-        vertex indices in the polytope: each piece's vertices are matched
-        to the images once.
+        vertex indices in the polytope, read off each piece's `names`.
 
         Each cell and the carrier answer which of their facets hold a face
         (`Polytope.facets_of`).  A complex face lies in a carrier facet only
         when it is a carrier face: a complex vertex that is no carrier
         vertex is the image of a vertex off the carrier's facet of the
         polytope, so it lies in the carrier's interior."""
-        vertex_of = {x: v for v, x in enumerate(self.images)}
 
         def proper_faces(piece: Polytope):
-            names = [vertex_of[x] for x in piece.vertices]
             lat = face_lattice(piece)
             for c in range(piece.dim):
                 for face in lat.faces(c):
-                    key = frozenset(names[j] for j in face.vertex_indices)
+                    key = frozenset(piece.names[j] for j in face.vertex_indices)
                     yield key, c, piece.facets_of(face)
 
         seen: dict[frozenset[int], tuple[int, list]] = {}
@@ -154,13 +151,9 @@ class SchlegelComplex:
 
     def facet_signs(self, direction: Vector) -> SignTable:
         """sign(n·direction) as -1, 0 or 1 for the outer normal n of every
-        facet of every cell, and of every carrier facet.  Only the last
-        direction's table is kept: the sampler tabulates its accepted line,
-        and every flag of that line then reads the line's table."""
-        if self._signs is None or self._signs[0] != direction:
-            cells = tuple(_normal_signs(cell, direction) for cell in self.cells)
-            self._signs = (direction, (cells, _normal_signs(self.carrier, direction)))
-        return self._signs[1]
+        facet of every cell, and of every carrier facet."""
+        cells = tuple(_normal_signs(cell, direction) for cell in self.cells)
+        return cells, _normal_signs(self.carrier, direction)
 
 
 def _normal_signs(p: Polytope, direction: Vector) -> tuple[int, ...]:

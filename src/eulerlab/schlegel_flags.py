@@ -5,10 +5,12 @@ directions of a certified general-position line, value (1/2)(-1)^c each).
 Each flag lands in exactly one cell or escapes the carrier.  That cell is
 found by face incidence: among the cells having the flag's base face as a
 face, read off one sign table per line (the sign of each facet normal
-against the line's direction).  Every cell, and the outside, is checked
-face by face against its shadow along the line (a face's flags land in it
-once, or per the shadow); summing per cell, over the escapees, and over
-base faces yields an identity chain that is checked exactly, term by term.
+against the line's direction).  A flag is its face and orientation; only
+a failure text computes its base point.  Every cell, and the outside, is
+checked face by face against its shadow along the line (a face's flags land
+in it once, or per the shadow); summing per cell, over the escapees, and
+over base faces yields an identity chain that is checked exactly, term by
+term.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from typing import Optional, Union
 
 from .errors import GeneralPositionError, naming_seed
 from .euler import CertificateEntry, check_piece, check_totals, f_vector, rejection_sample
-from .linalg import Vector, barycenter, dot, format_point, is_zero, vscale
+from .linalg import Vector, barycenter, dot, format_point, is_zero
 from .polytope import Polytope, face_lattice
-from .projection import ComplexFace, SchlegelComplex, project_along, schlegel
+from .projection import ComplexFace, SchlegelComplex, SignTable, project_along, schlegel
 
 OUTSIDE = "outside"
 Classification = Union[int, str]
@@ -40,12 +42,11 @@ class GeneralLine:
 
 @dataclass(frozen=True)
 class Flag:
-    """Half of a flag pair: a direction attached at a face's base point."""
+    """Half of a flag pair: the line's direction times `orientation` (+1 or
+    -1), attached at the vertex barycenter of `base_face`."""
 
     base_face: ComplexFace
-    base_point: Vector
     orientation: int
-    direction: Vector
     value: Fraction
 
 
@@ -53,12 +54,11 @@ def sample_general_line(complex: SchlegelComplex, seed: int) -> GeneralLine:
     """Rejection-sample an integer direction within the carrier frame.
 
     Accepts a nonzero direction iff no cell facet's normal has product 0
-    with it; the first 0 rejects it, and only the accepted line gets the
-    complex's sign table.  That is non-parallelism to every complex face of
-    dimension 1..k-1: each lies in a cell facet, whose direction space is
-    its normal's orthogonal complement, and each cell facet is such a face.
-    The certificate has one entry per cell facet.  The coordinate range
-    doubles every 32 rejected tries.
+    with it; the first 0 rejects it.  That is non-parallelism to every
+    complex face of dimension 1..k-1: each lies in a cell facet, whose
+    direction space is its normal's orthogonal complement, and each cell
+    facet is such a face.  The certificate has one entry per cell facet.
+    The coordinate range doubles every 32 rejected tries.
     """
     rng = random.Random(seed)
     k = complex.dim
@@ -69,38 +69,27 @@ def sample_general_line(complex: SchlegelComplex, seed: int) -> GeneralLine:
             dot(f.hyperplane.normal, cand) == 0 for cell in complex.cells for f in cell.facets
         ):
             return None
-        cell_signs, _ = complex.facet_signs(cand)
         entries = tuple(
             CertificateEntry("facet-not-parallel", (i, h), True)
-            for i, signs in enumerate(cell_signs)
-            for h in range(len(signs))
+            for i, cell in enumerate(complex.cells)
+            for h in range(len(cell.facets))
         )
         return GeneralLine(direction=cand, certificate=entries)
 
     return rejection_sample(f"general direction for seed {seed}", 4, attempt)
 
 
-def place_flags(complex: SchlegelComplex, q: GeneralLine) -> list[Flag]:
-    """Two flags (+q and -q) at the vertex barycenter of every proper face."""
-    flags = []
-    for c in sorted(complex.faces_by_dimension):
-        value = Fraction((-1) ** c, 2)
-        for face in complex.faces(c):
-            base_point = barycenter(complex.face_points(face))
-            for orientation in (1, -1):
-                flags.append(
-                    Flag(
-                        base_face=face,
-                        base_point=base_point,
-                        orientation=orientation,
-                        direction=vscale(q.direction, orientation),
-                        value=value,
-                    )
-                )
-    return flags
+def place_flags(complex: SchlegelComplex) -> list[Flag]:
+    """Two flags, orientations +1 and -1, at every proper face."""
+    return [
+        Flag(base_face=face, orientation=orientation, value=Fraction((-1) ** c, 2))
+        for c in sorted(complex.faces_by_dimension)
+        for face in complex.faces(c)
+        for orientation in (1, -1)
+    ]
 
 
-def classify_flag(flag: Flag, complex: SchlegelComplex) -> Classification:
+def classify_flag(flag: Flag, complex: SchlegelComplex, signs: SignTable) -> Classification:
     """The unique cell whose tangent cone at the base point contains the
     flag, or OUTSIDE when the flag leaves the carrier.
 
@@ -110,11 +99,12 @@ def classify_flag(flag: Flag, complex: SchlegelComplex) -> Classification:
     containing that face.  A cell takes the flag when the flag's direction
     has a product <= 0 with the outer normal of each such facet; the flag
     leaves when that product is > 0 for some carrier facet through the
-    face.  The signs of the products come from the complex's sign table
-    for the flag's line, so no flag evaluates a facet.
+    face.  The signs of the products come from `signs`, the complex's sign
+    table for the flag's line (`SchlegelComplex.facet_signs`), so no flag
+    evaluates a facet.  Only the failure text computes the base point.
     """
     face, o = flag.base_face, flag.orientation
-    cell_signs, carrier_signs = complex.facet_signs(vscale(flag.direction, o))
+    cell_signs, carrier_signs = signs
     hits = [
         i for i, through in face.cells if all(o * cell_signs[i][h] <= 0 for h in through)
     ]
@@ -124,7 +114,8 @@ def classify_flag(flag: Flag, complex: SchlegelComplex) -> Classification:
     if not hits and escapes:
         return OUTSIDE
     raise GeneralPositionError(
-        f"general position violated: the flag at base point {format_point(flag.base_point)} "
+        "general position violated: the flag at base point "
+        f"{format_point(barycenter(complex.face_points(face)))} "
         f"enters cells {hits} and {'leaves' if escapes else 'stays in'} the carrier, "
         f"not exactly one of them"
     )
@@ -167,7 +158,8 @@ def verify_proof_schlegel(p: Polytope, facet_index: int, seed: int) -> ProofRepo
     with naming_seed(seed):
         complex = schlegel(p, facet_index)
         q = sample_general_line(complex, seed)
-        flags = place_flags(complex, q)
+        signs = complex.facet_signs(q.direction)
+        flags = place_flags(complex)
         k = complex.dim
         failures: list[str] = []
 
@@ -175,7 +167,7 @@ def verify_proof_schlegel(p: Polytope, facet_index: int, seed: int) -> ProofRepo
         sums = {kind: Fraction(0) for kind in [*range(complex.a), OUTSIDE]}
         received: dict[Classification, Counter] = {kind: Counter() for kind in sums}
         for f in flags:
-            kind = classify_flag(f, complex)
+            kind = classify_flag(f, complex, signs)
             sums[kind] += f.value
             received[kind][f.base_face.vertex_indices] += 1
         outside_sum = sums.pop(OUTSIDE)

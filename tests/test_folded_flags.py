@@ -265,7 +265,6 @@ def fraction_fold(p, face, line):
         flags.append(
             FoldedFlag(
                 base_face=face,
-                base_point=x,
                 assigned_facet=facet_idx,
                 segment=(x, end),
                 value=value,
@@ -440,8 +439,7 @@ class TestFoldFlags:
         assert a.assigned_facet != b.assigned_facet
         assert a.value == b.value == Fraction(1, 2)
         x = p.face_points(vertex)[0]
-        assert a.base_point == b.base_point == x
-        assert a.segment[0] == x and b.segment[0] == x
+        assert a.segment[0] == b.segment[0] == x
         # Folded flags stay at their base: each assigned facet contains the
         # vertex itself.
         vid = next(iter(vertex.vertex_indices))
@@ -461,7 +459,7 @@ class TestFoldFlags:
         line = sample_transversal(p, 4)
         for face in face_lattice(p).faces(1):
             for flag in fold_flags(p, face, line):
-                pts = [line.t1, line.t2, flag.base_point, flag.segment[1]]
+                pts = [line.t1, line.t2, *flag.segment]
                 assert affine_dim(pts) <= 2
 
     def test_collinearity_with_assigned_facet_point(self):
@@ -610,6 +608,33 @@ class TestFoldFlagsAgainstReference:
         assert str(raised.value) == text
 
 
+# The base points of cube:4's faces of dimension <= 2 at seed 0, in the order
+# the folded run takes the faces, as its failure lines print them.
+CUBE4_BASE_POINTS = [
+    # 16 vertices
+    "(0, 0, 0, 0)", "(0, 0, 0, 1)", "(0, 0, 1, 0)", "(0, 0, 1, 1)",
+    "(0, 1, 0, 0)", "(0, 1, 0, 1)", "(0, 1, 1, 0)", "(0, 1, 1, 1)",
+    "(1, 0, 0, 0)", "(1, 0, 0, 1)", "(1, 0, 1, 0)", "(1, 0, 1, 1)",
+    "(1, 1, 0, 0)", "(1, 1, 0, 1)", "(1, 1, 1, 0)", "(1, 1, 1, 1)",
+    # 32 edges
+    "(0, 0, 0, 1/2)", "(0, 0, 1/2, 0)", "(0, 1/2, 0, 0)", "(1/2, 0, 0, 0)",
+    "(0, 0, 1/2, 1)", "(0, 1/2, 0, 1)", "(1/2, 0, 0, 1)", "(0, 0, 1, 1/2)",
+    "(0, 1/2, 1, 0)", "(1/2, 0, 1, 0)", "(0, 1/2, 1, 1)", "(1/2, 0, 1, 1)",
+    "(0, 1, 0, 1/2)", "(0, 1, 1/2, 0)", "(1/2, 1, 0, 0)", "(0, 1, 1/2, 1)",
+    "(1/2, 1, 0, 1)", "(0, 1, 1, 1/2)", "(1/2, 1, 1, 0)", "(1/2, 1, 1, 1)",
+    "(1, 0, 0, 1/2)", "(1, 0, 1/2, 0)", "(1, 1/2, 0, 0)", "(1, 0, 1/2, 1)",
+    "(1, 1/2, 0, 1)", "(1, 0, 1, 1/2)", "(1, 1/2, 1, 0)", "(1, 1/2, 1, 1)",
+    "(1, 1, 0, 1/2)", "(1, 1, 1/2, 0)", "(1, 1, 1/2, 1)", "(1, 1, 1, 1/2)",
+    # 24 squares
+    "(0, 0, 1/2, 1/2)", "(0, 1/2, 0, 1/2)", "(1/2, 0, 0, 1/2)", "(0, 1/2, 1/2, 0)",
+    "(1/2, 0, 1/2, 0)", "(1/2, 1/2, 0, 0)", "(0, 1/2, 1/2, 1)", "(1/2, 0, 1/2, 1)",
+    "(1/2, 1/2, 0, 1)", "(0, 1/2, 1, 1/2)", "(1/2, 0, 1, 1/2)", "(1/2, 1/2, 1, 0)",
+    "(1/2, 1/2, 1, 1)", "(0, 1, 1/2, 1/2)", "(1/2, 1, 0, 1/2)", "(1/2, 1, 1/2, 0)",
+    "(1/2, 1, 1/2, 1)", "(1/2, 1, 1, 1/2)", "(1, 0, 1/2, 1/2)", "(1, 1/2, 0, 1/2)",
+    "(1, 1/2, 1/2, 0)", "(1, 1/2, 1/2, 1)", "(1, 1/2, 1, 1/2)", "(1, 1, 1/2, 1/2)",
+]
+
+
 class TestFacetAssignmentSums:
     @pytest.mark.parametrize(
         "spec,special,per_facet,total,flags",
@@ -684,6 +709,19 @@ class TestFacetAssignmentSums:
         flip_first_shadow(folded_flags, "project_from_point")
         report = verify_proof_folded(generate("cube:3"), 0)
         assert report.failures == ["facet 0: dim-0 face [(0, 0, 0)] took 1 flags, expected 0"]
+
+    def test_not_collinear_failure_lines(self, monkeypatch):
+        # Each flag whose segment misses its facet point adds one line naming
+        # its base point, the segment's first end, and nothing else fails.
+        monkeypatch.setattr(
+            folded_flags, "flag_collinear_with_assigned_point", lambda flag, line: False
+        )
+        report = verify_proof_folded(generate("cube:4"), 0)
+        assert report.failures == [
+            f"flag at {x} not collinear with its facet point"
+            for x in CUBE4_BASE_POINTS
+            for _ in range(2)
+        ]
 
     def test_general_position_raise_names_the_seed(self, monkeypatch):
         # A hand-built line in the plane x = y makes folding raise; the run

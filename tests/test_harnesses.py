@@ -49,14 +49,15 @@ RUNS = {
 # each vertex of the polytope once, with two side tests.  Facet pieces and
 # Schlegel cells are read from the polytope's ridges and run no hull, so
 # their points cost no side test and no hull pivot; only the shadows run the
-# hull.  Faces are keyed by vertex indices, so Fraction hashes come from
-# matching each piece's and each shadow's vertices to points once per vertex
-# and from the shadows' input points, each hashed once to drop repeats.
+# hull.  Faces are keyed by vertex indices and each piece carries its vertices'
+# names, so Fraction hashes come only from the shadows' point sets: each
+# input point hashed once to drop repeats, and each image matched to a
+# shadow vertex.
 HARNESS_WORK_COUNTS = {
-    ("cube:4", "schlegel"): {"pivot": 395, "side": 209, "hash": 1160},
-    ("cube:4", "folded"): {"pivot": 538, "side": 399, "hash": 1152},
-    ("crosspolytope:4", "schlegel"): {"pivot": 525, "side": 86, "hash": 1160},
-    ("crosspolytope:4", "folded"): {"pivot": 708, "side": 515, "hash": 1248},
+    ("cube:4", "schlegel"): {"pivot": 395, "side": 209, "hash": 344},
+    ("cube:4", "folded"): {"pivot": 538, "side": 399, "hash": 384},
+    ("crosspolytope:4", "schlegel"): {"pivot": 525, "side": 86, "hash": 368},
+    ("crosspolytope:4", "folded"): {"pivot": 708, "side": 515, "hash": 480},
 }
 
 
@@ -91,9 +92,10 @@ def test_sampling_builds_no_face_span(spec, monkeypatch):
 @pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4"])
 def test_classification_is_one_table_per_line(spec, monkeypatch, work_counts):
     # Classifying every flag of one line evaluates no facet inequality and
-    # takes each facet normal's product with the line once.
+    # takes each facet normal's product with the line exactly once.
     cx = projection.schlegel(generate(spec), 0)
-    flags = place_flags(cx, sample_general_line(cx, 0))
+    q = sample_general_line(cx, 0)
+    flags = place_flags(cx)
     calls = Counter()
 
     def counted(owner, name):
@@ -109,11 +111,12 @@ def test_classification_is_one_table_per_line(spec, monkeypatch, work_counts):
     counted(Polytope, "contains")
     counted(Polytope, "in_tangent_cone")
     work_counts.clear()
+    signs = cx.facet_signs(q.direction)
     for flag in flags:
-        classify_flag(flag, cx)
+        classify_flag(flag, cx, signs)
     assert work_counts["side"] == 0
     assert calls["contains"] == calls["in_tangent_cone"] == 0
-    assert calls["dot"] <= sum(len(c.facets) for c in cx.cells) + len(cx.carrier.facets)
+    assert calls["dot"] == sum(len(c.facets) for c in cx.cells) + len(cx.carrier.facets)
 
 
 @pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4"])

@@ -114,6 +114,7 @@ def reference_polytope(points):
         embedded_vertices=tuple(distinct[i] for i in extreme),
         facets=tuple(facet_list),
         frame=frame,
+        names=tuple(range(len(extreme))),
     )
 
 

@@ -152,15 +152,27 @@ class TestSchlegelComplex:
                 assert affine_dim(pts + [barycenter(pts)]) == c
 
 
+def assert_named_by(piece, images):
+    """Each vertex of the piece is the image of the vertex it is named by."""
+    assert [images[v] for v in piece.names] == list(piece.embedded_vertices)
+
+
 def assert_pieces_match_hulls(p, facet):
     """Every facet piece, and every piece of the Schlegel complex at
-    `facet`, equals the hull of its points."""
+    `facet`, equals the hull of its points and names each vertex by its
+    index in p; a hull names each vertex by its own index."""
     for i in range(len(p.facets)):
-        assert facet_polytope(p, i) == build_polytope(p.facet_vertices(i)), i
+        piece = facet_polytope(p, i)
+        assert piece == build_polytope(p.facet_vertices(i)), i
+        assert_named_by(piece, p.vertices)
     cx = schlegel(p, facet)
     hulls = [build_polytope([cx.images[v] for v in sorted(f.vertex_indices)]) for f in p.facets]
+    for hull in hulls:
+        assert hull.names == tuple(range(len(hull.vertices)))
     assert cx.carrier == hulls.pop(facet)
     assert cx.cells == tuple(hulls)
+    for piece in (cx.carrier, *cx.cells):
+        assert_named_by(piece, cx.images)
 
 
 class TestPiecesFromIncidences:

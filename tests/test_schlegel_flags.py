@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from eulerlab import schlegel_flags
 from eulerlab.errors import GeneralPositionError, SamplingBudgetError
 from eulerlab.euler import CertificateEntry, f_vector, rejection_sample
-from eulerlab.linalg import SpanBuilder, format_point, is_zero, vscale, vsub
+from eulerlab.linalg import SpanBuilder, barycenter, format_point, is_zero, vscale, vsub
 from eulerlab.polytope import face_lattice, generate
 from eulerlab.projection import project_along, schlegel
 from eulerlab.schlegel_flags import (
@@ -60,10 +60,16 @@ def sampled_direction(sample, complex, seed):
         return f"raised: {err}"
 
 
-def full_scan_classify(flag, complex):
+def base_point(complex, flag):
+    """The flag's base point: the vertex barycenter of its face."""
+    return barycenter(complex.face_points(flag.base_face))
+
+
+def full_scan_classify(flag, complex, line_direction):
     """Reference classifier: ask every cell whether it holds the base point
     and takes the flag in its tangent cone, re-evaluating every facet."""
-    base, direction = flag.base_point, flag.direction
+    base = base_point(complex, flag)
+    direction = vscale(line_direction, flag.orientation)
     hits = [
         i
         for i, cell in enumerate(complex.cells)
@@ -81,10 +87,10 @@ def full_scan_classify(flag, complex):
     )
 
 
-def outcome(classify, flag, complex):
+def outcome(classify, *args):
     """The classification, or the text of the general-position raise."""
     try:
-        return classify(flag, complex)
+        return classify(*args)
     except GeneralPositionError as err:
         return f"raised: {err}"
 
@@ -93,9 +99,10 @@ def assert_same_as_full_scan(complex, line) -> int:
     """Every flag of the line classifies as the full scan does; returns how
     many flags made both raise."""
     raised = 0
-    for flag in place_flags(complex, line):
-        got = outcome(classify_flag, flag, complex)
-        assert got == outcome(full_scan_classify, flag, complex)
+    signs = complex.facet_signs(line.direction)
+    for flag in place_flags(complex):
+        got = outcome(classify_flag, flag, complex, signs)
+        assert got == outcome(full_scan_classify, flag, complex, line.direction)
         raised += str(got).startswith("raised")
     return raised
 
@@ -166,11 +173,11 @@ class TestSampleGeneralLine:
             reference_sample_general_line, cx, seed
         )
 
-    def test_keeps_only_the_accepted_lines_signs(self):
+    def test_accepted_line_has_no_zero_cell_sign(self):
         cx = schlegel(generate("cube:3"), 0)
         q = sample_general_line(cx, 0)
-        assert cx._signs[0] == q.direction
-        assert all(0 not in signs for signs in cx._signs[1][0])
+        cell_signs, _ = cx.facet_signs(q.direction)
+        assert all(0 not in signs for signs in cell_signs)
 
 
 class TestPlaceFlags:
@@ -183,36 +190,29 @@ class TestPlaceFlags:
         # with the proper faces of the source polytope.
         p = generate(spec)
         cx = schlegel(p, 0)
-        q = sample_general_line(cx, 0)
-        flags = place_flags(cx, q)
+        flags = place_flags(cx)
         assert len(flags) == count
         fv = f_vector(face_lattice(p))
         assert count == 2 * sum(fv[c] for c in range(p.dim - 1))
 
     def test_pairing_and_values(self):
         cx = schlegel(generate("cube:3"), 4)
-        q = sample_general_line(cx, 1)
-        flags = place_flags(cx, q)
+        flags = place_flags(cx)
         for j in range(0, len(flags), 2):
             a, b = flags[j], flags[j + 1]
             assert a.base_face is b.base_face
-            assert a.base_point == b.base_point
             assert {a.orientation, b.orientation} == {1, -1}
             c = a.base_face.dimension
             assert a.value == b.value == Fraction((-1) ** c, 2)
-            assert a.direction == vscale(q.direction, a.orientation)
-            assert b.direction == vscale(q.direction, b.orientation)
 
     def test_base_points_in_carrier(self):
         cx = schlegel(generate("simplex:4"), 0)
-        q = sample_general_line(cx, 0)
-        for flag in place_flags(cx, q):
-            assert cx.carrier.contains(flag.base_point)
+        for flag in place_flags(cx):
+            assert cx.carrier.contains(base_point(cx, flag))
 
     def test_per_dimension_counts(self):
         cx = schlegel(generate("cube:4"), 2)
-        q = sample_general_line(cx, 5)
-        flags = place_flags(cx, q)
+        flags = place_flags(cx)
         for c in range(cx.dim):
             n = sum(1 for f in flags if f.base_face.dimension == c)
             assert n == 2 * len(cx.faces(c))
@@ -221,9 +221,9 @@ class TestPlaceFlags:
 class TestClassifyFlag:
     def test_every_flag_classifies_uniquely(self):
         cx = schlegel(generate("cube:3"), 0)
-        q = sample_general_line(cx, 0)
-        flags = place_flags(cx, q)
-        kinds = [classify_flag(f, cx) for f in flags]
+        signs = cx.facet_signs(sample_general_line(cx, 0).direction)
+        flags = place_flags(cx)
+        kinds = [classify_flag(f, cx, signs) for f in flags]
         cells = [k for k in kinds if k != OUTSIDE]
         assert len(cells) + kinds.count(OUTSIDE) == len(flags)
         assert set(cells) <= set(range(cx.a))
@@ -233,14 +233,14 @@ class TestClassifyFlag:
         # an interior wall feeds its two incident cells, a boundary wall
         # feeds one cell and the outside.
         cx = schlegel(generate("cube:4"), 0)
-        q = sample_general_line(cx, 2)
-        flags = place_flags(cx, q)
+        signs = cx.facet_signs(sample_general_line(cx, 2).direction)
+        flags = place_flags(cx)
         seen_boundary = seen_interior = False
         for j in range(0, len(flags), 2):
             a, b = flags[j], flags[j + 1]
             if a.base_face.dimension != cx.dim - 1:
                 continue
-            ka, kb = classify_flag(a, cx), classify_flag(b, cx)
+            ka, kb = classify_flag(a, cx, signs), classify_flag(b, cx, signs)
             assert ka != kb
             if OUTSIDE in (ka, kb):
                 seen_boundary = True
@@ -250,14 +250,14 @@ class TestClassifyFlag:
 
     def test_carrier_corner_has_an_outside_flag(self):
         cx = schlegel(generate("cube:3"), 3)
-        q = sample_general_line(cx, 0)
-        flags = place_flags(cx, q)
+        signs = cx.facet_signs(sample_general_line(cx, 0).direction)
+        flags = place_flags(cx)
         corners = set(cx.carrier.vertices)
         checked = 0
         for j in range(0, len(flags), 2):
             a, b = flags[j], flags[j + 1]
-            if a.base_face.dimension == 0 and a.base_point in corners:
-                assert OUTSIDE in (classify_flag(a, cx), classify_flag(b, cx))
+            if a.base_face.dimension == 0 and base_point(cx, a) in corners:
+                assert OUTSIDE in (classify_flag(a, cx, signs), classify_flag(b, cx, signs))
                 checked += 1
         assert checked == len(corners)
 
@@ -383,7 +383,8 @@ class TestVerifyProof:
         p = generate("cube:3")
         cx = schlegel(p, 0)
         line = GeneralLine((Fraction(1), Fraction(0)), ())
-        raises = [outcome(classify_flag, f, cx) for f in place_flags(cx, line)]
+        signs = cx.facet_signs(line.direction)
+        raises = [outcome(classify_flag, f, cx, signs) for f in place_flags(cx)]
         first = next(r for r in raises if str(r).startswith("raised: "))
         monkeypatch.setattr(schlegel_flags, "sample_general_line", lambda complex, seed: line)
         with pytest.raises(GeneralPositionError) as raised:
