@@ -27,7 +27,7 @@ from .errors import DimensionMismatchError
 
 Vector = tuple[Fraction, ...]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
 
 def vec(*coords) -> Vector:

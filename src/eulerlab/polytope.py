@@ -3,14 +3,15 @@
 A Polytope always stores its vertices in a full-dimensional "working" frame
 of its own intrinsic dimension.  Inputs of lower affine dimension are
 re-expressed in a rational affine frame (the original embedding is kept in
-`embedded_vertices` and `frame`).  Facets of a new point set come from
-incremental beneath-beyond insertion on the points lifted to ints; a facet
-taken as a polytope (`facet_polytope`) reads its own off the parent's
-ridges.  Each facet keeps the set of input points on it, and vertices, face
-dimensions and the facets holding a face are read from those incidences
-alone.  The slack matrix, built on first use, holds every facet inequality
-at every vertex in ints.  The independent oracle decides face-ness of every
-vertex subset by exact linear feasibility.
+`embedded_vertices` and `frame`).  The points are lifted to ints once, and
+every facet plane comes from one integer routine: beneath-beyond insertion
+finds the facets of a new point set, and a facet taken as a polytope
+(`facet_polytope`) reads its own off the parent's ridges.  Each facet keeps
+the set of input points on it, and vertices, face dimensions and the
+facets holding a face are read from those incidences alone.  The slack
+matrix, built on first use, holds every facet inequality at every vertex in
+ints.  The independent oracle decides face-ness of every vertex subset by
+exact linear feasibility.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     DegenerateInputError,
@@ -37,9 +38,7 @@ from .linalg import (
     Vector,
     affine_dim,
     affine_hull,
-    barycenter,
     dot,
-    hyperplane_through,
     lift,
     lift_points,
     linear_feasible,
@@ -192,11 +191,6 @@ class SlackMatrix:
     rows: tuple[tuple[int, ...], ...]
 
 
-class _WorkFacet(NamedTuple):
-    h: Hyperplane
-    inc: set[int]
-
-
 def _initial_simplex(points: Sequence[Vector], k: int) -> list[int]:
     span = SpanBuilder(k)
     chosen = [0]
@@ -213,34 +207,41 @@ def _sides(planes, q: Sequence[int]) -> list[int]:
     return [sum(map(mul, n, q)) - b for n, b, _ in planes]
 
 
-def _hull_facets(points: Sequence[Vector], k: int) -> list[_WorkFacet]:
-    """Beneath-beyond hull of full-dimensional points; exact, degeneracy-safe.
+def _plane(lifted, wall, inside: Sequence[int], m: int):
+    """The plane through the lifted points indexed by `wall`, read off the
+    integer nullspace of their differences, as a primitive int pair (n, b)
+    with n·q < b at q = inside/m; None unless that nullspace is one vector
+    and inside/m is off the plane."""
+    base, *rest = (lifted[i] for i in wall)
+    span = SpanBuilder(len(base))
+    for q in rest:
+        span.add(vsub(q, base))
+    normals = span.integer_nullspace()
+    if len(normals) != 1:
+        return None
+    (n,) = normals
+    b = sum(map(mul, n, base))
+    gap = sum(map(mul, n, inside)) - m * b
+    g = math.gcd(*n) * (-1 if gap > 0 else 1)
+    return ([x // g for x in n], b // g) if gap else None
 
-    It runs on ints: points lifted once to q = V·x (lift_points), and each
-    plane a primitive (n, b), n·q <= b inside, read off the integer nullspace
-    of its wall and oriented by the sum of the initial simplex's points.
-    Each facet's `inc` holds every inserted point on its plane, and nothing
-    else records incidence.  A new facet's plane H runs through the new
-    point p and a horizon ridge R = v & b, for v visible and b a kept facet
-    whose plane misses p.  H meets the old hull in a face holding R, and a
-    larger one would be a facet through R: v or b.  So the inserted points
-    on H are those on R, `v.inc & b.inc`, and p.  A final facet's Hyperplane
-    is the primitive form of (V·n, b), as hyperplane_through gives it.
+
+def _hull_facets(lifted: Sequence[Sequence[int]], k: int) -> list:
+    """Beneath-beyond hull of full-dimensional lifted points; exact and
+    degeneracy-safe.  Each facet is (n, b, inc): the _plane of its wall,
+    oriented by the initial simplex, and in `inc` every inserted point on
+    that plane; nothing else records incidence.  A new facet's plane H runs
+    through the new point p and a horizon ridge R = v & b, for v visible
+    and b a kept facet whose plane misses p.  H meets the old hull in a face
+    holding R, and a larger one would be a facet through R: v or b.  So the
+    inserted points on H are those on R, `v.inc & b.inc`, and p.  As p is
+    strictly beneath b, on whose plane v & b lies, v & b and p span a
+    hyperplane exactly when v & b spans a ridge: one _plane call tests the
+    pair and gives H.
     """
-    scale, lifted = lift_points(points)
     simplex = set(_initial_simplex(lifted, k))
     inside = [sum(c) for c in zip(*(lifted[i] for i in simplex))]
-
-    def plane(wall: list[int], inc: set[int]):
-        base, span = lifted[wall[0]], SpanBuilder(k)
-        for i in wall[1:]:
-            span.add(vsub(lifted[i], base))
-        (n,) = span.integer_nullspace()
-        b = sum(map(mul, n, base))
-        g = math.gcd(*n) * (-1 if sum(map(mul, n, inside)) > (k + 1) * b else 1)
-        return [x // g for x in n], b // g, inc
-
-    facets = [plane([i for i in simplex if i != omit], simplex - {omit}) for omit in simplex]
+    facets = [(*_plane(lifted, simplex - {o}, inside, k + 1), simplex - {o}) for o in simplex]
     for j, q in enumerate(lifted):
         if j in simplex:
             continue
@@ -258,43 +259,41 @@ def _hull_facets(points: Sequence[Vector], k: int) -> list[_WorkFacet]:
                 if j in b_inc:
                     continue  # p is on b's plane, so b grows and spans no new one
                 shared = v_inc & b_inc
-                if len(shared) < k - 1 or affine_dim([lifted[i] for i in shared]) != k - 2:
-                    continue
-                new.append(plane([*shared, j], shared | {j}))
+                if len(shared) >= k - 1 and (h := _plane(lifted, [*shared, j], inside, k + 1)):
+                    new.append((*h, shared | {j}))
         facets = kept + new
-    return [
-        _WorkFacet(Hyperplane(vec(*n), Fraction(b, scale)).normalized(), inc)
-        for n, b, inc in facets
-    ]
+    return facets
 
 
 def _assemble(distinct: Sequence[Vector], find_facets, labels=None) -> Polytope:
     """The canonical Polytope of distinct points, framed in their affine
-    hull, whose facets `find_facets(work_points, k)` returns as _WorkFacets
-    of the points charted in k coordinates.  Each vertex is named by its
-    point's entry in `labels`, or by its own index when there are none."""
+    hull, whose facets `find_facets(lifted, k)` returns as (n, b, inc) for
+    the points charted in k coordinates and lifted once to q = V·x: inside
+    is n·q <= b, or n·x <= b/V.  Each vertex is named by its point's entry
+    in `labels`, or by its own index when there are none."""
     if len(distinct) < 2:
         raise DegenerateInputError("degenerate input")
     ambient = len(distinct[0])
     frame = affine_hull(distinct)
     k = frame.dim
     work_points = distinct if k == ambient else [frame.to_working(p) for p in distinct]
-    facets_work = find_facets(work_points, k)
+    scale, lifted = lift_points(work_points)
+    found = find_facets(lifted, k)
     # The facets through point i meet in the least face holding i, so i is a
     # vertex exactly when no other point lies on all of them.
     meet: dict[int, set[int]] = {}
-    for f in facets_work:
-        for i in f.inc:
-            meet[i] = meet[i] & f.inc if i in meet else f.inc
+    for _, _, inc in found:
+        for i in inc:
+            meet[i] = meet[i] & inc if i in meet else inc
     extreme = sorted((i for i, m in meet.items() if m == {i}), key=lambda i: work_points[i])
     renum = {old: new for new, old in enumerate(extreme)}
     facet_list = []
-    for f in facets_work:
-        idx = frozenset(renum[i] for i in f.inc if i in renum)
-        pts = [work_points[i] for i in f.inc if i in renum]
-        if affine_dim(pts) != k - 1:
+    for n, b, inc in found:
+        held = [i for i in inc if i in renum]
+        if affine_dim([lifted[i] for i in held]) != k - 1:
             raise RuntimeError("facet vertex set does not span dimension k-1")
-        facet_list.append(Facet(f.h, idx))
+        h = Hyperplane(vec(*n), Fraction(b, scale)).normalized()
+        facet_list.append(Facet(h, frozenset(renum[i] for i in held)))
     facet_list.sort(key=lambda f: (f.hyperplane.normal, f.hyperplane.offset))
     return Polytope(
         ambient_dim=ambient,
@@ -423,9 +422,9 @@ def facet_polytope(p: Polytope, i: int, images: Optional[Sequence[Vector]] = Non
     so `embedded_vertices` live in p's working frame, or any images of p's
     vertices that keep the facet's face lattice, such as a Schlegel
     projection's.  Each vertex is named by its index in p.  No hull runs:
-    its facets are the ridges of p in F_i (Kaibel & Pfetsch 2002), each
-    plane through a ridge's images and oriented by the barycenter of F_i's
-    images.
+    its facets are the ridges of p in F_i (Kaibel & Pfetsch 2002), each the
+    _plane through a ridge's images, oriented by the barycenter of F_i's; a
+    ridge with no such plane raises ValueError.
     """
     images = p.vertices if images is None else images
     held = p.facets[i].vertex_indices
@@ -436,9 +435,12 @@ def facet_polytope(p: Polytope, i: int, images: Optional[Sequence[Vector]] = Non
         if r.vertex_indices <= held
     ]
 
-    def ridge_facets(work: Sequence[Vector], k: int) -> list[_WorkFacet]:
-        inside = barycenter(work)
-        return [_WorkFacet(hyperplane_through([work[j] for j in r], inside), r) for r in ridges]
+    def ridge_facets(lifted: Sequence[Sequence[int]], k: int) -> list:
+        inside = [sum(c) for c in zip(*lifted)]
+        planes = [_plane(lifted, r, inside, len(lifted)) for r in ridges]
+        if None in planes:
+            raise ValueError(f"images of facet {i} flatten a ridge or put their barycenter on its plane")
+        return [(*h, r) for h, r in zip(planes, ridges)]
 
     return _assemble([images[v] for v in local], ridge_facets, list(local))
 

@@ -49,15 +49,20 @@ RUNS = {
 # each vertex of the polytope once, with two side tests.  Facet pieces and
 # Schlegel cells are read from the polytope's ridges and run no hull, so
 # their points cost no side test and no hull pivot; only the shadows run the
-# hull.  Faces are keyed by vertex indices and each piece carries its vertices'
-# names, so Fraction hashes come only from the shadows' point sets: each
-# input point hashed once to drop repeats, and each image matched to a
-# shadow vertex.
+# hull.  The hull tests a candidate horizon ridge by the one elimination
+# that gives the plane through it and the new point; pivots fell when it
+# stopped eliminating the ridge first.  On d = 4 a shadow's ridges are
+# single points that take no pivot, so only the d = 5 runs moved.  Faces
+# are keyed by vertex indices and each piece carries its vertices' names, so
+# Fraction hashes come only from the shadows' point sets: each input point
+# hashed once to drop repeats, and each image matched to a shadow vertex.
 HARNESS_WORK_COUNTS = {
     ("cube:4", "schlegel"): {"pivot": 395, "side": 209, "hash": 344},
     ("cube:4", "folded"): {"pivot": 538, "side": 399, "hash": 384},
     ("crosspolytope:4", "schlegel"): {"pivot": 525, "side": 86, "hash": 368},
     ("crosspolytope:4", "folded"): {"pivot": 708, "side": 515, "hash": 480},
+    ("cube:5", "schlegel"): {"pivot": 1365, "side": 1050, "hash": 1332},
+    ("cube:5", "folded"): {"pivot": 1748, "side": 1399, "hash": 1408},
 }
 
 

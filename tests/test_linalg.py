@@ -270,6 +270,13 @@ class TestRationalText:
         with pytest.raises(ValueError):
             parse_rational("1/0")
 
+    # Arabic-Indic three: Python's int() and \d take it as a digit, but a
+    # coordinate is written in ASCII digits only.
+    @pytest.mark.parametrize("text", ["\u0663", "1/1\u0663", "1/\u0663"])
+    def test_rejects_non_ascii_digits(self, text):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            parse_rational(text)
+
 
 class TestRank:
     def test_identity(self):

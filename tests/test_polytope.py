@@ -1,6 +1,7 @@
 """Hull construction, face lattices, the brute-force oracle, and generators."""
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from eulerlab.errors import (
     OracleBoundError,
 )
 from eulerlab.linalg import (
+    Hyperplane,
     affine_dim,
     affine_hull,
     barycenter,
@@ -29,7 +31,7 @@ from eulerlab.polytope import (
     Facet,
     Polytope,
     _initial_simplex,
-    _WorkFacet,
+    _plane,
     brute_force_face_lattice,
     build_polytope,
     face_lattice,
@@ -50,9 +52,15 @@ def to_ambient(frame, w):
     return x
 
 
+class RefFacet(NamedTuple):
+    h: Hyperplane
+    inc: set[int]
+
+
 def reference_hull_facets(points, k):
-    """Beneath-beyond with incidence re-derived: each new facet's incidence
-    is a rescan of every processed point, and a new plane equal to a kept
+    """Beneath-beyond on Fractions with incidence re-derived: each new
+    facet's plane comes from hyperplane_through and its incidence from a
+    rescan of every processed point, and a new plane equal to a kept
     facet's plane is dropped by comparing the planes."""
     simplex = _initial_simplex(points, k)
     interior = barycenter([points[i] for i in simplex])
@@ -60,7 +68,7 @@ def reference_hull_facets(points, k):
     for omit in simplex:
         wall = [points[i] for i in simplex if i != omit]
         h = hyperplane_through(wall, interior)
-        facets.append(_WorkFacet(h, {i for i in simplex if h.side(points[i]) == 0}))
+        facets.append(RefFacet(h, {i for i in simplex if h.side(points[i]) == 0}))
     processed = set(simplex)
     for j, p in enumerate(points):
         if j in processed:
@@ -83,7 +91,7 @@ def reference_hull_facets(points, k):
         for key, h in candidates.items():
             if key not in kept_planes:
                 inc = {i for i in processed if h.side(points[i]) == 0}
-                kept.append(_WorkFacet(h, inc | {j}))
+                kept.append(RefFacet(h, inc | {j}))
         facets = kept
         processed.add(j)
     return facets
@@ -172,8 +180,51 @@ def large_hull_inputs(draw):
     return draw(st.permutations(pts))
 
 
+@st.composite
+def plane_walls(draw):
+    """A wall of at most d lifted points in d = 2..5, with coordinates small
+    enough that it often spans less than a hyperplane, one to three lifted
+    points whose barycenter orients the plane, and a scale V."""
+    d = draw(st.integers(2, 5))
+    point = st.tuples(*[st.integers(-3, 3)] * d)
+    wall = draw(st.lists(point, min_size=1, max_size=d))
+    beneath = draw(st.lists(point, min_size=1, max_size=3))
+    return d, wall, beneath, draw(st.sampled_from([1, 2, 3, 7]))
+
+
 def unit_square_points():
     return [vec(0, 0), vec(1, 0), vec(0, 1), vec(1, 1)]
+
+
+class TestPlane:
+    # _plane on points lifted by V is hyperplane_through on the points
+    # themselves, in the primitive form the hull's Hyperplanes take.
+    @given(plane_walls())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_hyperplane_through(self, case):
+        d, wall, beneath, scale = case
+        inside = [sum(c) for c in zip(*beneath)]
+        plane = _plane(wall, range(len(wall)), inside, len(beneath))
+        points = [tuple(F(x, scale) for x in q) for q in wall]
+        if affine_dim(points) < d - 1:
+            assert plane is None
+            return
+        center = tuple(F(c, len(beneath) * scale) for c in inside)
+        try:
+            expected = hyperplane_through(points, center)
+        except ValueError:  # the barycenter is on the plane
+            assert plane is None
+            return
+        n, b = plane
+        assert Hyperplane(vec(*n), F(b, scale)).normalized() == expected
+
+    def test_square_edge(self):
+        # The edge y = 0 of the unit square lifted by V = 2, oriented by the
+        # sum of the four corners: -y <= 0.
+        lifted = [(0, 0), (2, 0), (0, 2), (2, 2)]
+        assert _plane(lifted, [1, 0], (4, 4), 4) == ([0, -1], 0)
+        assert _plane(lifted, [0], (4, 4), 4) is None
+        assert _plane(lifted, [0, 1], (4, 0), 4) is None
 
 
 class TestBuildPolytope:
@@ -361,11 +412,14 @@ class TestFacetsOf:
 # for generate plus face_lattice at seed 0.
 # These depend on no machine; a change that moves them on purpose restates
 # them here and says why.  The input's points are hashed once each, to drop
-# repeats (dict.fromkeys), so hash is n·d.
+# repeats (dict.fromkeys), so hash is n·d.  Each candidate horizon ridge
+# costs one elimination, the plane through it and the new point, which also
+# rejects a pair that spans no ridge; pivots fell when the hull stopped
+# eliminating the shared points first.
 WORK_COUNTS = {
-    "cube:5": {"pivot": 312, "side": 252, "hash": 160},
-    "crosspolytope:5": {"pivot": 372, "side": 40, "hash": 50},
-    "random:4,30,10": {"pivot": 1717, "side": 1216, "hash": 120},
+    "cube:5": {"pivot": 236, "side": 252, "hash": 160},
+    "crosspolytope:5": {"pivot": 282, "side": 40, "hash": 50},
+    "random:4,30,10": {"pivot": 1145, "side": 1216, "hash": 120},
 }
 
 
@@ -488,6 +542,25 @@ class TestVolumeAndSubpolytopes:
         assert len(q.vertices) == 4
         # embedded vertices live in p's frame and are actual cube vertices
         assert set(q.embedded_vertices) <= set(p.vertices)
+
+    def test_facet_polytope_rejects_images_that_flatten_a_ridge(self):
+        # Facet 0 of the 4-cube is x0 = 0; its ridge x1 = 0 goes onto a line.
+        p = generate("cube:4")
+        images = list(p.vertices)
+        for v in p.facets[0].vertex_indices:
+            _, y, b, c = p.vertices[v]
+            if y == 0:
+                images[v] = vec(0, 0, b + 2 * c, 0)
+        with pytest.raises(ValueError, match="images of facet 0 flatten a ridge"):
+            facet_polytope(p, 0, images)
+
+    def test_facet_polytope_rejects_a_barycenter_on_a_ridge_plane(self):
+        # Facet 0 of the 3-cube is x0 = 0; with (0, 1, 1) imaged at (0, -1, 1)
+        # the images' barycenter lies on the line of the edge x1 = 0.
+        p = generate("cube:3")
+        images = [vec(0, -1, 1) if v == vec(0, 1, 1) else v for v in p.vertices]
+        with pytest.raises(ValueError, match="images of facet 0"):
+            facet_polytope(p, 0, images)
 
     def test_facet_of_segment_is_degenerate(self):
         with pytest.raises(DegenerateInputError, match="degenerate input"):
