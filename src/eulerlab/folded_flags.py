@@ -174,27 +174,29 @@ def fold_flags(
     each, two different ones; all of this follows from the certificate, so
     a violation raises GeneralPositionError.
 
-    The rows are ints, read off the polytope's slack matrix S (see
-    SlackMatrix).  With L the lcm of the denominators of t1 and the
-    direction, A_j = L*n_j.direction, T_j = L*side_j(t1) and sigma_j the sum
-    of S[j][v] over the face's vertices v, row j is (A_j*V|F|,
-    sigma_j*L - T_j*V|F|, -sigma_j*L): the rational row times the positive
-    c_j*V*|F|*L.  A positive scale per row moves no sign, ray or ratio, so
-    only the ratio t, the base point and the side ends are Fractions.
+    The rows are ints, read off the facets' integer planes (n_j, b_j) and
+    the polytope's slack matrix S (see SlackMatrix).  With L the lcm of the
+    denominators of t1 and the direction, A_j = L*n_j.direction, T_j =
+    L*side_j(t1) and sigma_j the sum of S[j][v] over the face's vertices v,
+    row j is (A_j*V|F|, sigma_j*L - T_j*V|F|, -sigma_j*L): the rational row
+    times the positive V*|F|*L.  A positive scale per row moves no sign, ray
+    or ratio, so only the ratio t, the base point and the side ends are
+    Fractions.
     """
     x = barycenter(p.face_points(face))
     e = line.direction
     g = vsub(x, line.t1)
     slack = p.slack
-    # Per line: L*t1 with L appended, and L*direction, as ints.
+    # Per line: L*t1, L*direction and L, as ints.
     *lifted, big_l = lift([*line.t1, *e, 1])
-    lt1, le = (*lifted[: p.dim], big_l), lifted[p.dim :]
+    lt1, le = lifted[: p.dim], lifted[p.dim :]
     idx = sorted(face.vertex_indices)
     vf = slack.scale * len(idx)
     # (alpha_j, beta_j, slack_j): the slack of facet j at x is gamma_j - beta_j.
     rows = []
-    for plane, srow in zip(slack.planes, slack.rows):
-        rate, at_t1 = sum(map(mul, plane, le)), sum(map(mul, plane, lt1))
+    for f, srow in zip(p.facets, slack.rows):
+        n, b = f.hyperplane.normal, f.hyperplane.offset
+        rate, at_t1 = sum(map(mul, n, le)), sum(map(mul, n, lt1)) - b * big_l
         sigma = sum(srow[v] for v in idx)
         rows.append((rate * vf, sigma * big_l - at_t1 * vf, -sigma * big_l))
 

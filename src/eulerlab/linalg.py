@@ -261,7 +261,7 @@ class AffineSubspace:
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """The set {x : normal·x = offset}; normal must be nonzero."""
+    """The set {x : normal·x = offset}, normal nonzero; a facet's are ints with gcd 1."""
 
     normal: Vector
     offset: Fraction
@@ -274,38 +274,35 @@ class Hyperplane:
         """normal·point - offset: 0 on the plane, sign gives the side."""
         return dot(self.normal, point) - self.offset
 
-    def normalized(self) -> "Hyperplane":
-        """Integer coefficients with gcd 1; orientation preserved."""
-        lifted = lift([*self.normal, self.offset])
-        g = math.gcd(*(abs(v) for v in lifted))
-        lifted = [v // g for v in lifted]
-        return Hyperplane(tuple(Fraction(v) for v in lifted[:-1]), Fraction(lifted[-1]))
 
-
-def affine_hull(points: Sequence[Vector]) -> AffineSubspace:
-    """Smallest affine subspace containing the points."""
+def affine_basis(points: Sequence[Vector]) -> list[int]:
+    """Indices of a greedy affine basis: the first point, then each later one
+    whose difference from it enlarges the span.  A positive scale moves no
+    dependency, so the points lifted to ints give the same indices."""
     if not points:
         raise ValueError("no points")
     base = points[0]
     span = SpanBuilder(len(base))
-    basis = []
-    for p in points[1:]:
-        d = vsub(p, base)
-        if span.add(d):
-            basis.append(d)
-    return AffineSubspace(base, tuple(basis))
+    chosen = [0]
+    for i in range(1, len(points)):
+        if span.rank < span.width and span.add(vsub(points[i], base)):
+            chosen.append(i)
+    return chosen
+
+
+def affine_hull(points: Sequence[Vector]) -> AffineSubspace:
+    """Smallest affine subspace containing the points, on their affine_basis."""
+    base, *rest = (points[i] for i in affine_basis(points))
+    return AffineSubspace(base, tuple(vsub(p, base) for p in rest))
 
 
 def affine_dim(points: Sequence[Vector]) -> int:
     """Dimension of the affine hull; -1 for the empty set."""
-    if not points:
-        return -1
-    base = points[0]
-    return rank([vsub(p, base) for p in points[1:]])
+    return len(affine_basis(points)) - 1 if points else -1
 
 
 def hyperplane_through(points: Sequence[Vector], beneath: Vector) -> Hyperplane:
-    """Hyperplane spanned by `points`, oriented so normal·beneath < offset.
+    """Hyperplane spanned by `points` in primitive ints, normal·beneath < offset.
 
     The points must span affine dimension d-1 in ambient dimension d; the
     beneath point must be strictly off the plane.
@@ -317,12 +314,12 @@ def hyperplane_through(points: Sequence[Vector], beneath: Vector) -> Hyperplane:
         raise ValueError(
             f"points span affine dimension {width - len(normals)}, need {width - 1}"
         )
-    normal = normals[0]
-    gap = dot(normal, beneath) - dot(normal, base)
+    *n, c = lift([*normals[0], dot(normals[0], base)])
+    gap = dot(n, beneath) - c
     if gap == 0:
         raise ValueError("orientation point lies on the hyperplane")
-    sign = -1 if gap > 0 else 1
-    return Hyperplane(vscale(normal, sign), sign * dot(normal, base)).normalized()
+    g = math.gcd(*n, c) * (-1 if gap > 0 else 1)
+    return Hyperplane(tuple(x // g for x in n), c // g)
 
 
 def linear_feasible(

@@ -1,17 +1,17 @@
 """Polytopes from vertex sets: exact hull, face lattice, oracle, generators.
 
-A Polytope always stores its vertices in a full-dimensional "working" frame
-of its own intrinsic dimension.  Inputs of lower affine dimension are
-re-expressed in a rational affine frame (the original embedding is kept in
-`embedded_vertices` and `frame`).  The points are lifted to ints once, and
-every facet plane comes from one integer routine: beneath-beyond insertion
-finds the facets of a new point set, and a facet taken as a polytope
-(`facet_polytope`) reads its own off the parent's ridges.  Each facet keeps
-the set of input points on it, and vertices, face dimensions and the
-facets holding a face are read from those incidences alone.  The slack
-matrix, built on first use, holds every facet inequality at every vertex in
-ints.  The independent oracle decides face-ness of every vertex subset by
-exact linear feasibility.
+A Polytope stores its vertices in a full-dimensional "working" frame of its
+own intrinsic dimension; inputs of lower affine dimension are restated in a
+rational affine frame (the embedding is kept in `embedded_vertices` and
+`frame`).  Each point set is lifted to ints once: one affine basis of those
+gives the frame and the hull's initial simplex, and one integer routine
+every facet plane, whether beneath-beyond insertion finds the facets of a
+new point set or a facet taken as a polytope (`facet_polytope`) reads its
+own off the parent's ridges.  Each facet keeps that plane as primitive ints
+and the set of input points on it; vertices, face dimensions and the facets
+holding a face are read from those incidences alone.  The slack matrix
+holds every facet inequality at every vertex in ints.  The independent
+oracle decides face-ness of every vertex subset by exact linear feasibility.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .linalg import (
     Hyperplane,
     SpanBuilder,
     Vector,
+    affine_basis,
     affine_dim,
-    affine_hull,
     dot,
     lift,
     lift_points,
@@ -125,13 +125,12 @@ class Polytope:
     @cached_property
     def slack(self) -> "SlackMatrix":
         """The slack matrix in ints, built on first use: see SlackMatrix."""
-        planes = tuple(
-            tuple(lift([*f.hyperplane.normal, -f.hyperplane.offset])) for f in self.facets
-        )
         scale, lifted = lift_points(self.vertices)
-        points = [(*q, scale) for q in lifted]
-        rows = tuple(tuple(sum(map(mul, plane, v)) for v in points) for plane in planes)
-        return SlackMatrix(planes, scale, rows)
+        planes = [f.hyperplane for f in self.facets]
+        rows = tuple(
+            tuple(sum(map(mul, h.normal, q)) - scale * h.offset for q in lifted) for h in planes
+        )
+        return SlackMatrix(scale, rows)
 
     def facet_vertices(self, i: int) -> tuple[Vector, ...]:
         return tuple(self.vertices[j] for j in sorted(self.facets[i].vertex_indices))
@@ -180,26 +179,12 @@ class SlackMatrix:
     """A polytope's slack matrix in ints (Yannakakis 1991): its zero
     pattern is the vertex-facet incidence.
 
-    `planes[j]` is facet j's row (normal, -offset) lifted to ints, c_j > 0
-    times it (c_j = 1 for the gcd-1 integer planes the hull makes); `scale`
-    is V, the lcm of the vertex denominators; and `rows[j][v]` is
-    planes[j]·(V·v, V) = c_j·V·side_j(v).
+    `scale` is V, the lcm of the vertex denominators, and `rows[j][v]` is
+    n_j·(V·v) - V·b_j = V·side_j(v) for facet j's integer plane (n_j, b_j).
     """
 
-    planes: tuple[tuple[int, ...], ...]
     scale: int
     rows: tuple[tuple[int, ...], ...]
-
-
-def _initial_simplex(points: Sequence[Vector], k: int) -> list[int]:
-    span = SpanBuilder(k)
-    chosen = [0]
-    for i in range(1, len(points)):
-        if span.add(vsub(points[i], points[0])):
-            chosen.append(i)
-            if len(chosen) == k + 1:
-                return chosen
-    raise DegenerateInputError("points do not span the working frame")
 
 
 def _sides(planes, q: Sequence[int]) -> list[int]:
@@ -226,20 +211,20 @@ def _plane(lifted, wall, inside: Sequence[int], m: int):
     return ([x // g for x in n], b // g) if gap else None
 
 
-def _hull_facets(lifted: Sequence[Sequence[int]], k: int) -> list:
-    """Beneath-beyond hull of full-dimensional lifted points; exact and
-    degeneracy-safe.  Each facet is (n, b, inc): the _plane of its wall,
-    oriented by the initial simplex, and in `inc` every inserted point on
-    that plane; nothing else records incidence.  A new facet's plane H runs
-    through the new point p and a horizon ridge R = v & b, for v visible
-    and b a kept facet whose plane misses p.  H meets the old hull in a face
-    holding R, and a larger one would be a facet through R: v or b.  So the
-    inserted points on H are those on R, `v.inc & b.inc`, and p.  As p is
-    strictly beneath b, on whose plane v & b lies, v & b and p span a
-    hyperplane exactly when v & b spans a ridge: one _plane call tests the
-    pair and gives H.
+def _hull_facets(lifted: Sequence[Sequence[int]], simplex: Sequence[int]) -> list:
+    """Beneath-beyond hull of full-dimensional lifted points from the
+    indices of an initial simplex; exact and degeneracy-safe.  Each facet is
+    (n, b, inc): the _plane of its wall, oriented by the initial simplex,
+    and in `inc` every inserted point on that plane; nothing else records
+    incidence.  A new facet's plane H runs through the new point p and a
+    horizon ridge R = v & b, for v visible and b a kept facet whose plane
+    misses p.  H meets the old hull in a face holding R, and a larger one
+    would be a facet through R: v or b.  So the inserted points on H are
+    those on R, `v.inc & b.inc`, and p.  As p is strictly beneath b, on
+    whose plane v & b lies, v & b and p span a hyperplane exactly when
+    v & b spans a ridge: one _plane call tests the pair and gives H.
     """
-    simplex = set(_initial_simplex(lifted, k))
+    k, simplex = len(simplex) - 1, set(simplex)
     inside = [sum(c) for c in zip(*(lifted[i] for i in simplex))]
     facets = [(*_plane(lifted, simplex - {o}, inside, k + 1), simplex - {o}) for o in simplex]
     for j, q in enumerate(lifted):
@@ -267,32 +252,39 @@ def _hull_facets(lifted: Sequence[Sequence[int]], k: int) -> list:
 
 def _assemble(distinct: Sequence[Vector], find_facets, labels=None) -> Polytope:
     """The canonical Polytope of distinct points, framed in their affine
-    hull, whose facets `find_facets(lifted, k)` returns as (n, b, inc) for
-    the points charted in k coordinates and lifted once to q = V·x: inside
-    is n·q <= b, or n·x <= b/V.  Each vertex is named by its point's entry
-    in `labels`, or by its own index when there are none."""
+    hull: one affine_basis of their lifted ints gives k, the frame's basis
+    and the initial simplex that `find_facets(lifted, simplex)` may start
+    from.  It returns each facet as (n, b, inc), n primitive, for the points
+    charted in k coordinates and lifted to q = V·x; inside is n·q <= b, or
+    in primitive ints (V·n/g)·x <= b/g for g = gcd(V, b).  Each vertex is
+    named by its point's entry in `labels`, or by its own index."""
     if len(distinct) < 2:
         raise DegenerateInputError("degenerate input")
     ambient = len(distinct[0])
-    frame = affine_hull(distinct)
-    k = frame.dim
-    work_points = distinct if k == ambient else [frame.to_working(p) for p in distinct]
-    scale, lifted = lift_points(work_points)
-    found = find_facets(lifted, k)
+    scale, lifted = lift_points(distinct)
+    simplex = affine_basis(lifted)
+    k, frame, work_points = len(simplex) - 1, None, distinct
+    if k < ambient:
+        base, *rest = (distinct[i] for i in simplex)
+        frame = AffineSubspace(base, tuple(vsub(x, base) for x in rest))
+        work_points = [frame.to_working(x) for x in distinct]
+        scale, lifted = lift_points(work_points)
+    found = find_facets(lifted, simplex)
     # The facets through point i meet in the least face holding i, so i is a
     # vertex exactly when no other point lies on all of them.
     meet: dict[int, set[int]] = {}
     for _, _, inc in found:
         for i in inc:
             meet[i] = meet[i] & inc if i in meet else inc
-    extreme = sorted((i for i, m in meet.items() if m == {i}), key=lambda i: work_points[i])
+    extreme = sorted((i for i, m in meet.items() if m == {i}), key=lambda i: lifted[i])
     renum = {old: new for new, old in enumerate(extreme)}
     facet_list = []
     for n, b, inc in found:
         held = [i for i in inc if i in renum]
         if affine_dim([lifted[i] for i in held]) != k - 1:
             raise RuntimeError("facet vertex set does not span dimension k-1")
-        h = Hyperplane(vec(*n), Fraction(b, scale)).normalized()
+        g = math.gcd(scale, b)
+        h = Hyperplane(tuple(scale // g * x for x in n), b // g)
         facet_list.append(Facet(h, frozenset(renum[i] for i in held)))
     facet_list.sort(key=lambda f: (f.hyperplane.normal, f.hyperplane.offset))
     return Polytope(
@@ -301,7 +293,7 @@ def _assemble(distinct: Sequence[Vector], find_facets, labels=None) -> Polytope:
         vertices=tuple(work_points[i] for i in extreme),
         embedded_vertices=tuple(distinct[i] for i in extreme),
         facets=tuple(facet_list),
-        frame=frame if k < ambient else None,
+        frame=frame,
         names=tuple(range(len(extreme)) if labels is None else (labels[i] for i in extreme)),
     )
 
@@ -423,8 +415,8 @@ def facet_polytope(p: Polytope, i: int, images: Optional[Sequence[Vector]] = Non
     vertices that keep the facet's face lattice, such as a Schlegel
     projection's.  Each vertex is named by its index in p.  No hull runs:
     its facets are the ridges of p in F_i (Kaibel & Pfetsch 2002), each the
-    _plane through a ridge's images, oriented by the barycenter of F_i's; a
-    ridge with no such plane raises ValueError.
+    _plane through a ridge's images, oriented by the barycenter of F_i's.
+    ValueError if a ridge has no such plane or an image lies beyond one.
     """
     images = p.vertices if images is None else images
     held = p.facets[i].vertex_indices
@@ -435,12 +427,16 @@ def facet_polytope(p: Polytope, i: int, images: Optional[Sequence[Vector]] = Non
         if r.vertex_indices <= held
     ]
 
-    def ridge_facets(lifted: Sequence[Sequence[int]], k: int) -> list:
+    def ridge_facets(lifted: Sequence[Sequence[int]], _simplex) -> list:
         inside = [sum(c) for c in zip(*lifted)]
         planes = [_plane(lifted, r, inside, len(lifted)) for r in ridges]
         if None in planes:
             raise ValueError(f"images of facet {i} flatten a ridge or put their barycenter on its plane")
-        return [(*h, r) for h, r in zip(planes, ridges)]
+        facets = [(*h, r) for h, r in zip(planes, ridges)]
+        for v, q in zip(local, lifted):
+            if any(s > 0 for s in _sides(facets, q)):
+                raise ValueError(f"images of facet {i} put vertex {v} beyond a ridge's plane")
+        return facets
 
     return _assemble([images[v] for v in local], ridge_facets, list(local))
 

@@ -161,10 +161,10 @@ def _normal_signs(p: Polytope, direction: Vector) -> tuple[int, ...]:
     return tuple((s > 0) - (s < 0) for s in products)
 
 
-def _central_image(apex: Vector, plane: Hyperplane, x: Vector) -> Vector:
-    """Where the line from apex through x meets the plane."""
-    a = plane.side(apex)
-    return vadd(apex, vscale(vsub(x, apex), a / (a - plane.side(x))))
+def _central_images(apex: Vector, a, points: Sequence[Vector], sides) -> list[Vector]:
+    """Where the line from apex through each point meets a plane, from the
+    apex's side a of it and the point's side s: apex + (x - apex)·a/(a - s)."""
+    return [vadd(apex, vscale(vsub(x, apex), a / (a - s))) for x, s in zip(points, sides)]
 
 
 def schlegel(p: Polytope, facet: int) -> SchlegelComplex:
@@ -182,7 +182,8 @@ def schlegel(p: Polytope, facet: int) -> SchlegelComplex:
     v = beyond_point(p, facet)
     plane = p.facets[facet].hyperplane
     frame = affine_hull(p.facet_vertices(facet))
-    images = tuple(frame.to_working(_central_image(v, plane, x)) for x in p.vertices)
+    sides = [plane.side(x) for x in p.vertices]
+    images = tuple(map(frame.to_working, _central_images(v, plane.side(v), p.vertices, sides)))
     pieces = [facet_polytope(p, j, images) for j in range(len(p.facets))]
     carrier = pieces.pop(facet)
     return SchlegelComplex(facet, carrier, tuple(pieces), images)
@@ -282,10 +283,7 @@ def project_from_point(
         n, b = violated.normal, violated.offset
         screen = Hyperplane(n, (b + dot(n, apex)) / 2)
     apex_side = screen.side(apex)
-    if apex_side == 0 or any(
-        screen.side(v) == 0 or (screen.side(v) > 0) == (apex_side > 0)
-        for v in src.vertices
-    ):
+    sides = [screen.side(v) for v in src.vertices]
+    if any(s * apex_side >= 0 for s in sides):
         raise ValueError("screen must strictly separate the apex from the source")
-    images = [_central_image(apex, screen, v) for v in src.vertices]
-    return _make_shadow(src, images)
+    return _make_shadow(src, _central_images(apex, apex_side, src.vertices, sides))

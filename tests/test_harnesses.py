@@ -42,27 +42,29 @@ RUNS = {
 
 # Exact pivot steps, side tests and Fraction hashes of one run at seed 0
 # (Schlegel at facet 0), after generate.  A change that moves them on purpose
-# restates them here and says why.  The folded sampler takes one side test per facet for the
-# line's parameters on every candidate that meets all facet hyperplanes.
-# Folding reads the slack matrix and takes no side test; a frame charts its
-# points with one elimination, not one per point.  The Schlegel build images
-# each vertex of the polytope once, with two side tests.  Facet pieces and
-# Schlegel cells are read from the polytope's ridges and run no hull, so
-# their points cost no side test and no hull pivot; only the shadows run the
-# hull.  The hull tests a candidate horizon ridge by the one elimination
-# that gives the plane through it and the new point; pivots fell when it
-# stopped eliminating the ridge first.  On d = 4 a shadow's ridges are
-# single points that take no pivot, so only the d = 5 runs moved.  Faces
-# are keyed by vertex indices and each piece carries its vertices' names, so
-# Fraction hashes come only from the shadows' point sets: each input point
-# hashed once to drop repeats, and each image matched to a shadow vertex.
+# restates them here and says why.  The folded sampler takes one side test
+# per facet for the line's parameters on every candidate that meets all
+# facet hyperplanes.  Folding reads the slack matrix and takes no side test;
+# a frame charts its points with one elimination, not one per point.  A
+# central projection, the Schlegel build's or a shadow's, takes one side
+# test for its apex and one per vertex.  Facet pieces and Schlegel cells
+# are read from the polytope's ridges and run no hull pivot; each tests
+# every vertex image against each of its ridge planes, one integer side
+# test per pair, so a d = 4 cube piece takes 8 x 6 and a d = 5 one 16 x 8.
+# Only the shadows run the hull.  One affine basis of a point set's lifted
+# ints gives both its dimension and the hull's initial simplex, so each
+# shadow hull of dimension k takes k pivots fewer than when the simplex was
+# eliminated twice.  Faces are keyed by vertex indices and each piece
+# carries its vertices' names, so Fraction hashes come only from the
+# shadows' point sets: each input point hashed once to drop repeats, and
+# each image matched to a shadow vertex.
 HARNESS_WORK_COUNTS = {
-    ("cube:4", "schlegel"): {"pivot": 395, "side": 209, "hash": 344},
-    ("cube:4", "folded"): {"pivot": 538, "side": 399, "hash": 384},
-    ("crosspolytope:4", "schlegel"): {"pivot": 525, "side": 86, "hash": 368},
-    ("crosspolytope:4", "folded"): {"pivot": 708, "side": 515, "hash": 480},
-    ("cube:5", "schlegel"): {"pivot": 1365, "side": 1050, "hash": 1332},
-    ("cube:5", "folded"): {"pivot": 1748, "side": 1399, "hash": 1408},
+    ("cube:4", "schlegel"): {"pivot": 379, "side": 578, "hash": 344},
+    ("cube:4", "folded"): {"pivot": 526, "side": 639, "hash": 384},
+    ("crosspolytope:4", "schlegel"): {"pivot": 493, "side": 335, "hash": 368},
+    ("crosspolytope:4", "folded"): {"pivot": 680, "side": 603, "hash": 480},
+    ("cube:5", "schlegel"): {"pivot": 1335, "side": 2299, "hash": 1332},
+    ("cube:5", "folded"): {"pivot": 1724, "side": 2295, "hash": 1408},
 }
 
 

@@ -16,11 +16,13 @@ from eulerlab.linalg import (
     AffineSubspace,
     Hyperplane,
     SpanBuilder,
+    affine_basis,
     affine_dim,
     affine_hull,
     dot,
     format_rational,
     hyperplane_through,
+    lift_points,
     linear_feasible,
     nullspace,
     parse_rational,
@@ -431,6 +433,49 @@ class TestSpanBuilder:
             solve_linear(ragged, [F(1), F(2)])
 
 
+@st.composite
+def points_and_unimodular_maps(draw):
+    """Rational points in d = 1..4, often affinely dependent, and the rows
+    of an integer matrix of determinant +-1: a row permutation of a unit
+    lower-triangular matrix."""
+    d = draw(st.integers(1, 4))
+    coord = st.builds(F, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+    points = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=7))
+    lower = [[draw(st.integers(-3, 3)) if j < i else int(i == j) for j in range(d)] for i in range(d)]
+    return points, draw(st.permutations(lower))
+
+
+class TestAffineBasis:
+    def test_skips_points_in_the_span_so_far(self):
+        pts = [vec(0, 0), vec(1, 1), vec(2, 2), vec(0, 1), vec(5, 5)]
+        assert affine_basis(pts) == [0, 1, 3]
+
+    def test_no_points(self):
+        with pytest.raises(ValueError):
+            affine_basis([])
+
+    # The greedy choice keeps a point exactly when it leaves the affine span
+    # of the points kept before it.  A positive scale and a unimodular map
+    # move no affine dependency, so the lifted ints and the mapped points
+    # give the same indices, and affine_hull is spanned by those points.
+    @given(points_and_unimodular_maps())
+    @settings(max_examples=200, deadline=None)
+    def test_same_indices_lifted_mapped_and_in_affine_hull(self, case):
+        points, rows = case
+        basis = affine_basis(points)
+        base = points[0]
+        for i in range(1, len(points)):
+            before = [vsub(points[j], base) for j in basis if 0 < j < i]
+            grows = rank([*before, vsub(points[i], base)]) > rank(before)
+            assert (i in basis) == grows
+        _, lifted = lift_points(points)
+        mapped = [tuple(dot(row, p) for row in rows) for p in points]
+        assert affine_basis(lifted) == basis == affine_basis(mapped)
+        hull = affine_hull(points)
+        assert hull.base_point == base
+        assert hull.direction_basis == tuple(vsub(points[i], base) for i in basis[1:])
+
+
 class TestAffine:
     def test_single_point(self):
         sub = affine_hull([vec(3, 4)])
@@ -506,10 +551,16 @@ class TestHyperplane:
         assert h.side(vec(0, 0, 3)) > 0
         assert h.side(vec(0, 0, 0)) < 0
 
-    def test_normalized_is_canonical(self):
-        a = Hyperplane(vec(F(2, 3), F(4, 3)), F(2))
-        b = Hyperplane(vec(5, 10), F(15))
-        assert a.normalized() == b.normalized()
+    def test_through_points_is_canonical(self):
+        # Any two points of x + 2y = 3, and any point beneath, give the plane
+        # as ints with gcd 1; a point on the other side flips every sign.
+        below = Hyperplane((1, 2), 3)
+        for pts in [[vec(3, 0), vec(1, 1)], [vec(F(1, 2), F(5, 4)), vec(-9, 6)]]:
+            for beneath in [vec(0, 0), vec(-F(1, 3), 1)]:
+                h = hyperplane_through(pts, beneath)
+                assert h == below
+                assert all(type(x) is int for x in (*h.normal, h.offset))
+            assert hyperplane_through(pts, vec(5, 5)) == Hyperplane((-1, -2), -3)
 
     def test_through_points_orients_away_from_beneath(self):
         h = hyperplane_through([vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)], vec(0, 0, 0))

@@ -1,5 +1,6 @@
 """Hull construction, face lattices, the brute-force oracle, and generators."""
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerlab.acceptance import FAMILY_SPECS
+from eulerlab.acceptance import FAMILY_SPECS, RANDOM_SPECS
 from eulerlab.errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -15,6 +16,7 @@ from eulerlab.errors import (
 )
 from eulerlab.linalg import (
     Hyperplane,
+    affine_basis,
     affine_dim,
     affine_hull,
     barycenter,
@@ -30,7 +32,6 @@ from eulerlab.polytope import (
     Face,
     Facet,
     Polytope,
-    _initial_simplex,
     _plane,
     brute_force_face_lattice,
     build_polytope,
@@ -58,11 +59,12 @@ class RefFacet(NamedTuple):
 
 
 def reference_hull_facets(points, k):
-    """Beneath-beyond on Fractions with incidence re-derived: each new
-    facet's plane comes from hyperplane_through and its incidence from a
-    rescan of every processed point, and a new plane equal to a kept
-    facet's plane is dropped by comparing the planes."""
-    simplex = _initial_simplex(points, k)
+    """Beneath-beyond on Fractions with incidence re-derived: the initial
+    simplex is the points' affine_basis, each new facet's plane comes from
+    hyperplane_through and its incidence from a rescan of every processed
+    point, and a new plane equal to a kept facet's plane is dropped by
+    comparing the planes."""
+    simplex = affine_basis(points)
     interior = barycenter([points[i] for i in simplex])
     facets = []
     for omit in simplex:
@@ -198,7 +200,8 @@ def unit_square_points():
 
 class TestPlane:
     # _plane on points lifted by V is hyperplane_through on the points
-    # themselves, in the primitive form the hull's Hyperplanes take.
+    # themselves, in the primitive form (V·n/g, b/g), g = gcd(V, b), that
+    # _assemble gives each facet.
     @given(plane_walls())
     @settings(max_examples=300, deadline=None)
     def test_matches_hyperplane_through(self, case):
@@ -216,7 +219,8 @@ class TestPlane:
             assert plane is None
             return
         n, b = plane
-        assert Hyperplane(vec(*n), F(b, scale)).normalized() == expected
+        g = math.gcd(scale, b)
+        assert Hyperplane(tuple(scale // g * x for x in n), b // g) == expected
 
     def test_square_edge(self):
         # The edge y = 0 of the unit square lifted by V = 2, oriented by the
@@ -334,6 +338,49 @@ class TestBuildPolytope:
         self.assert_matches_reference(pts)
 
 
+class TestFacetPlanes:
+    # Every facet keeps its finder's plane as primitive ints, the plane that
+    # hyperplane_through gives its vertices oriented by the barycenter.
+    @staticmethod
+    def assert_primitive_through_vertices(p):
+        center = barycenter(p.vertices)
+        for i, f in enumerate(p.facets):
+            row = (*f.hyperplane.normal, f.hyperplane.offset)
+            assert all(type(x) is int for x in row)
+            assert math.gcd(*row) == 1
+            assert f.hyperplane == hyperplane_through(p.facet_vertices(i), center)
+
+    @pytest.mark.parametrize("spec", [s for s in FAMILY_SPECS if int(s.split(":")[1]) <= 5])
+    def test_families(self, spec):
+        self.assert_primitive_through_vertices(generate(spec))
+
+    def test_seeded_clouds(self):
+        for spec, seed in RANDOM_SPECS:
+            self.assert_primitive_through_vertices(generate(spec, seed))
+
+    @given(hull_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_hulls_in_their_frames(self, pts):
+        if len(set(pts)) >= 2:
+            self.assert_primitive_through_vertices(build_polytope(pts))
+
+
+class TestFrames:
+    # The hull's frame and a facet piece's are affine_hull of their points,
+    # so a facet piece is charted as Schlegel charts its carrier.
+    def test_low_dimensional_input(self):
+        pts = [vec(1, 1, 1, 0), vec(2, 1, 1, 1), vec(1, 1, 1, 0), vec(3, 1, 1, 2), vec(1, 2, 1, 0)]
+        p = build_polytope(pts)
+        assert p.dim == 2
+        assert p.frame == affine_hull(list(dict.fromkeys(pts)))
+
+    @pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4", "random:4,12,10"])
+    def test_facet_pieces(self, spec):
+        p = generate(spec, seed=0)
+        for i in range(len(p.facets)):
+            assert facet_polytope(p, i).frame == affine_hull(p.facet_vertices(i))
+
+
 class TestFaceLattice:
     def test_cube3_counts(self):
         lat = face_lattice(generate("cube:3"))
@@ -414,12 +461,13 @@ class TestFacetsOf:
 # them here and says why.  The input's points are hashed once each, to drop
 # repeats (dict.fromkeys), so hash is n·d.  Each candidate horizon ridge
 # costs one elimination, the plane through it and the new point, which also
-# rejects a pair that spans no ridge; pivots fell when the hull stopped
-# eliminating the shared points first.
+# rejects a pair that spans no ridge.  One affine basis of the lifted points
+# gives both the dimension and the initial simplex: d pivots, where the
+# frame and the simplex once took d each.
 WORK_COUNTS = {
-    "cube:5": {"pivot": 236, "side": 252, "hash": 160},
-    "crosspolytope:5": {"pivot": 282, "side": 40, "hash": 50},
-    "random:4,30,10": {"pivot": 1145, "side": 1216, "hash": 120},
+    "cube:5": {"pivot": 231, "side": 252, "hash": 160},
+    "crosspolytope:5": {"pivot": 277, "side": 40, "hash": 50},
+    "random:4,30,10": {"pivot": 1141, "side": 1216, "hash": 120},
 }
 
 
@@ -560,6 +608,14 @@ class TestVolumeAndSubpolytopes:
         p = generate("cube:3")
         images = [vec(0, -1, 1) if v == vec(0, 1, 1) else v for v in p.vertices]
         with pytest.raises(ValueError, match="images of facet 0"):
+            facet_polytope(p, 0, images)
+
+    def test_facet_polytope_rejects_images_beyond_a_ridge_plane(self):
+        # Facet 0 of the 3-cube is x0 = 0; with (0, 1, 1) imaged at
+        # (0, 1/4, 1/4) the images' quadrilateral is not convex.
+        p = generate("cube:3")
+        images = [vec(0, F(1, 4), F(1, 4)) if v == vec(0, 1, 1) else v for v in p.vertices]
+        with pytest.raises(ValueError, match="images of facet 0 put vertex .* beyond"):
             facet_polytope(p, 0, images)
 
     def test_facet_of_segment_is_degenerate(self):
