@@ -23,7 +23,6 @@ from .euler import CertificateEntry, check_piece, check_totals, f_vector, reject
 from .linalg import (
     Vector,
     affine_dim,
-    barycenter,
     dot,
     format_point,
     is_zero,
@@ -63,14 +62,13 @@ class FoldedFlag:
 
 
 def _relint_point(p: Polytope, facet_index: int, rng: random.Random, bound: int) -> Vector:
-    """Random positive rational convex combination of the facet's vertices."""
+    """Random positive rational convex combination of the facet's vertices,
+    summed on their lifted ints V·v_i: sum w_i·V·v_i / (V·sum w_i)."""
     idx = sorted(p.facets[facet_index].vertex_indices)
-    weights = [Fraction(rng.randint(1, bound)) for _ in idx]
-    total = sum(weights)
-    point = tuple(Fraction(0) for _ in range(p.dim))
-    for w, i in zip(weights, idx):
-        point = vadd(point, vscale(p.vertices[i], w / total))
-    return point
+    weights = [rng.randint(1, bound) for _ in idx]
+    den = p.slack.scale * sum(weights)
+    lifted = zip(*(p.slack.points[i] for i in idx))
+    return tuple(Fraction(sum(map(mul, weights, c)), den) for c in lifted)
 
 
 def other_facet(rng: random.Random, nf: int, i: int) -> int:
@@ -180,15 +178,15 @@ def fold_flags(
     L*side_j(t1) and sigma_j the sum of S[j][v] over the face's vertices v,
     row j is (A_j*V|F|, sigma_j*L - T_j*V|F|, -sigma_j*L): the rational row
     times the positive V*|F|*L.  A positive scale per row moves no sign, ray
-    or ratio, so only the ratio t, the base point and the side ends are
-    Fractions.
+    or ratio.  The points are int sums over the lifted vertices V*v too:
+    with X their sum over the face, x = X/(V|F|), and a side that leaves x
+    along the ray r and ends at t = num/den ends at x + t*(r_0*e + r_1*(x -
+    t1)), an int over den*V|F|*L in each coordinate.  Only the ratio t and
+    the chart point (u, w), which order the sides, are Fraction arithmetic.
     """
-    x = barycenter(p.face_points(face))
-    e = line.direction
-    g = vsub(x, line.t1)
     slack = p.slack
     # Per line: L*t1, L*direction and L, as ints.
-    *lifted, big_l = lift([*line.t1, *e, 1])
+    *lifted, big_l = lift([*line.t1, *line.direction, 1])
     lt1, le = lifted[: p.dim], lifted[p.dim :]
     idx = sorted(face.vertex_indices)
     vf = slack.scale * len(idx)
@@ -241,25 +239,33 @@ def fold_flags(
             if d > 0 and (not den or row[2] * den < num * d):
                 num, den = row[2], d
         t = Fraction(num, den)
-        sides.append((facets, (t * r[0], 1 + t * r[1])))
+        sides.append((facets, (t * r[0], 1 + t * r[1]), (num, den, r)))
     # Check the side with the lower facet index first.  Two sides share one
     # only when a facet's hyperplane holds the whole plane; then the side
     # with the lower far vertex comes first.
     sides.sort(key=lambda side: (side[0][0], side[1]))
-    for facets, _ in sides:
+    for facets, *_ in sides:
         if len(facets) != 1:
             raise violated(f"a section side lies in facets {facets}, not in one")
     if len(sides) == 2 and sides[0][0] == sides[1][0]:
         raise violated(f"two section sides lie in facet {sides[0][0][0]}")
     if len(sides) != 2:
         raise violated(
-            f"the section sides lie in facets {[f[0] for f, _ in sides]}, not in two"
+            f"the section sides lie in facets {[f[0] for f, *_ in sides]}, not in two"
         )
 
     value = Fraction((-1) ** face.dimension, 2)
+    # X = V|F|*x and G = V|F|*L*(x - t1), as ints.
+    big_x = [sum(c) for c in zip(*(slack.points[v] for v in idx))]
+    big_g = [big_l * xc - vf * tc for xc, tc in zip(big_x, lt1)]
+    x = tuple(Fraction(c, vf) for c in big_x)
     flags = []
-    for [facet_idx], (u, w) in sides:
-        end = vadd(line.t1, vadd(vscale(e, u), vscale(g, w)))
+    for [facet_idx], _, (num, den, r) in sides:
+        # end = x + t*(r_0*e + r_1*(x - t1)), an int over den*V|F|*L.
+        end = tuple(
+            Fraction(den * big_l * xc + num * (vf * r[0] * ec + r[1] * gc), den * vf * big_l)
+            for xc, ec, gc in zip(big_x, le, big_g)
+        )
         flags.append(
             FoldedFlag(
                 base_face=face,

@@ -130,7 +130,7 @@ class Polytope:
         rows = tuple(
             tuple(sum(map(mul, h.normal, q)) - scale * h.offset for q in lifted) for h in planes
         )
-        return SlackMatrix(scale, rows)
+        return SlackMatrix(scale, tuple(lifted), rows)
 
     def facet_vertices(self, i: int) -> tuple[Vector, ...]:
         return tuple(self.vertices[j] for j in sorted(self.facets[i].vertex_indices))
@@ -179,11 +179,13 @@ class SlackMatrix:
     """A polytope's slack matrix in ints (Yannakakis 1991): its zero
     pattern is the vertex-facet incidence.
 
-    `scale` is V, the lcm of the vertex denominators, and `rows[j][v]` is
-    n_j·(V·v) - V·b_j = V·side_j(v) for facet j's integer plane (n_j, b_j).
+    `scale` is V, the lcm of the vertex denominators, `points[v]` is the
+    lifted vertex V·v in ints, and `rows[j][v]` is n_j·points[v] - V·b_j =
+    V·side_j(v) for facet j's integer plane (n_j, b_j).
     """
 
     scale: int
+    points: tuple[tuple[int, ...], ...]
     rows: tuple[tuple[int, ...], ...]
 
 
@@ -416,9 +418,10 @@ def facet_polytope(p: Polytope, i: int, images: Optional[Sequence[Vector]] = Non
     projection's.  Each vertex is named by its index in p.  No hull runs:
     its facets are the ridges of p in F_i (Kaibel & Pfetsch 2002), each the
     _plane through a ridge's images, oriented by the barycenter of F_i's.
-    ValueError if a ridge has no such plane or an image lies beyond one.
+    ValueError if a ridge has no such plane or a given image lies beyond one.
     """
-    images = p.vertices if images is None else images
+    own = images is None
+    images = p.vertices if own else images
     held = p.facets[i].vertex_indices
     local = {v: j for j, v in enumerate(sorted(held))}
     ridges = [
@@ -433,6 +436,8 @@ def facet_polytope(p: Polytope, i: int, images: Optional[Sequence[Vector]] = Non
         if None in planes:
             raise ValueError(f"images of facet {i} flatten a ridge or put their barycenter on its plane")
         facets = [(*h, r) for h, r in zip(planes, ridges)]
+        if own:  # p's own vertices lie beneath every ridge plane of their facet
+            return facets
         for v, q in zip(local, lifted):
             if any(s > 0 for s in _sides(facets, q)):
                 raise ValueError(f"images of facet {i} put vertex {v} beyond a ridge's plane")

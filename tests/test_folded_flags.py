@@ -16,7 +16,6 @@ from eulerlab.polytope import build_polytope, face_lattice, generate
 from eulerlab.folded_flags import (
     FoldedFlag,
     TransversalLine,
-    _relint_point,
     facet_assignment_sums,
     flag_collinear_with_assigned_point,
     fold_flags,
@@ -25,6 +24,24 @@ from eulerlab.folded_flags import (
     verify_proof_folded,
 )
 from spans import line_hyperplane_intersection, meets_line, through
+
+
+def fraction_relint_point(p, facet_index, rng, bound):
+    """_relint_point as it was before it summed lifted vertices: the same
+    weights, and the point built by Fraction vector sums."""
+    idx = sorted(p.facets[facet_index].vertex_indices)
+    weights = [Fraction(rng.randint(1, bound)) for _ in idx]
+    total = sum(weights)
+    point = tuple(Fraction(0) for _ in range(p.dim))
+    for w, i in zip(weights, idx):
+        point = vadd(point, vscale(p.vertices[i], w / total))
+    return point
+
+
+def shifted(p):
+    """The hull of p's vertices under x -> x/3 + 1/7, which gives every
+    vertex a denominator, so V > 1."""
+    return build_polytope([[c / 3 + Fraction(1, 7) for c in v] for v in p.vertices])
 
 
 def reference_sample_transversal(p, seed, facet_pair=None):
@@ -50,8 +67,8 @@ def reference_sample_transversal(p, seed, facet_pair=None):
             faces.append((c, idx, pts[0], through(pts)))
 
     def attempt(bound):
-        t1 = _relint_point(p, i1, rng, bound)
-        t2 = _relint_point(p, i2, rng, bound)
+        t1 = fraction_relint_point(p, i1, rng, bound)
+        t2 = fraction_relint_point(p, i2, rng, bound)
         direction = vsub(t2, t1)
         if is_zero(direction):
             return None
@@ -103,12 +120,19 @@ def reference_sample_transversal(p, seed, facet_pair=None):
     )
 
 
-def sampled_line(sample, p, seed, facet_pair=None):
-    """The sampled line's points and facet pair, or the text of the raise."""
+def sampled(sample, p, seed, facet_pair=None):
+    """The sampled TransversalLine, or the text of the raise."""
     try:
-        line = sample(p, seed, facet_pair)
+        return sample(p, seed, facet_pair)
     except (GeneralPositionError, SamplingBudgetError) as err:
         return f"raised: {err}"
+
+
+def sampled_line(sample, p, seed, facet_pair=None):
+    """The sampled line's points and facet pair, or the text of the raise."""
+    line = sampled(sample, p, seed, facet_pair)
+    if isinstance(line, str):
+        return line
     return line.t1, line.t2, line.facet_points, line.facet_pair
 
 
@@ -392,6 +416,23 @@ class TestSampleTransversal:
             reference_sample_transversal, p, seed
         )
 
+    @given(
+        d=st.integers(3, 5),
+        extra=st.integers(0, 4),
+        hull_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_interior_points_match_the_fraction_sums(self, d, extra, hull_seed, seed):
+        # The lifted-vertex sums give the same points as Fraction vector sums,
+        # so the sampler returns an equal line, certificate included.
+        p = shifted(generate(f"random:{d},{d + 1 + extra},9", hull_seed))
+        assert p.slack.scale > 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(folded_flags, "_relint_point", fraction_relint_point)
+            expected = sampled(sample_transversal, p, seed)
+        assert sampled(sample_transversal, p, seed) == expected
+
     def test_explicit_pair_respected(self):
         p = generate("cube:4")
         pair = opposite_pair(p)
@@ -522,11 +563,7 @@ class TestFoldFlagsAgainstReference:
     )
     @settings(max_examples=20, deadline=None)
     def test_integer_rows_match_the_fraction_walk(self, d, extra, hull_seed, seed):
-        # x -> x/3 + 1/7 gives every vertex a denominator, so V > 1.
-        p = generate(f"random:{d},{d + 1 + extra},9", hull_seed)
-        p = build_polytope(
-            [[c / 3 + Fraction(1, 7) for c in v] for v in p.vertices]
-        )
+        p = shifted(generate(f"random:{d},{d + 1 + extra},9", hull_seed))
         line = sample_transversal(p, seed)
         assume(lift([*line.t1, *line.direction, 1])[-1] > 1)
         assert p.slack.scale > 1

@@ -22,6 +22,7 @@ from eulerlab.linalg import (
     barycenter,
     dot,
     hyperplane_through,
+    lift_points,
     rank,
     vadd,
     vec,
@@ -363,6 +364,36 @@ class TestFacetPlanes:
     def test_hulls_in_their_frames(self, pts):
         if len(set(pts)) >= 2:
             self.assert_primitive_through_vertices(build_polytope(pts))
+
+
+class TestSlackMatrix:
+    # The slack matrix keeps the vertices lifted once, and each row is V
+    # times the facet's side at every vertex, read off those ints.
+    @staticmethod
+    def assert_rows_read_off_points(p):
+        s = p.slack
+        assert s.points == tuple(lift_points(p.vertices)[1])
+        assert len(s.rows) == len(p.facets)
+        for f, row in zip(p.facets, s.rows):
+            n, b = f.hyperplane.normal, f.hyperplane.offset
+            assert row == tuple(dot(n, q) - s.scale * b for q in s.points)
+            assert row == tuple(s.scale * f.hyperplane.side(v) for v in p.vertices)
+
+    @pytest.mark.parametrize("spec", [s for s in FAMILY_SPECS if int(s.split(":")[1]) <= 5])
+    def test_families(self, spec):
+        self.assert_rows_read_off_points(generate(spec))
+
+    def test_seeded_clouds(self):
+        for spec, seed in RANDOM_SPECS:
+            self.assert_rows_read_off_points(generate(spec, seed))
+
+    def test_shifted_hull(self):
+        # x -> x/3 + 1/7 gives every vertex a denominator, so V > 1.
+        p = build_polytope(
+            [[c / 3 + F(1, 7) for c in v] for v in generate("random:4,12,10").vertices]
+        )
+        assert p.slack.scale > 1
+        self.assert_rows_read_off_points(p)
 
 
 class TestFrames:
