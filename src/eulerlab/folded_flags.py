@@ -11,6 +11,7 @@ facets the line does not meet.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -181,8 +182,8 @@ def fold_flags(
     or ratio.  The points are int sums over the lifted vertices V*v too:
     with X their sum over the face, x = X/(V|F|), and a side that leaves x
     along the ray r and ends at t = num/den ends at x + t*(r_0*e + r_1*(x -
-    t1)), an int over den*V|F|*L in each coordinate.  Only the ratio t and
-    the chart point (u, w), which order the sides, are Fraction arithmetic.
+    t1)), an int over den*V|F|*L in each coordinate.  The sides are
+    ordered on those ints too, so the walk builds no Fraction but the points.
     """
     slack = p.slack
     # Per line: L*t1, L*direction and L, as ints.
@@ -238,20 +239,27 @@ def fold_flags(
             d = _along(row, r)
             if d > 0 and (not den or row[2] * den < num * d):
                 num, den = row[2], d
-        t = Fraction(num, den)
-        sides.append((facets, (t * r[0], 1 + t * r[1]), (num, den, r)))
+        sides.append((facets, (num, den, r)))
     # Check the side with the lower facet index first.  Two sides share one
     # only when a facet's hyperplane holds the whole plane; then the side
-    # with the lower far vertex comes first.
-    sides.sort(key=lambda side: (side[0][0], side[1]))
-    for facets, *_ in sides:
+    # with the lower far vertex (t*r_0, 1 + t*r_1), t = num/den, comes
+    # first, compared in ints over the product D of the dens.
+    big_d = math.prod(den for _, (_, den, _) in sides)
+
+    def order(side):
+        facets, (num, den, r) = side
+        td = num * (big_d // den)  # t*D
+        return facets[0], td * r[0], td * r[1]
+
+    sides.sort(key=order)
+    for facets, _ in sides:
         if len(facets) != 1:
             raise violated(f"a section side lies in facets {facets}, not in one")
     if len(sides) == 2 and sides[0][0] == sides[1][0]:
         raise violated(f"two section sides lie in facet {sides[0][0][0]}")
     if len(sides) != 2:
         raise violated(
-            f"the section sides lie in facets {[f[0] for f, *_ in sides]}, not in two"
+            f"the section sides lie in facets {[f[0] for f, _ in sides]}, not in two"
         )
 
     value = Fraction((-1) ** face.dimension, 2)
@@ -260,7 +268,7 @@ def fold_flags(
     big_g = [big_l * xc - vf * tc for xc, tc in zip(big_x, lt1)]
     x = tuple(Fraction(c, vf) for c in big_x)
     flags = []
-    for [facet_idx], _, (num, den, r) in sides:
+    for [facet_idx], (num, den, r) in sides:
         # end = x + t*(r_0*e + r_1*(x - t1)), an int over den*V|F|*L.
         end = tuple(
             Fraction(den * big_l * xc + num * (vf * r[0] * ec + r[1] * gc), den * vf * big_l)

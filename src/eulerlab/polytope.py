@@ -9,8 +9,11 @@ every facet plane, whether beneath-beyond insertion finds the facets of a
 new point set or a facet taken as a polytope (`facet_polytope`) reads its
 own off the parent's ridges.  Each facet keeps that plane as primitive ints
 and the set of input points on it; vertices, face dimensions and the facets
-holding a face are read from those incidences alone.  The slack matrix
-holds every facet inequality at every vertex in ints.  The independent
+holding a face are read from those incidences alone.  The face lattice
+closes the vertex-facet incidence under intersection from its side with
+fewer sets: the facets' vertex sets, or, with fewer vertices than facets,
+the vertices' facet sets, whose closure is the lattice upside down.  The
+slack matrix holds every facet inequality at every vertex in ints.  The independent
 oracle decides face-ness of every vertex subset by exact linear feasibility.
 """
 
@@ -120,7 +123,7 @@ class Polytope:
 
     @cached_property
     def lattice(self) -> FaceLattice:
-        return _lattice_from_facets(self)
+        return _lattice(self)
 
     @cached_property
     def slack(self) -> "SlackMatrix":
@@ -134,9 +137,6 @@ class Polytope:
 
     def facet_vertices(self, i: int) -> tuple[Vector, ...]:
         return tuple(self.vertices[j] for j in sorted(self.facets[i].vertex_indices))
-
-    def face_points(self, face: Face) -> tuple[Vector, ...]:
-        return tuple(self.vertices[j] for j in sorted(face.vertex_indices))
 
     def facets_of(self, face: Face) -> tuple[int, ...]:
         """Indices of the facets holding the face: those whose vertex sets
@@ -327,35 +327,64 @@ def point_polytope(point: Sequence) -> Polytope:
     )
 
 
-def _lattice_from_facets(p: Polytope) -> FaceLattice:
-    """Close the facet vertex sets under intersection, recording above[x]:
-    each face m with x = m & F != m for a facet F.  A face x below the top
-    is a facet of some face G, and x = G & F for a facet F holding x but not
-    G; so dim x is one less than the least dim over above[x]."""
-    n = len(p.vertices)
-    facet_masks = [sum(1 << i for i in f.vertex_indices) for f in p.facets]
-    full = (1 << n) - 1
+def _closure(masks: Sequence[int], full: int, top: int) -> dict[int, int]:
+    """Close `masks` under intersection from `full`, recording above[x]:
+    each set m with x = m & M != m for a mask M.  Every nonempty set found
+    maps to its dimension in a face lattice whose maximal face is `full`,
+    of dimension `top`, and whose coatoms are the masks.  A face x below the
+    top is a coatom of some face G, and x = G & M for a mask M holding x but
+    not G; so dim x is one less than the least dim over above[x]."""
     above: dict[int, list[int]] = {full: []}
     stack = [full]
     while stack:
         m = stack.pop()
-        for fm in facet_masks:
-            x = m & fm
+        for mask in masks:
+            x = m & mask
             if x and x != m:
                 if x not in above:
                     stack.append(x)
                 above.setdefault(x, []).append(m)
     dims: dict[int, int] = {}
-    by_dim: dict[int, list[Face]] = {}
     for x in sorted(above, key=int.bit_count, reverse=True):
-        d = dims[x] = min((dims[m] - 1 for m in above[x]), default=p.dim)
-        by_dim.setdefault(d, []).append(Face(frozenset(i for i in range(n) if x >> i & 1), d))
+        dims[x] = min((dims[m] - 1 for m in above[x]), default=top)
+    return dims
+
+
+def _lattice(p: Polytope) -> FaceLattice:
+    """Close the vertex-facet incidence from its side with fewer sets.  With
+    n vertices and m facets, n >= m closes the facets' vertex masks.  For
+    n < m the lattice of P is its polar's upside down: close the vertices'
+    facet masks from the set of all facets, the empty face of P, and read a
+    facet set S of dimension c there as the face of P of dimension dim - 1
+    - c whose vertices are those on every facet of S; P itself holds no
+    facet and is added.  Each face costs min(n, m) ANDs."""
+    n, m, d = len(p.vertices), len(p.facets), p.dim
+    if n >= m:
+        masks = [sum(1 << i for i in f.vertex_indices) for f in p.facets]
+        faces = [
+            (frozenset(i for i in range(n) if x >> i & 1), c)
+            for x, c in _closure(masks, (1 << n) - 1, d).items()
+        ]
+    else:
+        on = [0] * n
+        for j, f in enumerate(p.facets):
+            for i in f.vertex_indices:
+                on[i] |= 1 << j
+        faces = [(frozenset(range(n)), d)] + [
+            (frozenset(i for i, o in enumerate(on) if o & s == s), d - 1 - c)
+            for s, c in _closure(on, (1 << m) - 1, d).items()
+            if c < d
+        ]
+    by_dim: dict[int, list[Face]] = {}
+    for vertex_indices, c in faces:
+        by_dim.setdefault(c, []).append(Face(vertex_indices, c))
     return FaceLattice(by_dim)
 
 
 def face_lattice(p: Polytope) -> FaceLattice:
-    """All faces of p (dimensions 0..dim) by closing facet vertex sets
-    under intersection; dimensions are read off that closure."""
+    """All faces of p (dimensions 0..dim) by closing the vertex-facet
+    incidence under intersection from its smaller side; dimensions are
+    read off that closure."""
     return p.lattice
 
 

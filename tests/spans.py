@@ -1,11 +1,17 @@
 """Face spans for tests: the per-face general-position checks that both
 samplers made before they certified lines from facet normals alone.  The
 reference samplers, and the tests that re-prove a sampled line's general
-position face by face, build on these."""
+position face by face, build on these, and read a face's points with
+face_points."""
 
 from typing import Optional
 
 from eulerlab.linalg import Hyperplane, SpanBuilder, Vector, dot, is_zero, vadd, vscale, vsub
+
+
+def face_points(p, face) -> tuple[Vector, ...]:
+    """The vertices of a face of the polytope p, by increasing index."""
+    return tuple(p.vertices[j] for j in sorted(face.vertex_indices))
 
 
 def through(points) -> SpanBuilder:

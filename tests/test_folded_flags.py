@@ -23,7 +23,7 @@ from eulerlab.folded_flags import (
     sample_transversal,
     verify_proof_folded,
 )
-from spans import line_hyperplane_intersection, meets_line, through
+from spans import face_points, line_hyperplane_intersection, meets_line, through
 
 
 def fraction_relint_point(p, facet_index, rng, bound):
@@ -63,7 +63,7 @@ def reference_sample_transversal(p, seed, facet_pair=None):
     faces = []
     for c in range(0, p.dim - 1):
         for idx, face in enumerate(lat.faces(c)):
-            pts = p.face_points(face)
+            pts = face_points(p, face)
             faces.append((c, idx, pts[0], through(pts)))
 
     def attempt(bound):
@@ -168,7 +168,7 @@ def reference_fold(p, face, line):
     """fold_flags by brute force over the whole section polygon: the
     ((assigned facet, segment, value), ...) of the two flags, or a raise
     with the same GeneralPositionError text."""
-    x = barycenter(p.face_points(face))
+    x = barycenter(face_points(p, face))
     verts, cons = section_polygon(p, line, x)
     origin = (Fraction(0), Fraction(1))
 
@@ -223,7 +223,7 @@ def fraction_fold(p, face, line):
     """fold_flags as it was before its rows were ints: the same walk on
     three Fraction dot products per facet, the rows (n_j.e, n_j.(x - t1),
     -side_j(x))."""
-    x = barycenter(p.face_points(face))
+    x = barycenter(face_points(p, face))
     e = line.direction
     g = vsub(x, line.t1)
     # (alpha_j, beta_j, slack_j): the slack of facet j at x is gamma_j - beta_j.
@@ -387,7 +387,7 @@ class TestSampleTransversal:
             line = sample_transversal(p, seed)
             for c in range(p.dim):
                 for face in lat.faces(c):
-                    pts = p.face_points(face)
+                    pts = face_points(p, face)
                     span = through(pts)
                     if c >= 1:
                         assert not span.contains(line.direction)
@@ -479,7 +479,7 @@ class TestFoldFlags:
         a, b = fold_flags(p, vertex, line)
         assert a.assigned_facet != b.assigned_facet
         assert a.value == b.value == Fraction(1, 2)
-        x = p.face_points(vertex)[0]
+        x = face_points(p, vertex)[0]
         assert a.segment[0] == b.segment[0] == x
         # Folded flags stay at their base: each assigned facet contains the
         # vertex itself.

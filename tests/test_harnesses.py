@@ -131,32 +131,37 @@ def test_classification_is_one_table_per_line(spec, monkeypatch, work_counts):
 @pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4"])
 def test_folding_is_integer_rows_from_the_slack_matrix(spec, monkeypatch, work_counts):
     # Folding every face of one line, slack matrix included, evaluates no
-    # facet inequality and does no rational vector arithmetic: the base
-    # point and the side ends are int sums over the lifted vertices.
+    # facet inequality and does no rational arithmetic: the base point and
+    # the side ends are int sums over the lifted vertices, and the sides are
+    # ordered by cross-multiplying ints.
     p = generate(spec)
     line = sample_transversal(p, 0)
     lat = face_lattice(p)
     calls = Counter()
 
-    def counted(name):
-        fn = getattr(linalg, name)
+    def counted(name, owner, *also):
+        fn = getattr(owner, name)
 
         def wrapper(*args):
             calls[name] += 1
             return fn(*args)
 
-        monkeypatch.setattr(linalg, name, wrapper)
-        monkeypatch.setattr(folded_flags, name, wrapper, raising=False)
+        for where in (owner, *also):
+            monkeypatch.setattr(where, name, wrapper, raising=False)
 
     names = ["dot", "barycenter", "vadd", "vscale", "vsub"]
     for name in names:
-        counted(name)
+        counted(name, linalg, folded_flags)
+    operators = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"]
+    operators += ["__truediv__", "__rtruediv__"]
+    for name in operators:
+        counted(name, Fraction)
     work_counts.clear()
     for c in range(p.dim - 1):
         for face in lat.faces(c):
             fold_flags(p, face, line)
     assert work_counts["side"] == 0
-    assert {name: calls[name] for name in names} == dict.fromkeys(names, 0)
+    assert {name: calls[name] for name in names + operators} == dict.fromkeys(names + operators, 0)
 
 
 def _facet_at(p, facet_points) -> int:

@@ -1,6 +1,7 @@
 """Hull construction, face lattices, the brute-force oracle, and generators."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerlab import polytope
 from eulerlab.acceptance import FAMILY_SPECS, RANDOM_SPECS
 from eulerlab.errors import (
     DegenerateInputError,
@@ -32,6 +34,7 @@ from eulerlab.linalg import (
 from eulerlab.polytope import (
     Face,
     Facet,
+    FaceLattice,
     Polytope,
     _plane,
     brute_force_face_lattice,
@@ -41,6 +44,7 @@ from eulerlab.polytope import (
     generate,
     point_polytope,
 )
+from spans import face_points
 from volumes import children, volume
 
 F = Fraction
@@ -147,6 +151,32 @@ def reference_faces_by_dimension(p):
         d = affine_dim([p.vertices[i] for i in sorted(idx)])
         by_dim.setdefault(d, []).append(Face(idx, d))
     return {d: tuple(sorted(fs, key=lambda f: sorted(f.vertex_indices))) for d, fs in by_dim.items()}
+
+
+def _lattice_from_facets(p: Polytope) -> FaceLattice:
+    """Close the facet vertex sets under intersection, recording above[x]:
+    each face m with x = m & F != m for a facet F.  A face x below the top
+    is a facet of some face G, and x = G & F for a facet F holding x but not
+    G; so dim x is one less than the least dim over above[x]."""
+    n = len(p.vertices)
+    facet_masks = [sum(1 << i for i in f.vertex_indices) for f in p.facets]
+    full = (1 << n) - 1
+    above: dict[int, list[int]] = {full: []}
+    stack = [full]
+    while stack:
+        m = stack.pop()
+        for fm in facet_masks:
+            x = m & fm
+            if x and x != m:
+                if x not in above:
+                    stack.append(x)
+                above.setdefault(x, []).append(m)
+    dims: dict[int, int] = {}
+    by_dim: dict[int, list[Face]] = {}
+    for x in sorted(above, key=int.bit_count, reverse=True):
+        d = dims[x] = min((dims[m] - 1 for m in above[x]), default=p.dim)
+        by_dim.setdefault(d, []).append(Face(frozenset(i for i in range(n) if x >> i & 1), d))
+    return FaceLattice(by_dim)
 
 
 @st.composite
@@ -464,6 +494,90 @@ class TestFaceLattice:
         assert len(children(lat, lat.top)) == 3
 
 
+class TestSmallerSideClosure:
+    # face_lattice closes the incidence from its side with fewer sets; the
+    # facet closure, which once served every polytope, and the affine
+    # dimension of every closed facet set give the same faces in the same
+    # order, whichever side is closed.
+    @staticmethod
+    def assert_matches_references(p):
+        got = face_lattice(p).faces_by_dimension
+        assert got == _lattice_from_facets(p).faces_by_dimension
+        assert got == reference_faces_by_dimension(p)
+
+    @pytest.mark.parametrize(
+        "spec, side",
+        [
+            ("crosspolytope:6", "<"),
+            ("random:5,20,10", "<"),
+            ("cube:6", ">"),
+            ("simplex:6", "=="),
+            ("simplex:1", "=="),
+        ],
+    )
+    def test_named(self, spec, side):
+        p = generate(spec, seed=0)
+        n, m = len(p.vertices), len(p.facets)
+        assert {"<": n < m, ">": n > m, "==": n == m}[side]
+        self.assert_matches_references(p)
+
+    @given(hull_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_hulls_and_their_facet_pieces(self, pts):
+        if len(set(pts)) < 2:
+            return
+        p = build_polytope(pts)
+        self.assert_matches_references(p)
+        if p.dim >= 2:
+            for i in range(len(p.facets)):
+                self.assert_matches_references(facet_polytope(p, i))
+
+    @given(st.lists(st.builds(F, st.integers(-3, 3), st.integers(1, 3)), min_size=1, max_size=4))
+    @settings(max_examples=20, deadline=None)
+    def test_points(self, point):
+        self.assert_matches_references(point_polytope(point))
+
+
+@pytest.fixture
+def mask_ands(monkeypatch) -> Counter:
+    """Counts of the mask ANDs that face_lattice makes: those of the
+    closure and those of reading faces back off its sets."""
+    counts = Counter()
+    closure = polytope._closure
+
+    class Mask(int):
+        def __and__(self, other):
+            counts["and"] += 1
+            return Mask(int(self) & int(other))
+
+        __rand__ = __and__
+
+    def counting_closure(masks, full, top):
+        return closure([Mask(x) for x in masks], full, top)
+
+    monkeypatch.setattr(polytope, "_closure", counting_closure)
+    return counts
+
+
+# Mask ANDs per face_lattice call at seed 0, which depend on no machine.
+# The closure ANDs each of its sets with each of its masks, min(n, m) of
+# them, and the vertex side reads each proper face's vertices off its facet
+# set with n more.  The reference facet closure makes f·m for f faces: 46,656
+# for crosspolytope:6, 8,748 for cube:6 and 144,102 for random:5,20,10.
+MASK_ANDS = {
+    "crosspolytope:6": 729 * 12 + 728 * 12,
+    "cube:6": 729 * 12,
+    "random:5,20,10": 987 * 20 + 986 * 20,
+}
+
+
+@pytest.mark.parametrize("spec", sorted(MASK_ANDS))
+def test_mask_ands(spec, mask_ands):
+    p = generate(spec, seed=0)
+    face_lattice(p)
+    assert mask_ands["and"] == MASK_ANDS[spec]
+
+
 class TestFacetsOf:
     # The facets holding a face, read from vertex sets, are the facets whose
     # planes pass through the face's barycenter, a point of its relative
@@ -472,7 +586,7 @@ class TestFacetsOf:
     def assert_matches_active_facets(p):
         lat = face_lattice(p)
         for face in lat.all_faces():
-            assert p.facets_of(face) == p.active_facets(barycenter(p.face_points(face)))
+            assert p.facets_of(face) == p.active_facets(barycenter(face_points(p, face)))
         assert all(len(p.facets_of(r)) == 2 for r in lat.faces(p.dim - 2))
 
     @pytest.mark.parametrize("spec", [s for s in FAMILY_SPECS if not s.endswith(":1")])

@@ -18,6 +18,7 @@ from eulerlab.projection import (
     project_from_point,
     schlegel,
 )
+from spans import face_points
 from volumes import volume
 
 
@@ -309,7 +310,7 @@ class TestProjectFromPoint:
         assert sh.polytope.dim == 1
         lat = face_lattice(tri)
         near = next(
-            f for f in lat.faces(0) if tri.face_points(f)[0] == (F(0), F(0))
+            f for f in lat.faces(0) if face_points(tri, f)[0] == (F(0), F(0))
         )
         fars = [f for f in lat.faces(0) if f is not near]
         assert not sh.is_face_image(near)
@@ -339,12 +340,12 @@ class TestProjectFromPoint:
         flat_edge = next(
             f
             for f in lat.faces(1)
-            if all(sq.face_points(f)[i][1] == 0 for i in range(2))
+            if all(face_points(sq, f)[i][1] == 0 for i in range(2))
         )
         assert not sh.is_face_image(flat_edge)
         # ...but both of its endpoints map to that shadow vertex.
         for f in lat.faces(0):
-            x = sq.face_points(f)[0]
+            x = face_points(sq, f)[0]
             assert sh.is_face_image(f) == (x != (F(0), F(1)))
 
     def test_segment_from_outside_point(self):
