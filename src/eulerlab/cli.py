@@ -12,6 +12,7 @@ run could not be completed (the report carries the counterexample);
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from datetime import datetime, timezone
@@ -24,9 +25,9 @@ from .jsonio import (
     dumps,
     load_polytope,
     polytope_to_document,
-    rational_str,
     run_report,
 )
+from .linalg import format_rational
 from .polytope import face_lattice, generate
 from .projection import schlegel
 from .schlegel_flags import verify_proof_schlegel
@@ -84,11 +85,11 @@ def _folded_pair(p, seed: int, facet: Optional[int]):
 
 
 def _sums(sums: dict) -> str:
-    return ", ".join(f"{i}: {rational_str(v)}" for i, v in sorted(sums.items()))
+    return ", ".join(f"{i}: {format_rational(v)}" for i, v in sorted(sums.items()))
 
 
 def _print_verdict(r) -> None:
-    print(f"  total: {rational_str(r.total)}; identity needs {rational_str(r.rhs_needed)}")
+    print(f"  total: {format_rational(r.total)}; identity needs {format_rational(r.rhs_needed)}")
     print(f"  flags: {r.flag_count}")
     for line in r.failures:
         print(f"  counterexample: {line}")
@@ -99,16 +100,16 @@ def _print_schlegel(r) -> None:
     sums = _sums(r.per_cell_sums)
     print(f"schlegel proof: facet {r.facet_index}, seed {r.seed}")
     print(f"  cells: {r.cell_count}")
-    print(f"  per-cell sums: {{{sums}}} (expected {rational_str(r.expected_per_cell)} each)")
-    print(f"  outside sum: {rational_str(r.outside_sum)} (expected {rational_str(r.expected_outside)})")
+    print(f"  per-cell sums: {{{sums}}} (expected {format_rational(r.expected_per_cell)} each)")
+    print(f"  outside sum: {format_rational(r.outside_sum)} (expected {format_rational(r.expected_outside)})")
     _print_verdict(r)
 
 
 def _print_folded(r) -> None:
     sums = _sums(r.per_facet_sums)
     print(f"folded proof: facet pair {r.facet_pair}, seed {r.seed}")
-    print(f"  special pair sum: {rational_str(r.special_pair_sum)} (expected {rational_str(r.expected_special)})")
-    print(f"  per-facet sums: {{{sums}}} (expected {rational_str(r.expected_per_facet)} each)")
+    print(f"  special pair sum: {format_rational(r.special_pair_sum)} (expected {format_rational(r.expected_special)})")
+    print(f"  per-facet sums: {{{sums}}} (expected {format_rational(r.expected_per_facet)} each)")
     _print_verdict(r)
 
 
@@ -184,7 +185,9 @@ def cmd_selftest(args) -> int:
     return 0 if passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="eulerlab",
         description="Exact verification of the Euler formula on convex polytopes.",

@@ -67,9 +67,9 @@ def _relint_point(p: Polytope, facet_index: int, rng: random.Random, bound: int)
     summed on their lifted ints V·v_i: sum w_i·V·v_i / (V·sum w_i)."""
     idx = sorted(p.facets[facet_index].vertex_indices)
     weights = [rng.randint(1, bound) for _ in idx]
-    den = p.slack.scale * sum(weights)
-    lifted = zip(*(p.slack.points[i] for i in idx))
-    return tuple(Fraction(sum(map(mul, weights, c)), den) for c in lifted)
+    scale, points = p.lifted
+    den = scale * sum(weights)
+    return tuple(Fraction(sum(map(mul, weights, c)), den) for c in zip(*(points[i] for i in idx)))
 
 
 def other_facet(rng: random.Random, nf: int, i: int) -> int:
@@ -174,30 +174,30 @@ def fold_flags(
     a violation raises GeneralPositionError.
 
     The rows are ints, read off the facets' integer planes (n_j, b_j) and
-    the polytope's slack matrix S (see SlackMatrix).  With L the lcm of the
-    denominators of t1 and the direction, A_j = L*n_j.direction, T_j =
-    L*side_j(t1) and sigma_j the sum of S[j][v] over the face's vertices v,
-    row j is (A_j*V|F|, sigma_j*L - T_j*V|F|, -sigma_j*L): the rational row
-    times the positive V*|F|*L.  A positive scale per row moves no sign, ray
-    or ratio.  The points are int sums over the lifted vertices V*v too:
-    with X their sum over the face, x = X/(V|F|), and a side that leaves x
-    along the ray r and ends at t = num/den ends at x + t*(r_0*e + r_1*(x -
-    t1)), an int over den*V|F|*L in each coordinate.  The sides are
-    ordered on those ints too, so the walk builds no Fraction but the points.
+    the vertices lifted to V*v (`Polytope.lifted`).  With L the lcm of the
+    denominators of t1 and the direction e, X the sum of the lifted
+    vertices of the face, so x = X/(V|F|), and G = L*X - V|F|*L*t1 =
+    V|F|*L*(x - t1), row j is (V|F|*n_j.(L*e), n_j.G, -L*(n_j.X -
+    V|F|*b_j)): the rational row times the positive V*|F|*L.  A positive
+    scale per row moves no sign, ray or ratio.  A side that leaves x along
+    the ray r and ends at t = num/den ends at x + t*(r_0*e + r_1*(x - t1)),
+    an int over den*V|F|*L in each coordinate.  The sides are ordered on
+    those ints too, so the walk builds no Fraction but the points.
     """
-    slack = p.slack
+    scale, points = p.lifted
     # Per line: L*t1, L*direction and L, as ints.
     *lifted, big_l = lift([*line.t1, *line.direction, 1])
     lt1, le = lifted[: p.dim], lifted[p.dim :]
     idx = sorted(face.vertex_indices)
-    vf = slack.scale * len(idx)
+    vf = scale * len(idx)
+    big_x = [sum(c) for c in zip(*(points[v] for v in idx))]
+    big_g = [big_l * xc - vf * tc for xc, tc in zip(big_x, lt1)]
     # (alpha_j, beta_j, slack_j): the slack of facet j at x is gamma_j - beta_j.
     rows = []
-    for f, srow in zip(p.facets, slack.rows):
+    for f in p.facets:
         n, b = f.hyperplane.normal, f.hyperplane.offset
-        rate, at_t1 = sum(map(mul, n, le)), sum(map(mul, n, lt1)) - b * big_l
-        sigma = sum(srow[v] for v in idx)
-        rows.append((rate * vf, sigma * big_l - at_t1 * vf, -sigma * big_l))
+        at_x = sum(map(mul, n, big_x)) - vf * b
+        rows.append((vf * sum(map(mul, n, le)), sum(map(mul, n, big_g)), -big_l * at_x))
 
     def violated(check: str) -> GeneralPositionError:
         where = f"face {sorted(face.vertex_indices)}"
@@ -263,9 +263,6 @@ def fold_flags(
         )
 
     value = Fraction((-1) ** face.dimension, 2)
-    # X = V|F|*x and G = V|F|*L*(x - t1), as ints.
-    big_x = [sum(c) for c in zip(*(slack.points[v] for v in idx))]
-    big_g = [big_l * xc - vf * tc for xc, tc in zip(big_x, lt1)]
     x = tuple(Fraction(c, vf) for c in big_x)
     flags = []
     for [facet_idx], (num, den, r) in sides:

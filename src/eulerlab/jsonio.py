@@ -19,9 +19,6 @@ from .polytope import Polytope, build_polytope
 from .schlegel_flags import ProofReport
 
 
-rational_str = format_rational
-
-
 def polytope_to_document(p: Polytope, name: Optional[str] = None) -> dict:
     """A polytope as a plain JSON-ready document, in its original
     embedding coordinates."""
@@ -103,7 +100,7 @@ def report_to_dict(r: Union[ProofReport, FoldedReport]) -> dict:
 
 def _jsonable(value: Any) -> Any:
     if isinstance(value, Fraction):
-        return rational_str(value)
+        return format_rational(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):

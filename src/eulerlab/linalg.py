@@ -7,10 +7,11 @@ one positive integer, which moves no sign.  One fraction-free (Bareiss)
 pivot step, `_pivot`, serves the package's two kernels: the incremental
 Gauss-Jordan elimination of `SpanBuilder`, which rank, nullspace, solve,
 affine hulls and their charts run on, and the phase-1 simplex of
-`linear_feasible`.  Each lifts its rows to ints and keeps every entry an
-int, much faster than Fraction pivoting at this scale.  The simplex keeps
-its objective as one more tableau row and gives each slack a coefficient of
-+-1 in its lifted row.
+`linear_feasible`.  Both run on ints only, much faster than Fraction
+pivoting at this scale; rationals become ints once, where they enter: `_span`
+lifts each row, `affine_hull` and `affine_dim` their point set, and the
+simplex each row with its rhs, whose slack gets a coefficient of +-1.  The
+simplex keeps its objective as one more tableau row.
 """
 
 from __future__ import annotations
@@ -116,8 +117,9 @@ def _pivot(mat: list[list[int]], r: int, col: int, prev: int) -> int:
 class SpanBuilder:
     """Incrementally maintained row space: the package's exact elimination.
 
-    Holds integer rows that are d times the reduced row echelon form of the
-    span, in the order they were added.  A new row's pivot is its first
+    Takes int rows only; a caller with rationals lifts them first (`_span`
+    does).  Holds integer rows that are d times the reduced row echelon form
+    of the span, in the order they were added.  A new row's pivot is its first
     nonzero column after reduction, and no column that depends on earlier
     ones over the row space can come first, so the pivots are exactly the
     RREF pivots.
@@ -129,15 +131,14 @@ class SpanBuilder:
         self._pivots: list[int] = []
         self._d = 1
 
-    def _reduce(self, v: Sequence[Fraction]) -> list[int]:
-        """The row the kernel would hold for v (lifted) after the span's
+    def _reduce(self, v: Sequence[int]) -> list[int]:
+        """The row the kernel would hold for the int row v after the span's
         pivot steps: d*v minus the span rows weighted by v's pivot-column
         entries.  It is zero exactly when v lies in the span."""
         if len(v) != self.width:
             raise DimensionMismatchError(
                 f"row of length {len(v)} in a span of width {self.width}"
             )
-        v = lift(v)
         w = [self._d * a for a in v]
         for row, p in zip(self._rows, self._pivots):
             f = v[p]
@@ -145,10 +146,10 @@ class SpanBuilder:
                 w = [a - f * b for a, b in zip(w, row)]
         return w
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
+    def contains(self, v: Sequence[int]) -> bool:
         return not any(self._reduce(v))
 
-    def add(self, v: Sequence[Fraction]) -> bool:
+    def add(self, v: Sequence[int]) -> bool:
         """Add v to the span; True if it enlarged the space."""
         red = self._reduce(v)
         col = next((c for c, x in enumerate(red) if x), None)
@@ -178,9 +179,10 @@ class SpanBuilder:
 
 
 def _span(rows: Sequence[Sequence[Fraction]], width: int) -> SpanBuilder:
+    """The span of rational rows, each lifted to ints."""
     span = SpanBuilder(width)
     for row in rows:
-        span.add(row)
+        span.add(lift(row))
     return span
 
 
@@ -275,10 +277,11 @@ class Hyperplane:
         return dot(self.normal, point) - self.offset
 
 
-def affine_basis(points: Sequence[Vector]) -> list[int]:
-    """Indices of a greedy affine basis: the first point, then each later one
-    whose difference from it enlarges the span.  A positive scale moves no
-    dependency, so the points lifted to ints give the same indices."""
+def affine_basis(points: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of a greedy affine basis of int points: the first point, then
+    each later one whose difference from it enlarges the span.  A positive
+    scale moves no dependency, so rational points lifted to ints with
+    `lift_points` give the indices of the rational points."""
     if not points:
         raise ValueError("no points")
     base = points[0]
@@ -291,14 +294,15 @@ def affine_basis(points: Sequence[Vector]) -> list[int]:
 
 
 def affine_hull(points: Sequence[Vector]) -> AffineSubspace:
-    """Smallest affine subspace containing the points, on their affine_basis."""
-    base, *rest = (points[i] for i in affine_basis(points))
+    """Smallest affine subspace containing the points, on the affine_basis
+    of their lifted ints."""
+    base, *rest = (points[i] for i in affine_basis(lift_points(points)[1]))
     return AffineSubspace(base, tuple(vsub(p, base) for p in rest))
 
 
 def affine_dim(points: Sequence[Vector]) -> int:
     """Dimension of the affine hull; -1 for the empty set."""
-    return len(affine_basis(points)) - 1 if points else -1
+    return len(affine_basis(lift_points(points)[1])) - 1 if points else -1
 
 
 def hyperplane_through(points: Sequence[Vector], beneath: Vector) -> Hyperplane:

@@ -13,8 +13,9 @@ holding a face are read from those incidences alone.  The face lattice
 closes the vertex-facet incidence under intersection from its side with
 fewer sets: the facets' vertex sets, or, with fewer vertices than facets,
 the vertices' facet sets, whose closure is the lattice upside down.  The
-slack matrix holds every facet inequality at every vertex in ints.  The independent
-oracle decides face-ness of every vertex subset by exact linear feasibility.
+vertices lifted to ints once (`Polytope.lifted`) serve the folded proof.  The
+independent oracle decides face-ness of every vertex subset by exact linear
+feasibility.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .linalg import (
     SpanBuilder,
     Vector,
     affine_basis,
-    affine_dim,
     dot,
     lift,
     lift_points,
@@ -126,14 +126,10 @@ class Polytope:
         return _lattice(self)
 
     @cached_property
-    def slack(self) -> "SlackMatrix":
-        """The slack matrix in ints, built on first use: see SlackMatrix."""
-        scale, lifted = lift_points(self.vertices)
-        planes = [f.hyperplane for f in self.facets]
-        rows = tuple(
-            tuple(sum(map(mul, h.normal, q)) - scale * h.offset for q in lifted) for h in planes
-        )
-        return SlackMatrix(scale, tuple(lifted), rows)
+    def lifted(self) -> tuple[int, list[tuple[int, ...]]]:
+        """V, the lcm of the vertex denominators, and each vertex times V as
+        ints (`lift_points`), built on first use."""
+        return lift_points(self.vertices)
 
     def facet_vertices(self, i: int) -> tuple[Vector, ...]:
         return tuple(self.vertices[j] for j in sorted(self.facets[i].vertex_indices))
@@ -150,20 +146,13 @@ class Polytope:
             return x == self.vertices[0]
         return all(f.hyperplane.side(x) <= 0 for f in self.facets)
 
-    def active_facets(self, x: Vector) -> tuple[int, ...]:
-        """Indices of facets whose hyperplane passes through x (x must be in P)."""
-        return tuple(
-            i for i, f in enumerate(self.facets) if f.hyperplane.side(x) == 0
-        )
-
     def in_tangent_cone(self, x: Vector, u: Vector) -> bool:
         """Whether x + epsilon·u stays inside for all small epsilon > 0.
 
         Exact test on the facet inequalities active at x; x must be in P.
         """
         return all(
-            dot(self.facets[i].hyperplane.normal, u) <= 0
-            for i in self.active_facets(x)
+            dot(f.hyperplane.normal, u) <= 0 for f in self.facets if f.hyperplane.side(x) == 0
         )
 
     def in_relative_interior_of_facet(self, x: Vector, i: int) -> bool:
@@ -172,21 +161,6 @@ class Polytope:
         return all(
             f.hyperplane.side(x) < 0 for j, f in enumerate(self.facets) if j != i
         )
-
-
-@dataclass(frozen=True)
-class SlackMatrix:
-    """A polytope's slack matrix in ints (Yannakakis 1991): its zero
-    pattern is the vertex-facet incidence.
-
-    `scale` is V, the lcm of the vertex denominators, `points[v]` is the
-    lifted vertex V·v in ints, and `rows[j][v]` is n_j·points[v] - V·b_j =
-    V·side_j(v) for facet j's integer plane (n_j, b_j).
-    """
-
-    scale: int
-    points: tuple[tuple[int, ...], ...]
-    rows: tuple[tuple[int, ...], ...]
 
 
 def _sides(planes, q: Sequence[int]) -> list[int]:
@@ -283,7 +257,7 @@ def _assemble(distinct: Sequence[Vector], find_facets, labels=None) -> Polytope:
     facet_list = []
     for n, b, inc in found:
         held = [i for i in inc if i in renum]
-        if affine_dim([lifted[i] for i in held]) != k - 1:
+        if len(affine_basis([lifted[i] for i in held])) != k:
             raise RuntimeError("facet vertex set does not span dimension k-1")
         g = math.gcd(scale, b)
         h = Hyperplane(tuple(scale // g * x for x in n), b // g)

@@ -6,7 +6,18 @@ face_points."""
 
 from typing import Optional
 
-from eulerlab.linalg import Hyperplane, SpanBuilder, Vector, dot, is_zero, vadd, vscale, vsub
+from eulerlab.linalg import (
+    Hyperplane,
+    SpanBuilder,
+    Vector,
+    dot,
+    is_zero,
+    lift,
+    lift_points,
+    vadd,
+    vscale,
+    vsub,
+)
 
 
 def face_points(p, face) -> tuple[Vector, ...]:
@@ -14,19 +25,26 @@ def face_points(p, face) -> tuple[Vector, ...]:
     return tuple(p.vertices[j] for j in sorted(face.vertex_indices))
 
 
+def active_facets(p, x: Vector) -> tuple[int, ...]:
+    """Indices of the facets of p whose hyperplane passes through x."""
+    return tuple(i for i, f in enumerate(p.facets) if f.hyperplane.side(x) == 0)
+
+
 def through(points) -> SpanBuilder:
     """The direction space of the points' affine hull: the span of every
-    point minus the first."""
-    span = SpanBuilder(len(points[0]))
-    for q in points[1:]:
-        span.add(vsub(q, points[0]))
+    point minus the first, on the points lifted to ints."""
+    _, lifted = lift_points(points)
+    span = SpanBuilder(len(lifted[0]))
+    for q in lifted[1:]:
+        span.add(vsub(q, lifted[0]))
     return span
 
 
 def meets_line(span: SpanBuilder, point: Vector, direction: Vector) -> bool:
     """Whether the line {point + t*direction} meets the span: exactly when
-    the reduced row of point is a multiple of that of direction."""
-    a, b = span._reduce(point), span._reduce(direction)
+    the reduced row of point is a multiple of that of direction.  Each is
+    lifted to ints on its own, as a positive scale moves no multiple."""
+    a, b = span._reduce(lift(point)), span._reduce(lift(direction))
     j = next((j for j, x in enumerate(b) if x), None)
     if j is None:
         return not any(a)

@@ -1,5 +1,7 @@
 """End-to-end tests for the command line."""
 
+import argparse
+import gc
 import json
 import shutil
 import subprocess
@@ -326,6 +328,22 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_main_leaves_no_parser_garbage(self, cube3, capsys):
+        # In-process callers run main many times; a parser built per call
+        # would be cyclic garbage until the next full collection.
+        gc.collect()
+        flags, before = gc.get_debug(), len(gc.garbage)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert cli.main(["check", cube3]) == 0
+            gc.collect()
+            parsers = [x for x in gc.garbage[before:] if isinstance(x, argparse.ArgumentParser)]
+        finally:
+            gc.set_debug(flags)
+            del gc.garbage[before:]
+        capsys.readouterr()
+        assert parsers == []
 
     def test_console_script_installed(self, tmp_path):
         exe = shutil.which("eulerlab")

@@ -427,7 +427,7 @@ class TestSampleTransversal:
         # The lifted-vertex sums give the same points as Fraction vector sums,
         # so the sampler returns an equal line, certificate included.
         p = shifted(generate(f"random:{d},{d + 1 + extra},9", hull_seed))
-        assert p.slack.scale > 1
+        assert p.lifted[0] > 1
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(folded_flags, "_relint_point", fraction_relint_point)
             expected = sampled(sample_transversal, p, seed)
@@ -566,7 +566,7 @@ class TestFoldFlagsAgainstReference:
         p = shifted(generate(f"random:{d},{d + 1 + extra},9", hull_seed))
         line = sample_transversal(p, seed)
         assume(lift([*line.t1, *line.direction, 1])[-1] > 1)
-        assert p.slack.scale > 1
+        assert p.lifted[0] > 1
         lat = face_lattice(p)
         for c in range(d - 1):
             for face in lat.faces(c):

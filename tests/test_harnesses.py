@@ -44,7 +44,7 @@ RUNS = {
 # (Schlegel at facet 0), after generate.  A change that moves them on purpose
 # restates them here and says why.  The folded sampler takes one side test
 # per facet for the line's parameters on every candidate that meets all
-# facet hyperplanes.  Folding reads the slack matrix and takes no side test;
+# facet hyperplanes.  Folding reads the lifted vertices and takes no side test;
 # a frame charts its points with one elimination, not one per point.  A
 # central projection, the Schlegel build's or a shadow's, takes one side
 # test for its apex and one per vertex.  Facet pieces, the Schlegel
@@ -129,8 +129,8 @@ def test_classification_is_one_table_per_line(spec, monkeypatch, work_counts):
 
 
 @pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4"])
-def test_folding_is_integer_rows_from_the_slack_matrix(spec, monkeypatch, work_counts):
-    # Folding every face of one line, slack matrix included, evaluates no
+def test_folding_is_integer_rows_from_the_lifted_vertices(spec, monkeypatch, work_counts):
+    # Folding every face of one line, vertex lift included, evaluates no
     # facet inequality and does no rational arithmetic: the base point and
     # the side ends are int sums over the lifted vertices, and the sides are
     # ordered by cross-multiplying ints.

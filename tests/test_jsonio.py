@@ -11,11 +11,11 @@ from eulerlab.jsonio import (
     dumps,
     load_document,
     polytope_to_document,
-    rational_str,
     report_to_dict,
     run_report,
     validate_document,
 )
+from eulerlab.linalg import format_rational
 from eulerlab.polytope import build_polytope, generate
 from eulerlab.schlegel_flags import verify_proof_schlegel
 
@@ -147,7 +147,7 @@ class TestReports:
         assert report["folded_proof"] is None
         json.dumps(report)
 
-    def test_rational_str(self):
-        assert rational_str(Fraction(1, 2)) == "1/2"
-        assert rational_str(Fraction(-8)) == "-8"
-        assert rational_str(3) == "3"
+    def test_format_rational(self):
+        assert format_rational(Fraction(1, 2)) == "1/2"
+        assert format_rational(Fraction(-8)) == "-8"
+        assert format_rational(3) == "3"

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerlab import polytope
+from eulerlab import cli, folded_flags, linalg, polytope
 from eulerlab.errors import DimensionMismatchError
 from eulerlab.linalg import (
     AffineSubspace,
@@ -22,6 +23,7 @@ from eulerlab.linalg import (
     dot,
     format_rational,
     hyperplane_through,
+    lift,
     lift_points,
     linear_feasible,
     nullspace,
@@ -346,7 +348,7 @@ class TestSolveAndNullspace:
         width = len(rows[0])
         span = SpanBuilder(width)
         for row in rows:
-            span.add(row)
+            span.add(lift(row))
         free = [c for c in range(width) if c not in plain_rref(rows, width)[1]]
         basis = span.integer_nullspace()
         assert len(basis) == len(free)
@@ -388,13 +390,13 @@ class TestDet:
 
 class TestSpanBuilder:
     def test_incremental_matches_rank(self):
-        rows = [vec(1, 2, 3), vec(2, 4, 6), vec(0, 1, 1), vec(1, 3, 4)]
+        rows = [(1, 2, 3), (2, 4, 6), (0, 1, 1), (1, 3, 4)]
         span = SpanBuilder(3)
         grew = [span.add(r) for r in rows]
         assert grew == [True, False, True, False]
         assert span.rank == 2
-        assert span.contains(vec(3, 7, 10))
-        assert not span.contains(vec(0, 0, 1))
+        assert span.contains((3, 7, 10))
+        assert not span.contains((0, 0, 1))
 
     @given(
         matrices(max_rows=7, entries=sparse_rationals),
@@ -409,21 +411,21 @@ class TestSpanBuilder:
 
         span = SpanBuilder(width)
         for i, row in enumerate(rows):
-            assert span.add(row) == (plain_rank(rows[: i + 1]) > plain_rank(rows[:i]))
+            assert span.add(lift(row)) == (plain_rank(rows[: i + 1]) > plain_rank(rows[:i]))
         assert sorted(span._pivots) == plain_rref(rows, width)[1]
         for v in probes:
             v = tuple(v[:width])
-            assert span.contains(v) == (plain_rank([*rows, v]) == plain_rank(rows))
+            assert span.contains(lift(v)) == (plain_rank([*rows, v]) == plain_rank(rows))
 
     @pytest.mark.parametrize("ragged", [[vec(1, 2, 3), vec(1, 2)], [vec(1, 2), vec(1, 2, 3)]])
     def test_rejects_ragged_rows(self, ragged):
         width = len(ragged[0])
         span = SpanBuilder(width)
-        span.add(ragged[0])
+        span.add(lift(ragged[0]))
         with pytest.raises(DimensionMismatchError):
-            span.add(ragged[1])
+            span.add(lift(ragged[1]))
         with pytest.raises(DimensionMismatchError):
-            span.contains(ragged[1])
+            span.contains(lift(ragged[1]))
         assert span.rank == 1
         with pytest.raises(DimensionMismatchError):
             rank(ragged)
@@ -431,6 +433,64 @@ class TestSpanBuilder:
             nullspace(ragged, width)
         with pytest.raises(DimensionMismatchError):
             solve_linear(ragged, [F(1), F(2)])
+
+
+class TestIntKernel:
+    # SpanBuilder takes int rows only; rationals are lifted once, where they
+    # enter linalg, and a Fraction row would be floored, not refused.
+    @pytest.fixture
+    def rows_seen(self, monkeypatch):
+        seen = []
+        for name in ("add", "contains"):
+
+            def wrapper(self, v, method=getattr(SpanBuilder, name)):
+                seen.append(v)
+                return method(self, v)
+
+            monkeypatch.setattr(SpanBuilder, name, wrapper)
+        return seen
+
+    @pytest.mark.parametrize(
+        "command,spec,options",
+        [
+            ("check", "crosspolytope:5", []),
+            ("check", "random:5,20,10", []),
+            ("verify", "cube:4", ["--proof", "both", "--seed", "0"]),
+        ],
+    )
+    def test_runs_hand_the_span_ints(self, command, spec, options, rows_seen, tmp_path, capsys):
+        path = str(tmp_path / "p.json")
+        assert cli.main(["generate", spec, "--seed", "0", "-o", path]) == 0
+        rows_seen.clear()
+        assert cli.main([command, path, *options]) == 0
+        capsys.readouterr()
+        assert rows_seen
+        assert all(type(x) is int for row in rows_seen for x in row)
+
+    def test_oracle_hands_the_span_ints(self, rows_seen):
+        polytope.brute_force_face_lattice(polytope.generate("crosspolytope:4"))
+        assert rows_seen
+        assert all(type(x) is int for row in rows_seen for x in row)
+
+    def test_check_lifts_no_row(self, monkeypatch, tmp_path, capsys):
+        # A check lifts its point set once and hands ints on from there; a
+        # change that moves these counts on purpose restates them and says
+        # why.
+        counts = Counter()
+        for name in ("lift", "lift_points"):
+
+            def wrapper(*args, name=name, fn=getattr(linalg, name)):
+                counts[name] += 1
+                return fn(*args)
+
+            for module in (linalg, polytope, folded_flags):
+                monkeypatch.setattr(module, name, wrapper, raising=False)
+        path = str(tmp_path / "p.json")
+        assert cli.main(["generate", "cube:5", "-o", path]) == 0
+        counts.clear()
+        assert cli.main(["check", path]) == 0
+        capsys.readouterr()
+        assert counts == {"lift_points": 1}
 
 
 @st.composite
@@ -447,7 +507,7 @@ def points_and_unimodular_maps(draw):
 
 class TestAffineBasis:
     def test_skips_points_in_the_span_so_far(self):
-        pts = [vec(0, 0), vec(1, 1), vec(2, 2), vec(0, 1), vec(5, 5)]
+        pts = [(0, 0), (1, 1), (2, 2), (0, 1), (5, 5)]
         assert affine_basis(pts) == [0, 1, 3]
 
     def test_no_points(self):
@@ -456,21 +516,22 @@ class TestAffineBasis:
 
     # The greedy choice keeps a point exactly when it leaves the affine span
     # of the points kept before it.  A positive scale and a unimodular map
-    # move no affine dependency, so the lifted ints and the mapped points
-    # give the same indices, and affine_hull is spanned by those points.
+    # move no affine dependency, so the rational points' lifted ints and
+    # those ints mapped give the same indices, and affine_hull is spanned by
+    # those points.
     @given(points_and_unimodular_maps())
     @settings(max_examples=200, deadline=None)
     def test_same_indices_lifted_mapped_and_in_affine_hull(self, case):
         points, rows = case
-        basis = affine_basis(points)
+        _, lifted = lift_points(points)
+        basis = affine_basis(lifted)
         base = points[0]
         for i in range(1, len(points)):
             before = [vsub(points[j], base) for j in basis if 0 < j < i]
             grows = rank([*before, vsub(points[i], base)]) > rank(before)
             assert (i in basis) == grows
-        _, lifted = lift_points(points)
-        mapped = [tuple(dot(row, p) for row in rows) for p in points]
-        assert affine_basis(lifted) == basis == affine_basis(mapped)
+        mapped = [tuple(sum(a * x for a, x in zip(row, q)) for row in rows) for q in lifted]
+        assert affine_basis(mapped) == basis
         hull = affine_hull(points)
         assert hull.base_point == base
         assert hull.direction_basis == tuple(vsub(points[i], base) for i in basis[1:])

@@ -44,7 +44,7 @@ from eulerlab.polytope import (
     generate,
     point_polytope,
 )
-from spans import face_points
+from spans import active_facets, face_points
 from volumes import children, volume
 
 F = Fraction
@@ -69,7 +69,7 @@ def reference_hull_facets(points, k):
     hyperplane_through and its incidence from a rescan of every processed
     point, and a new plane equal to a kept facet's plane is dropped by
     comparing the planes."""
-    simplex = affine_basis(points)
+    simplex = affine_basis(lift_points(points)[1])
     interior = barycenter([points[i] for i in simplex])
     facets = []
     for omit in simplex:
@@ -396,34 +396,38 @@ class TestFacetPlanes:
             self.assert_primitive_through_vertices(build_polytope(pts))
 
 
-class TestSlackMatrix:
-    # The slack matrix keeps the vertices lifted once, and each row is V
-    # times the facet's side at every vertex, read off those ints.
+class TestLifted:
+    # A polytope lifts its vertices once, and folding reads a face's facet
+    # sides off those ints: with X the sum of the face's lifted vertices,
+    # n_j·X - V|F|·b_j is V times the sum of side_j over the face.
     @staticmethod
-    def assert_rows_read_off_points(p):
-        s = p.slack
-        assert s.points == tuple(lift_points(p.vertices)[1])
-        assert len(s.rows) == len(p.facets)
-        for f, row in zip(p.facets, s.rows):
-            n, b = f.hyperplane.normal, f.hyperplane.offset
-            assert row == tuple(dot(n, q) - s.scale * b for q in s.points)
-            assert row == tuple(s.scale * f.hyperplane.side(v) for v in p.vertices)
+    def assert_face_sides_read_off_points(p):
+        scale, points = p.lifted
+        assert p.lifted == lift_points(p.vertices)
+        assert all(type(x) is int for q in points for x in q)
+        for face in face_lattice(p).all_faces():
+            idx = sorted(face.vertex_indices)
+            big_x = [sum(c) for c in zip(*(points[v] for v in idx))]
+            for f in p.facets:
+                h = f.hyperplane
+                sides = sum(h.side(p.vertices[v]) for v in idx)
+                assert dot(h.normal, big_x) - scale * len(idx) * h.offset == scale * sides
 
     @pytest.mark.parametrize("spec", [s for s in FAMILY_SPECS if int(s.split(":")[1]) <= 5])
     def test_families(self, spec):
-        self.assert_rows_read_off_points(generate(spec))
+        self.assert_face_sides_read_off_points(generate(spec))
 
     def test_seeded_clouds(self):
         for spec, seed in RANDOM_SPECS:
-            self.assert_rows_read_off_points(generate(spec, seed))
+            self.assert_face_sides_read_off_points(generate(spec, seed))
 
     def test_shifted_hull(self):
         # x -> x/3 + 1/7 gives every vertex a denominator, so V > 1.
         p = build_polytope(
             [[c / 3 + F(1, 7) for c in v] for v in generate("random:4,12,10").vertices]
         )
-        assert p.slack.scale > 1
-        self.assert_rows_read_off_points(p)
+        assert p.lifted[0] > 1
+        self.assert_face_sides_read_off_points(p)
 
 
 class TestFrames:
@@ -586,7 +590,7 @@ class TestFacetsOf:
     def assert_matches_active_facets(p):
         lat = face_lattice(p)
         for face in lat.all_faces():
-            assert p.facets_of(face) == p.active_facets(barycenter(face_points(p, face)))
+            assert p.facets_of(face) == active_facets(p, barycenter(face_points(p, face)))
         assert all(len(p.facets_of(r)) == 2 for r in lat.faces(p.dim - 2))
 
     @pytest.mark.parametrize("spec", [s for s in FAMILY_SPECS if not s.endswith(":1")])
@@ -786,7 +790,7 @@ class TestConeQueries:
     def test_tangent_cone_at_interior_point(self):
         p = generate("cube:3")
         mid = vec(F(1, 2), F(1, 2), F(1, 2))
-        assert p.active_facets(mid) == ()
+        assert active_facets(p, mid) == ()
         assert p.in_tangent_cone(mid, vec(-5, 17, 3))
 
     def test_relative_interior_of_facet(self):

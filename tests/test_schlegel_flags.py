@@ -11,7 +11,16 @@ from hypothesis import strategies as st
 from eulerlab import schlegel_flags
 from eulerlab.errors import GeneralPositionError, SamplingBudgetError
 from eulerlab.euler import CertificateEntry, f_vector, rejection_sample
-from eulerlab.linalg import SpanBuilder, barycenter, format_point, is_zero, vscale, vsub
+from eulerlab.linalg import (
+    SpanBuilder,
+    barycenter,
+    format_point,
+    is_zero,
+    lift,
+    lift_points,
+    vscale,
+    vsub,
+)
 from eulerlab.polytope import face_lattice, generate
 from eulerlab.projection import project_along, schlegel
 from eulerlab.schlegel_flags import (
@@ -137,11 +146,11 @@ class TestSampleGeneralLine:
         assert any(q.direction)
         for c in range(1, cx.dim):
             for face in cx.faces(c):
-                pts = cx.face_points(face)
+                _, pts = lift_points(cx.face_points(face))
                 span = SpanBuilder(cx.dim)
                 for x in pts[1:]:
                     span.add(vsub(x, pts[0]))
-                assert not span.contains(q.direction)
+                assert not span.contains(lift(q.direction))
 
     @pytest.mark.parametrize("spec", ["cube:3", "simplex:3", "crosspolytope:3"])
     def test_many_seeds_always_succeed(self, spec):

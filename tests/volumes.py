@@ -5,7 +5,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from eulerlab.linalg import SpanBuilder, vsub
+from eulerlab.linalg import SpanBuilder, lift, vsub
 from eulerlab.polytope import Face, FaceLattice, Polytope, face_lattice
 
 
@@ -18,7 +18,7 @@ def det(rows):
     n = len(rows)
     span = SpanBuilder(n)
     for row in rows:
-        span.add(row)
+        span.add(lift(row))
     if span.rank < n:
         return Fraction(0)
     pivots = span._pivots
