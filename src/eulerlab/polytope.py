@@ -324,6 +324,16 @@ def _closure(masks: Sequence[int], full: int, top: int) -> dict[int, int]:
     return dims
 
 
+def _bits(x: int) -> list[int]:
+    """The indices of the set bits of x, highest first, one step per set bit."""
+    out = []
+    while x:
+        i = x.bit_length() - 1
+        out.append(i)
+        x ^= 1 << i
+    return out
+
+
 def _lattice(p: Polytope) -> FaceLattice:
     """Close the vertex-facet incidence from its side with fewer sets.  With
     n vertices and m facets, n >= m closes the facets' vertex masks.  For
@@ -331,14 +341,12 @@ def _lattice(p: Polytope) -> FaceLattice:
     facet masks from the set of all facets, the empty face of P, and read a
     facet set S of dimension c there as the face of P of dimension dim - 1
     - c whose vertices are those on every facet of S; P itself holds no
-    facet and is added.  Each face costs min(n, m) ANDs."""
+    facet and is added.  Each face costs min(n, m) ANDs; a face of the
+    facet side reads its vertices from the set bits of its mask."""
     n, m, d = len(p.vertices), len(p.facets), p.dim
     if n >= m:
         masks = [sum(1 << i for i in f.vertex_indices) for f in p.facets]
-        faces = [
-            (frozenset(i for i in range(n) if x >> i & 1), c)
-            for x, c in _closure(masks, (1 << n) - 1, d).items()
-        ]
+        faces = [(frozenset(_bits(x)), c) for x, c in _closure(masks, (1 << n) - 1, d).items()]
     else:
         on = [0] * n
         for j, f in enumerate(p.facets):

@@ -8,25 +8,32 @@ ridges; faces are named by their vertex indices, with incidences from
 projection from an exterior point in the polytope's own hyperplane.  Shadows
 are new point sets, so they run the hull, and carry the exact "image of this
 face is a face of the shadow" predicate, computed by full face-lattice
-comparison of vertex index sets rather than any silhouette criterion.
+comparison of vertex index sets rather than any silhouette criterion.  Each
+shadow's images are full-dimensional int points, lifted vertices read through
+the integer nullspace of the direction or of the screen's normal (the screen's
+offset only decides separation), so no shadow is reframed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatchError, GeneralPositionError
 from .linalg import (
     Hyperplane,
+    SpanBuilder,
     Vector,
     affine_hull,
     barycenter,
     dot,
     is_zero,
-    nullspace,
+    lift,
+    lift_points,
     vadd,
     vscale,
     vsub,
@@ -161,12 +168,6 @@ def _normal_signs(p: Polytope, direction: Vector) -> tuple[int, ...]:
     return tuple((s > 0) - (s < 0) for s in products)
 
 
-def _central_images(apex: Vector, a, points: Sequence[Vector], sides) -> list[Vector]:
-    """Where the line from apex through each point meets a plane, from the
-    apex's side a of it and the point's side s: apex + (x - apex)·a/(a - s)."""
-    return [vadd(apex, vscale(vsub(x, apex), a / (a - s))) for x, s in zip(points, sides)]
-
-
 def schlegel(p: Polytope, facet: int) -> SchlegelComplex:
     """Schlegel complex of p at facet index `facet`.
 
@@ -182,8 +183,14 @@ def schlegel(p: Polytope, facet: int) -> SchlegelComplex:
     v = beyond_point(p, facet)
     plane = p.facets[facet].hyperplane
     frame = affine_hull(p.facet_vertices(facet))
+    # The line from v through x meets the plane at v + (x - v)·a/(a - s),
+    # for v's side a of it and x's side s.
     sides = [plane.side(x) for x in p.vertices]
-    images = tuple(map(frame.to_working, _central_images(v, plane.side(v), p.vertices, sides)))
+    a = plane.side(v)
+    images = tuple(
+        frame.to_working(vadd(v, vscale(vsub(x, v), a / (a - s))))
+        for x, s in zip(p.vertices, sides)
+    )
     pieces = [facet_polytope(p, j, images) for j in range(len(p.facets))]
     carrier = pieces.pop(facet)
     return SchlegelComplex(facet, carrier, tuple(pieces), images)
@@ -240,14 +247,22 @@ def _make_shadow(src: Polytope, images: Sequence[Vector]) -> Shadow:
     return Shadow(polytope=shadow_poly, vertex_map=vertex_map, face_image=face_image)
 
 
+def _functionals(row: Sequence[int]) -> list[list[int]]:
+    """The integer nullspace of one int row, as functionals: x -> (w_i·x)
+    has kernel span(row), so it is injective on the row's complement."""
+    span = SpanBuilder(len(row))
+    span.add(row)
+    return span.integer_nullspace()
+
+
 def project_along(src: Polytope, direction: Vector) -> Shadow:
     """Orthogonal projection of src along a direction of its working frame.
 
-    The screen is the direction's orthogonal complement, realized by the
-    rational linear map x -> (w_1·x, ..., w_{k-1}·x) whose kernel is the
-    direction; the image of a face is a face of the shadow iff its
-    projected vertex set equals the vertex set of a shadow face of the
-    same dimension.
+    The screen is the direction's orthogonal complement, charted by the
+    `_functionals` of the lifted direction, so each image is an int point:
+    the rational image times one positive scale.  The image of a face is a
+    face of the shadow iff its projected vertex set equals the vertex set
+    of a shadow face of the same dimension.
     """
     if len(direction) != src.dim:
         raise DimensionMismatchError(
@@ -255,10 +270,8 @@ def project_along(src: Polytope, direction: Vector) -> Shadow:
         )
     if is_zero(direction):
         raise ValueError("direction must be nonzero")
-    functionals = nullspace([direction], src.dim)
-    images = [
-        tuple(dot(w, x) for w in functionals) for x in src.vertices
-    ]
+    functionals = _functionals(lift(direction))
+    images = [tuple(sum(map(mul, w, x)) for w in functionals) for x in src.lifted[1]]
     return _make_shadow(src, images)
 
 
@@ -270,20 +283,36 @@ def project_from_point(
     The default screen separates the apex from src halfway along a violated
     facet inequality (normal·x = (b+b')/2); any screen with the apex
     strictly on one side and every vertex strictly on the other is
-    admissible and yields the same face structure.
+    admissible and yields the same face structure.  The offset only decides
+    that separation: the screen enters the images only through the chart W
+    of its normal n, its `_functionals`.  Vertex x lands at
+    W·(x-a)/(n·(x-a)), its image on the screen translated by W·a and scaled
+    by the apex a's side.  Apex and vertices are lifted to ints together,
+    and one lcm of the n·(x-a), signed so that every multiplier is
+    positive, makes each image an int point.
     """
     if len(apex) != src.dim:
         raise DimensionMismatchError("apex must live in the source's working frame")
-    if src.contains(apex):
+    scale, (a, *points) = lift_points([apex, *src.vertices])
+    planes = (f.hyperplane for f in src.facets)
+    violated = next((h for h in planes if sum(map(mul, h.normal, a)) > scale * h.offset), None)
+    if violated is None:
         raise ValueError("apex not exterior")
     if screen is None:
-        violated = next(
-            f.hyperplane for f in src.facets if f.hyperplane.side(apex) > 0
-        )
         n, b = violated.normal, violated.offset
-        screen = Hyperplane(n, (b + dot(n, apex)) / 2)
-    apex_side = screen.side(apex)
-    sides = [screen.side(v) for v in src.vertices]
+        screen = Hyperplane(n, (b + Fraction(sum(map(mul, n, a)), scale)) / 2)
+    if len(screen.normal) != src.dim:
+        raise DimensionMismatchError("screen must live in the source's working frame")
+    *normal, offset = lift([*screen.normal, screen.offset])
+    apex_side, *sides = (sum(map(mul, normal, x)) - scale * offset for x in (a, *points))
     if any(s * apex_side >= 0 for s in sides):
         raise ValueError("screen must strictly separate the apex from the source")
-    return _make_shadow(src, _central_images(apex, apex_side, src.vertices, sides))
+    chart = _functionals(normal)
+    # n·(x - a) is x's side minus the apex's: all of the sign opposite to it.
+    gaps = [s - apex_side for s in sides]
+    m = math.lcm(*gaps) if apex_side < 0 else -math.lcm(*gaps)
+    images = [
+        tuple(m // g * sum(map(mul, w, y)) for w in chart)
+        for y, g in zip((vsub(x, a) for x in points), gaps)
+    ]
+    return _make_shadow(src, images)

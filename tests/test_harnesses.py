@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerlab import folded_flags, linalg, projection
+from eulerlab import cli, folded_flags, linalg, polytope, projection, schlegel_flags
 from eulerlab.euler import f_vector
 from eulerlab.folded_flags import fold_flags, sample_transversal, verify_proof_folded
 from eulerlab.polytope import Polytope, build_polytope, face_lattice, generate
@@ -45,9 +45,11 @@ RUNS = {
 # restates them here and says why.  The folded sampler takes one side test
 # per facet for the line's parameters on every candidate that meets all
 # facet hyperplanes.  Folding reads the lifted vertices and takes no side test;
-# a frame charts its points with one elimination, not one per point.  A
-# central projection, the Schlegel build's or a shadow's, takes one side
-# test for its apex and one per vertex.  Facet pieces, the Schlegel
+# a frame charts its points with one elimination, not one per point.  The
+# Schlegel build's central projection takes one side test for its apex and
+# one per vertex.  A shadow takes none: its apex and vertices are lifted to
+# ints once, and the exterior test, the violated facet and the screen sides
+# are int products.  Facet pieces, the Schlegel
 # carrier and its cells are read from the polytope's ridges and run no hull
 # pivot.  A Schlegel piece tests every vertex image against each of its
 # ridge planes, one integer side test per pair, so a d = 4 cube piece takes
@@ -56,17 +58,20 @@ RUNS = {
 # Only the shadows run the hull.  One affine basis of a point set's lifted
 # ints gives both its dimension and the hull's initial simplex, so each
 # shadow hull of dimension k takes k pivots fewer than when the simplex was
-# eliminated twice.  Faces are keyed by vertex indices and each piece
-# carries its vertices' names, so Fraction hashes come only from the
-# shadows' point sets: each input point hashed once to drop repeats, and
-# each image matched to a shadow vertex.
+# eliminated twice.  Shadow images are int points of full dimension: a
+# central one is charted by the one-pivot integer nullspace of the screen
+# normal, so no shadow is reframed.  Faces are keyed by vertex indices and
+# each piece carries its vertices' names, so Fraction hashes come only from
+# the shadows' hull inputs, each int image hashed once as a Fraction point
+# to drop repeats, and from the shadow vertices that the int images are
+# matched against.
 HARNESS_WORK_COUNTS = {
-    ("cube:4", "schlegel"): {"pivot": 379, "side": 578, "hash": 344},
-    ("cube:4", "folded"): {"pivot": 526, "side": 255, "hash": 384},
-    ("crosspolytope:4", "schlegel"): {"pivot": 493, "side": 335, "hash": 368},
-    ("crosspolytope:4", "folded"): {"pivot": 680, "side": 347, "hash": 480},
-    ("cube:5", "schlegel"): {"pivot": 1335, "side": 2299, "hash": 1332},
-    ("cube:5", "folded"): {"pivot": 1724, "side": 1015, "hash": 1408},
+    ("cube:4", "schlegel"): {"pivot": 379, "side": 578, "hash": 216},
+    ("cube:4", "folded"): {"pivot": 514, "side": 167, "hash": 160},
+    ("crosspolytope:4", "schlegel"): {"pivot": 493, "side": 335, "hash": 240},
+    ("crosspolytope:4", "folded"): {"pivot": 652, "side": 213, "hash": 208},
+    ("cube:5", "schlegel"): {"pivot": 1335, "side": 2299, "hash": 852},
+    ("cube:5", "folded"): {"pivot": 1700, "side": 825, "hash": 672},
 }
 
 
@@ -162,6 +167,46 @@ def test_folding_is_integer_rows_from_the_lifted_vertices(spec, monkeypatch, wor
             fold_flags(p, face, line)
     assert work_counts["side"] == 0
     assert {name: calls[name] for name in names + operators} == dict.fromkeys(names + operators, 0)
+
+
+@pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4"])
+def test_shadows_are_built_on_ints(spec, monkeypatch, tmp_path):
+    # Both shadow builders read their images off lifted ints: while either
+    # runs, no Fraction dot product is taken and no point is charted in a
+    # reframed subspace.  The rest of the run still takes both.
+    inside = []
+    calls = Counter()
+
+    def counted(name, owner, *also):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name, bool(inside)] += 1
+            return fn(*args)
+
+        for where in (owner, *also):
+            monkeypatch.setattr(where, name, wrapper, raising=False)
+
+    counted("dot", linalg, polytope, projection)
+    counted("to_working", linalg.AffineSubspace)
+    for module, name in [(schlegel_flags, "project_along"), (folded_flags, "project_from_point")]:
+        build = getattr(module, name)
+
+        def within(*args, build=build, name=name):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return build(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(module, name, within)
+    doc, report = tmp_path / "doc.json", tmp_path / "report.json"
+    assert cli.main(["generate", spec, "-o", str(doc)]) == 0
+    assert cli.main(["verify", str(doc), "--proof", "both", "--seed", "0", "-o", str(report)]) == 0
+    assert calls["project_along"] > 0 and calls["project_from_point"] > 0
+    assert calls["dot", True] == calls["to_working", True] == 0
+    assert calls["dot", False] > 0 and calls["to_working", False] > 0
 
 
 def _facet_at(p, facet_points) -> int:

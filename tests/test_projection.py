@@ -1,5 +1,6 @@
 """Tests for beyond points, Schlegel complexes, and shadows."""
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -8,11 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerlab import polytope
+from eulerlab.acceptance import _tilted_screen
 from eulerlab.errors import DimensionMismatchError, GeneralPositionError
 from eulerlab.euler import f_vector
-from eulerlab.linalg import Hyperplane, affine_dim, affine_hull, barycenter, dot, vec
+from eulerlab.linalg import (
+    Hyperplane,
+    affine_dim,
+    affine_hull,
+    barycenter,
+    dot,
+    is_zero,
+    nullspace,
+    vadd,
+    vec,
+    vscale,
+    vsub,
+)
 from eulerlab.polytope import build_polytope, face_lattice, facet_polytope, generate
 from eulerlab.projection import (
+    _make_shadow,
     beyond_point,
     project_along,
     project_from_point,
@@ -365,6 +380,8 @@ class TestProjectFromPoint:
         p = generate("cube:2")
         with pytest.raises(DimensionMismatchError):
             project_from_point(p, (F(2), F(0), F(0)))
+        with pytest.raises(DimensionMismatchError, match="screen must live"):
+            project_from_point(p, (F(2), F(0)), Hyperplane((F(1), F(0), F(0)), F(3, 2)))
 
     def test_bad_screens_rejected(self):
         tri = build_polytope([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
@@ -427,3 +444,109 @@ class TestProjectFromPoint:
         tri = build_polytope([(F(0), F(0)), (F(2), F(0)), (F(0), F(2))])
         sh = project_from_point(tri, (F(4), F(0)))
         assert sh.polytope.dim == 1
+
+
+def fraction_project_along(src, direction):
+    """project_along as it was before its images were ints: Fraction dot
+    products with the rational nullspace functionals."""
+    if len(direction) != src.dim:
+        raise DimensionMismatchError(
+            "direction must live in the source's working frame"
+        )
+    if is_zero(direction):
+        raise ValueError("direction must be nonzero")
+    functionals = nullspace([direction], src.dim)
+    images = [
+        tuple(dot(w, x) for w in functionals) for x in src.vertices
+    ]
+    return _make_shadow(src, images)
+
+
+def _central_images(apex, a, points, sides):
+    """Where the line from apex through each point meets a plane, from the
+    apex's side a of it and the point's side s: apex + (x - apex)·a/(a - s)."""
+    return [vadd(apex, vscale(vsub(x, apex), a / (a - s))) for x, s in zip(points, sides)]
+
+
+def fraction_project_from_point(src, apex, screen=None):
+    """project_from_point as it was before its images were ints: Fraction
+    images on the screen hyperplane, which the shadow hull reframes."""
+    if len(apex) != src.dim:
+        raise DimensionMismatchError("apex must live in the source's working frame")
+    if src.contains(apex):
+        raise ValueError("apex not exterior")
+    if screen is None:
+        violated = next(
+            f.hyperplane for f in src.facets if f.hyperplane.side(apex) > 0
+        )
+        n, b = violated.normal, violated.offset
+        screen = Hyperplane(n, (b + dot(n, apex)) / 2)
+    apex_side = screen.side(apex)
+    sides = [screen.side(v) for v in src.vertices]
+    if any(s * apex_side >= 0 for s in sides):
+        raise ValueError("screen must strictly separate the apex from the source")
+    return _make_shadow(src, _central_images(apex, apex_side, src.vertices, sides))
+
+
+def shifted(p):
+    """The hull of p's vertices under x -> x/3 + 1/7, which gives every
+    vertex a denominator, so V > 1."""
+    return build_polytope([[c / 3 + F(1, 7) for c in v] for v in p.vertices])
+
+
+def shadow_outcome(build, *args):
+    """What a shadow shows of the source's faces, or the type and text of
+    the error building it raises."""
+    try:
+        sh = build(*args)
+    except (ValueError, GeneralPositionError) as e:
+        return type(e).__name__, str(e)
+    return sh.face_image, sh.face_source_labels(), f_vector(face_lattice(sh.polytope))
+
+
+class TestIntegerShadowsAgainstReference:
+    @given(
+        d=st.integers(2, 5),
+        extra=st.integers(0, 4),
+        hull_seed=st.integers(0, 2**16),
+        shift=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_int_images_give_the_fraction_shadows(self, d, extra, hull_seed, shift, data):
+        p = generate(f"random:{d},{d + 1 + extra},9", hull_seed)
+        if shift:
+            p = shifted(p)
+            assert p.lifted[0] > 1
+        coordinates = st.lists(st.integers(-4, 4), min_size=d, max_size=d)
+        direction = tuple(map(F, data.draw(coordinates)))
+        assert shadow_outcome(project_along, p, direction) == shadow_outcome(
+            fraction_project_along, p, direction
+        )
+        # An apex beyond a facet under the default and the tilted screen, a
+        # screen through a vertex, and a half-integer point that may lie inside.
+        apex = beyond_point(p, data.draw(st.integers(0, len(p.facets) - 1)))
+        n = p.facets[0].hyperplane.normal
+        through_vertex = Hyperplane(n, dot(n, p.vertices[0]))
+        halves = st.lists(st.integers(-12, 12), min_size=d, max_size=d)
+        point = tuple(F(x, 2) for x in data.draw(halves))
+        for args in [(apex,), (apex, _tilted_screen(p, apex)), (apex, through_vertex), (point,)]:
+            assert shadow_outcome(project_from_point, p, *args) == shadow_outcome(
+                fraction_project_from_point, p, *args
+            )
+
+    @pytest.mark.parametrize("spec", ["cube:2", "cube:3", "crosspolytope:4", "simplex:4"])
+    def test_hand_cases_match(self, spec):
+        # Axis directions and apexes on edge and facet lines, where images
+        # collide and shadow vertices swallow several source vertices.
+        for p in [generate(spec), shifted(generate(spec))]:
+            d = p.dim
+            for direction in itertools.product((-1, 0, 1), repeat=d):
+                direction = tuple(map(F, direction))
+                assert shadow_outcome(project_along, p, direction) == shadow_outcome(
+                    fraction_project_along, p, direction
+                )
+            for apex in itertools.product((-2, 0, F(1, 2), 3), repeat=d):
+                assert shadow_outcome(project_from_point, p, apex) == shadow_outcome(
+                    fraction_project_from_point, p, apex
+                )
