@@ -7,6 +7,11 @@ vertex; the two incident polygon sides, each inside a unique facet, are the
 face's two folded flags.  Per-facet sums are checked against their exact
 expected values, including the central-projection shadow criterion for the
 facets the line does not meet.
+
+Everything that depends on the line alone is computed once per line, as
+ints (`LineTable`): the line lifted to L*t1 and L*e, and per facet its two
+products with them.  The sampler certifies a line on this table, and each
+face is then folded with one int product per facet.
 """
 
 from __future__ import annotations
@@ -16,22 +21,13 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Optional
 
 from .errors import GeneralPositionError, naming_seed
 from .euler import CertificateEntry, check_piece, check_totals, f_vector, rejection_sample
-from .linalg import (
-    Vector,
-    affine_dim,
-    dot,
-    format_point,
-    is_zero,
-    lift,
-    vadd,
-    vscale,
-    vsub,
-)
+from .linalg import Vector, affine_basis, format_point, lift, rational_point, vsub
 from .polytope import Face, Polytope, face_lattice, facet_polytope
 from .projection import project_from_point
 
@@ -50,16 +46,57 @@ class TransversalLine:
     facet_points: tuple[Vector, ...]
     certificate: tuple[CertificateEntry, ...]
 
+    @cached_property
+    def lifted_points(self) -> tuple[tuple[int, ...], ...]:
+        """`facet_points` as ints in `FoldedFlag`'s segment-end form, built
+        on first use: one lift per point per line."""
+        return tuple(tuple(lift([*t, 1])) for t in self.facet_points)
+
 
 @dataclass(frozen=True)
 class FoldedFlag:
     """A polygon side inside a unique facet; `segment` runs from the base
-    point to the side's far vertex."""
+    point to the side's far vertex.  Each end is the ints (n_1, ..., n_d, D)
+    of the point n/D with D > 0 and gcd 1, the form `lift` gives [*point, 1],
+    so `==` still means the same rational segment; `rational_point` reads
+    one back."""
 
     base_face: Face
     assigned_facet: int
-    segment: tuple[Vector, Vector]
+    segment: tuple[tuple[int, ...], tuple[int, ...]]
     value: Fraction
+
+
+# A face of dimension c gives each of its two flags the value (-1)^c / 2.
+_VALUES = (Fraction(1, 2), Fraction(-1, 2))
+
+
+@dataclass(frozen=True)
+class LineTable:
+    """What the sampler and folding read of one line, computed once per line.
+
+    L is the lcm of the denominators of t1 and the direction e; `lt1` and
+    `le` are L*t1 and L*e as ints.  Per facet j with integer plane
+    n_j.x = b_j, `rates[j]` is A_j = n_j.(L*e) and `at_t1[j]` is B_j =
+    n_j.(L*t1) - L*b_j, L times the side of t1."""
+
+    big_l: int
+    lt1: list[int]
+    le: list[int]
+    rates: list[int]
+    at_t1: list[int]
+
+
+def line_table(p: Polytope, t1: Vector, direction: Vector) -> LineTable:
+    """The line's `LineTable`: 2m int dot products for m facets."""
+    *lifted, big_l = lift([*t1, *direction, 1])
+    lt1, le = lifted[: p.dim], lifted[p.dim :]
+    rates, at_t1 = [], []
+    for f in p.facets:
+        n = f.hyperplane.normal
+        rates.append(sum(map(mul, n, le)))
+        at_t1.append(sum(map(mul, n, lt1)) - big_l * f.hyperplane.offset)
+    return LineTable(big_l, lt1, le, rates, at_t1)
 
 
 def _relint_point(p: Polytope, facet_index: int, rng: random.Random, bound: int) -> Vector:
@@ -92,6 +129,13 @@ def sample_transversal(
     The incidence condition - the line's point on facet hyperplane i lies
     on the facet itself exactly for the two chosen facets - is a theorem
     given convexity, so its failure raises instead of resampling.
+
+    All of it is read off the candidate's `LineTable`, in ints: n_j.e is
+    A_j/L, so the line meets hyperplane j iff A_j != 0; s_j = -B_j/A_j, so
+    a ridge (a, b) is missed iff B_a*A_b != B_b*A_a; and the side of facet
+    i at the point on hyperplane j is (B_i*A_j - B_j*A_i) / (L*A_j), whose
+    sign is sign(A_j) * sign(B_i*A_j - B_j*A_i).  Only the accepted line's
+    points are built as Fractions.
     """
     if p.dim < 3:
         raise ValueError("transversal proof requires d >= 3")
@@ -110,22 +154,28 @@ def sample_transversal(
         t1 = _relint_point(p, i1, rng, bound)
         t2 = _relint_point(p, i2, rng, bound)
         direction = vsub(t2, t1)
-        if is_zero(direction):
+        table = line_table(p, t1, direction)
+        rates, at_t1 = table.rates, table.at_t1
+        if 0 in rates:  # a zero direction included
             return None
-        rates = [dot(f.hyperplane.normal, direction) for f in p.facets]
-        if 0 in rates:
-            return None
-        s = [-f.hyperplane.side(t1) / rate for f, rate in zip(p.facets, rates)]
-        if any(s[a] == s[b] for a, b in ridges):
+        if any(at_t1[a] * rates[b] == at_t1[b] * rates[a] for a, b in ridges):
             return None
         entries = [CertificateEntry("facet-not-parallel", (j,), True) for j in range(nf)]
         entries += [CertificateEntry("affine-miss", (a, b), True) for a, b in ridges]
-        hits = tuple(vadd(t1, vscale(direction, s_j)) for s_j in s)
-        for j, hit in enumerate(hits):
+        # t1 + s_j*e = (A_j*L*t1 - B_j*L*e) / (A_j*L).
+        hits = tuple(
+            tuple(Fraction(a * t - b * e, a * table.big_l) for t, e in zip(table.lt1, table.le))
+            for a, b in zip(rates, at_t1)
+        )
+        for j, (a_j, b_j) in enumerate(zip(rates, at_t1)):
+            # Row j of the sign table: each facet's side at the point on
+            # hyperplane j, 0 on facet j itself.
+            sign = 1 if a_j > 0 else -1
+            sides = [sign * (b_i * a_j - b_j * a_i) for a_i, b_i in zip(rates, at_t1)]
             if j in (i1, i2):
-                good = p.in_relative_interior_of_facet(hit, j)
+                good = all(side < 0 for i, side in enumerate(sides) if i != j)
             else:
-                good = not p.contains(hit)
+                good = any(side > 0 for side in sides)
             entries.append(CertificateEntry("incidence", (j,), good))
             if not good:
                 where = "off the relative interior" if j in (i1, i2) else "on the facet"
@@ -158,7 +208,7 @@ def _along(row, r) -> int:
 
 
 def fold_flags(
-    p: Polytope, face: Face, line: TransversalLine
+    p: Polytope, face: Face, line: TransversalLine, table: Optional[LineTable] = None
 ) -> tuple[FoldedFlag, FoldedFlag]:
     """Fold the face's two flags onto facets by walking out from its base
     point x in the plane section: O(m) integer work for m facets.
@@ -173,31 +223,32 @@ def fold_flags(
     each, two different ones; all of this follows from the certificate, so
     a violation raises GeneralPositionError.
 
-    The rows are ints, read off the facets' integer planes (n_j, b_j) and
-    the vertices lifted to V*v (`Polytope.lifted`).  With L the lcm of the
-    denominators of t1 and the direction e, X the sum of the lifted
-    vertices of the face, so x = X/(V|F|), and G = L*X - V|F|*L*t1 =
-    V|F|*L*(x - t1), row j is (V|F|*n_j.(L*e), n_j.G, -L*(n_j.X -
-    V|F|*b_j)): the rational row times the positive V*|F|*L.  A positive
-    scale per row moves no sign, ray or ratio.  A side that leaves x along
-    the ray r and ends at t = num/den ends at x + t*(r_0*e + r_1*(x - t1)),
-    an int over den*V|F|*L in each coordinate.  The sides are ordered on
-    those ints too, so the walk builds no Fraction but the points.
+    The rows are ints, read off the facets' integer planes (n_j, b_j), the
+    vertices lifted to V*v (`Polytope.lifted`) and the line's `LineTable`
+    (built here when none is passed): L, L*t1, L*e and per facet A_j =
+    n_j.(L*e) and B_j = n_j.(L*t1) - L*b_j.  With X the sum of the lifted
+    vertices of the face, so x = X/(V|F|), G = L*X - V|F|*L*t1 =
+    V|F|*L*(x - t1) and sigma_j = n_j.X - V|F|*b_j, the one product per
+    facet per face, row j is (V|F|*A_j, n_j.G, -L*sigma_j) with n_j.G =
+    L*sigma_j - V|F|*B_j: the rational row times the positive V*|F|*L.
+    A positive scale per row moves no sign, ray or ratio.  A side that
+    leaves x along the ray r and ends at t = num/den ends at x + t*(r_0*e +
+    r_1*(x - t1)), an int over den*V|F|*L in each coordinate.  The sides
+    are ordered on those ints too, and both segment ends are kept as ints,
+    so the walk builds no Fraction.
     """
+    if table is None:
+        table = line_table(p, line.t1, line.direction)
     scale, points = p.lifted
-    # Per line: L*t1, L*direction and L, as ints.
-    *lifted, big_l = lift([*line.t1, *line.direction, 1])
-    lt1, le = lifted[: p.dim], lifted[p.dim :]
+    big_l = table.big_l
     idx = sorted(face.vertex_indices)
     vf = scale * len(idx)
     big_x = [sum(c) for c in zip(*(points[v] for v in idx))]
-    big_g = [big_l * xc - vf * tc for xc, tc in zip(big_x, lt1)]
     # (alpha_j, beta_j, slack_j): the slack of facet j at x is gamma_j - beta_j.
     rows = []
-    for f in p.facets:
-        n, b = f.hyperplane.normal, f.hyperplane.offset
-        at_x = sum(map(mul, n, big_x)) - vf * b
-        rows.append((vf * sum(map(mul, n, le)), sum(map(mul, n, big_g)), -big_l * at_x))
+    for f, a_j, b_j in zip(p.facets, table.rates, table.at_t1):
+        at_x = sum(map(mul, f.hyperplane.normal, big_x)) - vf * f.hyperplane.offset
+        rows.append((vf * a_j, big_l * at_x - vf * b_j, -big_l * at_x))
 
     def violated(check: str) -> GeneralPositionError:
         where = f"face {sorted(face.vertex_indices)}"
@@ -235,10 +286,11 @@ def fold_flags(
         # Ratio test: the side ends where the first other facet turns tight,
         # at the least slack / rate, compared by cross-multiplying.
         num, den = 0, 0
-        for row in rows:
-            d = _along(row, r)
-            if d > 0 and (not den or row[2] * den < num * d):
-                num, den = row[2], d
+        r0, r1 = r
+        for alpha, beta, slack in rows:
+            d = alpha * r0 + beta * r1  # _along, inlined in the hot loop
+            if d > 0 and (not den or slack * den < num * d):
+                num, den = slack, d
         sides.append((facets, (num, den, r)))
     # Check the side with the lower facet index first.  Two sides share one
     # only when a facet's hyperplane holds the whole plane; then the side
@@ -262,31 +314,41 @@ def fold_flags(
             f"the section sides lie in facets {[f[0] for f, _ in sides]}, not in two"
         )
 
-    value = Fraction((-1) ** face.dimension, 2)
-    x = tuple(Fraction(c, vf) for c in big_x)
+    value = _VALUES[face.dimension % 2]
+    x = _reduced(big_x, vf)
+    big_g = [big_l * xc - vf * tc for xc, tc in zip(big_x, table.lt1)]
     flags = []
     for [facet_idx], (num, den, r) in sides:
         # end = x + t*(r_0*e + r_1*(x - t1)), an int over den*V|F|*L.
-        end = tuple(
-            Fraction(den * big_l * xc + num * (vf * r[0] * ec + r[1] * gc), den * vf * big_l)
-            for xc, ec, gc in zip(big_x, le, big_g)
-        )
+        end = [
+            den * big_l * xc + num * (vf * r[0] * ec + r[1] * gc)
+            for xc, ec, gc in zip(big_x, table.le, big_g)
+        ]
         flags.append(
             FoldedFlag(
                 base_face=face,
                 assigned_facet=facet_idx,
-                segment=(x, end),
+                segment=(x, _reduced(end, den * vf * big_l)),
                 value=value,
             )
         )
     return flags[0], flags[1]
 
 
+def _reduced(nums: list[int], den: int) -> tuple[int, ...]:
+    """The point nums/den, den > 0, as ints (*nums, den) over their gcd."""
+    g = math.gcd(*nums, den)
+    return (*(c // g for c in nums), den // g)
+
+
 def flag_collinear_with_assigned_point(flag: FoldedFlag, line: TransversalLine) -> bool:
-    """Whether the flag's segment line passes through the line's point on
-    its assigned facet's hyperplane (exact)."""
-    t = line.facet_points[flag.assigned_facet]
-    return affine_dim([flag.segment[0], flag.segment[1], t]) <= 1
+    """Whether the flag's segment line passes through the line's point t on
+    its assigned facet's hyperplane (exact): the affine rank of the two
+    segment ends and t, on ints over one common denominator.  t is read
+    from `line.lifted_points`, never from the rows that placed the segment."""
+    points = (*flag.segment, line.lifted_points[flag.assigned_facet])
+    den = math.lcm(*(q[-1] for q in points))
+    return len(affine_basis([[c * (den // q[-1]) for c in q[:-1]] for q in points])) <= 2
 
 
 @dataclass
@@ -335,18 +397,18 @@ def facet_assignment_sums(
     failures: list[str] = []
 
     # fold_flags raises unless a face's two flags go to two different facets.
+    table = line_table(p, line.t1, line.direction)
     flags: list[FoldedFlag] = []
     for c in range(0, k):
         for face in lat.faces(c):
-            flags.extend(fold_flags(p, face, line))
+            flags.extend(fold_flags(p, face, line, table))
 
     sums = {i: Fraction(0) for i in range(len(p.facets))}
     received: dict[int, Counter] = {i: Counter() for i in sums}
     for flag in flags:
         if not flag_collinear_with_assigned_point(flag, line):
-            failures.append(
-                f"flag at {format_point(flag.segment[0])} not collinear with its facet point"
-            )
+            base = format_point(rational_point(flag.segment[0]))
+            failures.append(f"flag at {base} not collinear with its facet point")
         sums[flag.assigned_facet] += flag.value
         received[flag.assigned_facet][flag.base_face.vertex_indices] += 1
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Optional, Union
 
 from .folded_flags import FoldedReport
-from .linalg import format_rational, parse_rational
+from .linalg import Vector, format_rational, parse_rational
 from .polytope import Polytope, build_polytope
 from .schlegel_flags import ProofReport
 
@@ -33,9 +33,10 @@ def polytope_to_document(p: Polytope, name: Optional[str] = None) -> dict:
     return doc
 
 
-def validate_document(doc: Any) -> dict:
+def validate_document(doc: Any) -> list[Vector]:
     """Check the document shape and rational syntax; raise ValueError with
-    a pointed message otherwise."""
+    a pointed message otherwise.  Returns the vertices as rational points,
+    so that no caller parses a coordinate twice."""
     if not isinstance(doc, dict):
         raise ValueError("polytope document must be a JSON object")
     unknown = set(doc) - {"dimension", "vertices", "name"}
@@ -47,46 +48,50 @@ def validate_document(doc: Any) -> dict:
     vertices = doc.get("vertices")
     if not isinstance(vertices, list) or not vertices:
         raise ValueError("vertices must be a non-empty list")
+    points = []
     for v in vertices:
         if not isinstance(v, list) or len(v) != dim:
             raise ValueError(
                 f"every vertex must be a list of {dim} rational strings"
             )
+        point = []
         for c in v:
             if not isinstance(c, str):
                 raise ValueError("coordinates must be rational strings")
-            parse_rational(c)
+            point.append(parse_rational(c))
+        points.append(tuple(point))
     if "name" in doc and not isinstance(doc["name"], str):
         raise ValueError("name must be a string")
-    return doc
+    return points
 
 
 def document_to_polytope(doc: dict) -> Polytope:
-    return _build(validate_document(doc))
-
-
-def _build(doc: dict) -> Polytope:
-    """The polytope of an already validated document."""
-    return build_polytope([tuple(parse_rational(c) for c in v) for v in doc["vertices"]])
+    return build_polytope(validate_document(doc))
 
 
 def dumps(obj: Any) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def load_document(path: str) -> dict:
+def _read(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (json.JSONDecodeError, RecursionError) as e:  # deep nesting recurses
         raise ValueError(f"invalid JSON in {path}: {e}") from e
-    return validate_document(doc)
+
+
+def load_document(path: str) -> dict:
+    """The validated document at path."""
+    doc = _read(path)
+    validate_document(doc)
+    return doc
 
 
 def load_polytope(path: str) -> tuple[dict, Polytope]:
-    """The document at path and its polytope, validated once."""
-    doc = load_document(path)
-    return doc, _build(doc)
+    """The document at path and its polytope, validated and parsed once."""
+    doc = _read(path)
+    return doc, build_polytope(validate_document(doc))
 
 
 def report_to_dict(r: Union[ProofReport, FoldedReport]) -> dict:

@@ -90,6 +90,13 @@ def lift(row: Sequence[Fraction]) -> list[int]:
     return [x.numerator * (m // x.denominator) for x in row]
 
 
+def rational_point(q: Sequence[int]) -> Vector:
+    """The point of the ints (n_1, ..., n_d, D), D != 0: (n_1/D, ..., n_d/D),
+    undoing `lift` on [*point, 1]."""
+    *nums, den = q
+    return tuple(Fraction(c, den) for c in nums)
+
+
 def lift_points(points: Sequence[Vector]) -> tuple[int, list[tuple[int, ...]]]:
     """V, the lcm of every coordinate's denominator, and each point times V
     as ints: one positive scale for all, so no sign and no incidence moves."""

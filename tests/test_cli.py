@@ -150,6 +150,26 @@ class TestCheck:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["check"], ["verify", "--proof", "folded"], ["schlegel-svg", "-o", "cube3.svg"]],
+    )
+    def test_each_coordinate_is_parsed_once(
+        self, argv, cube3, tmp_path, capsys, monkeypatch
+    ):
+        parsed = []
+
+        def counting(text):
+            parsed.append(text)
+            return parse(text)
+
+        parse = jsonio.parse_rational
+        monkeypatch.setattr(jsonio, "parse_rational", counting)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run([argv[0], cube3, *argv[1:]], capsys)
+        assert code == 0
+        assert len(parsed) == 8 * 3
+
     def test_identity_failure_exits_1(self, cube3, capsys, monkeypatch):
         monkeypatch.setattr(cli, "euler_alternating_sum", lambda fv: 0)
         code, out, err = run(["check", cube3], capsys)

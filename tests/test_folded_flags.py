@@ -11,7 +11,17 @@ from hypothesis import strategies as st
 from eulerlab import folded_flags
 from eulerlab.errors import GeneralPositionError, SamplingBudgetError
 from eulerlab.euler import CertificateEntry, rejection_sample
-from eulerlab.linalg import affine_dim, barycenter, dot, is_zero, lift, vadd, vscale, vsub
+from eulerlab.linalg import (
+    affine_dim,
+    barycenter,
+    dot,
+    is_zero,
+    lift,
+    rational_point,
+    vadd,
+    vscale,
+    vsub,
+)
 from eulerlab.polytope import build_polytope, face_lattice, generate
 from eulerlab.folded_flags import (
     FoldedFlag,
@@ -94,6 +104,64 @@ def reference_sample_transversal(p, seed, facet_pair=None):
             line_hyperplane_intersection(t1, direction, f.hyperplane)
             for f in p.facets
         )
+        for j, hit in enumerate(hits):
+            if j in (i1, i2):
+                good = p.in_relative_interior_of_facet(hit, j)
+            else:
+                good = not p.contains(hit)
+            entries.append(CertificateEntry("incidence", (j,), good))
+            if not good:
+                where = "off the relative interior" if j in (i1, i2) else "on the facet"
+                raise GeneralPositionError(
+                    f"general position violated: incidence check failed: the line "
+                    f"meets the hyperplane of facet {j} {where}"
+                )
+        return TransversalLine(
+            facet_pair=(i1, i2),
+            t1=t1,
+            t2=t2,
+            direction=direction,
+            facet_points=hits,
+            certificate=tuple(entries),
+        )
+
+    return rejection_sample(
+        f"transversal line through facets {i1} and {i2} for seed {seed}", 9, attempt
+    )
+
+
+def fraction_sample_transversal(p, seed, facet_pair=None):
+    """sample_transversal as it was before it read a table of ints: the
+    line's parameters and points in Fractions, and the incidence of each
+    point from the facets' own side tests."""
+    if p.dim < 3:
+        raise ValueError("transversal proof requires d >= 3")
+    rng = random.Random(seed)
+    nf = len(p.facets)
+    if facet_pair is None:
+        i1 = rng.randrange(nf)
+        facet_pair = (i1, other_facet(rng, nf, i1))
+    i1, i2 = facet_pair
+    if i1 == i2 or not (0 <= i1 < nf and 0 <= i2 < nf):
+        raise ValueError(f"invalid facet pair {facet_pair}")
+
+    ridges = [p.facets_of(r) for r in face_lattice(p).faces(p.dim - 2)]
+
+    def attempt(bound):
+        t1 = folded_flags._relint_point(p, i1, rng, bound)
+        t2 = folded_flags._relint_point(p, i2, rng, bound)
+        direction = vsub(t2, t1)
+        if is_zero(direction):
+            return None
+        rates = [dot(f.hyperplane.normal, direction) for f in p.facets]
+        if 0 in rates:
+            return None
+        s = [-f.hyperplane.side(t1) / rate for f, rate in zip(p.facets, rates)]
+        if any(s[a] == s[b] for a, b in ridges):
+            return None
+        entries = [CertificateEntry("facet-not-parallel", (j,), True) for j in range(nf)]
+        entries += [CertificateEntry("affine-miss", (a, b), True) for a, b in ridges]
+        hits = tuple(vadd(t1, vscale(direction, s_j)) for s_j in s)
         for j, hit in enumerate(hits):
             if j in (i1, i2):
                 good = p.in_relative_interior_of_facet(hit, j)
@@ -219,10 +287,15 @@ def _along(row, r) -> Fraction:
     return row[0] * r[0] + row[1] * r[1]
 
 
+def ints(point):
+    """A rational point as a FoldedFlag keeps a segment end: (n, D), gcd 1."""
+    return tuple(lift([*point, 1]))
+
+
 def fraction_fold(p, face, line):
     """fold_flags as it was before its rows were ints: the same walk on
     three Fraction dot products per facet, the rows (n_j.e, n_j.(x - t1),
-    -side_j(x))."""
+    -side_j(x)).  Its segment ends are mapped to fold_flags' int form."""
     x = barycenter(face_points(p, face))
     e = line.direction
     g = vsub(x, line.t1)
@@ -290,7 +363,7 @@ def fraction_fold(p, face, line):
             FoldedFlag(
                 base_face=face,
                 assigned_facet=facet_idx,
-                segment=(x, end),
+                segment=(ints(x), ints(end)),
                 value=value,
             )
         )
@@ -300,7 +373,8 @@ def fraction_fold(p, face, line):
 def folded(p, face, line):
     """fold_flags in the reference's terms."""
     return tuple(
-        (f.assigned_facet, f.segment, f.value) for f in fold_flags(p, face, line)
+        (f.assigned_facet, tuple(map(rational_point, f.segment)), f.value)
+        for f in fold_flags(p, face, line)
     )
 
 
@@ -433,6 +507,71 @@ class TestSampleTransversal:
             expected = sampled(sample_transversal, p, seed)
         assert sampled(sample_transversal, p, seed) == expected
 
+    @given(
+        d=st.integers(3, 5),
+        extra=st.integers(0, 4),
+        hull_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_integer_certificate_on_shifted_hulls(self, d, extra, hull_seed, seed):
+        # With V > 1 and L > 1 the table of ints gives the Fraction sampler's
+        # line, certificate included, or its raise text, and the per-face
+        # reference's line.  The per-face reference keeps a certificate entry
+        # per face, so only its line is compared.
+        p = shifted(generate(f"random:{d},{d + 1 + extra},9", hull_seed))
+        assert p.lifted[0] > 1
+        got = sampled(sample_transversal, p, seed)
+        if not isinstance(got, str):
+            assume(folded_flags.line_table(p, got.t1, got.direction).big_l > 1)
+        assert got == sampled(fraction_sample_transversal, p, seed)
+        assert sampled_line(sample_transversal, p, seed) == sampled_line(
+            reference_sample_transversal, p, seed
+        )
+
+    @pytest.mark.parametrize(
+        "spec,seed,facet", [("cube:4", 0, 6), ("crosspolytope:4", 0, 12), ("simplex:4", 1, 0)]
+    )
+    def test_a_point_off_its_facet_raises_the_incidence_text(self, spec, seed, facet):
+        # Reflecting each interior point through the facet's first vertex
+        # keeps it on the facet's hyperplane but puts it outside the
+        # polytope, so the line meets that hyperplane off the facet.  A vertex
+        # itself lies in a ridge, whose hull every line through it meets, so
+        # every candidate is rejected and the budget runs out instead.
+        p = generate(spec)
+        relint = folded_flags._relint_point
+
+        def reflected(p, i, rng, bound):
+            x = relint(p, i, rng, bound)
+            v = p.vertices[min(p.facets[i].vertex_indices)]
+            return tuple(2 * a - b for a, b in zip(v, x))
+
+        def vertex(p, i, rng, bound):
+            relint(p, i, rng, bound)
+            return p.vertices[min(p.facets[i].vertex_indices)]
+
+        text = (
+            "raised: general position violated: incidence check failed: the line "
+            f"meets the hyperplane of facet {facet} off the relative interior"
+        )
+        outcomes = []
+        for point in (reflected, vertex):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(folded_flags, "_relint_point", point)
+                mp.setitem(globals(), "fraction_relint_point", point)
+                got = [
+                    sampled(sample, p, seed)
+                    for sample in (
+                        sample_transversal,
+                        fraction_sample_transversal,
+                        reference_sample_transversal,
+                    )
+                ]
+            assert got[0] == got[1] == got[2]
+            outcomes.append(got[0])
+        assert outcomes[0] == text
+        assert outcomes[1].startswith("raised: no transversal line through facets")
+
     def test_explicit_pair_respected(self):
         p = generate("cube:4")
         pair = opposite_pair(p)
@@ -480,7 +619,7 @@ class TestFoldFlags:
         assert a.assigned_facet != b.assigned_facet
         assert a.value == b.value == Fraction(1, 2)
         x = face_points(p, vertex)[0]
-        assert a.segment[0] == b.segment[0] == x
+        assert a.segment[0] == b.segment[0] == ints(x)
         # Folded flags stay at their base: each assigned facet contains the
         # vertex itself.
         vid = next(iter(vertex.vertex_indices))
@@ -500,7 +639,7 @@ class TestFoldFlags:
         line = sample_transversal(p, 4)
         for face in face_lattice(p).faces(1):
             for flag in fold_flags(p, face, line):
-                pts = [line.t1, line.t2, *flag.segment]
+                pts = [line.t1, line.t2, *map(rational_point, flag.segment)]
                 assert affine_dim(pts) <= 2
 
     def test_collinearity_with_assigned_facet_point(self):

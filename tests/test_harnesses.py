@@ -42,9 +42,11 @@ RUNS = {
 
 # Exact pivot steps, side tests and Fraction hashes of one run at seed 0
 # (Schlegel at facet 0), after generate.  A change that moves them on purpose
-# restates them here and says why.  The folded sampler takes one side test
-# per facet for the line's parameters on every candidate that meets all
-# facet hyperplanes.  Folding reads the lifted vertices and takes no side test;
+# restates them here and says why.  The folded sampler takes no side test:
+# it certifies each candidate on the line's int products with the facet
+# normals, and reads where its facet points lie from a sign table of those
+# ints.  Folding reads the lifted vertices and takes no side test either, so
+# a folded run's side tests are all its shadow hulls';
 # a frame charts its points with one elimination, not one per point.  The
 # Schlegel build's central projection takes one side test for its apex and
 # one per vertex.  A shadow takes none: its apex and vertices are lifted to
@@ -67,11 +69,11 @@ RUNS = {
 # matched against.
 HARNESS_WORK_COUNTS = {
     ("cube:4", "schlegel"): {"pivot": 379, "side": 578, "hash": 216},
-    ("cube:4", "folded"): {"pivot": 514, "side": 167, "hash": 160},
+    ("cube:4", "folded"): {"pivot": 514, "side": 122, "hash": 160},
     ("crosspolytope:4", "schlegel"): {"pivot": 493, "side": 335, "hash": 240},
-    ("crosspolytope:4", "folded"): {"pivot": 652, "side": 213, "hash": 208},
+    ("crosspolytope:4", "folded"): {"pivot": 652, "side": 42, "hash": 208},
     ("cube:5", "schlegel"): {"pivot": 1335, "side": 2299, "hash": 852},
-    ("cube:5", "folded"): {"pivot": 1700, "side": 825, "hash": 672},
+    ("cube:5", "folded"): {"pivot": 1700, "side": 763, "hash": 672},
 }
 
 
@@ -135,10 +137,11 @@ def test_classification_is_one_table_per_line(spec, monkeypatch, work_counts):
 
 @pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4"])
 def test_folding_is_integer_rows_from_the_lifted_vertices(spec, monkeypatch, work_counts):
-    # Folding every face of one line, vertex lift included, evaluates no
-    # facet inequality and does no rational arithmetic: the base point and
-    # the side ends are int sums over the lifted vertices, and the sides are
-    # ordered by cross-multiplying ints.
+    # Folding every face of one line, vertex lift and line table included,
+    # evaluates no facet inequality and does no rational arithmetic: the
+    # base point and the side ends are int sums over the lifted vertices, the
+    # sides are ordered by cross-multiplying ints, and both ends stay ints.
+    # Checking each flag's collinearity builds no Fraction either.
     p = generate(spec)
     line = sample_transversal(p, 0)
     lat = face_lattice(p)
@@ -147,9 +150,9 @@ def test_folding_is_integer_rows_from_the_lifted_vertices(spec, monkeypatch, wor
     def counted(name, owner, *also):
         fn = getattr(owner, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         for where in (owner, *also):
             monkeypatch.setattr(where, name, wrapper, raising=False)
@@ -158,15 +161,43 @@ def test_folding_is_integer_rows_from_the_lifted_vertices(spec, monkeypatch, wor
     for name in names:
         counted(name, linalg, folded_flags)
     operators = ["__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"]
-    operators += ["__truediv__", "__rtruediv__"]
+    operators += ["__truediv__", "__rtruediv__", "__new__"]
     for name in operators:
         counted(name, Fraction)
     work_counts.clear()
-    for c in range(p.dim - 1):
-        for face in lat.faces(c):
-            fold_flags(p, face, line)
+    table = folded_flags.line_table(p, line.t1, line.direction)
+    flags = [
+        flag
+        for c in range(p.dim - 1)
+        for face in lat.faces(c)
+        for flag in (*fold_flags(p, face, line), *fold_flags(p, face, line, table))
+    ]
     assert work_counts["side"] == 0
-    assert {name: calls[name] for name in names + operators} == dict.fromkeys(names + operators, 0)
+    assert {name: calls[name] for name in names} == dict.fromkeys(names, 0)
+    assert all(folded_flags.flag_collinear_with_assigned_point(f, line) for f in flags)
+    assert {name: calls[name] for name in operators} == dict.fromkeys(operators, 0)
+
+
+@pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4", "random:4,12,10"])
+def test_sampling_takes_no_side_test(spec, monkeypatch, work_counts):
+    # The folded sampler certifies every candidate, and places the accepted
+    # line's points, on the line's int products with the facet normals.
+    p = generate(spec, seed=0)
+    face_lattice(p)
+    calls = Counter()
+    for name in ["contains", "in_relative_interior_of_facet"]:
+        fn = getattr(Polytope, name)
+
+        def wrapper(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(Polytope, name, wrapper)
+    work_counts.clear()
+    for seed in range(5):
+        assert all(entry.ok for entry in sample_transversal(p, seed).certificate)
+    assert work_counts["side"] == 0
+    assert calls == Counter()
 
 
 @pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4"])
