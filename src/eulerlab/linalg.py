@@ -10,8 +10,8 @@ affine hulls and their charts run on, and the phase-1 simplex of
 `linear_feasible`.  Both run on ints only, much faster than Fraction
 pivoting at this scale; rationals become ints once, where they enter: `_span`
 lifts each row, `affine_hull` and `affine_dim` their point set, and the
-simplex each row with its rhs, whose slack gets a coefficient of +-1.  The
-simplex keeps its objective as one more tableau row.
+simplex each row with its rhs.  The simplex pivots each free variable in
+once, and keeps its objective as one more tableau row.
 """
 
 from __future__ import annotations
@@ -166,6 +166,12 @@ class SpanBuilder:
         self._pivots.append(col)
         self._d = _pivot(self._rows, len(self._rows) - 1, col, self._d)
         return True
+
+    def copy(self) -> "SpanBuilder":
+        """The same span, sharing rows, which `_pivot` rebinds but never changes."""
+        other = SpanBuilder(self.width)
+        other._rows, other._pivots, other._d = self._rows[:], self._pivots[:], self._d
+        return other
 
     @property
     def rank(self) -> int:
@@ -339,48 +345,52 @@ def linear_feasible(
     """Exact witness for {y : rows·y <= rhs}, or None when infeasible.
 
     Phase-1 simplex with Bland's rule on an integer tableau (lrs style,
-    Avis 2000).  Free variables are split as y = u - w.  Each row is lifted
-    to integers with its rhs and negated when the rhs is negative; its slack
-    (and, for a negated row, its artificial) gets coefficient +-1, which only
-    rescales a variable that has to be >= 0.  The phase-1 objective, the sum
-    of the artificials, is one more row: the costs minus the artificial rows.
-    Every row, that one included, goes through the fraction-free pivot
-    `_pivot`, so the real tableau is the integer one over the last pivot d.
+    Avis 2000).  Each row is lifted to integers with its rhs and gets a
+    slack.  Each free y_j is pivoted into the basis once, in the first row
+    not yet taken with a nonzero entry in column j, negated first if that
+    entry is negative, so d stays > 0; y_j = 0 if no row has one.  Those
+    rows leave the ratio test, and y_j is its row's rhs over d.  Each other
+    row whose rhs is now negative is negated and gets an artificial of
+    entry d.  The phase-1 objective, the sum of the artificials, is one
+    more row: the costs minus the artificial rows.  Every row, that one
+    included, goes through the fraction-free pivot `_pivot`, so the real
+    tableau is the integer one over the last pivot d.
     """
     m = len(rows)
     if m == 0:
         return tuple()
     n = len(rows[0])
-    width = 2 * n + m  # u, w, slacks; artificials after them, then the rhs
-    lifted = [lift([*row, b]) for row, b in zip(rows, rhs, strict=True)]
-    negative = [i for i, row in enumerate(lifted) if row[-1] < 0]
-    total = width + len(negative)
-    art = dict(zip(negative, range(width, total)))
     tableau: list[list[int]] = []
-    basis: list[int] = []
-    objective = [0] * (total + 1)
-    for i, row in enumerate(lifted):
-        if len(row) != n + 1:
+    for i, (row, b) in enumerate(zip(rows, rhs, strict=True)):
+        if len(row) != n:
             raise DimensionMismatchError("rows of unequal length")
-        sign = -1 if i in art else 1
-        a = [sign * x for x in row]
-        line = a[:n] + [-x for x in a[:n]] + [0] * (total - 2 * n) + [a[n]]
-        line[2 * n + i] = sign
-        if i in art:
-            line[art[i]] = 1
-            objective = [x - y for x, y in zip(objective, line)]
-            objective[art[i]] = 0  # its cost 1 minus the 1 in its own row
-        tableau.append(line)
-        basis.append(art.get(i, 2 * n + i))
+        line = lift([*row, b])
+        tableau.append(line[:n] + [0] * i + [1] + [0] * (m - 1 - i) + line[n:])
+    d, free = 1, {}  # free column -> its row
+    for j in range(n):
+        r = next((i for i in range(m) if tableau[i][j] and i not in free.values()), None)
+        if r is not None:
+            if tableau[r][j] < 0:
+                tableau[r] = [-x for x in tableau[r]]
+            d, free[j] = _pivot(tableau, r, j, d), r
+    rest = [i for i in range(m) if i not in free.values()]
+    art = [i for i in rest if tableau[i][-1] < 0]
+    total = n + m + len(art)  # y, slacks, artificials; then the rhs
+    tableau = [row[:-1] + [0] * len(art) + row[-1:] for row in tableau]
+    basis = {i: n + i for i in rest}
+    for k, i in enumerate(art, n + m):
+        tableau[i] = [-x for x in tableau[i]]
+        tableau[i][k], basis[i] = d, k
+    objective = [-sum(c) for c in zip(*(tableau[i] for i in art))] or [0] * (total + 1)
+    objective[n + m : total] = [0] * len(art)  # cost d minus the d in its own row
     tableau.append(objective)
 
-    d = 1
     while True:
-        enter = next((j for j in range(total) if objective[j] < 0), None)
+        enter = next((j for j in range(n, total) if objective[j] < 0), None)
         if enter is None:
             break
         leave = None
-        for i in range(m):
+        for i in rest:
             f = tableau[i][enter]
             if f <= 0:
                 continue
@@ -399,10 +409,4 @@ def linear_feasible(
 
     if objective[total] != 0:
         return None
-    y = [Fraction(0)] * n
-    for i, bcol in enumerate(basis):
-        if bcol < n:
-            y[bcol] += Fraction(tableau[i][total], d)
-        elif bcol < 2 * n:
-            y[bcol - n] -= Fraction(tableau[i][total], d)
-    return tuple(y)
+    return tuple(Fraction(tableau[free[j]][total] if j in free else 0, d) for j in range(n))

@@ -15,7 +15,7 @@ fewer sets: the facets' vertex sets, or, with fewer vertices than facets,
 the vertices' facet sets, whose closure is the lattice upside down.  The
 vertices lifted to ints once (`Polytope.lifted`) serve the folded proof.  The
 independent oracle decides face-ness of every vertex subset by exact linear
-feasibility.
+feasibility, on a prefix tree of subsets that extends each span by one row.
 """
 
 from __future__ import annotations
@@ -134,12 +134,22 @@ class Polytope:
     def facet_vertices(self, i: int) -> tuple[Vector, ...]:
         return tuple(self.vertices[j] for j in sorted(self.facets[i].vertex_indices))
 
+    @cached_property
+    def facet_masks(self) -> list[int]:
+        """Per vertex, the facets holding it as a bitmask, built on first use."""
+        on = [0] * len(self.vertices)
+        for j, f in enumerate(self.facets):
+            for i in f.vertex_indices:
+                on[i] |= 1 << j
+        return on
+
     def facets_of(self, face: Face) -> tuple[int, ...]:
-        """Indices of the facets holding the face: those whose vertex sets
-        contain the face's."""
-        return tuple(
-            i for i, f in enumerate(self.facets) if face.vertex_indices <= f.vertex_indices
-        )
+        """Indices of the facets holding the face, ascending: the set bits of
+        the AND of its vertices' facet masks, every facet for the empty face."""
+        held = (1 << len(self.facets)) - 1
+        for i in face.vertex_indices:
+            held &= self.facet_masks[i]
+        return tuple(reversed(_bits(held)))
 
     def contains(self, x: Vector) -> bool:
         if self.dim == 0:
@@ -348,13 +358,9 @@ def _lattice(p: Polytope) -> FaceLattice:
         masks = [sum(1 << i for i in f.vertex_indices) for f in p.facets]
         faces = [(frozenset(_bits(x)), c) for x, c in _closure(masks, (1 << n) - 1, d).items()]
     else:
-        on = [0] * n
-        for j, f in enumerate(p.facets):
-            for i in f.vertex_indices:
-                on[i] |= 1 << j
         faces = [(frozenset(range(n)), d)] + [
-            (frozenset(i for i, o in enumerate(on) if o & s == s), d - 1 - c)
-            for s, c in _closure(on, (1 << m) - 1, d).items()
+            (frozenset(i for i, o in enumerate(p.facet_masks) if o & s == s), d - 1 - c)
+            for s, c in _closure(p.facet_masks, (1 << m) - 1, d).items()
             if c < d
         ]
     by_dim: dict[int, list[Face]] = {}
@@ -381,18 +387,21 @@ def _is_face_lp(rows: list[list[int]], span: SpanBuilder, outside: list[int]) ->
     # Solutions (a, b) of a·s = b for s in the subset form the span's nullspace.
     # Its integer basis over each vector's gcd is the rational basis lifted.
     basis = [[x // math.gcd(*nb) for x in nb] for nb in span.integer_nullspace()]
-    if not basis:
-        return False
     # Strict separation a·v - b < 0 scales to a·v - b <= -1; so does any
     # positive scaling of a constraint row or of a nullspace coordinate.
-    cons = [[sum(a * b for a, b in zip(rows[v], nb)) for nb in basis] for v in outside]
+    cons = [[sum(map(mul, rows[v], nb)) for nb in basis] for v in outside]
     return linear_feasible(cons, [-1] * len(cons)) is not None
 
 
 def brute_force_face_lattice(p: Polytope, bound: int = ORACLE_BOUND) -> FaceLattice:
     """Independent oracle: decide face-ness of every vertex subset by LP.
 
-    Exponential in the vertex count; refuses instances above `bound`.
+    Subsets are walked as a lexicographic prefix tree, S + {v} below S for
+    v > max(S), so each span is its parent's plus one row.  S is no face if
+    it is full-dimensional or an outside vertex lies in aff(S), else the LP
+    decides.  The subtree below S goes whole if (a) S is full-dimensional or
+    (b) a vertex v < max(S) outside S, which no subset below takes in, lies
+    in aff(S).  Exponential in n; refuses instances above `bound`.
     """
     n = len(p.vertices)
     if n > bound:
@@ -402,21 +411,23 @@ def brute_force_face_lattice(p: Polytope, bound: int = ORACLE_BOUND) -> FaceLatt
     # S span a space of dimension dim aff(S) + 1 that holds the row of every
     # point of aff(S) and of no other.
     rows = [lift((*v, -1)) for v in p.vertices]
-    for size in range(1, n):
-        for subset in itertools.combinations(range(n), size):
-            span = SpanBuilder(p.dim + 1)
-            for i in subset:
-                span.add(rows[i])
-            dim = span.rank - 1
+    stack = [((), SpanBuilder(p.dim + 1))]
+    while stack:
+        prefix, span = stack.pop()
+        for last in range(prefix[-1] + 1 if prefix else 0, n):
+            subset, sub = (*prefix, last), span.copy()
+            sub.add(rows[last])
+            dim = sub.rank - 1
             if dim == p.dim:
-                continue
+                continue  # (a)
             outside = [i for i in range(n) if i not in subset]
-            # A vertex of P in the affine hull of S but outside S kills S
-            # outright (it would have to lie on the separating hyperplane).
-            if any(span.contains(rows[v]) for v in outside):
-                continue
-            if _is_face_lp(rows, span, outside):
+            # An outside vertex in aff(S) would lie on any separating plane.
+            hit = next((v for v in outside if sub.contains(rows[v])), n)
+            if hit < last:
+                continue  # (b)
+            if hit == n and _is_face_lp(rows, sub, outside):
                 by_dim.setdefault(dim, []).append(Face(frozenset(subset), dim))
+            stack.append((subset, sub))
     return FaceLattice(by_dim)
 
 

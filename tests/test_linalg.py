@@ -215,7 +215,8 @@ def plain_linear_feasible(rows, rhs):
 
 @st.composite
 def lp_systems(draw, max_width=4, max_rows=7):
-    """(rows, rhs) with zero rows, duplicate and parallel rows, and rhs 0."""
+    """(rows, rhs) with zero rows, duplicate and parallel rows, rhs 0, and
+    all-zero columns and columns equal or parallel to an earlier one."""
     n = draw(st.integers(1, max_width))
     rows, rhs = [], []
     for _ in range(draw(st.integers(1, max_rows))):
@@ -232,6 +233,16 @@ def lp_systems(draw, max_width=4, max_rows=7):
             b = draw(st.one_of(st.just(s * rhs[k]), st.just(F(0)), rationals(6, 4)))
         rows.append(row)
         rhs.append(b)
+    for j in range(1, n):
+        kind = draw(st.sampled_from(["fresh", "zero", "copy"]))
+        if kind == "zero":
+            rows = [(*row[:j], F(0), *row[j + 1 :]) for row in rows]
+        elif kind == "copy":
+            k = draw(st.integers(0, j - 1))
+            s = draw(st.sampled_from([F(1), F(-1), F(2), F(-1, 3)]))
+            rows = [(*row[:j], s * row[k], *row[j + 1 :]) for row in rows]
+    if draw(st.booleans()):
+        rows = [(F(0), *row[1:]) for row in rows]
     return rows, rhs
 
 
@@ -762,6 +773,53 @@ class TestLinearFeasible:
         assert y is not None
         assert all(dot(vec(*r), y) <= b for r, b in zip(rows, [-1, -1, 7]))
         assert linear_feasible([(1, 1), (-1, -1)], [-1, -1]) is None
+
+    def test_zero_free_column_stays_zero(self):
+        # Column 0 has no nonzero entry, so y_0 finds no row and stays 0.
+        rows, rhs = [vec(0, 1), vec(0, -1), vec(0, 2)], [F(-1), F(3), F(0)]
+        assert_matches_reference(rows, rhs)
+        y = linear_feasible(rows, rhs)
+        assert y[0] == 0 and -3 <= y[1] <= -1
+
+    def test_equal_columns(self):
+        # After y_0 is pivoted in, column 1 is zero outside y_0's row.
+        rows = [vec(1, 1, 0), vec(2, 2, 1), vec(-1, -1, -1)]
+        for rhs in ([F(-1), F(0), F(2)], [F(-1), F(-3), F(0)], [F(1), F(-4), F(-4)]):
+            assert_matches_reference(rows, rhs)
+        y = linear_feasible(rows, [F(-1), F(0), F(2)])
+        assert y[1] == 0
+
+    def test_negative_free_pivot(self, work_counts):
+        # Both free pivots are negative entries; the rows are negated first.
+        rows, rhs = [vec(-2, 1), vec(1, -3), vec(1, 1)], [F(-4), F(-1), F(9)]
+        assert_matches_reference(rows, rhs)
+        work_counts.clear()
+        assert linear_feasible(rows, rhs) is not None
+        assert work_counts["pivot"] == 2  # rhs 9 stays >= 0: no phase 1
+
+    def test_square_invertible_system(self, work_counts):
+        # Every row is a free row: no ratio test and no artificial, so the
+        # witness meets each row with equality.
+        rows, rhs = [vec(1, 2, 0), vec(3, 4, 1), vec(0, -1, 5)], [F(1), F(-1), F(2, 3)]
+        assert_matches_reference(rows, rhs)
+        work_counts.clear()
+        y = linear_feasible(rows, rhs)
+        assert [dot(r, y) for r in rows] == rhs
+        assert work_counts["pivot"] == 3
+
+    def test_no_artificial_after_free_pivots(self, work_counts):
+        # rhs -1 sits in the free row; the other row's rhs becomes 4.
+        rows, rhs = [vec(1), vec(-1)], [F(-1), F(5)]
+        assert_matches_reference(rows, rhs)
+        work_counts.clear()
+        assert linear_feasible(rows, rhs) == (F(-1),)
+        assert work_counts["pivot"] == 1
+
+    def test_artificial_after_free_pivots(self):
+        # The third row's rhs is negative only after the free pivots.
+        rows, rhs = [vec(1, 0), vec(0, 1), vec(1, 1)], [F(2), F(3), F(4)]
+        assert_matches_reference(rows, rhs)
+        assert_matches_reference(rows, [F(2), F(3), F(6)])
 
     @given(lp_systems())
     @settings(max_examples=300, deadline=None)

@@ -1,9 +1,12 @@
 """Hull construction, face lattices, the brute-force oracle, and generators."""
 
+import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +21,14 @@ from eulerlab.errors import (
 )
 from eulerlab.linalg import (
     Hyperplane,
+    SpanBuilder,
     affine_basis,
     affine_dim,
     affine_hull,
     barycenter,
     dot,
     hyperplane_through,
+    lift,
     lift_points,
     rank,
     vadd,
@@ -32,10 +37,12 @@ from eulerlab.linalg import (
     vsub,
 )
 from eulerlab.polytope import (
+    ORACLE_BOUND,
     Face,
     Facet,
     FaceLattice,
     Polytope,
+    _is_face_lp,
     _plane,
     brute_force_face_lattice,
     build_polytope,
@@ -177,6 +184,46 @@ def _lattice_from_facets(p: Polytope) -> FaceLattice:
         d = dims[x] = min((dims[m] - 1 for m in above[x]), default=p.dim)
         by_dim.setdefault(d, []).append(Face(frozenset(i for i in range(n) if x >> i & 1), d))
     return FaceLattice(by_dim)
+
+
+def reference_brute_force_face_lattice(p: Polytope, bound: int = ORACLE_BOUND) -> FaceLattice:
+    """Independent oracle: decide face-ness of every vertex subset by LP.
+
+    Exponential in the vertex count; refuses instances above `bound`.
+    """
+    n = len(p.vertices)
+    if n > bound:
+        raise OracleBoundError("oracle bound exceeded")
+    by_dim: dict[int, list[Face]] = {p.dim: [Face(frozenset(range(n)), p.dim)]}
+    # Vertex i as the integer row (v, -1) times a positive scale: the rows of
+    # S span a space of dimension dim aff(S) + 1 that holds the row of every
+    # point of aff(S) and of no other.
+    rows = [lift((*v, -1)) for v in p.vertices]
+    for size in range(1, n):
+        for subset in itertools.combinations(range(n), size):
+            span = SpanBuilder(p.dim + 1)
+            for i in subset:
+                span.add(rows[i])
+            dim = span.rank - 1
+            if dim == p.dim:
+                continue
+            outside = [i for i in range(n) if i not in subset]
+            # A vertex of P in the affine hull of S but outside S kills S
+            # outright (it would have to lie on the separating hyperplane).
+            if any(span.contains(rows[v]) for v in outside):
+                continue
+            if _is_face_lp(rows, span, outside):
+                by_dim.setdefault(dim, []).append(Face(frozenset(subset), dim))
+    return FaceLattice(by_dim)
+
+
+def paraboloid(d, n, b, seed):
+    """n distinct seeded integer points x of [-b, b]^(d-1) lifted to
+    (x, |x|^2): every one is a vertex of their hull."""
+    rng, xs = random.Random(seed), set()
+    while len(xs) < n:
+        xs.add(tuple(rng.randint(-b, b) for _ in range(d - 1)))
+    return build_polytope([vec(*x, sum(c * c for c in x)) for x in sorted(xs)])
 
 
 @st.composite
@@ -461,9 +508,11 @@ class TestFaceLattice:
 
     def test_cube4_counts_frozen_from_oracle(self):
         # Frozen output of brute_force_face_lattice(cube4, bound=16), which
-        # is too slow to rerun here but was used to pin these counts.
-        lat = face_lattice(generate("cube:4"))
+        # also runs here against the fast lattice.
+        p = generate("cube:4")
+        lat = face_lattice(p)
         assert [len(lat.faces(c)) for c in range(5)] == [16, 32, 24, 8, 1]
+        assert lat.same_faces(brute_force_face_lattice(p, bound=16))
 
     def test_facets_of_lattice_match_polytope_facets(self):
         p = generate("crosspolytope:3")
@@ -582,16 +631,24 @@ def test_mask_ands(spec, mask_ands):
     assert mask_ands["and"] == MASK_ANDS[spec]
 
 
+def subset_scan(p, face):
+    """The facets whose vertex sets contain the face's, ascending."""
+    return tuple(i for i, f in enumerate(p.facets) if face.vertex_indices <= f.vertex_indices)
+
+
 class TestFacetsOf:
-    # The facets holding a face, read from vertex sets, are the facets whose
-    # planes pass through the face's barycenter, a point of its relative
-    # interior; and every ridge lies in exactly two facets.
+    # The facets holding a face, read from the vertices' facet masks, are
+    # those whose vertex sets contain the face's and those whose planes pass
+    # through the face's barycenter, a point of its relative interior; every
+    # ridge lies in exactly two facets, and the empty face in all of them.
     @staticmethod
     def assert_matches_active_facets(p):
         lat = face_lattice(p)
         for face in lat.all_faces():
+            assert p.facets_of(face) == subset_scan(p, face)
             assert p.facets_of(face) == active_facets(p, barycenter(face_points(p, face)))
         assert all(len(p.facets_of(r)) == 2 for r in lat.faces(p.dim - 2))
+        assert p.facets_of(Face(frozenset(), -1)) == tuple(range(len(p.facets)))
 
     @pytest.mark.parametrize("spec", [s for s in FAMILY_SPECS if not s.endswith(":1")])
     def test_families(self, spec):
@@ -602,6 +659,9 @@ class TestFacetsOf:
     def test_hulls_with_interior_coplanar_and_repeated_points(self, pts):
         if len(set(pts)) >= 2:
             self.assert_matches_active_facets(build_polytope(pts))
+
+    def test_point(self):
+        assert point_polytope(vec(1, 2)).facets_of(Face(frozenset({0}), 0)) == ()
 
 
 # Exact pivot steps, side tests and Fraction hashes (the hull's input points)
@@ -686,6 +746,86 @@ class TestOracle:
         except DegenerateInputError:
             return
         assert face_lattice(p).same_faces(brute_force_face_lattice(p))
+        TestPrefixTree.assert_matches_reference(p)
+
+
+def lp_calls(oracle, p) -> tuple[dict, int]:
+    """The oracle's faces by dimension on p and its linear_feasible calls."""
+    calls, solve = [], polytope.linear_feasible
+
+    def counting(rows, rhs):
+        calls.append(1)
+        return solve(rows, rhs)
+
+    with mock.patch.object(polytope, "linear_feasible", counting):
+        faces = oracle(p).faces_by_dimension
+    return faces, len(calls)
+
+
+class TestPrefixTree:
+    # The oracle walks the subsets as a prefix tree and drops a subtree only
+    # where every subset in it is full-dimensional or has an outside vertex
+    # in its affine hull.  It gives the faces that the flat walk over
+    # itertools.combinations gave, and solves the same LPs: one per subset
+    # that neither is full-dimensional nor has an outside vertex in its hull.
+    @staticmethod
+    def assert_matches_reference(p):
+        assert lp_calls(brute_force_face_lattice, p) == lp_calls(
+            reference_brute_force_face_lattice, p
+        )
+
+    CASES = {
+        "simplex:1": lambda: generate("simplex:1"),
+        "point": lambda: point_polytope(vec(2, 3)),
+        "square-in-3d": lambda: build_polytope(
+            [vec(0, 0, 1), vec(2, 0, 1), vec(0, 2, 1), vec(2, 2, 1), vec(1, 1, 1)]
+        ),
+        "triangle-in-3d": lambda: build_polytope(
+            [vec(1, 1, 1), vec(2, 2, 2), vec(3, 3, 3), vec(0, 1, 0)]
+        ),
+        "crosspolytope:5": lambda: generate("crosspolytope:5"),
+        "random:4,10,5": lambda: generate("random:4,10,5", seed=0),
+        "paraboloid:4,8,6": lambda: paraboloid(4, 8, 6, 0),
+        "paraboloid:3,9,8": lambda: paraboloid(3, 9, 8, 1),
+        "paraboloid:2,6,5": lambda: paraboloid(2, 6, 5, 2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_named(self, case):
+        self.assert_matches_reference(self.CASES[case]())
+
+    def test_paraboloids_keep_every_point(self):
+        for d, n, b, seed in [(4, 8, 6, 0), (3, 9, 8, 1), (2, 6, 5, 2)]:
+            assert len(paraboloid(d, n, b, seed).vertices) == n
+
+
+# linear_feasible calls per oracle run at seed 0, as the flat walk over
+# itertools.combinations made them; they depend on no machine.
+LP_CALLS = {"crosspolytope:5": 272, "random:4,10,5": 385, "cube:3": 56}
+
+
+@pytest.mark.parametrize("spec", sorted(LP_CALLS))
+def test_lp_calls(spec):
+    assert lp_calls(brute_force_face_lattice, generate(spec, seed=0))[1] == LP_CALLS[spec]
+
+
+# Exact pivot steps of one oracle run at seed 0: one span pivot per row
+# that grows a subset's span, plus the LPs' pivots.  They depend on no
+# machine.  The flat walk built each subset's span from scratch and the LP
+# split every free variable as y = u - w: 1,402, 1,109 and 321, of which
+# 938, 868 and 180 span pivots.  The prefix tree adds one row to its
+# parent's span per subset it visits (169, 128 and 56 span pivots), and
+# the LP pivots each free variable in once (300, 159 and 105 LP pivots,
+# from 464, 241 and 141).
+ORACLE_PIVOTS = {"crosspolytope:4": 469, "cube:3": 287, "random:3,8,6": 161}
+
+
+@pytest.mark.parametrize("spec", sorted(ORACLE_PIVOTS))
+def test_oracle_pivots(spec, work_counts):
+    p = generate(spec, seed=0)
+    work_counts.clear()
+    brute_force_face_lattice(p)
+    assert work_counts["pivot"] == ORACLE_PIVOTS[spec]
 
 
 class TestGenerate:
