@@ -27,7 +27,7 @@ from typing import Optional
 
 from .errors import GeneralPositionError, naming_seed
 from .euler import CertificateEntry, check_piece, check_totals, f_vector, rejection_sample
-from .linalg import Vector, affine_basis, format_point, lift, rational_point, vsub
+from .linalg import Vector, affine_basis, format_point, lift, lift_points, rational_point, vsub
 from .polytope import Face, Polytope, face_lattice, facet_polytope
 from .projection import project_from_point
 
@@ -423,7 +423,10 @@ def facet_assignment_sums(
         if i in line.facet_pair:
             label, expected, shadow = f"special facet {i}", expected_special / 2, None
         else:
-            apex = t_poly.frame.to_working(line.facet_points[i])
+            frame = t_poly.frame
+            scale, (x, base) = lift_points([line.facet_points[i], frame.base_point])
+            den, (w,) = frame.chart(scale, [vsub(x, base)])
+            apex = rational_point((*w, den))
             label, expected = f"facet {i}", expected_per_facet
             shadow = project_from_point(t_poly, apex)
         check_piece(failures, label, t_poly, p.vertices, received[i], sums[i], expected, shadow)

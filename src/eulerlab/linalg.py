@@ -3,13 +3,14 @@
 Vectors are plain tuples of :class:`fractions.Fraction`, matrices lists of
 such rows.  Predicates (rank, incidence, sidedness) are decided exactly, on
 Fractions or on ints: `lift` and `lift_points` scale a row or a point set by
-one positive integer, which moves no sign.  One fraction-free (Bareiss)
+one positive integer, which moves no sign, and `reduce_lifted` restates int
+points over a scale as `lift_points` gives them.  One fraction-free (Bareiss)
 pivot step, `_pivot`, serves the package's two kernels: the incremental
 Gauss-Jordan elimination of `SpanBuilder`, which rank, nullspace, solve,
-affine hulls and their charts run on, and the phase-1 simplex of
-`linear_feasible`.  Both run on ints only, much faster than Fraction
-pivoting at this scale; rationals become ints once, where they enter: `_span`
-lifts each row, `affine_hull` and `affine_dim` their point set, and the
+affine hulls and their int charts run on, and the phase-1 simplex of
+`linear_feasible`.  Both take ints only, much faster than Fraction pivoting
+at this scale; rationals become ints once, where they enter: `_span` lifts
+each row, `affine_hull` and `affine_dim` their point set, and a caller of the
 simplex each row with its rhs.  The simplex pivots each free variable in
 once, and keeps its objective as one more tableau row.
 """
@@ -102,6 +103,14 @@ def lift_points(points: Sequence[Vector]) -> tuple[int, list[tuple[int, ...]]]:
     as ints: one positive scale for all, so no sign and no incidence moves."""
     scale = math.lcm(*(x.denominator for p in points for x in p))
     return scale, [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+
+
+def reduce_lifted(scale: int, points: Sequence[Sequence[int]]) -> tuple[int, list[tuple]]:
+    """The points q/scale, scale > 0, as `lift_points` states them: scale
+    and every coordinate over their gcd g.  Each denominator of q/scale is
+    scale/gcd(q_j, scale), and their lcm is scale/g."""
+    g = math.gcd(scale, *(c for q in points for c in q))
+    return scale // g, [tuple(c // g for c in q) for q in points]
 
 
 def _pivot(mat: list[list[int]], r: int, col: int, prev: int) -> int:
@@ -256,22 +265,26 @@ class AffineSubspace:
         ]
         return _span(rows, self.dim + n)
 
-    def to_working(self, x: Vector) -> Vector:
-        """Coordinates in direction_basis of a point on the subspace.
+    def chart(self, scale: int, ys: Sequence[Sequence[int]]) -> tuple[int, list[tuple[int, ...]]]:
+        """Coordinates in direction_basis of the points base_point + y/scale
+        for int rows y, as D > 0 and ints that are the coordinates times D.
 
-        With y = x - base_point, the chart row with pivot p < k gives
-        C.y = d*w_p, and the point is on the subspace exactly when C.y = 0
-        for every other row; y is lifted to ints for these products."""
+        The chart row with pivot p < k gives C.y = d*scale*w_p, so D is
+        scale*|d|; the point is on the subspace exactly when C.y = 0 for
+        every other row, and ValueError says when it is not."""
         span, k = self._chart, self.dim
-        *y, scale = lift([*vsub(x, self.base_point), 1])
-        w = [Fraction(0)] * k
-        for row, p in zip(span._rows, span._pivots):
-            c_y = sum(map(mul, row[k:], y))
-            if p < k:
-                w[p] = Fraction(c_y, scale * span._d)
-            elif c_y:
-                raise ValueError("point not on the affine subspace")
-        return tuple(w)
+        sign = 1 if span._d > 0 else -1
+        out = []
+        for y in ys:
+            w = [0] * k
+            for row, p in zip(span._rows, span._pivots):
+                c_y = sum(map(mul, row[k:], y))
+                if p < k:
+                    w[p] = sign * c_y
+                elif c_y:
+                    raise ValueError("point not on the affine subspace")
+            out.append(tuple(w))
+        return scale * abs(span._d), out
 
 
 @dataclass(frozen=True)
@@ -340,21 +353,22 @@ def hyperplane_through(points: Sequence[Vector], beneath: Vector) -> Hyperplane:
 
 
 def linear_feasible(
-    rows: Sequence[Vector], rhs: Sequence[Fraction]
+    rows: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> Optional[Vector]:
     """Exact witness for {y : rows·y <= rhs}, or None when infeasible.
 
-    Phase-1 simplex with Bland's rule on an integer tableau (lrs style,
-    Avis 2000).  Each row is lifted to integers with its rhs and gets a
-    slack.  Each free y_j is pivoted into the basis once, in the first row
-    not yet taken with a nonzero entry in column j, negated first if that
-    entry is negative, so d stays > 0; y_j = 0 if no row has one.  Those
-    rows leave the ratio test, and y_j is its row's rhs over d.  Each other
-    row whose rhs is now negative is negated and gets an artificial of
-    entry d.  The phase-1 objective, the sum of the artificials, is one
-    more row: the costs minus the artificial rows.  Every row, that one
-    included, goes through the fraction-free pivot `_pivot`, so the real
-    tableau is the integer one over the last pivot d.
+    Phase-1 simplex with Bland's rule on an integer tableau (lrs style, Avis
+    2000), on int rows and rhs only: a caller with rationals lifts each row
+    with its rhs first.  Each row gets a slack.  Each free y_j is pivoted
+    into the basis once, in the first row not yet taken with a nonzero entry
+    in column j, negated first if that entry is negative, so d stays > 0;
+    y_j = 0 if no row has one.  Those rows leave the ratio test, and y_j is
+    its row's rhs over d.  Each other row whose rhs is now negative is
+    negated and gets an artificial of entry d.  The phase-1 objective, the
+    sum of the artificials, is one more row: the costs minus the artificial
+    rows.  Every row, that one included, goes through the fraction-free
+    pivot `_pivot`, so the real tableau is the integer one over the last
+    pivot d.
     """
     m = len(rows)
     if m == 0:
@@ -364,8 +378,7 @@ def linear_feasible(
     for i, (row, b) in enumerate(zip(rows, rhs, strict=True)):
         if len(row) != n:
             raise DimensionMismatchError("rows of unequal length")
-        line = lift([*row, b])
-        tableau.append(line[:n] + [0] * i + [1] + [0] * (m - 1 - i) + line[n:])
+        tableau.append([*row, *[0] * i, 1, *[0] * (m - 1 - i), b])
     d, free = 1, {}  # free column -> its row
     for j in range(n):
         r = next((i for i in range(m) if tableau[i][j] and i not in free.values()), None)

@@ -3,19 +3,22 @@
 A Polytope stores its vertices in a full-dimensional "working" frame of its
 own intrinsic dimension; inputs of lower affine dimension are restated in a
 rational affine frame (the embedding is kept in `embedded_vertices` and
-`frame`).  Each point set is lifted to ints once: one affine basis of those
-gives the frame and the hull's initial simplex, and one integer routine
-every facet plane, whether beneath-beyond insertion finds the facets of a
-new point set or a facet taken as a polytope (`facet_polytope`) reads its
-own off the parent's ridges.  Each facet keeps that plane as primitive ints
-and the set of input points on it; vertices, face dimensions and the facets
-holding a face are read from those incidences alone.  The face lattice
-closes the vertex-facet incidence under intersection from its side with
-fewer sets: the facets' vertex sets, or, with fewer vertices than facets,
-the vertices' facet sets, whose closure is the lattice upside down.  The
-vertices lifted to ints once (`Polytope.lifted`) serve the folded proof.  The
-independent oracle decides face-ness of every vertex subset by exact linear
-feasibility, on a prefix tree of subsets that extends each span by one row.
+`frame`).  Every polytope is assembled from int points over one scale: an
+input is lifted to ints once, in `build_polytope`, a facet piece starts from
+its parent's ints and a shadow from its int images.  One affine basis of
+those gives the frame, which charts them on ints, and the hull's initial
+simplex, and one integer routine every facet plane, whether beneath-beyond
+insertion finds the facets of a new point set or a facet taken as a polytope
+(`facet_polytope`) reads its own off the parent's ridges.  Each facet keeps
+that plane as primitive ints and the set of input points on it; vertices,
+face dimensions and the facets holding a face are read from those incidences
+alone.  Each polytope keeps its vertices' ints (`Polytope.lifted`) for the
+projections and the folded proof.  The face lattice closes the vertex-facet
+incidence under intersection from its side with fewer sets: the facets'
+vertex sets, or, with fewer vertices than facets, the vertices' facet sets,
+whose closure is the lattice upside down.  The independent oracle decides
+face-ness of every vertex subset by exact linear feasibility, on a prefix
+tree of subsets that extends each span by one row.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Optional, Sequence
@@ -45,6 +47,8 @@ from .linalg import (
     lift,
     lift_points,
     linear_feasible,
+    rational_point,
+    reduce_lifted,
     vec,
     vsub,
 )
@@ -128,7 +132,8 @@ class Polytope:
     @cached_property
     def lifted(self) -> tuple[int, list[tuple[int, ...]]]:
         """V, the lcm of the vertex denominators, and each vertex times V as
-        ints (`lift_points`), built on first use."""
+        ints (`lift_points`).  `_assemble` stores them as it builds; a
+        Polytope made otherwise lifts its vertices on first use."""
         return lift_points(self.vertices)
 
     def facet_vertices(self, i: int) -> tuple[Vector, ...]:
@@ -236,52 +241,58 @@ def _hull_facets(lifted: Sequence[Sequence[int]], simplex: Sequence[int]) -> lis
     return facets
 
 
-def _assemble(distinct: Sequence[Vector], find_facets, labels=None) -> Polytope:
-    """The canonical Polytope of distinct points, framed in their affine
-    hull: one affine_basis of their lifted ints gives k, the frame's basis
-    and the initial simplex that `find_facets(lifted, simplex)` may start
-    from.  It returns each facet as (n, b, inc), n primitive, for the points
-    charted in k coordinates and lifted to q = V·x; inside is n·q <= b, or
-    in primitive ints (V·n/g)·x <= b/g for g = gcd(V, b).  Each vertex is
+def _assemble(scale: int, lifted: Sequence[Sequence[int]], find_facets, labels=None) -> Polytope:
+    """The canonical Polytope of the distinct points q/scale, q in `lifted`,
+    framed in their affine hull: one affine_basis of the ints gives k, the
+    frame's basis and the initial simplex that `find_facets(work, simplex)`
+    may start from; below full dimension `work` is the ints charted on ints
+    (`AffineSubspace.chart`), q' = V'·x.  It returns each facet as (n, b,
+    inc), n primitive; inside is n·q' <= b, or in primitive ints
+    (V'·n/g)·x <= b/g for g = gcd(V', b), whatever V' is.  `reduce_lifted`
+    of the vertices' ints is stored as `Polytope.lifted`.  Each vertex is
     named by its point's entry in `labels`, or by its own index."""
-    if len(distinct) < 2:
+    if len(lifted) < 2:
         raise DegenerateInputError("degenerate input")
-    ambient = len(distinct[0])
-    scale, lifted = lift_points(distinct)
+    ambient = len(lifted[0])
     simplex = affine_basis(lifted)
-    k, frame, work_points = len(simplex) - 1, None, distinct
+    k, frame, work_scale, work = len(simplex) - 1, None, scale, lifted
     if k < ambient:
-        base, *rest = (distinct[i] for i in simplex)
-        frame = AffineSubspace(base, tuple(vsub(x, base) for x in rest))
-        work_points = [frame.to_working(x) for x in distinct]
-        scale, lifted = lift_points(work_points)
-    found = find_facets(lifted, simplex)
+        base, *rest = (lifted[i] for i in simplex)
+        basis = tuple(rational_point((*vsub(x, base), scale)) for x in rest)
+        frame = AffineSubspace(rational_point((*base, scale)), basis)
+        work_scale, work = frame.chart(scale, [vsub(q, base) for q in lifted])
+    found = find_facets(work, simplex)
     # The facets through point i meet in the least face holding i, so i is a
     # vertex exactly when no other point lies on all of them.
     meet: dict[int, set[int]] = {}
     for _, _, inc in found:
         for i in inc:
             meet[i] = meet[i] & inc if i in meet else inc
-    extreme = sorted((i for i, m in meet.items() if m == {i}), key=lambda i: lifted[i])
+    extreme = sorted((i for i, m in meet.items() if m == {i}), key=lambda i: work[i])
     renum = {old: new for new, old in enumerate(extreme)}
     facet_list = []
     for n, b, inc in found:
         held = [i for i in inc if i in renum]
-        if len(affine_basis([lifted[i] for i in held])) != k:
+        if len(affine_basis([work[i] for i in held])) != k:
             raise RuntimeError("facet vertex set does not span dimension k-1")
-        g = math.gcd(scale, b)
-        h = Hyperplane(tuple(scale // g * x for x in n), b // g)
+        g = math.gcd(work_scale, b)
+        h = Hyperplane(tuple(work_scale // g * x for x in n), b // g)
         facet_list.append(Facet(h, frozenset(renum[i] for i in held)))
     facet_list.sort(key=lambda f: (f.hyperplane.normal, f.hyperplane.offset))
-    return Polytope(
+    v_scale, points = reduce_lifted(work_scale, [work[i] for i in extreme])
+    vertices = tuple(rational_point((*q, v_scale)) for q in points)
+    p = Polytope(
         ambient_dim=ambient,
         dim=k,
-        vertices=tuple(work_points[i] for i in extreme),
-        embedded_vertices=tuple(distinct[i] for i in extreme),
+        vertices=vertices,
+        embedded_vertices=vertices if frame is None else tuple(
+            rational_point((*lifted[i], scale)) for i in extreme),
         facets=tuple(facet_list),
         frame=frame,
         names=tuple(range(len(extreme)) if labels is None else (labels[i] for i in extreme)),
     )
+    p.__dict__["lifted"] = v_scale, points  # the cached_property's slot
+    return p
 
 
 def build_polytope(points: Sequence[Sequence]) -> Polytope:
@@ -289,12 +300,14 @@ def build_polytope(points: Sequence[Sequence]) -> Polytope:
 
     Raises DegenerateInputError for fewer than 2 distinct points.  Inputs
     whose affine hull has lower dimension than the ambient space are restated
-    in an intrinsic rational frame (recorded in `frame`).
+    in an intrinsic rational frame (recorded in `frame`).  The points are
+    lifted to ints here, once, and repeats dropped on those ints.
     """
     pts = [vec(*p) for p in points]
     if any(len(p) != len(pts[0]) for p in pts):
         raise DimensionMismatchError("points of mixed dimension")
-    return _assemble(list(dict.fromkeys(pts)), _hull_facets)
+    scale, lifted = lift_points(pts)
+    return _assemble(scale, list(dict.fromkeys(lifted)), _hull_facets)
 
 
 def point_polytope(point: Sequence) -> Polytope:
@@ -431,19 +444,20 @@ def brute_force_face_lattice(p: Polytope, bound: int = ORACLE_BOUND) -> FaceLatt
     return FaceLattice(by_dim)
 
 
-def facet_polytope(p: Polytope, i: int, images: Optional[Sequence[Vector]] = None) -> Polytope:
+def facet_polytope(p: Polytope, i: int, images: Optional[tuple] = None) -> Polytope:
     """Facet i of p as a polytope of its own (working frame of dimension d-1).
 
-    Its points are the images of the facet's vertices: p's own by default,
-    so `embedded_vertices` live in p's working frame, or any images of p's
-    vertices that keep the facet's face lattice, such as a Schlegel
-    projection's.  Each vertex is named by its index in p.  No hull runs:
-    its facets are the ridges of p in F_i (Kaibel & Pfetsch 2002), each the
-    _plane through a ridge's images, oriented by the barycenter of F_i's.
-    ValueError if a ridge has no such plane or a given image lies beyond one.
+    Its points are the images of the facet's vertices, as (scale, ints) like
+    `Polytope.lifted`: p's own by default, so `embedded_vertices` live in
+    p's working frame, or any images of p's vertices that keep the facet's
+    face lattice, such as a Schlegel projection's.  Each vertex is named by
+    its index in p.  No hull runs: its facets are the ridges of p in F_i
+    (Kaibel & Pfetsch 2002), each the _plane through a ridge's images,
+    oriented by the barycenter of F_i's.  ValueError if a ridge has no such
+    plane or a given image lies beyond one.
     """
     own = images is None
-    images = p.vertices if own else images
+    scale, points = p.lifted if own else images
     held = p.facets[i].vertex_indices
     local = {v: j for j, v in enumerate(sorted(held))}
     ridges = [
@@ -465,7 +479,7 @@ def facet_polytope(p: Polytope, i: int, images: Optional[Sequence[Vector]] = Non
                 raise ValueError(f"images of facet {i} put vertex {v} beyond a ridge's plane")
         return facets
 
-    return _assemble([images[v] for v in local], ridge_facets, list(local))
+    return _assemble(scale, [points[v] for v in local], ridge_facets, list(local))
 
 
 def _parse_family(kind: str) -> tuple[str, list[int]]:
@@ -500,18 +514,11 @@ def generate(kind: str, seed: int = 0) -> Polytope:
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if name == "simplex":
-        pts = [tuple(Fraction(0) for _ in range(d))]
-        for i in range(d):
-            pts.append(tuple(Fraction(1 if j == i else 0) for j in range(d)))
-        return build_polytope(pts)
+        return build_polytope([[0] * d] + [[int(j == i) for j in range(d)] for i in range(d)])
     if name == "cube":
-        pts = [tuple(map(Fraction, bits)) for bits in itertools.product((0, 1), repeat=d)]
-        return build_polytope(pts)
+        return build_polytope(list(itertools.product((0, 1), repeat=d)))
     if name == "crosspolytope":
-        pts = []
-        for i in range(d):
-            for s in (1, -1):
-                pts.append(tuple(Fraction(s if j == i else 0) for j in range(d)))
+        pts = [[s * (j == i) for j in range(d)] for i in range(d) for s in (1, -1)]
         return build_polytope(pts)
     _, n, bound = args
     if n < d + 1:
@@ -520,10 +527,7 @@ def generate(kind: str, seed: int = 0) -> Polytope:
         raise ValueError("coordinate bound must be >= 1")
     rng = random.Random(seed)
     for _ in range(GENERATOR_RETRIES):
-        pts = [
-            tuple(Fraction(rng.randint(-bound, bound)) for _ in range(d))
-            for _ in range(n)
-        ]
+        pts = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(n)]
         try:
             p = build_polytope(pts)
         except DegenerateInputError:

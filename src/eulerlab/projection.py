@@ -2,16 +2,17 @@
 
 Three constructions: the Schlegel complex of a polytope at a facet (each
 vertex centrally projected once, from a beyond point onto the facet's
-hyperplane; each piece is a facet on those images, read off the polytope's
-ridges; faces are named by their vertex indices, with incidences from
-`Polytope.facets_of`), orthogonal projection along a direction, and central
-projection from an exterior point in the polytope's own hyperplane.  Shadows
-are new point sets, so they run the hull, and carry the exact "image of this
-face is a face of the shadow" predicate, computed by full face-lattice
-comparison of vertex index sets rather than any silhouette criterion.  Each
-shadow's images are full-dimensional int points, lifted vertices read through
-the integer nullspace of the direction or of the screen's normal (the screen's
-offset only decides separation), so no shadow is reframed.
+hyperplane, and charted there, all on ints; each piece is a facet on those
+images, read off the polytope's ridges; faces are named by their vertex
+indices, with incidences from `Polytope.facets_of`), orthogonal projection
+along a direction, and central projection from an exterior point in the
+polytope's own hyperplane.  Shadows are new point sets, so they run the hull,
+and carry the exact "image of this face is a face of the shadow" predicate,
+computed by full face-lattice comparison of vertex index sets rather than
+any silhouette criterion.  Each shadow's images are full-dimensional int
+points, lifted vertices read through the integer nullspace of the direction
+or of the screen's normal (the screen's offset only decides separation), so
+no shadow is reframed, and its hull starts from those ints.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from .linalg import (
     Vector,
     affine_hull,
     barycenter,
-    dot,
     is_zero,
     lift,
     lift_points,
+    rational_point,
+    reduce_lifted,
     vadd,
     vscale,
     vsub,
@@ -41,7 +43,8 @@ from .linalg import (
 from .polytope import (
     Face,
     Polytope,
-    build_polytope,
+    _assemble,
+    _hull_facets,
     face_lattice,
     facet_polytope,
     point_polytope,
@@ -98,8 +101,9 @@ class SchlegelComplex:
 
     Carrier and cells are full-dimensional polytopes in a shared working
     frame of the carrier's hyperplane, spanned by `images`, the polytope's
-    vertices projected into that frame; every piece names its vertices by
-    their indices in the polytope.  The complex is face-to-face, so each
+    vertices projected into that frame, which `lifted` holds as ints
+    (`lift_points` of the images); every piece names its vertices by their
+    indices in the polytope.  The complex is face-to-face, so each
     face records the cells and facets it lies in (see ComplexFace);
     `facet_signs` tabulates the sign of every facet normal against a line
     direction.
@@ -109,6 +113,7 @@ class SchlegelComplex:
     carrier: Polytope
     cells: tuple[Polytope, ...]
     images: tuple[Vector, ...]
+    lifted: tuple[int, list[tuple[int, ...]]]
 
     @property
     def a(self) -> int:
@@ -121,8 +126,10 @@ class SchlegelComplex:
     @cached_property
     def faces_by_dimension(self) -> dict[int, tuple[ComplexFace, ...]]:
         """Distinct proper faces of the complex (dims 0..k-1) with their
-        incidences, ordered by their sorted images.  A face is named by its
-        vertex indices in the polytope, read off each piece's `names`.
+        incidences, ordered by their sorted images, read as the sorted lifted
+        images (one positive scale keeps the lexicographic order).  A face
+        is named by its vertex indices in the polytope, read off each
+        piece's `names`.
 
         Each cell and the carrier answer which of their facets hold a face
         (`Polytope.facets_of`).  A complex face lies in a carrier facet only
@@ -142,10 +149,11 @@ class SchlegelComplex:
             for key, c, through in proper_faces(cell):
                 seen.setdefault(key, (c, []))[1].append((i, through))
         carrier_facets = {key: through for key, _, through in proper_faces(self.carrier)}
+        points = self.lifted[1]
         faces = sorted(
             (ComplexFace(key, c, tuple(cells), carrier_facets.get(key, ()))
              for key, (c, cells) in seen.items()),
-            key=self.face_points,
+            key=lambda f: sorted(points[v] for v in f.vertex_indices),
         )
         return {c: tuple(f for f in faces if f.dimension == c) for c in range(self.dim)}
 
@@ -158,13 +166,15 @@ class SchlegelComplex:
 
     def facet_signs(self, direction: Vector) -> SignTable:
         """sign(n·direction) as -1, 0 or 1 for the outer normal n of every
-        facet of every cell, and of every carrier facet."""
-        cells = tuple(_normal_signs(cell, direction) for cell in self.cells)
-        return cells, _normal_signs(self.carrier, direction)
+        facet of every cell, and of every carrier facet: int products with
+        the lifted direction, a positive multiple of it."""
+        e = lift(direction)
+        cells = tuple(_normal_signs(cell, e) for cell in self.cells)
+        return cells, _normal_signs(self.carrier, e)
 
 
-def _normal_signs(p: Polytope, direction: Vector) -> tuple[int, ...]:
-    products = (dot(f.hyperplane.normal, direction) for f in p.facets)
+def _normal_signs(p: Polytope, e: Sequence[int]) -> tuple[int, ...]:
+    products = (sum(map(mul, f.hyperplane.normal, e)) for f in p.facets)
     return tuple((s > 0) - (s < 0) for s in products)
 
 
@@ -172,28 +182,35 @@ def schlegel(p: Polytope, facet: int) -> SchlegelComplex:
     """Schlegel complex of p at facet index `facet`.
 
     Every vertex of p is centrally projected once, from a beyond point onto
-    the facet's hyperplane, and charted in the facet's frame.  The map keeps
-    each facet's face lattice, so its piece is `facet_polytope` on the
-    images, read off p's ridges.  The carrier is the facet's own piece, as a
-    vertex on its plane is its own image; the other pieces are the cells,
-    and they tile the carrier.
+    the facet's hyperplane, and charted in the facet's frame, on ints and
+    lifted once.  The map keeps each facet's face lattice, so its piece is
+    `facet_polytope` on the images, read off p's ridges.  The carrier is
+    the facet's own piece, as a vertex on its plane is its own image; the
+    other pieces are the cells, and they tile the carrier.
     """
     if p.dim < 3:
         raise ValueError("Schlegel requires d >= 3")
-    v = beyond_point(p, facet)
-    plane = p.facets[facet].hyperplane
+    (scale, points), (v_scale, (v,)) = p.lifted, lift_points([beyond_point(p, facet)])
+    n, b = p.facets[facet].hyperplane.normal, p.facets[facet].hyperplane.offset
+    # The line from v through x meets the plane at v + (x - v)·a/(a - s) =
+    # (x·a - v·s)/(a - s), for v's side a > 0 of it and x's side s <= 0.
+    # With x = X/V, v = A/W, a = a'/W and s = s'/V that is (X·a' - A·s') over
+    # a'·V - s'·W, and over m, the lcm of those; the frame then charts it.
+    a = sum(map(mul, n, v)) - v_scale * b
+    sides = [sum(map(mul, n, x)) - scale * b for x in points]
+    m = math.lcm(*(a * scale - s * v_scale for s in sides))
+    on_plane = [
+        tuple(m // (a * scale - s * v_scale) * (a * c - s * e) for c, e in zip(x, v))
+        for x, s in zip(points, sides)
+    ]
+    # affine_hull's base point is the facet's first vertex, its own image.
     frame = affine_hull(p.facet_vertices(facet))
-    # The line from v through x meets the plane at v + (x - v)·a/(a - s),
-    # for v's side a of it and x's side s.
-    sides = [plane.side(x) for x in p.vertices]
-    a = plane.side(v)
-    images = tuple(
-        frame.to_working(vadd(v, vscale(vsub(x, v), a / (a - s))))
-        for x, s in zip(p.vertices, sides)
-    )
-    pieces = [facet_polytope(p, j, images) for j in range(len(p.facets))]
+    base = on_plane[min(p.facets[facet].vertex_indices)]
+    lifted = reduce_lifted(*frame.chart(m, [vsub(q, base) for q in on_plane]))
+    images = tuple(rational_point((*q, lifted[0])) for q in lifted[1])
+    pieces = [facet_polytope(p, j, lifted) for j in range(len(p.facets))]
     carrier = pieces.pop(facet)
-    return SchlegelComplex(facet, carrier, tuple(pieces), images)
+    return SchlegelComplex(facet, carrier, tuple(pieces), images, lifted)
 
 
 @dataclass
@@ -226,18 +243,23 @@ class Shadow:
         }
 
 
-def _make_shadow(src: Polytope, images: Sequence[Vector]) -> Shadow:
-    if all(x == images[0] for x in images):
+def _make_shadow(src: Polytope, images: Sequence[tuple[int, ...]]) -> Shadow:
+    """The shadow of src whose vertex v has the int point images[v]: the
+    hull of the images, each distinct one named by its first vertex."""
+    first: dict[tuple[int, ...], int] = {}
+    for v, x in enumerate(images):
+        first.setdefault(x, v)
+    if len(first) == 1:
         shadow_poly = point_polytope(images[0])
     else:
-        shadow_poly = build_polytope(images)
+        shadow_poly = _assemble(1, list(first), _hull_facets, list(first.values()))
     if shadow_poly.dim != src.dim - 1:
         raise GeneralPositionError(
             f"shadow has dimension {shadow_poly.dim}, expected {src.dim - 1}"
         )
     # An image that is no shadow vertex maps to None, so no face holding it matches.
-    vertex_of = {x: w for w, x in enumerate(shadow_poly.embedded_vertices)}
-    vertex_map = tuple(vertex_of.get(x) for x in images)
+    vertex_of = {v: w for w, v in enumerate(shadow_poly.names)}
+    vertex_map = tuple(vertex_of.get(first[x]) for x in images)
     families = face_lattice(shadow_poly).vertex_set_families()
     face_image = {
         face.vertex_indices: frozenset(vertex_map[i] for i in face.vertex_indices)
@@ -287,13 +309,16 @@ def project_from_point(
     that separation: the screen enters the images only through the chart W
     of its normal n, its `_functionals`.  Vertex x lands at
     W·(x-a)/(n·(x-a)), its image on the screen translated by W·a and scaled
-    by the apex a's side.  Apex and vertices are lifted to ints together,
-    and one lcm of the n·(x-a), signed so that every multiplier is
-    positive, makes each image an int point.
+    by the apex a's side.  The apex is lifted and brought with the
+    vertices' `lifted` ints to one scale, and one lcm of the n·(x-a), signed
+    so that every multiplier is positive, makes each image an int point.
     """
     if len(apex) != src.dim:
         raise DimensionMismatchError("apex must live in the source's working frame")
-    scale, (a, *points) = lift_points([apex, *src.vertices])
+    (v_scale, points), (a_scale, (a,)) = src.lifted, lift_points([apex])
+    scale = math.lcm(v_scale, a_scale)  # of every denominator of apex and vertices
+    a = [scale // a_scale * c for c in a]
+    points = [[scale // v_scale * c for c in q] for q in points]
     planes = (f.hyperplane for f in src.facets)
     violated = next((h for h in planes if sum(map(mul, h.normal, a)) > scale * h.offset), None)
     if violated is None:

@@ -4,8 +4,8 @@ Every face of the complex of dimension 0..k-1 gets two flags (opposite
 directions of a certified general-position line, value (1/2)(-1)^c each).
 Each flag lands in exactly one cell or escapes the carrier.  That cell is
 found by face incidence: among the cells having the flag's base face as a
-face, read off one sign table per line (the sign of each facet normal
-against the line's direction).  A flag is its face and orientation; only
+face, read off one sign table per line (the sign of each facet's int normal
+times the line's int direction).  A flag is its face and orientation; only
 a failure text computes its base point.  Every cell, and the outside, is
 checked face by face against its shadow along the line (a face's flags land
 in it once, or per the shadow); summing per cell, over the escapees, and
@@ -19,11 +19,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Union
 
 from .errors import GeneralPositionError, naming_seed
 from .euler import CertificateEntry, check_piece, check_totals, f_vector, rejection_sample
-from .linalg import Vector, barycenter, dot, format_point, is_zero
+from .linalg import Vector, barycenter, format_point, vec
 from .polytope import Polytope, face_lattice
 from .projection import ComplexFace, SchlegelComplex, SignTable, project_along, schlegel
 
@@ -53,8 +54,9 @@ class Flag:
 def sample_general_line(complex: SchlegelComplex, seed: int) -> GeneralLine:
     """Rejection-sample an integer direction within the carrier frame.
 
-    Accepts a nonzero direction iff no cell facet's normal has product 0
-    with it; the first 0 rejects it.  That is non-parallelism to every
+    Draws int candidates and accepts a nonzero one iff no cell facet's int
+    normal has product 0 with it; the first 0 rejects it.  The accepted
+    direction is returned as Fractions.  That is non-parallelism to every
     complex face of dimension 1..k-1: each lies in a cell facet, whose
     direction space is its normal's orthogonal complement, and each cell
     facet is such a face.  The certificate has one entry per cell facet.
@@ -64,17 +66,16 @@ def sample_general_line(complex: SchlegelComplex, seed: int) -> GeneralLine:
     k = complex.dim
 
     def attempt(bound: int) -> Optional[GeneralLine]:
-        cand = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(k))
-        if is_zero(cand) or any(
-            dot(f.hyperplane.normal, cand) == 0 for cell in complex.cells for f in cell.facets
-        ):
+        cand = [rng.randint(-bound, bound) for _ in range(k)]
+        normals = (f.hyperplane.normal for cell in complex.cells for f in cell.facets)
+        if not any(cand) or any(sum(map(mul, n, cand)) == 0 for n in normals):
             return None
         entries = tuple(
             CertificateEntry("facet-not-parallel", (i, h), True)
             for i, cell in enumerate(complex.cells)
             for h in range(len(cell.facets))
         )
-        return GeneralLine(direction=cand, certificate=entries)
+        return GeneralLine(direction=vec(*cand), certificate=entries)
 
     return rejection_sample(f"general direction for seed {seed}", 4, attempt)
 

@@ -2,8 +2,11 @@
 samplers made before they certified lines from facet normals alone.  The
 reference samplers, and the tests that re-prove a sampled line's general
 position face by face, build on these, and read a face's points with
-face_points."""
+face_points.  `to_working` is the rational chart that the int chart
+`AffineSubspace.chart` replaced."""
 
+from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from eulerlab.linalg import (
@@ -23,6 +26,24 @@ from eulerlab.linalg import (
 def face_points(p, face) -> tuple[Vector, ...]:
     """The vertices of a face of the polytope p, by increasing index."""
     return tuple(p.vertices[j] for j in sorted(face.vertex_indices))
+
+
+def to_working(sub, x: Vector) -> Vector:
+    """Coordinates in sub.direction_basis of a point x on the subspace.
+
+    With y = x - base_point, the chart row with pivot p < k gives
+    C.y = d*w_p, and the point is on the subspace exactly when C.y = 0
+    for every other row; y is lifted to ints for these products."""
+    span, k = sub._chart, sub.dim
+    *y, scale = lift([*vsub(x, sub.base_point), 1])
+    w = [Fraction(0)] * k
+    for row, p in zip(span._rows, span._pivots):
+        c_y = sum(map(mul, row[k:], y))
+        if p < k:
+            w[p] = Fraction(c_y, scale * span._d)
+        elif c_y:
+            raise ValueError("point not on the affine subspace")
+    return tuple(w)
 
 
 def active_facets(p, x: Vector) -> tuple[int, ...]:

@@ -21,6 +21,17 @@ VERIFY_DIGESTS = {
     "random:3,8,10": "0786d1e7c321c906a72b877731d9ead3dd3a01304f8efc99373905417b2663db",
     "random:4,12,10": "21a8521891f60edf2302f56db711cd7076ee89cc788f13bc5e446ace8ab7d577",
 }
+# The Schlegel proof alone at seeds 1-3: each seed samples another
+# direction, so the complex's face order and every cell's shadow are read
+# along another line.
+SCHLEGEL_DIGESTS = {
+    ("cube:5", 1): "70df60a3c7a07a6dd18f28a2b8d68b2a001cc66c62383ba124995a276b9fb47d",
+    ("cube:5", 2): "1e064e3d01babd73263de0f7cc5d4fbf1526996127e4608c10ecea4aa1e4b078",
+    ("cube:5", 3): "61baaa5546d30b06b24f0facb7464c4082b5cfa8c43a24fc312edf11e655687a",
+    ("random:4,12,10", 1): "e4bdd86da20abe2cd4f44141bb9b7f98b1cb63cee285e5be0abe3a9257578fa8",
+    ("random:4,12,10", 2): "bc5c54062e8d14cb0641ef39e9d663d330e3d2e83e74601f049b64b0a9ad804f",
+    ("random:4,12,10", 3): "e02b2e7c0eca472a372cd74553400afff15092f8b2831d22a4b62f53767f008d",
+}
 SVG_DIGESTS = {
     # Wireframes (d = 4) draw edges and vertices in the complex's face order.
     ("cube:4", 0): "3b3bfdbf9a1f414e4ca24aedcca5ad14f2e635bea03bfe6b7dfdc9ed7d43c454",
@@ -48,6 +59,14 @@ def test_verify_report_bytes(spec, workdir):
     argv = ["verify", "p.json", "--proof", "both", "--seed", "0", "-o", "report.json"]
     assert cli.main(argv) == 0
     assert sha256(workdir / "report.json") == VERIFY_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("spec,seed", sorted(SCHLEGEL_DIGESTS))
+def test_schlegel_report_bytes(spec, seed, workdir):
+    assert cli.main(["generate", spec, "--seed", "0", "-o", "p.json"]) == 0
+    argv = ["verify", "p.json", "--proof", "schlegel", "--seed", str(seed), "-o", "report.json"]
+    assert cli.main(argv) == 0
+    assert sha256(workdir / "report.json") == SCHLEGEL_DIGESTS[spec, seed]
 
 
 def test_schlegel_svg_bytes(workdir):

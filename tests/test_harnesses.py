@@ -48,8 +48,9 @@ RUNS = {
 # ints.  Folding reads the lifted vertices and takes no side test either, so
 # a folded run's side tests are all its shadow hulls';
 # a frame charts its points with one elimination, not one per point.  The
-# Schlegel build's central projection takes one side test for its apex and
-# one per vertex.  A shadow takes none: its apex and vertices are lifted to
+# Schlegel build's central projection takes none either: the apex and the
+# vertices are ints, and their sides of the facet's plane are int products.
+# A shadow takes none: its apex and vertices are lifted to
 # ints once, and the exterior test, the violated facet and the screen sides
 # are int products.  Facet pieces, the Schlegel
 # carrier and its cells are read from the polytope's ridges and run no hull
@@ -62,18 +63,16 @@ RUNS = {
 # shadow hull of dimension k takes k pivots fewer than when the simplex was
 # eliminated twice.  Shadow images are int points of full dimension: a
 # central one is charted by the one-pivot integer nullspace of the screen
-# normal, so no shadow is reframed.  Faces are keyed by vertex indices and
-# each piece carries its vertices' names, so Fraction hashes come only from
-# the shadows' hull inputs, each int image hashed once as a Fraction point
-# to drop repeats, and from the shadow vertices that the int images are
-# matched against.
+# normal, so no shadow is reframed.  No Fraction is hashed: faces are keyed
+# by vertex indices, each piece carries its vertices' names, and a shadow
+# is built on its int images and finds each image's vertex by name.
 HARNESS_WORK_COUNTS = {
-    ("cube:4", "schlegel"): {"pivot": 379, "side": 578, "hash": 216},
-    ("cube:4", "folded"): {"pivot": 514, "side": 122, "hash": 160},
-    ("crosspolytope:4", "schlegel"): {"pivot": 493, "side": 335, "hash": 240},
-    ("crosspolytope:4", "folded"): {"pivot": 652, "side": 42, "hash": 208},
-    ("cube:5", "schlegel"): {"pivot": 1335, "side": 2299, "hash": 852},
-    ("cube:5", "folded"): {"pivot": 1700, "side": 763, "hash": 672},
+    ("cube:4", "schlegel"): {"pivot": 379, "side": 561, "hash": 0},
+    ("cube:4", "folded"): {"pivot": 514, "side": 122, "hash": 0},
+    ("crosspolytope:4", "schlegel"): {"pivot": 493, "side": 326, "hash": 0},
+    ("crosspolytope:4", "folded"): {"pivot": 652, "side": 42, "hash": 0},
+    ("cube:5", "schlegel"): {"pivot": 1335, "side": 2266, "hash": 0},
+    ("cube:5", "folded"): {"pivot": 1700, "side": 763, "hash": 0},
 }
 
 
@@ -82,7 +81,7 @@ def test_harness_work_counts(spec, proof, work_counts):
     p = generate(spec, seed=0)
     work_counts.clear()
     assert RUNS[proof](p).passed
-    assert work_counts == HARNESS_WORK_COUNTS[spec, proof]
+    assert work_counts == Counter(HARNESS_WORK_COUNTS[spec, proof])  # a missing count is 0
 
 
 @pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4", "random:4,12,10"])
@@ -108,7 +107,8 @@ def test_sampling_builds_no_face_span(spec, monkeypatch):
 @pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4"])
 def test_classification_is_one_table_per_line(spec, monkeypatch, work_counts):
     # Classifying every flag of one line evaluates no facet inequality and
-    # takes each facet normal's product with the line exactly once.
+    # takes each facet normal's product with the line exactly once: an int
+    # product, one `mul` per coordinate, and no Fraction dot product.
     cx = projection.schlegel(generate(spec), 0)
     q = sample_general_line(cx, 0)
     flags = place_flags(cx)
@@ -123,7 +123,8 @@ def test_classification_is_one_table_per_line(spec, monkeypatch, work_counts):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(projection, "dot")
+    counted(linalg, "dot")
+    counted(projection, "mul")
     counted(Polytope, "contains")
     counted(Polytope, "in_tangent_cone")
     work_counts.clear()
@@ -131,8 +132,9 @@ def test_classification_is_one_table_per_line(spec, monkeypatch, work_counts):
     for flag in flags:
         classify_flag(flag, cx, signs)
     assert work_counts["side"] == 0
-    assert calls["contains"] == calls["in_tangent_cone"] == 0
-    assert calls["dot"] == sum(len(c.facets) for c in cx.cells) + len(cx.carrier.facets)
+    assert calls["contains"] == calls["in_tangent_cone"] == calls["dot"] == 0
+    facets = sum(len(c.facets) for c in cx.cells) + len(cx.carrier.facets)
+    assert calls["mul"] == cx.dim * facets
 
 
 @pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4"])
@@ -204,7 +206,8 @@ def test_sampling_takes_no_side_test(spec, monkeypatch, work_counts):
 def test_shadows_are_built_on_ints(spec, monkeypatch, tmp_path):
     # Both shadow builders read their images off lifted ints: while either
     # runs, no Fraction dot product is taken and no point is charted in a
-    # reframed subspace.  The rest of the run still takes both.
+    # reframed subspace.  The rest of the run still takes dot products, and
+    # charts every facet piece and the Schlegel images on ints.
     inside = []
     calls = Counter()
 
@@ -219,7 +222,7 @@ def test_shadows_are_built_on_ints(spec, monkeypatch, tmp_path):
             monkeypatch.setattr(where, name, wrapper, raising=False)
 
     counted("dot", linalg, polytope, projection)
-    counted("to_working", linalg.AffineSubspace)
+    counted("chart", linalg.AffineSubspace)
     for module, name in [(schlegel_flags, "project_along"), (folded_flags, "project_from_point")]:
         build = getattr(module, name)
 
@@ -236,8 +239,48 @@ def test_shadows_are_built_on_ints(spec, monkeypatch, tmp_path):
     assert cli.main(["generate", spec, "-o", str(doc)]) == 0
     assert cli.main(["verify", str(doc), "--proof", "both", "--seed", "0", "-o", str(report)]) == 0
     assert calls["project_along"] > 0 and calls["project_from_point"] > 0
-    assert calls["dot", True] == calls["to_working", True] == 0
-    assert calls["dot", False] > 0 and calls["to_working", False] > 0
+    assert calls["dot", True] == calls["chart", True] == 0
+    assert calls["dot", False] > 0 and calls["chart", False] > 0
+
+
+@pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4"])
+def test_verify_hashes_no_fraction_and_assembles_on_ints(spec, monkeypatch, tmp_path):
+    # A verify run lifts its input once, in build_polytope, and hands ints on
+    # from there: every hull, piece and shadow is assembled from ints, and
+    # no Fraction is hashed.  The counters are shown to work on the input's
+    # lift and on one hash made by hand.
+    counts = Counter()
+    inside = []
+    fraction_hash, lift_points, assemble = Fraction.__hash__, linalg.lift_points, polytope._assemble
+
+    def counting_hash(self):
+        counts["hash"] += 1
+        return fraction_hash(self)
+
+    def counting_lift_points(points):
+        if any(isinstance(c, Fraction) for q in points for c in q):
+            counts["lift_points", bool(inside)] += 1
+        return lift_points(points)
+
+    def counting_assemble(*args):
+        inside.append(True)
+        try:
+            return assemble(*args)
+        finally:
+            inside.pop()
+
+    doc, report = tmp_path / "doc.json", tmp_path / "report.json"
+    assert cli.main(["generate", spec, "-o", str(doc)]) == 0
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    for module in (linalg, polytope, projection, folded_flags):
+        monkeypatch.setattr(module, "lift_points", counting_lift_points, raising=False)
+    for module in (polytope, projection):
+        monkeypatch.setattr(module, "_assemble", counting_assemble)
+    assert cli.main(["verify", str(doc), "--proof", "both", "--seed", "0", "-o", str(report)]) == 0
+    assert counts["hash"] == counts["lift_points", True] == 0
+    assert counts["lift_points", False] > 0
+    hash(Fraction(1, 3))
+    assert counts["hash"] == 1
 
 
 def _facet_at(p, facet_points) -> int:

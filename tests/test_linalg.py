@@ -29,11 +29,13 @@ from eulerlab.linalg import (
     nullspace,
     parse_rational,
     rank,
+    rational_point,
+    reduce_lifted,
     solve_linear,
     vec,
     vsub,
 )
-from spans import line_hyperplane_intersection, meets_line, through
+from spans import line_hyperplane_intersection, meets_line, through, to_working
 from volumes import det
 
 F = Fraction
@@ -243,7 +245,19 @@ def lp_systems(draw, max_width=4, max_rows=7):
             rows = [(*row[:j], s * row[k], *row[j + 1 :]) for row in rows]
     if draw(st.booleans()):
         rows = [(F(0), *row[1:]) for row in rows]
-    return rows, rhs
+    return lifted_system(rows, rhs)
+
+
+def lifted_system(rows, rhs):
+    """Rational rows and rhs as linear_feasible takes them: each row lifted
+    to ints together with its rhs, a positive scale that keeps its set."""
+    lines = [lift([*row, b]) for row, b in zip(rows, rhs, strict=True)]
+    return [line[:-1] for line in lines], [line[-1] for line in lines]
+
+
+def feasible(rows, rhs):
+    """linear_feasible on a rational system, lifted first."""
+    return linear_feasible(*lifted_system(rows, rhs))
 
 
 def oracle_systems(p):
@@ -260,6 +274,7 @@ def oracle_systems(p):
 
 
 def assert_matches_reference(rows, rhs):
+    rows, rhs = lifted_system(rows, rhs)
     y = linear_feasible(rows, rhs)
     assert (y is None) == (plain_linear_feasible(rows, rhs) is None)
     if y is not None:
@@ -585,6 +600,7 @@ class TestAffine:
     def test_to_working_matches_plain_solve(self, drawn, coeffs):
         # A point of the subspace charts to its coefficients; any other
         # point charts as plain_solve says, or raises when it has no chart.
+        # The int chart and the rational reference agree on every point.
         point, _, pts = drawn
         sub = affine_hull(pts)
         rows = [tuple(b[j] for b in sub.direction_basis) for j in range(len(point))]
@@ -592,24 +608,54 @@ class TestAffine:
         on = sub.base_point
         for c, b in zip(coeffs, sub.direction_basis):
             on = tuple(x + c * y for x, y in zip(on, b))
-        assert sub.to_working(on) == tuple(coeffs)
+        assert to_working(sub, on) == chart_point(sub, on) == tuple(coeffs)
         if sub.dim:
             expected = plain_solve(rows, vsub(point, sub.base_point))
         else:
             expected = () if point == sub.base_point else None
         if expected is None:
-            with pytest.raises(ValueError, match="point not on the affine subspace"):
-                sub.to_working(point)
+            for chart in (to_working, chart_point):
+                with pytest.raises(ValueError, match="point not on the affine subspace"):
+                    chart(sub, point)
         else:
-            assert sub.to_working(point) == expected
+            assert to_working(sub, point) == chart_point(sub, point) == expected
+
+    @given(lines_and_hulls(max_width=5, max_points=5), st.integers(1, 6))
+    @settings(max_examples=100)
+    def test_chart_of_many_points_at_one_scale(self, drawn, m):
+        # Charting every point at once, at a scale m times their lcm, gives
+        # the points to_working gives, over a positive denominator.
+        _, _, pts = drawn
+        sub = affine_hull(pts)
+        scale, (base, *lifted) = lift_points([sub.base_point, *pts])
+        ys = [tuple(m * (a - b) for a, b in zip(q, base)) for q in lifted]
+        den, charted = sub.chart(m * scale, ys)
+        assert den > 0
+        assert [rational_point((*w, den)) for w in charted] == [to_working(sub, x) for x in pts]
 
     def test_frame_charts_with_one_elimination(self, work_counts):
         sub = affine_hull([vec(1, 2, 3, 4), vec(2, 2, 3, 5), vec(1, F(1, 2), 3, 4)])
-        sub.to_working(vec(1, 2, 3, 4))
+        chart_point(sub, vec(1, 2, 3, 4))
         work_counts.clear()
         for t in range(5):
-            assert sub.to_working(vec(1 + t, 2 - 3 * t, 3, 4 + t)) == (F(t), F(2 * t))
+            assert chart_point(sub, vec(1 + t, 2 - 3 * t, 3, 4 + t)) == (F(t), F(2 * t))
         assert work_counts["pivot"] == 0
+
+
+def chart_point(sub, x):
+    """x charted by sub.chart on ints: x and the base point lifted together,
+    the chart read back as a rational point."""
+    scale, (q, base) = lift_points([x, sub.base_point])
+    den, (w,) = sub.chart(scale, [vsub(q, base)])
+    return rational_point((*w, den))
+
+
+class TestReduceLifted:
+    @given(st.lists(st.tuples(rationals(), rationals()), max_size=5), st.integers(1, 12))
+    def test_is_lift_points_at_any_scale(self, points, m):
+        scale, lifted = lift_points(points)
+        scaled = [tuple(m * c for c in q) for q in lifted]
+        assert reduce_lifted(m * scale, scaled) == (scale, lifted)
 
 
 class TestHyperplane:
@@ -693,25 +739,25 @@ class TestLinearFeasible:
     def test_simple_box(self):
         rows = [vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)]
         rhs = [F(1), F(1), F(1), F(1)]
-        y = linear_feasible(rows, rhs)
+        y = feasible(rows, rhs)
         assert y is not None
         assert all(dot(r, y) <= b for r, b in zip(rows, rhs))
 
     def test_empty_box(self):
         rows = [vec(1), vec(-1)]
-        assert linear_feasible(rows, [F(-1), F(0)]) is None
+        assert feasible(rows, [F(-1), F(0)]) is None
 
     def test_negative_rhs_feasible(self):
         rows = [vec(1, 1), vec(-1, 0), vec(0, -1)]
         rhs = [F(-3), F(10), F(10)]
-        y = linear_feasible(rows, rhs)
+        y = feasible(rows, rhs)
         assert y is not None
         assert all(dot(r, y) <= b for r, b in zip(rows, rhs))
 
     def test_equality_trap(self):
         # x <= 0 and -x <= 0 force x = 0, then x >= 1 is impossible.
         rows = [vec(1), vec(-1), vec(-1)]
-        assert linear_feasible(rows, [F(0), F(0), F(-1)]) is None
+        assert feasible(rows, [F(0), F(0), F(-1)]) is None
 
     @given(
         st.lists(
@@ -727,7 +773,7 @@ class TestLinearFeasible:
         if not rows:
             return
         rhs = [b for r, b in cons if any(r)]
-        y = linear_feasible(rows, rhs)
+        y = feasible(rows, rhs)
         if y is not None:
             assert all(dot(r, y) <= b for r, b in zip(rows, rhs))
         else:
@@ -742,19 +788,19 @@ class TestLinearFeasible:
     def test_witness_respects_strict_margin_encoding(self):
         # Strict feasibility of {a·y < 0} is encoded as {a·y <= -1} by scaling.
         rows = [vec(1, 1), vec(-2, 1)]
-        y = linear_feasible(rows, [F(-1), F(-1)])
+        y = feasible(rows, [F(-1), F(-1)])
         assert y is not None
         assert dot(rows[0], y) <= -1 and dot(rows[1], y) <= -1
 
     def test_zero_row(self):
-        assert linear_feasible([vec(0, 0)], [F(-1)]) is None
-        y = linear_feasible([vec(0, 0), vec(1, 1)], [F(0), F(-1)])
+        assert feasible([vec(0, 0)], [F(-1)]) is None
+        y = feasible([vec(0, 0), vec(1, 1)], [F(0), F(-1)])
         assert y is not None and dot(vec(1, 1), y) <= -1
 
     def test_all_rhs_zero(self):
         # Every slack starts basic at level 0: a degenerate start.
         rows = [vec(1, 1), vec(-1, 2), vec(0, -1), vec(1, 1)]
-        y = linear_feasible(rows, [F(0)] * 4)
+        y = feasible(rows, [F(0)] * 4)
         assert y is not None
         assert all(dot(r, y) <= 0 for r in rows)
 
@@ -762,10 +808,10 @@ class TestLinearFeasible:
         # x = y from two zero-rhs rows, then x + y >= 2 (feasible) or
         # x + y <= 0 with x >= 1 (infeasible).
         rows = [vec(1, -1), vec(-1, 1), vec(-1, -1)]
-        y = linear_feasible(rows, [F(0), F(0), F(-2)])
+        y = feasible(rows, [F(0), F(0), F(-2)])
         assert y is not None and y[0] == y[1] and y[0] + y[1] >= 2
         rows = [vec(1, -1), vec(-1, 1), vec(1, 1), vec(-1, 0)]
-        assert linear_feasible(rows, [F(0), F(0), F(0), F(-1)]) is None
+        assert feasible(rows, [F(0), F(0), F(0), F(-1)]) is None
 
     def test_integer_rows(self):
         rows = [(1, 2), (-3, 1), (2, -5)]
@@ -778,7 +824,7 @@ class TestLinearFeasible:
         # Column 0 has no nonzero entry, so y_0 finds no row and stays 0.
         rows, rhs = [vec(0, 1), vec(0, -1), vec(0, 2)], [F(-1), F(3), F(0)]
         assert_matches_reference(rows, rhs)
-        y = linear_feasible(rows, rhs)
+        y = feasible(rows, rhs)
         assert y[0] == 0 and -3 <= y[1] <= -1
 
     def test_equal_columns(self):
@@ -786,7 +832,7 @@ class TestLinearFeasible:
         rows = [vec(1, 1, 0), vec(2, 2, 1), vec(-1, -1, -1)]
         for rhs in ([F(-1), F(0), F(2)], [F(-1), F(-3), F(0)], [F(1), F(-4), F(-4)]):
             assert_matches_reference(rows, rhs)
-        y = linear_feasible(rows, [F(-1), F(0), F(2)])
+        y = feasible(rows, [F(-1), F(0), F(2)])
         assert y[1] == 0
 
     def test_negative_free_pivot(self, work_counts):
@@ -794,7 +840,7 @@ class TestLinearFeasible:
         rows, rhs = [vec(-2, 1), vec(1, -3), vec(1, 1)], [F(-4), F(-1), F(9)]
         assert_matches_reference(rows, rhs)
         work_counts.clear()
-        assert linear_feasible(rows, rhs) is not None
+        assert feasible(rows, rhs) is not None
         assert work_counts["pivot"] == 2  # rhs 9 stays >= 0: no phase 1
 
     def test_square_invertible_system(self, work_counts):
@@ -803,7 +849,7 @@ class TestLinearFeasible:
         rows, rhs = [vec(1, 2, 0), vec(3, 4, 1), vec(0, -1, 5)], [F(1), F(-1), F(2, 3)]
         assert_matches_reference(rows, rhs)
         work_counts.clear()
-        y = linear_feasible(rows, rhs)
+        y = feasible(rows, rhs)
         assert [dot(r, y) for r in rows] == rhs
         assert work_counts["pivot"] == 3
 
@@ -812,7 +858,7 @@ class TestLinearFeasible:
         rows, rhs = [vec(1), vec(-1)], [F(-1), F(5)]
         assert_matches_reference(rows, rhs)
         work_counts.clear()
-        assert linear_feasible(rows, rhs) == (F(-1),)
+        assert feasible(rows, rhs) == (F(-1),)
         assert work_counts["pivot"] == 1
 
     def test_artificial_after_free_pivots(self):
@@ -833,7 +879,13 @@ class TestLinearFeasible:
             assert_matches_reference(rows, rhs)
 
     def test_no_constraints(self):
-        assert linear_feasible([], []) == ()
+        assert feasible([], []) == ()
+
+    def test_oracle_hands_int_systems(self):
+        # linear_feasible takes ints only; the oracle's rows are ints already.
+        systems = oracle_systems(polytope.generate("crosspolytope:4"))
+        ints = [x for rows, rhs in systems for row in rows for x in (*row, *rhs)]
+        assert ints and all(type(x) is int for x in ints)
 
     def test_random_infeasible_sandwich(self):
         rng = random.Random(7)
@@ -842,4 +894,4 @@ class TestLinearFeasible:
             if not any(a):
                 continue
             # a·y <= -1 together with -a·y <= -1 is always empty.
-            assert linear_feasible([a, tuple(-x for x in a)], [F(-1), F(-1)]) is None
+            assert feasible([a, tuple(-x for x in a)], [F(-1), F(-1)]) is None

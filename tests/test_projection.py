@@ -19,6 +19,7 @@ from eulerlab.linalg import (
     barycenter,
     dot,
     is_zero,
+    lift_points,
     nullspace,
     vadd,
     vec,
@@ -448,7 +449,8 @@ class TestProjectFromPoint:
 
 def fraction_project_along(src, direction):
     """project_along as it was before its images were ints: Fraction dot
-    products with the rational nullspace functionals."""
+    products with the rational nullspace functionals, lifted to ints for
+    `_make_shadow`, which takes int images only."""
     if len(direction) != src.dim:
         raise DimensionMismatchError(
             "direction must live in the source's working frame"
@@ -459,7 +461,7 @@ def fraction_project_along(src, direction):
     images = [
         tuple(dot(w, x) for w in functionals) for x in src.vertices
     ]
-    return _make_shadow(src, images)
+    return _make_shadow(src, lift_points(images)[1])
 
 
 def _central_images(apex, a, points, sides):
@@ -470,7 +472,8 @@ def _central_images(apex, a, points, sides):
 
 def fraction_project_from_point(src, apex, screen=None):
     """project_from_point as it was before its images were ints: Fraction
-    images on the screen hyperplane, which the shadow hull reframes."""
+    images on the screen hyperplane, lifted to ints for `_make_shadow`;
+    the shadow hull reframes them."""
     if len(apex) != src.dim:
         raise DimensionMismatchError("apex must live in the source's working frame")
     if src.contains(apex):
@@ -485,7 +488,8 @@ def fraction_project_from_point(src, apex, screen=None):
     sides = [screen.side(v) for v in src.vertices]
     if any(s * apex_side >= 0 for s in sides):
         raise ValueError("screen must strictly separate the apex from the source")
-    return _make_shadow(src, _central_images(apex, apex_side, src.vertices, sides))
+    images = _central_images(apex, apex_side, src.vertices, sides)
+    return _make_shadow(src, lift_points(images)[1])
 
 
 def shifted(p):
@@ -501,6 +505,7 @@ def shadow_outcome(build, *args):
         sh = build(*args)
     except (ValueError, GeneralPositionError) as e:
         return type(e).__name__, str(e)
+    assert sh.polytope.lifted == lift_points(sh.polytope.vertices)
     return sh.face_image, sh.face_source_labels(), f_vector(face_lattice(sh.polytope))
 
 
