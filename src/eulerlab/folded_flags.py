@@ -27,7 +27,7 @@ from typing import Optional
 
 from .errors import GeneralPositionError, naming_seed
 from .euler import CertificateEntry, check_piece, check_totals, f_vector, rejection_sample
-from .linalg import Vector, affine_basis, format_point, lift, lift_points, rational_point, vsub
+from .linalg import Vector, affine_basis, format_point, lift, lift_points, rational_point, reduce_lifted, vsub
 from .polytope import Face, Polytope, face_lattice, facet_polytope
 from .projection import project_from_point
 
@@ -315,7 +315,7 @@ def fold_flags(
         )
 
     value = _VALUES[face.dimension % 2]
-    x = _reduced(big_x, vf)
+    x_den, (x,) = reduce_lifted(vf, [big_x])
     big_g = [big_l * xc - vf * tc for xc, tc in zip(big_x, table.lt1)]
     flags = []
     for [facet_idx], (num, den, r) in sides:
@@ -324,21 +324,16 @@ def fold_flags(
             den * big_l * xc + num * (vf * r[0] * ec + r[1] * gc)
             for xc, ec, gc in zip(big_x, table.le, big_g)
         ]
+        end_den, (end,) = reduce_lifted(den * vf * big_l, [end])
         flags.append(
             FoldedFlag(
                 base_face=face,
                 assigned_facet=facet_idx,
-                segment=(x, _reduced(end, den * vf * big_l)),
+                segment=((*x, x_den), (*end, end_den)),
                 value=value,
             )
         )
     return flags[0], flags[1]
-
-
-def _reduced(nums: list[int], den: int) -> tuple[int, ...]:
-    """The point nums/den, den > 0, as ints (*nums, den) over their gcd."""
-    g = math.gcd(*nums, den)
-    return (*(c // g for c in nums), den // g)
 
 
 def flag_collinear_with_assigned_point(flag: FoldedFlag, line: TransversalLine) -> bool:

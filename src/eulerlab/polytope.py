@@ -10,15 +10,15 @@ those gives the frame, which charts them on ints, and the hull's initial
 simplex, and one integer routine every facet plane, whether beneath-beyond
 insertion finds the facets of a new point set or a facet taken as a polytope
 (`facet_polytope`) reads its own off the parent's ridges.  Each facet keeps
-that plane as primitive ints and the set of input points on it; vertices,
-face dimensions and the facets holding a face are read from those incidences
-alone.  Each polytope keeps its vertices' ints (`Polytope.lifted`) for the
-projections and the folded proof.  The face lattice closes the vertex-facet
-incidence under intersection from its side with fewer sets: the facets'
-vertex sets, or, with fewer vertices than facets, the vertices' facet sets,
-whose closure is the lattice upside down.  The independent oracle decides
-face-ness of every vertex subset by exact linear feasibility, on a prefix
-tree of subsets that extends each span by one row.
+that plane as primitive ints and the mask of input points on it (bit i for
+point i); vertices, face dimensions and the facets holding a face are read off
+those masks alone.  Each polytope keeps its vertices' ints (`Polytope.lifted`)
+for the projections and the folded proof.  The face lattice closes the
+vertex-facet incidence under intersection from its side with fewer masks: the
+facets' vertex masks, or, with fewer vertices than facets, the vertices' facet
+masks, whose closure is the lattice upside down.  The independent oracle
+decides face-ness of every vertex subset by exact linear feasibility, on a
+prefix tree of subsets that extends each span by one row.
 """
 
 from __future__ import annotations
@@ -178,6 +178,16 @@ class Polytope:
         )
 
 
+def _bits(x: int) -> list[int]:
+    """The indices of the set bits of x, highest first, one step per set bit."""
+    out = []
+    while x:
+        i = x.bit_length() - 1
+        out.append(i)
+        x ^= 1 << i
+    return out
+
+
 def _sides(planes, q: Sequence[int]) -> list[int]:
     """n·q - b for each integer plane (n, b, inc): 0 on it, > 0 beyond."""
     return [sum(map(mul, n, q)) - b for n, b, _ in planes]
@@ -205,26 +215,26 @@ def _plane(lifted, wall, inside: Sequence[int], m: int):
 def _hull_facets(lifted: Sequence[Sequence[int]], simplex: Sequence[int]) -> list:
     """Beneath-beyond hull of full-dimensional lifted points from the
     indices of an initial simplex; exact and degeneracy-safe.  Each facet is
-    (n, b, inc): the _plane of its wall, oriented by the initial simplex,
-    and in `inc` every inserted point on that plane; nothing else records
-    incidence.  A new facet's plane H runs through the new point p and a
-    horizon ridge R = v & b, for v visible and b a kept facet whose plane
-    misses p.  H meets the old hull in a face holding R, and a larger one
-    would be a facet through R: v or b.  So the inserted points on H are
-    those on R, `v.inc & b.inc`, and p.  As p is strictly beneath b, on
-    whose plane v & b lies, v & b and p span a hyperplane exactly when
+    [n, b, inc]: the _plane of its wall, oriented by the initial simplex,
+    and in the mask `inc` bit i for each inserted point i on that plane;
+    nothing else records incidence.  A new facet's plane H runs through the
+    new point p and a horizon ridge R = v & b, for v visible and b a kept
+    facet whose plane misses p.  H meets the old hull in a face holding R,
+    and a larger one would be a facet through R: v or b.  So the points on
+    H are those on R, `v.inc & b.inc`, and p.  As p is strictly beneath b,
+    on whose plane v & b lies, v & b and p span a hyperplane exactly when
     v & b spans a ridge: one _plane call tests the pair and gives H.
     """
-    k, simplex = len(simplex) - 1, set(simplex)
+    k, full = len(simplex) - 1, sum(1 << i for i in simplex)
     inside = [sum(c) for c in zip(*(lifted[i] for i in simplex))]
-    facets = [(*_plane(lifted, simplex - {o}, inside, k + 1), simplex - {o}) for o in simplex]
+    facets = [[*_plane(lifted, _bits(full ^ 1 << o), inside, k + 1), full ^ 1 << o] for o in simplex]
     for j, q in enumerate(lifted):
-        if j in simplex:
+        if full >> j & 1:
             continue
         sides = _sides(facets, q)
-        for (_, _, inc), s in zip(facets, sides):
+        for f, s in zip(facets, sides):
             if s == 0:
-                inc.add(j)
+                f[2] |= 1 << j
         visible = [inc for (_, _, inc), s in zip(facets, sides) if s > 0]
         if not visible:
             continue
@@ -232,11 +242,11 @@ def _hull_facets(lifted: Sequence[Sequence[int]], simplex: Sequence[int]) -> lis
         new = []
         for v_inc in visible:
             for _, _, b_inc in kept:
-                if j in b_inc:
+                if b_inc >> j & 1:
                     continue  # p is on b's plane, so b grows and spans no new one
                 shared = v_inc & b_inc
-                if len(shared) >= k - 1 and (h := _plane(lifted, [*shared, j], inside, k + 1)):
-                    new.append((*h, shared | {j}))
+                if shared.bit_count() >= k - 1 and (h := _plane(lifted, [*_bits(shared), j], inside, k + 1)):
+                    new.append([*h, shared | 1 << j])
         facets = kept + new
     return facets
 
@@ -247,8 +257,8 @@ def _assemble(scale: int, lifted: Sequence[Sequence[int]], find_facets, labels=N
     frame's basis and the initial simplex that `find_facets(work, simplex)`
     may start from; below full dimension `work` is the ints charted on ints
     (`AffineSubspace.chart`), q' = V'·x.  It returns each facet as (n, b,
-    inc), n primitive; inside is n·q' <= b, or in primitive ints
-    (V'·n/g)·x <= b/g for g = gcd(V', b), whatever V' is.  `reduce_lifted`
+    inc), n primitive, inc a point mask; inside is n·q' <= b, or in primitive
+    ints (V'·n/g)·x <= b/g for g = gcd(V', b), whatever V' is.  `reduce_lifted`
     of the vertices' ints is stored as `Polytope.lifted`.  Each vertex is
     named by its point's entry in `labels`, or by its own index."""
     if len(lifted) < 2:
@@ -263,16 +273,16 @@ def _assemble(scale: int, lifted: Sequence[Sequence[int]], find_facets, labels=N
         work_scale, work = frame.chart(scale, [vsub(q, base) for q in lifted])
     found = find_facets(work, simplex)
     # The facets through point i meet in the least face holding i, so i is a
-    # vertex exactly when no other point lies on all of them.
-    meet: dict[int, set[int]] = {}
+    # vertex exactly when the AND of their masks is bit i alone.
+    meet = [-1] * len(work)
     for _, _, inc in found:
-        for i in inc:
-            meet[i] = meet[i] & inc if i in meet else inc
-    extreme = sorted((i for i, m in meet.items() if m == {i}), key=lambda i: work[i])
+        for i in _bits(inc):
+            meet[i] &= inc
+    extreme = sorted((i for i, m in enumerate(meet) if m == 1 << i), key=lambda i: work[i])
     renum = {old: new for new, old in enumerate(extreme)}
     facet_list = []
     for n, b, inc in found:
-        held = [i for i in inc if i in renum]
+        held = [i for i in _bits(inc) if i in renum]
         if len(affine_basis([work[i] for i in held])) != k:
             raise RuntimeError("facet vertex set does not span dimension k-1")
         g = math.gcd(work_scale, b)
@@ -345,16 +355,6 @@ def _closure(masks: Sequence[int], full: int, top: int) -> dict[int, int]:
     for x in sorted(above, key=int.bit_count, reverse=True):
         dims[x] = min((dims[m] - 1 for m in above[x]), default=top)
     return dims
-
-
-def _bits(x: int) -> list[int]:
-    """The indices of the set bits of x, highest first, one step per set bit."""
-    out = []
-    while x:
-        i = x.bit_length() - 1
-        out.append(i)
-        x ^= 1 << i
-    return out
 
 
 def _lattice(p: Polytope) -> FaceLattice:
@@ -461,14 +461,14 @@ def facet_polytope(p: Polytope, i: int, images: Optional[tuple] = None) -> Polyt
     held = p.facets[i].vertex_indices
     local = {v: j for j, v in enumerate(sorted(held))}
     ridges = [
-        {local[v] for v in r.vertex_indices}
+        sum(1 << local[v] for v in r.vertex_indices)
         for r in face_lattice(p).faces(p.dim - 2)
         if r.vertex_indices <= held
     ]
 
     def ridge_facets(lifted: Sequence[Sequence[int]], _simplex) -> list:
         inside = [sum(c) for c in zip(*lifted)]
-        planes = [_plane(lifted, r, inside, len(lifted)) for r in ridges]
+        planes = [_plane(lifted, _bits(r), inside, len(lifted)) for r in ridges]
         if None in planes:
             raise ValueError(f"images of facet {i} flatten a ridge or put their barycenter on its plane")
         facets = [(*h, r) for h, r in zip(planes, ridges)]

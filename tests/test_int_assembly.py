@@ -35,6 +35,7 @@ from eulerlab.linalg import (
 from eulerlab.polytope import (
     Facet,
     Polytope,
+    _bits,
     _hull_facets,
     _plane,
     _sides,
@@ -107,7 +108,13 @@ def fraction_build_polytope(points: Sequence[Sequence]) -> Polytope:
     pts = [vec(*p) for p in points]
     if any(len(p) != len(pts[0]) for p in pts):
         raise DimensionMismatchError("points of mixed dimension")
-    return fraction_assemble(list(dict.fromkeys(pts)), _hull_facets)
+    return fraction_assemble(list(dict.fromkeys(pts)), hull_with_sets)
+
+
+def hull_with_sets(lifted: Sequence[Sequence[int]], simplex: Sequence[int]) -> list:
+    """`_hull_facets` with each facet's point mask read back as the set of
+    its bits, the form `fraction_assemble` takes."""
+    return [(n, b, set(_bits(inc))) for n, b, inc in _hull_facets(lifted, simplex)]
 
 
 def fraction_facet_polytope(
