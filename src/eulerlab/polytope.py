@@ -7,9 +7,10 @@ rational affine frame (the embedding is kept in `embedded_vertices` and
 input is lifted to ints once, in `build_polytope`, a facet piece starts from
 its parent's ints and a shadow from its int images.  One affine basis of
 those gives the frame, which charts them on ints, and the hull's initial
-simplex, and one integer routine every facet plane, whether beneath-beyond
-insertion finds the facets of a new point set or a facet taken as a polytope
-(`facet_polytope`) reads its own off the parent's ridges.  Each facet keeps
+simplex.  One integer elimination gives the simplex's facet planes and those
+a facet taken as a polytope (`facet_polytope`) reads off the parent's
+ridges; beneath-beyond insertion finds each horizon ridge on the facet masks
+and combines its two facets' planes into the new one.  Each facet keeps
 that plane as primitive ints and the mask of input points on it (bit i for
 point i); vertices, face dimensions and the facets holding a face are read off
 those masks alone.  Each polytope keeps its vertices' ints (`Polytope.lifted`)
@@ -215,15 +216,17 @@ def _plane(lifted, wall, inside: Sequence[int], m: int):
 def _hull_facets(lifted: Sequence[Sequence[int]], simplex: Sequence[int]) -> list:
     """Beneath-beyond hull of full-dimensional lifted points from the
     indices of an initial simplex; exact and degeneracy-safe.  Each facet is
-    [n, b, inc]: the _plane of its wall, oriented by the initial simplex,
-    and in the mask `inc` bit i for each inserted point i on that plane;
-    nothing else records incidence.  A new facet's plane H runs through the
-    new point p and a horizon ridge R = v & b, for v visible and b a kept
-    facet whose plane misses p.  H meets the old hull in a face holding R,
-    and a larger one would be a facet through R: v or b.  So the points on
-    H are those on R, `v.inc & b.inc`, and p.  As p is strictly beneath b,
-    on whose plane v & b lies, v & b and p span a hyperplane exactly when
-    v & b spans a ridge: one _plane call tests the pair and gives H.
+    [n, b, inc]: its primitive plane n·q <= b and in the mask `inc` bit i for
+    each inserted point i on that plane; nothing else records incidence.
+    Only the initial simplex's k + 1 planes come from _plane.  A new point p
+    replaces each horizon ridge R = v & b, for v visible (s_v = n_v·p - b_v
+    > 0) and b kept with p strictly beneath it (s_b < 0), by the facet
+    through R and p.  The points on it are those on R and p, and its plane
+    is the pencil (s_v·n_b - s_b·n_v, s_v·b_b - s_b·b_v) over the gcd of its
+    normal: it holds v ∩ b and p, and the old hull stays beneath it.  A
+    face v ∩ b is a ridge exactly when no third facet holds it, since a
+    smaller face lies in three facets or more; each such facet also shares
+    k - 1 points with v, so only those `near` v are searched.
     """
     k, full = len(simplex) - 1, sum(1 << i for i in simplex)
     inside = [sum(c) for c in zip(*(lifted[i] for i in simplex))]
@@ -235,19 +238,18 @@ def _hull_facets(lifted: Sequence[Sequence[int]], simplex: Sequence[int]) -> lis
         for f, s in zip(facets, sides):
             if s == 0:
                 f[2] |= 1 << j
-        visible = [inc for (_, _, inc), s in zip(facets, sides) if s > 0]
-        if not visible:
-            continue
-        kept = [f for f, s in zip(facets, sides) if s <= 0]
         new = []
-        for v_inc in visible:
-            for _, _, b_inc in kept:
-                if b_inc >> j & 1:
-                    continue  # p is on b's plane, so b grows and spans no new one
-                shared = v_inc & b_inc
-                if shared.bit_count() >= k - 1 and (h := _plane(lifted, [*_bits(shared), j], inside, k + 1)):
-                    new.append([*h, shared | 1 << j])
-        facets = kept + new
+        for (nv, bv, v), sv in zip(facets, sides):
+            if sv <= 0:
+                continue
+            near = [(f, s) for f, s in zip(facets, sides) if (v & f[2]).bit_count() >= k - 1]
+            for (nb, bb, b), sb in near:
+                r = v & b
+                if sb < 0 and sum(r & f[2] == r for f, _ in near) == 2:
+                    n = [sv * x - sb * y for x, y in zip(nb, nv)]
+                    g = math.gcd(*n)
+                    new.append([[x // g for x in n], (sv * bb - sb * bv) // g, r | 1 << j])
+        facets = [f for f, s in zip(facets, sides) if s <= 0] + new
     return facets
 
 
@@ -274,15 +276,16 @@ def _assemble(scale: int, lifted: Sequence[Sequence[int]], find_facets, labels=N
     found = find_facets(work, simplex)
     # The facets through point i meet in the least face holding i, so i is a
     # vertex exactly when the AND of their masks is bit i alone.
+    bits = [_bits(inc) for _, _, inc in found]
     meet = [-1] * len(work)
-    for _, _, inc in found:
-        for i in _bits(inc):
+    for (_, _, inc), on in zip(found, bits):
+        for i in on:
             meet[i] &= inc
     extreme = sorted((i for i, m in enumerate(meet) if m == 1 << i), key=lambda i: work[i])
     renum = {old: new for new, old in enumerate(extreme)}
     facet_list = []
-    for n, b, inc in found:
-        held = [i for i in _bits(inc) if i in renum]
+    for (n, b, _), on in zip(found, bits):
+        held = [i for i in on if i in renum]
         if len(affine_basis([work[i] for i in held])) != k:
             raise RuntimeError("facet vertex set does not span dimension k-1")
         g = math.gcd(work_scale, b)

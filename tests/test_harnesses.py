@@ -58,7 +58,11 @@ RUNS = {
 # ridge planes, one integer side test per pair, so a d = 4 cube piece takes
 # 8 x 6 and a d = 5 one 16 x 8.  A folded piece is built on p's own
 # vertices, which lie beneath those planes, and takes none.
-# Only the shadows run the hull.  One affine basis of a point set's lifted
+# Only the shadows run the hull, and it eliminates only for its initial
+# simplex: each horizon ridge is found on the facet masks and its new plane
+# is an int combination of the two facets' planes.  When each candidate
+# ridge took one _plane elimination the pivots were 379, 514, 493, 652,
+# 1,335 and 1,700 in the order below.  One affine basis of a point set's lifted
 # ints gives both its dimension and the hull's initial simplex, so each
 # shadow hull of dimension k takes k pivots fewer than when the simplex was
 # eliminated twice.  Shadow images are int points of full dimension: a
@@ -67,12 +71,12 @@ RUNS = {
 # by vertex indices, each piece carries its vertices' names, and a shadow
 # is built on its int images and finds each image's vertex by name.
 HARNESS_WORK_COUNTS = {
-    ("cube:4", "schlegel"): {"pivot": 379, "side": 561, "hash": 0},
-    ("cube:4", "folded"): {"pivot": 514, "side": 122, "hash": 0},
-    ("crosspolytope:4", "schlegel"): {"pivot": 493, "side": 326, "hash": 0},
-    ("crosspolytope:4", "folded"): {"pivot": 652, "side": 42, "hash": 0},
-    ("cube:5", "schlegel"): {"pivot": 1335, "side": 2266, "hash": 0},
-    ("cube:5", "folded"): {"pivot": 1700, "side": 763, "hash": 0},
+    ("cube:4", "schlegel"): {"pivot": 315, "side": 561, "hash": 0},
+    ("cube:4", "folded"): {"pivot": 460, "side": 122, "hash": 0},
+    ("crosspolytope:4", "schlegel"): {"pivot": 463, "side": 326, "hash": 0},
+    ("crosspolytope:4", "folded"): {"pivot": 628, "side": 42, "hash": 0},
+    ("cube:5", "schlegel"): {"pivot": 857, "side": 2266, "hash": 0},
+    ("cube:5", "folded"): {"pivot": 1290, "side": 763, "hash": 0},
 }
 
 

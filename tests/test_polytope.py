@@ -700,18 +700,20 @@ class TestFacetsOf:
 # These depend on no machine; a change that moves them on purpose restates
 # them here and says why.  The input's points are lifted to ints once and
 # repeats are dropped on those ints, so no Fraction is hashed (hash was
-# n·d when the Fraction points were).  Each candidate horizon ridge
-# costs one elimination, the plane through it and the new point, which also
-# rejects a pair that spans no ridge.  One affine basis of the lifted points
+# n·d when the Fraction points were).  One affine basis of the lifted points
 # gives both the dimension and the initial simplex: d pivots, where the
-# frame and the simplex once took d each.  random:7,30,100 ends with 1,940
-# facets, and the hull's visible × kept pair scan dominates its counts: one
-# _plane call more or less there moves its pivots.
+# frame and the simplex once took d each.  The hull eliminates only for its
+# initial simplex's d + 1 planes: a horizon ridge is found on the facet
+# masks and its new plane is an int combination of the two facets' planes.
+# When each candidate ridge took one _plane elimination the pivots were
+# 231, 277, 1,141 and 40,945; what remains is mostly `_assemble`'s span
+# check of each facet and the lattice.  random:7,30,100 ends with 1,940
+# facets; its side tests are all the hull's, one per plane for each point.
 WORK_COUNTS = {
-    "cube:5": {"pivot": 231, "side": 252, "hash": 0},
-    "crosspolytope:5": {"pivot": 277, "side": 40, "hash": 0},
-    "random:4,30,10": {"pivot": 1141, "side": 1216, "hash": 0},
-    "random:7,30,100": {"pivot": 40945, "side": 13556, "hash": 0},
+    "cube:5": {"pivot": 69, "side": 252, "hash": 0},
+    "crosspolytope:5": {"pivot": 157, "side": 40, "hash": 0},
+    "random:4,30,10": {"pivot": 283, "side": 1216, "hash": 0},
+    "random:7,30,100": {"pivot": 11695, "side": 13556, "hash": 0},
 }
 
 
