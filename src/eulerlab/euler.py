@@ -27,8 +27,9 @@ RANGE_DOUBLING_PERIOD = 32
 
 
 def f_vector(lattice: FaceLattice) -> FVector:
-    """Face counts by dimension, (f^0, ..., f^d); includes the top face."""
-    counts = tuple(len(lattice.faces(c)) for c in range(lattice.dim + 1))
+    """Face counts by dimension, (f^0, ..., f^d); includes the top face.
+    Counting builds no face."""
+    counts = tuple(lattice.count(c) for c in range(lattice.dim + 1))
     if counts[-1] != 1:
         raise ValueError("lattice has no unique top face")
     return counts

@@ -54,17 +54,8 @@ def format_point(x: Vector) -> str:
     return f"({', '.join(map(format_rational, x))})"
 
 
-def vadd(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vsub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vscale(a: Vector, s) -> Vector:
-    s = Fraction(s)
-    return tuple(x * s for x in a)
 
 
 def dot(a: Vector, b: Vector) -> Fraction:

@@ -15,9 +15,11 @@ that plane as primitive ints and the mask of input points on it (bit i for
 point i); vertices, face dimensions and the facets holding a face are read off
 those masks alone.  Each polytope keeps its vertices' ints (`Polytope.lifted`)
 for the projections and the folded proof.  The face lattice closes the
-vertex-facet incidence under intersection from its side with fewer masks: the
-facets' vertex masks, or, with fewer vertices than facets, the vertices' facet
-masks, whose closure is the lattice upside down.  The independent oracle
+vertex-facet incidence under intersection, set by falling bit count, from its
+side with fewer masks: the facets' vertex masks, or, with fewer vertices than
+facets, the vertices' facet masks, whose closure is the lattice upside down.
+It keeps each dimension's closed sets and reads a face's vertices off its set
+on first use, so counting faces builds none.  The independent oracle
 decides face-ness of every vertex subset by exact linear feasibility, on a
 prefix tree of subsets that extends each span by one row.
 """
@@ -30,7 +32,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     DegenerateInputError,
@@ -75,25 +77,35 @@ class Face:
 
 
 class FaceLattice:
-    """All faces of a polytope by dimension, each group sorted by vertex indices."""
+    """All faces of a polytope by dimension.  Each dimension keeps its sets,
+    and `read` gives one set's vertex indices: `count(c)` reads none, and
+    `faces(c)` builds that dimension's faces on first use, sorted by vertex
+    indices."""
 
-    def __init__(self, faces_by_dimension: dict[int, Sequence[Face]]):
-        self.faces_by_dimension = {
-            c: tuple(sorted(faces, key=lambda f: sorted(f.vertex_indices)))
-            for c, faces in faces_by_dimension.items()
-        }
-        self.dim = max(faces_by_dimension)
+    def __init__(self, sets_by_dimension: dict[int, Sequence], read: Callable[..., frozenset[int]]):
+        self._sets, self._read, self._faces = sets_by_dimension, read, {}
+        self.dim = max(sets_by_dimension)
+
+    def count(self, c: int) -> int:
+        return len(self._sets.get(c, ()))
 
     def faces(self, c: int) -> tuple[Face, ...]:
-        return self.faces_by_dimension.get(c, ())
+        if c not in self._faces:
+            faces = (Face(self._read(s), c) for s in self._sets.get(c, ()))
+            self._faces[c] = tuple(sorted(faces, key=lambda f: sorted(f.vertex_indices)))
+        return self._faces[c]
+
+    @property
+    def faces_by_dimension(self) -> dict[int, tuple[Face, ...]]:
+        return {c: self.faces(c) for c in sorted(self._sets)}
 
     def all_faces(self):
-        for c in sorted(self.faces_by_dimension):
-            yield from self.faces_by_dimension[c]
+        for faces in self.faces_by_dimension.values():
+            yield from faces
 
     @property
     def top(self) -> Face:
-        (top,) = self.faces_by_dimension[self.dim]
+        (top,) = self.faces(self.dim)
         return top
 
     def vertex_set_families(self) -> dict[int, frozenset[frozenset[int]]]:
@@ -338,25 +350,26 @@ def point_polytope(point: Sequence) -> Polytope:
 
 
 def _closure(masks: Sequence[int], full: int, top: int) -> dict[int, int]:
-    """Close `masks` under intersection from `full`, recording above[x]:
-    each set m with x = m & M != m for a mask M.  Every nonempty set found
-    maps to its dimension in a face lattice whose maximal face is `full`,
-    of dimension `top`, and whose coatoms are the masks.  A face x below the
-    top is a coatom of some face G, and x = G & M for a mask M holding x but
-    not G; so dim x is one less than the least dim over above[x]."""
-    above: dict[int, list[int]] = {full: []}
-    stack = [full]
-    while stack:
-        m = stack.pop()
-        for mask in masks:
-            x = m & mask
-            if x and x != m:
-                if x not in above:
-                    stack.append(x)
-                above.setdefault(x, []).append(m)
-    dims: dict[int, int] = {}
-    for x in sorted(above, key=int.bit_count, reverse=True):
-        dims[x] = min((dims[m] - 1 for m in above[x]), default=top)
+    """Close `masks` under intersection from `full`: every nonempty set found
+    maps to its dimension in a face lattice whose maximal face is `full`, of
+    dimension `top`, and whose coatoms are the masks.  A face x below the top
+    is a coatom of some face G, and x = G & M for a mask M holding x but not
+    G; so dim x is one less than the least dim over those G.  Each such G has
+    more bits than x, so the sets are taken by falling bit count, and x's
+    dimension is final before x is taken and ANDed with each mask."""
+    dims = {full: top}
+    levels: list[list[int]] = [[] for _ in range(full.bit_count())] + [[full]]
+    for level in reversed(levels):
+        for m in level:
+            below = dims[m] - 1
+            for mask in masks:
+                x = m & mask
+                if x and x != m:
+                    if x not in dims:
+                        dims[x] = below
+                        levels[x.bit_count()].append(x)
+                    elif below < dims[x]:
+                        dims[x] = below
     return dims
 
 
@@ -366,23 +379,27 @@ def _lattice(p: Polytope) -> FaceLattice:
     n < m the lattice of P is its polar's upside down: close the vertices'
     facet masks from the set of all facets, the empty face of P, and read a
     facet set S of dimension c there as the face of P of dimension dim - 1
-    - c whose vertices are those on every facet of S; P itself holds no
-    facet and is added.  Each face costs min(n, m) ANDs; a face of the
-    facet side reads its vertices from the set bits of its mask."""
+    - c whose vertices are those on every facet of S; P itself is the empty
+    facet set.  Each face costs min(n, m) ANDs to find.  Its vertices are
+    read on first use: on the facet side the set bits of its mask, on the
+    vertex side n more ANDs."""
     n, m, d = len(p.vertices), len(p.facets), p.dim
     if n >= m:
         masks = [sum(1 << i for i in f.vertex_indices) for f in p.facets]
-        faces = [(frozenset(_bits(x)), c) for x, c in _closure(masks, (1 << n) - 1, d).items()]
+        sets = _closure(masks, (1 << n) - 1, d).items()
+
+        def read(x: int) -> frozenset[int]:
+            return frozenset(_bits(x))
     else:
-        faces = [(frozenset(range(n)), d)] + [
-            (frozenset(i for i, o in enumerate(p.facet_masks) if o & s == s), d - 1 - c)
-            for s, c in _closure(p.facet_masks, (1 << m) - 1, d).items()
-            if c < d
-        ]
-    by_dim: dict[int, list[Face]] = {}
-    for vertex_indices, c in faces:
-        by_dim.setdefault(c, []).append(Face(vertex_indices, c))
-    return FaceLattice(by_dim)
+        on = p.facet_masks
+        sets = [(0, d)] + [(s, d - 1 - c) for s, c in _closure(on, (1 << m) - 1, d).items() if c < d]
+
+        def read(s: int) -> frozenset[int]:
+            return frozenset(i for i, o in enumerate(on) if o & s == s)
+    by_dim: dict[int, list[int]] = {}
+    for x, c in sets:
+        by_dim.setdefault(c, []).append(x)
+    return FaceLattice(by_dim, read)
 
 
 def face_lattice(p: Polytope) -> FaceLattice:
@@ -422,7 +439,7 @@ def brute_force_face_lattice(p: Polytope, bound: int = ORACLE_BOUND) -> FaceLatt
     n = len(p.vertices)
     if n > bound:
         raise OracleBoundError("oracle bound exceeded")
-    by_dim: dict[int, list[Face]] = {p.dim: [Face(frozenset(range(n)), p.dim)]}
+    by_dim: dict[int, list[tuple[int, ...]]] = {p.dim: [tuple(range(n))]}
     # Vertex i as the integer row (v, -1) times a positive scale: the rows of
     # S span a space of dimension dim aff(S) + 1 that holds the row of every
     # point of aff(S) and of no other.
@@ -442,9 +459,9 @@ def brute_force_face_lattice(p: Polytope, bound: int = ORACLE_BOUND) -> FaceLatt
             if hit < last:
                 continue  # (b)
             if hit == n and _is_face_lp(rows, sub, outside):
-                by_dim.setdefault(dim, []).append(Face(frozenset(subset), dim))
+                by_dim.setdefault(dim, []).append(subset)
             stack.append((subset, sub))
-    return FaceLattice(by_dim)
+    return FaceLattice(by_dim, frozenset)
 
 
 def facet_polytope(p: Polytope, i: int, images: Optional[tuple] = None) -> Polytope:

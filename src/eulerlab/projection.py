@@ -30,14 +30,11 @@ from .linalg import (
     SpanBuilder,
     Vector,
     affine_hull,
-    barycenter,
     is_zero,
     lift,
     lift_points,
     rational_point,
     reduce_lifted,
-    vadd,
-    vscale,
     vsub,
 )
 from .polytope import (
@@ -56,20 +53,22 @@ def beyond_point(p: Polytope, i: int) -> Vector:
 
     Starts one unit outward from the facet's vertex barycenter and halves
     the step until every strict inequality holds (all are open conditions
-    satisfied in the limit, so this terminates).
+    satisfied in the limit, so this terminates).  On ints: with X the sum of
+    the facet's lifted vertices, the point at step 1/t is (t·X + V|F|·n) over
+    t·V|F|, and each side is an int product over that positive scale.
     """
     if not 0 <= i < len(p.facets):
         raise ValueError(f"facet index {i} out of range")
-    h = p.facets[i].hyperplane
-    center = barycenter(p.facet_vertices(i))
-    step = Fraction(1)
+    (scale, points), held = p.lifted, p.facets[i].vertex_indices
+    big_x = [sum(c) for c in zip(*(points[v] for v in held))]
+    push = [scale * len(held) * x for x in p.facets[i].hyperplane.normal]
+    t = 1
     while True:
-        cand = vadd(center, vscale(h.normal, step))
-        if h.side(cand) > 0 and all(
-            f.hyperplane.side(cand) < 0 for j, f in enumerate(p.facets) if j != i
-        ):
-            return cand
-        step /= 2
+        y, den = [t * a + b for a, b in zip(big_x, push)], t * scale * len(held)
+        sides = [sum(map(mul, f.hyperplane.normal, y)) - den * f.hyperplane.offset for f in p.facets]
+        if sides.pop(i) > 0 and all(s < 0 for s in sides):
+            return rational_point((*y, den))
+        t *= 2
 
 
 @dataclass(frozen=True)

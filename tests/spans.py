@@ -17,10 +17,17 @@ from eulerlab.linalg import (
     is_zero,
     lift,
     lift_points,
-    vadd,
-    vscale,
     vsub,
 )
+
+
+def vadd(a: Vector, b: Vector) -> Vector:
+    return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def vscale(a: Vector, s) -> Vector:
+    s = Fraction(s)
+    return tuple(x * s for x in a)
 
 
 def face_points(p, face) -> tuple[Vector, ...]:

@@ -77,12 +77,9 @@ class TestCheckEuler:
 
 class TestFVectorValidation:
     def test_rejects_broken_lattice(self):
-        from eulerlab.polytope import Face, FaceLattice
+        from eulerlab.polytope import FaceLattice
 
-        bad = FaceLattice(
-            {0: (Face(frozenset({0}), 0), Face(frozenset({1}), 0)),
-             1: (Face(frozenset({0, 1}), 1), Face(frozenset({0, 1}), 1))}
-        )
+        bad = FaceLattice({0: [{0}, {1}], 1: [{0, 1}, {0, 1}]}, frozenset)
         with pytest.raises(ValueError):
             f_vector(bad)
 

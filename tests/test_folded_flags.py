@@ -18,8 +18,6 @@ from eulerlab.linalg import (
     is_zero,
     lift,
     rational_point,
-    vadd,
-    vscale,
     vsub,
 )
 from eulerlab.polytope import build_polytope, face_lattice, generate
@@ -33,7 +31,7 @@ from eulerlab.folded_flags import (
     sample_transversal,
     verify_proof_folded,
 )
-from spans import face_points, line_hyperplane_intersection, meets_line, through
+from spans import face_points, line_hyperplane_intersection, meets_line, through, vadd, vscale
 
 
 def fraction_relint_point(p, facet_index, rng, bound):

@@ -27,9 +27,7 @@ from eulerlab.linalg import (
     affine_basis,
     affine_hull,
     lift_points,
-    vadd,
     vec,
-    vscale,
     vsub,
 )
 from eulerlab.polytope import (
@@ -45,7 +43,7 @@ from eulerlab.polytope import (
     generate,
 )
 from eulerlab.projection import beyond_point, schlegel
-from spans import to_working
+from spans import to_working, vadd, vscale
 
 F = Fraction
 

@@ -19,6 +19,7 @@ from eulerlab.errors import (
     DimensionMismatchError,
     OracleBoundError,
 )
+from eulerlab.euler import f_vector
 from eulerlab.linalg import (
     Hyperplane,
     SpanBuilder,
@@ -31,9 +32,7 @@ from eulerlab.linalg import (
     lift,
     lift_points,
     rank,
-    vadd,
     vec,
-    vscale,
     vsub,
 )
 from eulerlab.polytope import (
@@ -51,7 +50,8 @@ from eulerlab.polytope import (
     generate,
     point_polytope,
 )
-from spans import active_facets, face_points, to_working
+from eulerlab.projection import project_along
+from spans import active_facets, face_points, to_working, vadd, vscale
 from volumes import children, volume
 
 F = Fraction
@@ -179,11 +179,34 @@ def _lattice_from_facets(p: Polytope) -> FaceLattice:
                     stack.append(x)
                 above.setdefault(x, []).append(m)
     dims: dict[int, int] = {}
-    by_dim: dict[int, list[Face]] = {}
+    by_dim: dict[int, list[int]] = {}
     for x in sorted(above, key=int.bit_count, reverse=True):
         d = dims[x] = min((dims[m] - 1 for m in above[x]), default=p.dim)
-        by_dim.setdefault(d, []).append(Face(frozenset(i for i in range(n) if x >> i & 1), d))
-    return FaceLattice(by_dim)
+        by_dim.setdefault(d, []).append(x)
+    return FaceLattice(by_dim, lambda x: frozenset(i for i in range(n) if x >> i & 1))
+
+
+def reference_closure(masks, full, top):
+    """Close `masks` under intersection from `full`, recording above[x]:
+    each set m with x = m & M != m for a mask M.  Every nonempty set found
+    maps to its dimension in a face lattice whose maximal face is `full`,
+    of dimension `top`, and whose coatoms are the masks.  A face x below the
+    top is a coatom of some face G, and x = G & M for a mask M holding x but
+    not G; so dim x is one less than the least dim over above[x]."""
+    above: dict[int, list[int]] = {full: []}
+    stack = [full]
+    while stack:
+        m = stack.pop()
+        for mask in masks:
+            x = m & mask
+            if x and x != m:
+                if x not in above:
+                    stack.append(x)
+                above.setdefault(x, []).append(m)
+    dims: dict[int, int] = {}
+    for x in sorted(above, key=int.bit_count, reverse=True):
+        dims[x] = min((dims[m] - 1 for m in above[x]), default=top)
+    return dims
 
 
 def reference_brute_force_face_lattice(p: Polytope, bound: int = ORACLE_BOUND) -> FaceLattice:
@@ -194,7 +217,7 @@ def reference_brute_force_face_lattice(p: Polytope, bound: int = ORACLE_BOUND) -
     n = len(p.vertices)
     if n > bound:
         raise OracleBoundError("oracle bound exceeded")
-    by_dim: dict[int, list[Face]] = {p.dim: [Face(frozenset(range(n)), p.dim)]}
+    by_dim: dict[int, list[tuple[int, ...]]] = {p.dim: [tuple(range(n))]}
     # Vertex i as the integer row (v, -1) times a positive scale: the rows of
     # S span a space of dimension dim aff(S) + 1 that holds the row of every
     # point of aff(S) and of no other.
@@ -213,8 +236,8 @@ def reference_brute_force_face_lattice(p: Polytope, bound: int = ORACLE_BOUND) -
             if any(span.contains(rows[v]) for v in outside):
                 continue
             if _is_face_lp(rows, span, outside):
-                by_dim.setdefault(dim, []).append(Face(frozenset(subset), dim))
-    return FaceLattice(by_dim)
+                by_dim.setdefault(dim, []).append(subset)
+    return FaceLattice(by_dim, frozenset)
 
 
 def paraboloid(d, n, b, seed):
@@ -582,12 +605,18 @@ class TestSmallerSideClosure:
     # face_lattice closes the incidence from its side with fewer sets; the
     # facet closure, which once served every polytope, and the affine
     # dimension of every closed facet set give the same faces in the same
-    # order, whichever side is closed.
+    # order, whichever side is closed.  The closure by falling bit count
+    # gives the dimensions that the closure over parent lists gave, on both
+    # sides of the incidence.
     @staticmethod
     def assert_matches_references(p):
         got = face_lattice(p).faces_by_dimension
         assert got == _lattice_from_facets(p).faces_by_dimension
         assert got == reference_faces_by_dimension(p)
+        vertex_masks = [sum(1 << i for i in f.vertex_indices) for f in p.facets]
+        for masks, n in [(vertex_masks, len(p.vertices)), (p.facet_masks, len(p.facets))]:
+            full = (1 << n) - 1
+            assert polytope._closure(masks, full, p.dim) == reference_closure(masks, full, p.dim)
 
     @pytest.mark.parametrize(
         "spec, side",
@@ -621,11 +650,22 @@ class TestSmallerSideClosure:
     def test_points(self, point):
         self.assert_matches_references(point_polytope(point))
 
+    def test_shadows_of_cube4(self):
+        # The 3-dimensional shadows of cube:4 along general directions, where
+        # keeping the first dimension found for a set, not the least, gives
+        # wrong dimensions.
+        p, rng = generate("cube:4"), random.Random(0)
+        for _ in range(20):
+            direction = vec(*(rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]) for _ in range(4)))
+            shadow = project_along(p, direction).polytope
+            assert shadow.dim == 3
+            self.assert_matches_references(shadow)
+
 
 @pytest.fixture
 def mask_ands(monkeypatch) -> Counter:
     """Counts of the mask ANDs that face_lattice makes: those of the
-    closure and those of reading faces back off its sets."""
+    closure and those of reading faces back off its sets, on first use."""
     counts = Counter()
     closure = polytope._closure
 
@@ -645,10 +685,20 @@ def mask_ands(monkeypatch) -> Counter:
 
 # Mask ANDs per face_lattice call at seed 0, which depend on no machine.
 # The closure ANDs each of its sets with each of its masks, min(n, m) of
-# them, and the vertex side reads each proper face's vertices off its facet
-# set with n more.  The reference facet closure makes f·m for f faces: 46,656
-# for crosspolytope:6, 8,748 for cube:6 and 144,102 for random:5,20,10.
+# them.  Faces are read only on first use, so face_lattice alone makes
+# only these: crosspolytope:6 and random:5,20,10 no longer read each proper
+# face's vertices off its facet set (728·12 and 986·20 fewer ANDs).  The
+# reference facet closure makes f·m for f faces: 46,656 for crosspolytope:6,
+# 8,748 for cube:6 and 144,102 for random:5,20,10.
 MASK_ANDS = {
+    "crosspolytope:6": 729 * 12,
+    "cube:6": 729 * 12,
+    "random:5,20,10": 987 * 20,
+}
+# Reading every face (all_faces) adds the vertex side's readback: n ANDs per
+# proper face, tested against each vertex's facet mask.  The facet side
+# reads the set bits of each mask, with no AND.
+ALL_FACES_MASK_ANDS = {
     "crosspolytope:6": 729 * 12 + 728 * 12,
     "cube:6": 729 * 12,
     "random:5,20,10": 987 * 20 + 986 * 20,
@@ -658,8 +708,75 @@ MASK_ANDS = {
 @pytest.mark.parametrize("spec", sorted(MASK_ANDS))
 def test_mask_ands(spec, mask_ands):
     p = generate(spec, seed=0)
-    face_lattice(p)
+    lat = face_lattice(p)
     assert mask_ands["and"] == MASK_ANDS[spec]
+    list(lat.all_faces())
+    assert mask_ands["and"] == ALL_FACES_MASK_ANDS[spec]
+
+
+@pytest.fixture
+def face_reads(monkeypatch) -> Counter:
+    """Counts of the Faces that lattices build and of the sets whose vertex
+    indices they read, for every FaceLattice made while it is active."""
+    counts = Counter()
+    init, face = FaceLattice.__init__, polytope.Face
+
+    def counting_init(self, sets_by_dimension, read):
+        def counting_read(s):
+            counts["read"] += 1
+            return read(s)
+
+        init(self, sets_by_dimension, counting_read)
+
+    def counting_face(*args):
+        counts["face"] += 1
+        return face(*args)
+
+    monkeypatch.setattr(FaceLattice, "__init__", counting_init)
+    monkeypatch.setattr(polytope, "Face", counting_face)
+    return counts
+
+
+class TestLazyFaces:
+    # Counting faces builds none: f_vector reads each dimension's count, and
+    # a dimension's faces are read and built once, on first use.
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: generate("crosspolytope:6"),
+            lambda: generate("random:5,20,10", seed=0),
+            lambda: generate("cube:6"),
+            lambda: point_polytope(vec(2, 3)),
+        ],
+        ids=["crosspolytope:6", "random:5,20,10", "cube:6", "point"],
+    )
+    def test_f_vector_builds_no_face(self, make, face_reads):
+        p = make()
+        lat = face_lattice(p)
+        fv = f_vector(lat)
+        assert face_reads == Counter()
+        assert fv == tuple(len(lat.faces(c)) for c in range(p.dim + 1))
+        assert face_reads == Counter(read=sum(fv), face=sum(fv))
+        list(lat.all_faces())
+        assert face_reads == Counter(read=sum(fv), face=sum(fv))
+
+    @staticmethod
+    def assert_counts_are_face_counts(lat):
+        for c in range(-2, lat.dim + 3):
+            assert lat.count(c) == len(lat.faces(c))
+
+    @given(hull_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_hulls_their_facet_pieces_and_the_oracle(self, pts):
+        if len(set(pts)) < 2:
+            return
+        p = build_polytope(pts)
+        self.assert_counts_are_face_counts(face_lattice(p))
+        if len(p.vertices) <= 8:
+            self.assert_counts_are_face_counts(brute_force_face_lattice(p))
+        if p.dim >= 2:
+            for i in range(len(p.facets)):
+                self.assert_counts_are_face_counts(face_lattice(facet_polytope(p, i)))
 
 
 def subset_scan(p, face):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerlab import polytope
-from eulerlab.acceptance import _tilted_screen
+from eulerlab.acceptance import FAMILY_SPECS, RANDOM_SPECS, _tilted_screen
 from eulerlab.errors import DimensionMismatchError, GeneralPositionError
 from eulerlab.euler import f_vector
 from eulerlab.linalg import (
@@ -21,9 +21,7 @@ from eulerlab.linalg import (
     is_zero,
     lift_points,
     nullspace,
-    vadd,
     vec,
-    vscale,
     vsub,
 )
 from eulerlab.polytope import build_polytope, face_lattice, facet_polytope, generate
@@ -34,7 +32,8 @@ from eulerlab.projection import (
     project_from_point,
     schlegel,
 )
-from spans import face_points
+from spans import face_points, vadd, vscale
+from test_polytope import hull_inputs
 from volumes import volume
 
 
@@ -73,8 +72,52 @@ class TestBeyondPoint:
 
     def test_rejects_non_facet(self):
         p = generate("cube:3")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="facet index 17 out of range"):
             beyond_point(p, 17)
+        with pytest.raises(ValueError, match="facet index -1 out of range"):
+            beyond_point(p, -1)
+
+
+def fraction_beyond_point(p, i):
+    """beyond_point as it was before it ran on ints: the same halving search
+    on Fraction points, with Hyperplane.side on every facet."""
+    if not 0 <= i < len(p.facets):
+        raise ValueError(f"facet index {i} out of range")
+    h = p.facets[i].hyperplane
+    center = barycenter(p.facet_vertices(i))
+    step = Fraction(1)
+    while True:
+        cand = vadd(center, vscale(h.normal, step))
+        if h.side(cand) > 0 and all(
+            f.hyperplane.side(cand) < 0 for j, f in enumerate(p.facets) if j != i
+        ):
+            return cand
+        step /= 2
+
+
+class TestIntegerBeyondPointAgainstReference:
+    # The search on lifted vertices and int planes returns the point that
+    # the Fraction search returned, on every facet.
+    @staticmethod
+    def assert_matches_reference(p):
+        for i in range(len(p.facets)):
+            assert beyond_point(p, i) == fraction_beyond_point(p, i)
+
+    @pytest.mark.parametrize("spec", [s for s in FAMILY_SPECS if not s.endswith(":1")])
+    def test_families(self, spec):
+        self.assert_matches_reference(generate(spec))
+
+    def test_seeded_clouds(self):
+        for spec, seed in RANDOM_SPECS:
+            self.assert_matches_reference(generate(spec, seed))
+
+    @given(hull_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_hulls(self, pts):
+        if len(set(pts)) >= 2:
+            p = build_polytope(pts)
+            self.assert_matches_reference(p)
+            self.assert_matches_reference(shifted(p))
 
 
 def assert_faces_are_source_faces(p, t):

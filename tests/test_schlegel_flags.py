@@ -18,7 +18,6 @@ from eulerlab.linalg import (
     is_zero,
     lift,
     lift_points,
-    vscale,
     vsub,
 )
 from eulerlab.polytope import face_lattice, generate
@@ -31,7 +30,7 @@ from eulerlab.schlegel_flags import (
     sample_general_line,
     verify_proof_schlegel,
 )
-from spans import through
+from spans import through, vscale
 
 
 def reference_sample_general_line(complex, seed):
