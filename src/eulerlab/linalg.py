@@ -4,15 +4,16 @@ Vectors are plain tuples of :class:`fractions.Fraction`, matrices lists of
 such rows.  Predicates (rank, incidence, sidedness) are decided exactly, on
 Fractions or on ints: `lift` and `lift_points` scale a row or a point set by
 one positive integer, which moves no sign, and `reduce_lifted` restates int
-points over a scale as `lift_points` gives them.  One fraction-free (Bareiss)
-pivot step, `_pivot`, serves the package's two kernels: the incremental
-Gauss-Jordan elimination of `SpanBuilder`, which rank, nullspace, solve,
-affine hulls and their int charts run on, and the phase-1 simplex of
-`linear_feasible`.  Both take ints only, much faster than Fraction pivoting
-at this scale; rationals become ints once, where they enter: `_span` lifts
-each row, `affine_hull` and `affine_dim` their point set, and a caller of the
-simplex each row with its rhs.  The simplex pivots each free variable in
-once, and keeps its objective as one more tableau row.
+points over a scale as `lift_points` gives them.  Two kernels run on
+fraction-free (Bareiss) steps: `SpanBuilder`, which rank, nullspace, solve,
+affine hulls and their int charts run on, reduces each new row forward
+against its echelon rows and builds the RREF only when it is read; the
+phase-1 simplex of `linear_feasible` takes Gauss-Jordan steps, `_pivot`.
+Both take ints only, much faster than Fraction pivoting at this scale;
+rationals become ints once, where they enter: `_span` lifts each row,
+`affine_hull` and `affine_dim` their point set, and a caller of the simplex
+each row with its rhs.  The simplex pivots each free variable in once, and
+keeps its objective as one more tableau row.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def reduce_lifted(scale: int, points: Sequence[Sequence[int]]) -> tuple[int, lis
 
 
 def _pivot(mat: list[list[int]], r: int, col: int, prev: int) -> int:
-    """One fraction-free Gauss-Jordan step on mat[r][col]; returns the pivot.
+    """One fraction-free Gauss-Jordan step on mat[r][col] (the simplex's); returns the pivot.
 
     Every other row becomes (p*a - f*b) // prev, where f is its entry in the
     pivot column; a row with f = 0 must be scaled too unless p == prev.  By
@@ -125,67 +126,97 @@ class SpanBuilder:
     """Incrementally maintained row space: the package's exact elimination.
 
     Takes int rows only; a caller with rationals lifts them first (`_span`
-    does).  Holds integer rows that are d times the reduced row echelon form
-    of the span, in the order they were added.  A new row's pivot is its first
+    does).  Holds the rows in fraction-free echelon form (Bareiss 1968), in
+    the order they were added: each new row reduced forward against the rows
+    before it, and never touched again.  A new row's pivot c_i is its first
     nonzero column after reduction, and no column that depends on earlier
     ones over the row space can come first, so the pivots are exactly the
-    RREF pivots.
+    RREF pivots; p_i is the row's entry there.  `_rows`, d times the reduced
+    row echelon form with d = p_t, is built on its first read after an add.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self._rows: list[list[int]] = []
+        self._echelon: list[list[int]] = []
         self._pivots: list[int] = []
-        self._d = 1
+        self._rref: Optional[list[list[int]]] = None
 
     def _reduce(self, v: Sequence[int]) -> list[int]:
-        """The row the kernel would hold for the int row v after the span's
-        pivot steps: d*v minus the span rows weighted by v's pivot-column
-        entries.  It is zero exactly when v lies in the span."""
+        """The int row v after one Bareiss step per stored row, in order: w
+        becomes (p_i*w - w[c_i]*r_i) // p_(i-1), with p_0 = 1, exact by
+        Sylvester's identity, so w[c_i] = 0 still scales w by p_i/p_(i-1).
+        That is d*v minus the RREF rows weighted by v's pivot-column
+        entries; it is zero exactly when v lies in the span."""
         if len(v) != self.width:
-            raise DimensionMismatchError(
-                f"row of length {len(v)} in a span of width {self.width}"
-            )
-        w = [self._d * a for a in v]
-        for row, p in zip(self._rows, self._pivots):
-            f = v[p]
-            if f:
-                w = [a - f * b for a, b in zip(w, row)]
-        return w
+            raise DimensionMismatchError(f"row of length {len(v)} in a span of width {self.width}")
+        w, prev = v, 1
+        for row, c in zip(self._echelon, self._pivots):
+            p, f = row[c], w[c]
+            w = [(p * a - f * b) // prev for a, b in zip(w, row)]
+            prev = p
+        return w if self._echelon else list(v)
 
     def contains(self, v: Sequence[int]) -> bool:
-        return not any(self._reduce(v))
+        """Whether v lies in the span, on zero-ness alone: a step here is
+        p_i*w - w[c_i]*r_i, undivided and skipped where w[c_i] = 0, so w
+        stays a nonzero multiple of the `_reduce` row."""
+        if len(v) != self.width:
+            raise DimensionMismatchError(f"row of length {len(v)} in a span of width {self.width}")
+        w = v
+        for row, c in zip(self._echelon, self._pivots):
+            if f := w[c]:
+                p = row[c]
+                w = [p * a - f * b for a, b in zip(w, row)]
+        return not any(w)
 
     def add(self, v: Sequence[int]) -> bool:
         """Add v to the span; True if it enlarged the space."""
         red = self._reduce(v)
-        col = next((c for c, x in enumerate(red) if x), None)
-        if col is None:
-            return False
-        self._rows.append(red)
-        self._pivots.append(col)
-        self._d = _pivot(self._rows, len(self._rows) - 1, col, self._d)
-        return True
+        for col, x in enumerate(red):
+            if x:
+                self._echelon.append(red)
+                self._pivots.append(col)
+                self._rref = None
+                return True
+        return False
 
     def copy(self) -> "SpanBuilder":
-        """The same span, sharing rows, which `_pivot` rebinds but never changes."""
+        """The same span, sharing its rows and RREF, which no add changes."""
         other = SpanBuilder(self.width)
-        other._rows, other._pivots, other._d = self._rows[:], self._pivots[:], self._d
+        other._echelon, other._pivots, other._rref = self._echelon[:], self._pivots[:], self._rref
         return other
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
+
+    @property
+    def _d(self) -> int:
+        return self._echelon[-1][self._pivots[-1]] if self._pivots else 1
+
+    @property
+    def _rows(self) -> list[list[int]]:
+        """d times the RREF, by back-substitution from the last row: R_t = r_t
+        and R_i = (d*r_i - sum over j > i of r_i[c_j]*R_j) // p_i."""
+        if self._rref is None:
+            d, done = self._d, []
+            for row, c in zip(reversed(self._echelon), reversed(self._pivots)):
+                w = [d * a for a in row]
+                for r, cj in done:
+                    if f := row[cj]:
+                        w = [a - f * b for a, b in zip(w, r)]
+                done.append(([a // row[c] for a in w], c))
+            self._rref = [r for r, _ in reversed(done)]
+        return self._rref
 
     def integer_nullspace(self) -> list[list[int]]:
         """Basis of {x : row·x = 0 for every row of the span} times |d|, in
         ints: per free column, |d| there, 0 in the other free columns, and in
-        each pivot column minus its row's entry times the sign of d (the rows
-        are d times the RREF)."""
-        cols, rows = range(self.width), dict(zip(self._pivots, self._rows))
-        sign = 1 if self._d > 0 else -1
+        each pivot column minus its `_rows` entry times the sign of d."""
+        d, cols, rows = self._d, range(self.width), dict(zip(self._pivots, self._rows))
+        sign = 1 if d > 0 else -1
         return [
-            [sign * (self._d if c == fc else -rows[c][fc] if c in rows else 0) for c in cols]
+            [sign * (d if c == fc else -rows[c][fc] if c in rows else 0) for c in cols]
             for fc in cols
             if fc not in rows
         ]

@@ -109,10 +109,7 @@ class FaceLattice:
         return top
 
     def vertex_set_families(self) -> dict[int, frozenset[frozenset[int]]]:
-        return {
-            c: frozenset(f.vertex_indices for f in faces)
-            for c, faces in self.faces_by_dimension.items()
-        }
+        return {c: frozenset(map(self._read, sets)) for c, sets in self._sets.items()}
 
     def same_faces(self, other: "FaceLattice") -> bool:
         return self.vertex_set_families() == other.vertex_set_families()

@@ -11,17 +11,35 @@ from eulerlab.linalg import Hyperplane
 
 @pytest.fixture
 def work_counts(monkeypatch) -> Counter:
-    """Counts of exact pivot steps, hyperplane side tests and Fraction hashes
-    made while the test runs; clear() it to start a count.  The hull's
-    integer side tests count one per plane of each `_sides` call.  None
-    depends on the machine."""
+    """Counts of exact pivot steps, span row steps, hyperplane side tests
+    and Fraction hashes made while the test runs; clear() it to start a
+    count.  "pivot" counts the simplex's Gauss-Jordan steps.  "step" counts
+    a span's row steps: one per stored row for each row it reduces
+    (`_reduce`, `contains`), and one per pair of rows when it builds its
+    RREF.  The hull's integer side tests count one per plane of each
+    `_sides` call.  None depends on the machine."""
     counts = Counter()
     pivot, side, fraction_hash = linalg._pivot, Hyperplane.side, Fraction.__hash__
     sides = polytope._sides
+    SpanBuilder = linalg.SpanBuilder
+    reduce, contains, rref = SpanBuilder._reduce, SpanBuilder.contains, SpanBuilder._rows.fget
 
     def counting_pivot(*args):
         counts["pivot"] += 1
         return pivot(*args)
+
+    def counting_reduce(self, v):
+        counts["step"] += self.rank
+        return reduce(self, v)
+
+    def counting_contains(self, v):
+        counts["step"] += self.rank
+        return contains(self, v)
+
+    def counting_rref(self):
+        if self._rref is None:
+            counts["step"] += self.rank * (self.rank - 1) // 2
+        return rref(self)
 
     def counting_side(self, point):
         counts["side"] += 1
@@ -37,6 +55,9 @@ def work_counts(monkeypatch) -> Counter:
         return fraction_hash(self)
 
     monkeypatch.setattr(linalg, "_pivot", counting_pivot)
+    monkeypatch.setattr(SpanBuilder, "_reduce", counting_reduce)
+    monkeypatch.setattr(SpanBuilder, "contains", counting_contains)
+    monkeypatch.setattr(SpanBuilder, "_rows", property(counting_rref))
     monkeypatch.setattr(Hyperplane, "side", counting_side)
     monkeypatch.setattr(polytope, "_sides", counting_sides)
     monkeypatch.setattr(Fraction, "__hash__", counting_hash)

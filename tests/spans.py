@@ -3,16 +3,20 @@ samplers made before they certified lines from facet normals alone.  The
 reference samplers, and the tests that re-prove a sampled line's general
 position face by face, build on these, and read a face's points with
 face_points.  `to_working` is the rational chart that the int chart
-`AffineSubspace.chart` replaced."""
+`AffineSubspace.chart` replaced, and `GaussJordanSpan` is the span that
+kept d times the RREF current on every add, before `SpanBuilder` held
+echelon rows and built the RREF on first read."""
 
 from fractions import Fraction
 from operator import mul
-from typing import Optional
+from typing import Optional, Sequence
 
+from eulerlab.errors import DimensionMismatchError
 from eulerlab.linalg import (
     Hyperplane,
     SpanBuilder,
     Vector,
+    _pivot,
     dot,
     is_zero,
     lift,
@@ -90,3 +94,73 @@ def line_hyperplane_intersection(
         return None
     t = (h.offset - dot(h.normal, line_point)) / denom
     return vadd(line_point, vscale(line_dir, t))
+
+
+class GaussJordanSpan:
+    """Incrementally maintained row space: the package's exact elimination.
+
+    Takes int rows only; a caller with rationals lifts them first (`_span`
+    does).  Holds integer rows that are d times the reduced row echelon form
+    of the span, in the order they were added.  A new row's pivot is its first
+    nonzero column after reduction, and no column that depends on earlier
+    ones over the row space can come first, so the pivots are exactly the
+    RREF pivots.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self._rows: list[list[int]] = []
+        self._pivots: list[int] = []
+        self._d = 1
+
+    def _reduce(self, v: Sequence[int]) -> list[int]:
+        """The row the kernel would hold for the int row v after the span's
+        pivot steps: d*v minus the span rows weighted by v's pivot-column
+        entries.  It is zero exactly when v lies in the span."""
+        if len(v) != self.width:
+            raise DimensionMismatchError(
+                f"row of length {len(v)} in a span of width {self.width}"
+            )
+        w = [self._d * a for a in v]
+        for row, p in zip(self._rows, self._pivots):
+            f = v[p]
+            if f:
+                w = [a - f * b for a, b in zip(w, row)]
+        return w
+
+    def contains(self, v: Sequence[int]) -> bool:
+        return not any(self._reduce(v))
+
+    def add(self, v: Sequence[int]) -> bool:
+        """Add v to the span; True if it enlarged the space."""
+        red = self._reduce(v)
+        col = next((c for c, x in enumerate(red) if x), None)
+        if col is None:
+            return False
+        self._rows.append(red)
+        self._pivots.append(col)
+        self._d = _pivot(self._rows, len(self._rows) - 1, col, self._d)
+        return True
+
+    def copy(self) -> "GaussJordanSpan":
+        """The same span, sharing rows, which `_pivot` rebinds but never changes."""
+        other = GaussJordanSpan(self.width)
+        other._rows, other._pivots, other._d = self._rows[:], self._pivots[:], self._d
+        return other
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def integer_nullspace(self) -> list[list[int]]:
+        """Basis of {x : row·x = 0 for every row of the span} times |d|, in
+        ints: per free column, |d| there, 0 in the other free columns, and in
+        each pivot column minus its row's entry times the sign of d (the rows
+        are d times the RREF)."""
+        cols, rows = range(self.width), dict(zip(self._pivots, self._rows))
+        sign = 1 if self._d > 0 else -1
+        return [
+            [sign * (self._d if c == fc else -rows[c][fc] if c in rows else 0) for c in cols]
+            for fc in cols
+            if fc not in rows
+        ]

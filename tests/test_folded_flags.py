@@ -90,7 +90,7 @@ def reference_sample_transversal(p, seed, facet_pair=None):
             # The line must miss each face's affine hull, base + span, and
             # must not be parallel to a face of dimension >= 1.
             if c >= 1:
-                good = not span.contains(direction)
+                good = not span.contains(lift(direction))
                 entries.append(CertificateEntry("direction-independent", (c, idx), good))
                 if not good:
                     continue
@@ -462,7 +462,7 @@ class TestSampleTransversal:
                     pts = face_points(p, face)
                     span = through(pts)
                     if c >= 1:
-                        assert not span.contains(line.direction)
+                        assert not span.contains(lift(line.direction))
                     if c <= p.dim - 2:
                         assert not meets_line(span, vsub(line.t1, pts[0]), line.direction)
 

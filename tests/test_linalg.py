@@ -35,7 +35,8 @@ from eulerlab.linalg import (
     vec,
     vsub,
 )
-from spans import line_hyperplane_intersection, meets_line, through, to_working
+from spans import GaussJordanSpan, line_hyperplane_intersection, meets_line, through, to_working
+import volumes
 from volumes import det
 
 F = Fraction
@@ -461,6 +462,116 @@ class TestSpanBuilder:
             solve_linear(ragged, [F(1), F(2)])
 
 
+BIG = 10**40
+
+
+def span_entries():
+    """Ints with many zeros, small values and values near ±10^40."""
+    return st.one_of(
+        st.just(0),
+        st.integers(-3, 3),
+        st.integers(-3, 3).map(lambda k: BIG + k),
+        st.integers(-3, 3).map(lambda k: -BIG + k),
+    )
+
+
+@st.composite
+def span_streams(draw):
+    """(width, steps): each step is a row, whether to read the spans after
+    it, and a row for a copy, or None.  A row has zeros in some fixed
+    columns, and may be an int combination of the rows before it."""
+    width = draw(st.integers(1, 8))
+    zero = draw(st.sets(st.integers(0, width - 1), max_size=width - 1))
+    rows, steps = [], []
+    for _ in range(draw(st.integers(1, 10))):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            row = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(width)]
+        else:
+            row = [0 if j in zero else draw(span_entries()) for j in range(width)]
+        rows.append(row)
+        fork = draw(st.none() | st.lists(span_entries(), min_size=width, max_size=width))
+        steps.append((row, draw(st.booleans()), fork))
+    return width, steps
+
+
+def assert_same_reads(span, ref, probe):
+    assert span.rank == ref.rank and span._pivots == ref._pivots
+    assert span._d == ref._d and span._rows == ref._rows
+    assert span.integer_nullspace() == ref.integer_nullspace()
+    assert span._reduce(probe) == ref._reduce(probe)
+    assert span.contains(probe) == ref.contains(probe)
+
+
+class TestEchelonSpan:
+    # SpanBuilder holds forward (Bareiss) echelon rows and builds d times the
+    # RREF on first read; GaussJordanSpan kept that RREF current on every
+    # add.  Every result and every read must be the same int.
+    @given(span_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_gauss_jordan(self, stream):
+        width, steps = stream
+        span, ref = SpanBuilder(width), GaussJordanSpan(width)
+        for row, read, fork in steps:
+            assert span.contains(row) == ref.contains(row)
+            assert span.add(row) == ref.add(row)
+            assert span.rank == ref.rank and span._pivots == ref._pivots
+            if read:
+                assert_same_reads(span, ref, row)
+            if fork is not None:
+                # The oracle's pattern: read, copy, add to the copy, read both.
+                copied, ref_copied = span.copy(), ref.copy()
+                assert copied.add(fork) == ref_copied.add(fork)
+                assert_same_reads(copied, ref_copied, row)
+                assert_same_reads(span, ref, fork)
+
+    def test_copy_drops_only_its_own_cache(self):
+        span = SpanBuilder(3)
+        span.add([2, 1, 0])
+        rows = span._rows
+        other = span.copy()
+        assert other._rows is rows
+        other.add([0, 3, 1])
+        assert span._rows is rows and other._rows == [[6, 0, -1], [0, 6, 2]]
+
+    @given(
+        lines_and_hulls(max_width=6, max_points=6),
+        st.lists(st.lists(st.integers(-9, 9), min_size=6, max_size=6), max_size=4),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_charts_match_gauss_jordan(self, drawn, ys, scale):
+        # The same frame charted through SpanBuilder and through the Gauss-
+        # Jordan span: the same ints, or both refuse the same point.
+        _, _, pts = drawn
+        sub = affine_hull(pts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "SpanBuilder", GaussJordanSpan)
+            ref = AffineSubspace(sub.base_point, sub.direction_basis)
+            ref._chart  # built on the Gauss-Jordan span
+        n = len(sub.base_point)
+        for y in ([0] * n, *(y[:n] for y in ys)):
+            try:
+                expected = ref.chart(scale, [y])
+            except ValueError:
+                with pytest.raises(ValueError, match="point not on the affine subspace"):
+                    sub.chart(scale, [y])
+            else:
+                assert sub.chart(scale, [y]) == expected
+
+    @given(matrices(max_rows=6, max_cols=6, entries=sparse_rationals), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_solve_nullspace_and_det_match_gauss_jordan(self, rows, data):
+        width = len(rows[0])
+        rhs = data.draw(st.lists(sparse_rationals(), min_size=len(rows), max_size=len(rows)))
+        square = rows[:width] if len(rows) >= width else None
+        got = nullspace(rows, width), solve_linear(rows, rhs), square and det(square)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "SpanBuilder", GaussJordanSpan)
+            mp.setattr(volumes, "SpanBuilder", GaussJordanSpan)
+            assert got == (nullspace(rows, width), solve_linear(rows, rhs), square and det(square))
+
+
 class TestIntKernel:
     # SpanBuilder takes int rows only; rationals are lifted once, where they
     # enter linalg, and a Fraction row would be floored, not refused.
@@ -639,7 +750,7 @@ class TestAffine:
         work_counts.clear()
         for t in range(5):
             assert chart_point(sub, vec(1 + t, 2 - 3 * t, 3, 4 + t)) == (F(t), F(2 * t))
-        assert work_counts["pivot"] == 0
+        assert work_counts["pivot"] == work_counts["step"] == 0
 
 
 def chart_point(sub, x):

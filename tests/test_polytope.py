@@ -778,6 +778,34 @@ class TestLazyFaces:
             for i in range(len(p.facets)):
                 self.assert_counts_are_face_counts(face_lattice(facet_polytope(p, i)))
 
+    @staticmethod
+    def assert_families_build_no_face(lat):
+        def no_face(*args):
+            raise AssertionError("vertex_set_families built a Face")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polytope, "Face", no_face)
+            families = lat.vertex_set_families()
+        assert families == {
+            c: frozenset(f.vertex_indices for f in faces)
+            for c, faces in lat.faces_by_dimension.items()
+        }
+
+    @given(hull_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_families_of_hulls_shadows_and_the_oracle(self, pts):
+        # Each family is its dimension's stored sets, read; the same sets
+        # as the faces' vertex indices, with no Face built.
+        if len(set(pts)) < 2:
+            return
+        p = build_polytope(pts)
+        self.assert_families_build_no_face(face_lattice(p))
+        if len(p.vertices) <= 8:
+            self.assert_families_build_no_face(brute_force_face_lattice(p))
+        if p.dim >= 2:
+            shadow = project_along(p, tuple(F(3**j) for j in range(p.dim)))
+            self.assert_families_build_no_face(face_lattice(shadow.polytope))
+
 
 def subset_scan(p, face):
     """The facets whose vertex sets contain the face's, ascending."""
@@ -812,25 +840,27 @@ class TestFacetsOf:
         assert point_polytope(vec(1, 2)).facets_of(Face(frozenset({0}), 0)) == ()
 
 
-# Exact pivot steps, side tests and Fraction hashes for generate plus
-# face_lattice at seed 0.
+# Span row steps, side tests and Fraction hashes for generate plus
+# face_lattice at seed 0 (the `work_counts` fixture says what each counts).
 # These depend on no machine; a change that moves them on purpose restates
 # them here and says why.  The input's points are lifted to ints once and
 # repeats are dropped on those ints, so no Fraction is hashed (hash was
 # n·d when the Fraction points were).  One affine basis of the lifted points
-# gives both the dimension and the initial simplex: d pivots, where the
-# frame and the simplex once took d each.  The hull eliminates only for its
-# initial simplex's d + 1 planes: a horizon ridge is found on the facet
-# masks and its new plane is an int combination of the two facets' planes.
-# When each candidate ridge took one _plane elimination the pivots were
-# 231, 277, 1,141 and 40,945; what remains is mostly `_assemble`'s span
-# check of each facet and the lattice.  random:7,30,100 ends with 1,940
+# gives both the dimension and the initial simplex.  The hull eliminates
+# only for its initial simplex's d + 1 planes: a horizon ridge is found on
+# the facet masks and its new plane is an int combination of the two
+# facets' planes.  When each candidate ridge took one _plane elimination
+# the Gauss-Jordan pivots were 231, 277, 1,141 and 40,945, and then 69,
+# 157, 283 and 11,695, mostly `_assemble`'s span check of each facet.  The
+# span now reduces each row forward, one step per stored row, and builds
+# its RREF only for `_plane`'s nullspace, so no pivot is left here; the
+# steps are mostly that span check.  random:7,30,100 ends with 1,940
 # facets; its side tests are all the hull's, one per plane for each point.
 WORK_COUNTS = {
-    "cube:5": {"pivot": 69, "side": 252, "hash": 0},
-    "crosspolytope:5": {"pivot": 157, "side": 40, "hash": 0},
-    "random:4,30,10": {"pivot": 283, "side": 1216, "hash": 0},
-    "random:7,30,100": {"pivot": 11695, "side": 13556, "hash": 0},
+    "cube:5": {"step": 571, "side": 252, "hash": 0},
+    "crosspolytope:5": {"step": 283, "side": 40, "hash": 0},
+    "random:4,30,10": {"step": 300, "side": 1216, "hash": 0},
+    "random:7,30,100": {"step": 29361, "side": 13556, "hash": 0},
 }
 
 
@@ -963,23 +993,28 @@ def test_lp_calls(spec):
     assert lp_calls(brute_force_face_lattice, generate(spec, seed=0))[1] == LP_CALLS[spec]
 
 
-# Exact pivot steps of one oracle run at seed 0: one span pivot per row
-# that grows a subset's span, plus the LPs' pivots.  They depend on no
-# machine.  The flat walk built each subset's span from scratch and the LP
-# split every free variable as y = u - w: 1,402, 1,109 and 321, of which
-# 938, 868 and 180 span pivots.  The prefix tree adds one row to its
-# parent's span per subset it visits (169, 128 and 56 span pivots), and
-# the LP pivots each free variable in once (300, 159 and 105 LP pivots,
-# from 464, 241 and 141).
-ORACLE_PIVOTS = {"crosspolytope:4": 469, "cube:3": 287, "random:3,8,6": 161}
+# The LPs' pivots and the spans' row steps of one oracle run at seed 0.
+# They depend on no machine.  The flat walk built each subset's span from
+# scratch and the LP split every free variable as y = u - w: 1,402, 1,109
+# and 321 pivots, of which 938, 868 and 180 span pivots.  The prefix tree
+# adds one row to its parent's span per subset it visits (169, 128 and 56
+# span pivots), and the LP pivots each free variable in once (300, 159 and
+# 105 LP pivots, from 464, 241 and 141).  The span no longer pivots: its
+# steps are one per stored row for each row it adds or tests with
+# `contains`, and one per pair of rows for each RREF `_is_face_lp` reads.
+ORACLE_WORK = {
+    "crosspolytope:4": {"pivot": 300, "step": 2532},
+    "cube:3": {"pivot": 159, "step": 1460},
+    "random:3,8,6": {"pivot": 105, "step": 505},
+}
 
 
-@pytest.mark.parametrize("spec", sorted(ORACLE_PIVOTS))
+@pytest.mark.parametrize("spec", sorted(ORACLE_WORK))
 def test_oracle_pivots(spec, work_counts):
     p = generate(spec, seed=0)
     work_counts.clear()
     brute_force_face_lattice(p)
-    assert work_counts["pivot"] == ORACLE_PIVOTS[spec]
+    assert work_counts == Counter(ORACLE_WORK[spec])
 
 
 class TestGenerate:

@@ -50,7 +50,7 @@ def reference_sample_general_line(complex, seed):
         if is_zero(cand):
             return None
         entries = tuple(
-            CertificateEntry("direction-independent", (c, idx), not sb.contains(cand))
+            CertificateEntry("direction-independent", (c, idx), not sb.contains(lift(cand)))
             for c, idx, sb in spans
         )
         if all(e.ok for e in entries):
