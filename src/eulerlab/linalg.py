@@ -39,11 +39,13 @@ def vec(*coords) -> Vector:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the canonical text form 'p' or 'p/q' (q > 0)."""
+    """Parse the canonical text form 'p' or 'p/q' (q > 0): the regex checks
+    it, and one Fraction is built from p and q as ints."""
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den or 1))
 
 
 def format_rational(x: Fraction) -> str:
@@ -90,19 +92,20 @@ def rational_point(q: Sequence[int]) -> Vector:
     return tuple(Fraction(c, den) for c in nums)
 
 
-def lift_points(points: Sequence[Vector]) -> tuple[int, list[tuple[int, ...]]]:
+def lift_points(points: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """V, the lcm of every coordinate's denominator, and each point times V
-    as ints: one positive scale for all, so no sign and no incidence moves."""
+    as ints: one positive scale for all, so no sign and no incidence moves.
+    Coordinates are ints or Fractions; neither is copied."""
     scale = math.lcm(*(x.denominator for p in points for x in p))
-    return scale, [tuple(x.numerator * (scale // x.denominator) for x in p) for p in points]
+    return scale, tuple(tuple(x.numerator * (scale // x.denominator) for x in p) for p in points)
 
 
-def reduce_lifted(scale: int, points: Sequence[Sequence[int]]) -> tuple[int, list[tuple]]:
+def reduce_lifted(scale: int, points: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The points q/scale, scale > 0, as `lift_points` states them: scale
     and every coordinate over their gcd g.  Each denominator of q/scale is
     scale/gcd(q_j, scale), and their lcm is scale/g."""
     g = math.gcd(scale, *(c for q in points for c in q))
-    return scale // g, [tuple(c // g for c in q) for q in points]
+    return scale // g, tuple(tuple(c // g for c in q) for q in points)
 
 
 def _pivot(mat: list[list[int]], r: int, col: int, prev: int) -> int:
@@ -308,6 +311,17 @@ class AffineSubspace:
             out.append(tuple(w))
         return scale * abs(span._d), out
 
+    def embed(self, scale: int, ys: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
+        """The points base_point + (y_1*b_1 + ... + y_k*b_k)/scale for int
+        rows y, scale > 0, undoing `chart`: worked on ints over the lifted
+        base and basis, one Fraction per coordinate."""
+        s, (base, *basis) = lift_points([self.base_point, *self.direction_basis])
+        rows = list(zip(base, zip(*basis) if basis else [()] * len(base)))
+        return tuple(
+            rational_point((*(scale * c + sum(map(mul, y, col)) for c, col in rows), scale * s))
+            for y in ys
+        )
+
 
 @dataclass(frozen=True)
 class Hyperplane:
@@ -333,10 +347,16 @@ def affine_basis(points: Sequence[Sequence[int]]) -> list[int]:
     if not points:
         raise ValueError("no points")
     base = points[0]
-    span = SpanBuilder(len(base))
+    width = len(base)
+    span = SpanBuilder(width)
     chosen = [0]
     for i in range(1, len(points)):
-        if span.rank < span.width and span.add(vsub(points[i], base)):
+        if span.rank == width:
+            break
+        q = points[i]
+        if len(q) != width:
+            raise DimensionMismatchError(f"points of lengths {width} and {len(q)}")
+        if span.add([a - b for a, b in zip(q, base)]):
             chosen.append(i)
     return chosen
 

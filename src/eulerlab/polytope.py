@@ -2,19 +2,20 @@
 
 A Polytope stores its vertices in a full-dimensional "working" frame of its
 own intrinsic dimension; inputs of lower affine dimension are restated in a
-rational affine frame (the embedding is kept in `embedded_vertices` and
-`frame`).  Every polytope is assembled from int points over one scale: an
-input is lifted to ints once, in `build_polytope`, a facet piece starts from
-its parent's ints and a shadow from its int images.  One affine basis of
-those gives the frame, which charts them on ints, and the hull's initial
-simplex.  One integer elimination gives the simplex's facet planes and those
-a facet taken as a polytope (`facet_polytope`) reads off the parent's
-ridges; beneath-beyond insertion finds each horizon ridge on the facet masks
-and combines its two facets' planes into the new one.  Each facet keeps
-that plane as primitive ints and the mask of input points on it (bit i for
-point i); vertices, face dimensions and the facets holding a face are read off
-those masks alone.  Each polytope keeps its vertices' ints (`Polytope.lifted`)
-for the projections and the folded proof.  The face lattice closes the
+rational affine frame (`frame`, through which `embedded_vertices` are read).
+Every polytope is assembled from int points over one scale, and those ints
+(`Polytope.lifted`) are its state: the rational vertices are built from them
+only when read.  An input is lifted to ints once, in `build_polytope`, a
+facet piece starts from its parent's ints and a shadow from its int images.
+One affine basis of those gives the frame, which charts them on ints, and
+the hull's initial simplex.  One integer elimination gives the simplex's
+facet planes and those a facet taken as a polytope (`facet_polytope`) reads
+off the parent's ridges; beneath-beyond insertion finds each horizon ridge
+on the facet masks and combines its two facets' planes into the new one.
+Each facet keeps that plane as primitive ints and the mask of input points
+on it (bit i for point i); vertices, face dimensions and the facets holding
+a face are read off those masks alone.  The projections and the folded
+proof read the vertices' ints.  The face lattice closes the
 vertex-facet incidence under intersection, set by falling bit count, from its
 side with fewer masks: the facets' vertex masks, or, with fewer vertices than
 facets, the vertices' facet masks, whose closure is the lattice upside down.
@@ -52,7 +53,6 @@ from .linalg import (
     linear_feasible,
     rational_point,
     reduce_lifted,
-    vec,
     vsub,
 )
 
@@ -119,18 +119,20 @@ class FaceLattice:
 class Polytope:
     """Immutable V-polytope, full-dimensional in its working frame.
 
-    `vertices` are the extreme points in working coordinates (length = dim);
-    `embedded_vertices` are the same points in the original input frame and
-    equal `vertices` when no reframing happened (frame is None then).
-    `names` names each vertex: its index in the parent for a facet piece
-    (`facet_polytope`), its own index otherwise.  Names take no part in
-    equality, so a piece equals the hull of its points.
+    `lifted` is its state: V, the lcm of the vertex denominators, and each
+    vertex in working coordinates (length = dim) times V as ints, as
+    `lift_points` states them, so equal polytopes have equal `lifted`.
+    `vertices` are those points as Fractions and `embedded_vertices` the
+    same points in the original input frame, read through `frame` (equal to
+    `vertices` when no reframing happened, frame None); both are built on
+    first read.  `names` names each vertex: its index in the parent for a
+    facet piece (`facet_polytope`), its own index otherwise.  Names take no
+    part in equality, so a piece equals the hull of its points.
     """
 
     ambient_dim: int
     dim: int
-    vertices: tuple[Vector, ...]
-    embedded_vertices: tuple[Vector, ...]
+    lifted: tuple[int, tuple[tuple[int, ...], ...]]
     facets: tuple[Facet, ...]
     frame: Optional[AffineSubspace] = None
     names: tuple[int, ...] = field(compare=False, repr=False, kw_only=True)
@@ -140,11 +142,13 @@ class Polytope:
         return _lattice(self)
 
     @cached_property
-    def lifted(self) -> tuple[int, list[tuple[int, ...]]]:
-        """V, the lcm of the vertex denominators, and each vertex times V as
-        ints (`lift_points`).  `_assemble` stores them as it builds; a
-        Polytope made otherwise lifts its vertices on first use."""
-        return lift_points(self.vertices)
+    def vertices(self) -> tuple[Vector, ...]:
+        scale, points = self.lifted
+        return tuple(rational_point((*q, scale)) for q in points)
+
+    @cached_property
+    def embedded_vertices(self) -> tuple[Vector, ...]:
+        return self.vertices if self.frame is None else self.frame.embed(*self.lifted)
 
     def facet_vertices(self, i: int) -> tuple[Vector, ...]:
         return tuple(self.vertices[j] for j in sorted(self.facets[i].vertex_indices))
@@ -152,7 +156,7 @@ class Polytope:
     @cached_property
     def facet_masks(self) -> list[int]:
         """Per vertex, the facets holding it as a bitmask, built on first use."""
-        on = [0] * len(self.vertices)
+        on = [0] * len(self.lifted[1])
         for j, f in enumerate(self.facets):
             for i in f.vertex_indices:
                 on[i] |= 1 << j
@@ -211,7 +215,7 @@ def _plane(lifted, wall, inside: Sequence[int], m: int):
     base, *rest = (lifted[i] for i in wall)
     span = SpanBuilder(len(base))
     for q in rest:
-        span.add(vsub(q, base))
+        span.add([a - b for a, b in zip(q, base)])
     normals = span.integer_nullspace()
     if len(normals) != 1:
         return None
@@ -270,8 +274,9 @@ def _assemble(scale: int, lifted: Sequence[Sequence[int]], find_facets, labels=N
     (`AffineSubspace.chart`), q' = V'·x.  It returns each facet as (n, b,
     inc), n primitive, inc a point mask; inside is n·q' <= b, or in primitive
     ints (V'·n/g)·x <= b/g for g = gcd(V', b), whatever V' is.  `reduce_lifted`
-    of the vertices' ints is stored as `Polytope.lifted`.  Each vertex is
-    named by its point's entry in `labels`, or by its own index."""
+    of the vertices' ints is stored as `Polytope.lifted`, and no Fraction is
+    built but the frame's.  Each vertex is named by its point's entry in
+    `labels`, or by its own index."""
     if len(lifted) < 2:
         raise DegenerateInputError("degenerate input")
     ambient = len(lifted[0])
@@ -301,20 +306,14 @@ def _assemble(scale: int, lifted: Sequence[Sequence[int]], find_facets, labels=N
         h = Hyperplane(tuple(work_scale // g * x for x in n), b // g)
         facet_list.append(Facet(h, frozenset(renum[i] for i in held)))
     facet_list.sort(key=lambda f: (f.hyperplane.normal, f.hyperplane.offset))
-    v_scale, points = reduce_lifted(work_scale, [work[i] for i in extreme])
-    vertices = tuple(rational_point((*q, v_scale)) for q in points)
-    p = Polytope(
+    return Polytope(
         ambient_dim=ambient,
         dim=k,
-        vertices=vertices,
-        embedded_vertices=vertices if frame is None else tuple(
-            rational_point((*lifted[i], scale)) for i in extreme),
+        lifted=reduce_lifted(work_scale, [work[i] for i in extreme]),
         facets=tuple(facet_list),
         frame=frame,
         names=tuple(range(len(extreme)) if labels is None else (labels[i] for i in extreme)),
     )
-    p.__dict__["lifted"] = v_scale, points  # the cached_property's slot
-    return p
 
 
 def build_polytope(points: Sequence[Sequence]) -> Polytope:
@@ -322,24 +321,24 @@ def build_polytope(points: Sequence[Sequence]) -> Polytope:
 
     Raises DegenerateInputError for fewer than 2 distinct points.  Inputs
     whose affine hull has lower dimension than the ambient space are restated
-    in an intrinsic rational frame (recorded in `frame`).  The points are
-    lifted to ints here, once, and repeats dropped on those ints.
+    in an intrinsic rational frame (recorded in `frame`).  The points' int
+    or Fraction coordinates are lifted to ints here, once, and repeats
+    dropped on those ints.
     """
-    pts = [vec(*p) for p in points]
-    if any(len(p) != len(pts[0]) for p in pts):
+    if any(len(p) != len(points[0]) for p in points):
         raise DimensionMismatchError("points of mixed dimension")
-    scale, lifted = lift_points(pts)
+    scale, lifted = lift_points(points)
     return _assemble(scale, list(dict.fromkeys(lifted)), _hull_facets)
 
 
 def point_polytope(point: Sequence) -> Polytope:
-    """Internal 0-dimensional polytope (a single point); shadows need these."""
-    p = vec(*point)
+    """Internal 0-dimensional polytope (a single point of int or Fraction
+    coordinates, kept as its frame's base point); shadows need these."""
+    p = tuple(point)
     return Polytope(
         ambient_dim=len(p),
         dim=0,
-        vertices=(tuple(),),
-        embedded_vertices=(p,),
+        lifted=(1, ((),)),
         facets=(),
         frame=AffineSubspace(p, ()),
         names=(0,),
@@ -380,7 +379,7 @@ def _lattice(p: Polytope) -> FaceLattice:
     facet set.  Each face costs min(n, m) ANDs to find.  Its vertices are
     read on first use: on the facet side the set bits of its mask, on the
     vertex side n more ANDs."""
-    n, m, d = len(p.vertices), len(p.facets), p.dim
+    n, m, d = len(p.lifted[1]), len(p.facets), p.dim
     if n >= m:
         masks = [sum(1 << i for i in f.vertex_indices) for f in p.facets]
         sets = _closure(masks, (1 << n) - 1, d).items()

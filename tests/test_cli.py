@@ -3,10 +3,14 @@
 import argparse
 import gc
 import json
+import random
 import shutil
 import subprocess
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eulerlab import cli, euler, jsonio
 from eulerlab.errors import GeneralPositionError
@@ -175,6 +179,92 @@ class TestCheck:
         code, out, err = run(["check", cube3], capsys)
         assert code == 1
         assert out.strip().endswith("FAIL")
+
+    @pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:5", "cloud:4,30,20"])
+    def test_one_fraction_per_coordinate(self, spec, tmp_path, capsys, monkeypatch):
+        # Parsing makes each coordinate's Fraction; the hull, the lattice and
+        # the report run on ints and build none.
+        path = tmp_path / "doc.json"
+        if spec.startswith("cloud"):
+            rng = random.Random(7)
+            pts = [[str(rng.randint(-20, 20)) for _ in range(4)] for _ in range(30)]
+            path.write_text(json.dumps({"dimension": 4, "vertices": pts}))
+        else:
+            assert cli.main(["generate", spec, "-o", str(path)]) == 0
+        coordinates = sum(map(len, json.loads(path.read_text())["vertices"]))
+        built = []
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(cls)
+            return new(cls, *args, **kwargs)
+
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        code, out, err = run(["check", str(path), "-o", str(tmp_path / "report.json")], capsys)
+        monkeypatch.undo()
+        assert code == 0
+        assert coordinates == {"cube:4": 64, "crosspolytope:5": 50, "cloud:4,30,20": 120}[spec]
+        assert len(built) == coordinates
+
+
+BAD_LITERALS = ["1/0", "1.5", "", "+-1", " 3 ", "1/-2", "0x10"]
+HUGE = 10**40
+
+
+@st.composite
+def documents(draw):
+    """Documents of d = 1..4 with up to 8 points: repeated points drawn from
+    a small pool, flat (one coordinate fixed) or collinear sets, entries
+    near 10^40 and 10^-40, bad literals and points of the wrong length."""
+    d = draw(st.integers(1, 4))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    huge = st.builds(
+        lambda sign, k, inverse: sign * (Fraction(1, HUGE + k) if inverse else Fraction(HUGE + k)),
+        st.sampled_from([1, -1]),
+        st.integers(0, 2),
+        st.booleans(),
+    )
+    entry = st.one_of(small, huge)
+    kind = draw(st.sampled_from(["pool", "flat", "collinear"]))
+    if kind == "collinear":
+        base = draw(st.lists(entry, min_size=d, max_size=d))
+        step = draw(st.lists(entry, min_size=d, max_size=d))
+        ts = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=8))
+        points = [[b + t * u for b, u in zip(base, step)] for t in ts]
+    else:
+        pool = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=1, max_size=8))
+        points = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+        if kind == "flat":
+            points = [[pool[0][0], *q[1:]] for q in points]
+    text = [[str(c) for c in q] for q in points]
+    for _ in range(draw(st.integers(0, 2))):
+        q = draw(st.integers(0, len(text) - 1))
+        edit = draw(st.sampled_from(["literal", "longer", "shorter"]))
+        if edit == "literal":
+            text[q][draw(st.integers(0, d - 1))] = draw(st.sampled_from(BAD_LITERALS))
+        elif edit == "longer":
+            text[q] = [*text[q], "0"]
+        else:
+            text[q] = text[q][:-1]
+    return {"dimension": d, "vertices": text}
+
+
+@given(doc=documents())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_generated_documents_end_in_an_exit_code(doc, tmp_path, capsys):
+    # Every document ends in exit 0 or 1 with a report, or in exit 2 with
+    # one error line; an exception other than those cli.main maps would
+    # escape here as a traceback.
+    path, report = tmp_path / "doc.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    report.unlink(missing_ok=True)
+    code, out, err = run(["check", str(path), "-o", str(report)], capsys)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not report.exists()
+    else:
+        assert json.loads(report.read_text())["pass"] == (code == 0)
 
 
 class TestVerify:

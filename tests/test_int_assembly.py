@@ -85,15 +85,19 @@ def fraction_assemble(distinct: Sequence[Vector], find_facets, labels=None) -> P
         h = Hyperplane(tuple(scale // g * x for x in n), b // g)
         facet_list.append(Facet(h, frozenset(renum[i] for i in held)))
     facet_list.sort(key=lambda f: (f.hyperplane.normal, f.hyperplane.offset))
-    return Polytope(
+    vertices = tuple(work_points[i] for i in extreme)
+    p = Polytope(
         ambient_dim=ambient,
         dim=k,
-        vertices=tuple(work_points[i] for i in extreme),
-        embedded_vertices=tuple(distinct[i] for i in extreme),
+        lifted=lift_points(vertices),
         facets=tuple(facet_list),
         frame=frame,
         names=tuple(range(len(extreme)) if labels is None else (labels[i] for i in extreme)),
     )
+    # Read on first use: the vertices from `lifted`, the embedded ones through the frame.
+    assert p.vertices == vertices
+    assert p.embedded_vertices == tuple(distinct[i] for i in extreme)
+    return p
 
 
 def fraction_build_polytope(points: Sequence[Sequence]) -> Polytope:
@@ -233,7 +237,7 @@ def test_segment_in_r4():
     mid = tuple((x + y) / 2 for x, y in zip(a, b))
     p = assert_same_hull_and_pieces([b, mid, a, mid])
     # The frame runs from b along mid - b, so a is at 2.
-    assert p.dim == 1 and p.embedded_vertices == (b, a) and p.lifted == (1, [(0,), (2,)])
+    assert p.dim == 1 and p.embedded_vertices == (b, a) and p.lifted == (1, ((0,), (2,)))
 
 
 @pytest.mark.parametrize(

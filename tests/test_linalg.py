@@ -295,6 +295,15 @@ class TestRationalText:
     def test_non_canonical_parses(self):
         assert parse_rational("4/2") == 2
 
+    @given(
+        st.from_regex(linalg._RATIONAL_RE, fullmatch=True),
+        st.sampled_from(["", " ", "\t", "\n "]),
+        st.sampled_from(["", " ", "\n"]),
+    )
+    def test_matches_fraction_on_every_literal(self, text, before, after):
+        padded = before + text + after
+        assert parse_rational(padded) == Fraction(padded.strip())
+
     def test_rejects_floats(self):
         with pytest.raises(ValueError):
             parse_rational("1.5")
@@ -650,6 +659,11 @@ class TestAffineBasis:
     def test_no_points(self):
         with pytest.raises(ValueError):
             affine_basis([])
+
+    @pytest.mark.parametrize("odd", [(1,), (1, 0, 0)])
+    def test_points_of_mixed_lengths(self, odd):
+        with pytest.raises(DimensionMismatchError, match="points of lengths 2 and"):
+            affine_basis([(0, 0), odd])
 
     # The greedy choice keeps a point exactly when it leaves the affine span
     # of the points kept before it.  A positive scale and a unimodular map

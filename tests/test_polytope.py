@@ -129,15 +129,19 @@ def reference_polytope(points):
     renum = {old: new for new, old in enumerate(extreme)}
     facet_list = [Facet(f.h, frozenset(renum[i] for i in f.inc if i in renum)) for f in facets]
     facet_list.sort(key=lambda f: (f.hyperplane.normal, f.hyperplane.offset))
-    return Polytope(
+    vertices = tuple(work[i] for i in extreme)
+    p = Polytope(
         ambient_dim=ambient,
         dim=k,
-        vertices=tuple(work[i] for i in extreme),
-        embedded_vertices=tuple(distinct[i] for i in extreme),
+        lifted=lift_points(vertices),
         facets=tuple(facet_list),
         frame=frame,
         names=tuple(range(len(extreme))),
     )
+    # Read on first use: the vertices from `lifted`, the embedded ones through the frame.
+    assert p.vertices == vertices
+    assert p.embedded_vertices == tuple(distinct[i] for i in extreme)
+    return p
 
 
 def reference_faces_by_dimension(p):
@@ -505,6 +509,7 @@ class TestLifted:
     def assert_face_sides_read_off_points(p):
         scale, points = p.lifted
         assert p.lifted == lift_points(p.vertices)
+        assert hash(p.lifted) == hash(lift_points(p.vertices))
         assert all(type(x) is int for q in points for x in q)
         for face in face_lattice(p).all_faces():
             idx = sorted(face.vertex_indices)
@@ -1103,6 +1108,8 @@ class TestVolumeAndSubpolytopes:
     def test_point_polytope(self):
         q = point_polytope(vec(2, 3))
         assert q.dim == 0 and q.ambient_dim == 2
+        assert q.lifted == (1, ((),)) and q.vertices == ((),)
+        assert q.embedded_vertices == (vec(2, 3),) and q == point_polytope((2, 3))
         lat = face_lattice(q)
         assert [len(lat.faces(c)) for c in range(1)] == [1]
         assert volume(q) == 1

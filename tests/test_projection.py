@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerlab import polytope
+from eulerlab import polytope, projection
 from eulerlab.acceptance import FAMILY_SPECS, RANDOM_SPECS, _tilted_screen
 from eulerlab.errors import DimensionMismatchError, GeneralPositionError
 from eulerlab.euler import f_vector
@@ -550,6 +550,33 @@ def shadow_outcome(build, *args):
         return type(e).__name__, str(e)
     assert sh.polytope.lifted == lift_points(sh.polytope.vertices)
     return sh.face_image, sh.face_source_labels(), f_vector(face_lattice(sh.polytope))
+
+
+class TestLazyShadowVertices:
+    """A shadow keeps its int images as `lifted`; the vertices and embedded
+    vertices it builds on first read are the images its names point at."""
+
+    @pytest.mark.parametrize("spec", ["cube:2", "cube:3", "crosspolytope:4", "random:4,9,5"])
+    def test_both_shadows_of_every_facet_piece(self, spec, monkeypatch):
+        made = []
+
+        def recording(src, images):
+            shadow = make(src, images)
+            made.append((images, shadow.polytope))
+            return shadow
+
+        make = _make_shadow
+        monkeypatch.setattr(projection, "_make_shadow", recording)
+        p = generate(spec)
+        for i in range(len(p.facets)):
+            piece = facet_polytope(p, i)
+            project_along(piece, (1,) * piece.dim)
+            project_from_point(p, beyond_point(p, i))
+        assert any(q.dim == 0 for _, q in made) == (p.dim == 2)  # segments' point shadows
+        for images, q in made:
+            assert q.lifted == lift_points(q.vertices)
+            assert q.embedded_vertices == tuple(images[v] for v in q.names)
+            assert q.frame is not None or q.vertices == q.embedded_vertices
 
 
 class TestIntegerShadowsAgainstReference:
