@@ -8,9 +8,10 @@ face's two folded flags.  Per-facet sums are checked against their exact
 expected values, including the central-projection shadow criterion for the
 facets the line does not meet.
 
-Everything that depends on the line alone is computed once per line, as
-ints (`LineTable`): the line lifted to L*t1 and L*e, and per facet its two
-products with them.  The sampler certifies a line on this table, and each
+Everything that depends on the line alone is computed once per candidate
+line, as ints (`LineTable`): the line lifted to L*t1 and L*e, and per facet
+its two products with them.  The sampler certifies a line on this table,
+the accepted line carries it and reads its facet points off it, and each
 face is then folded with one int product per facet.
 """
 
@@ -27,7 +28,7 @@ from typing import Optional
 
 from .errors import GeneralPositionError, naming_seed
 from .euler import CertificateEntry, check_piece, check_totals, f_vector, rejection_sample
-from .linalg import Vector, affine_basis, format_point, lift, lift_points, rational_point, reduce_lifted, vsub
+from .linalg import Vector, affine_basis, format_point, lift, rational_point, reduce_lifted, vsub
 from .polytope import Face, Polytope, face_lattice, facet_polytope
 from .projection import project_from_point
 
@@ -35,22 +36,34 @@ from .projection import project_from_point
 @dataclass(frozen=True)
 class TransversalLine:
     """Line through relative-interior points of two facets, with exact
-    general-position certificate and its intersection point on every
-    facet's hyperplane.  The certificate holds one "facet-not-parallel" and
-    one "incidence" entry per facet and one "affine-miss" entry per ridge."""
+    general-position certificate and the `LineTable` it was certified on,
+    which places its point on each facet's hyperplane.  The certificate
+    holds one "facet-not-parallel" and one "incidence" entry per facet and
+    one "affine-miss" entry per ridge."""
 
     facet_pair: tuple[int, int]
     t1: Vector
     t2: Vector
     direction: Vector
-    facet_points: tuple[Vector, ...]
     certificate: tuple[CertificateEntry, ...]
+    table: LineTable = field(compare=False, repr=False)
 
     @cached_property
     def lifted_points(self) -> tuple[tuple[int, ...], ...]:
-        """`facet_points` as ints in `FoldedFlag`'s segment-end form, built
-        on first use: one lift per point per line."""
-        return tuple(tuple(lift([*t, 1])) for t in self.facet_points)
+        """The line's point t1 + s_j*e on each facet hyperplane j, read off
+        the table in `FoldedFlag`'s segment-end form: (A_j*L*t1 - B_j*L*e) /
+        (A_j*L), over the gcd signed as A_j."""
+        table, out = self.table, []
+        for a, b in zip(table.rates, table.at_t1):
+            q = [a * t - b * e for t, e in zip(table.lt1, table.le)]
+            g = math.gcd(a * table.big_l, *q) * (1 if a > 0 else -1)
+            out.append((*(c // g for c in q), a * table.big_l // g))
+        return tuple(out)
+
+    @cached_property
+    def facet_points(self) -> tuple[Vector, ...]:
+        """`lifted_points` as rational points."""
+        return tuple(map(rational_point, self.lifted_points))
 
 
 @dataclass(frozen=True)
@@ -134,8 +147,8 @@ def sample_transversal(
     A_j/L, so the line meets hyperplane j iff A_j != 0; s_j = -B_j/A_j, so
     a ridge (a, b) is missed iff B_a*A_b != B_b*A_a; and the side of facet
     i at the point on hyperplane j is (B_i*A_j - B_j*A_i) / (L*A_j), whose
-    sign is sign(A_j) * sign(B_i*A_j - B_j*A_i).  Only the accepted line's
-    points are built as Fractions.
+    sign is sign(A_j) * sign(B_i*A_j - B_j*A_i).  The accepted line keeps
+    its table and reads its points off it.
     """
     if p.dim < 3:
         raise ValueError("transversal proof requires d >= 3")
@@ -162,11 +175,6 @@ def sample_transversal(
             return None
         entries = [CertificateEntry("facet-not-parallel", (j,), True) for j in range(nf)]
         entries += [CertificateEntry("affine-miss", (a, b), True) for a, b in ridges]
-        # t1 + s_j*e = (A_j*L*t1 - B_j*L*e) / (A_j*L).
-        hits = tuple(
-            tuple(Fraction(a * t - b * e, a * table.big_l) for t, e in zip(table.lt1, table.le))
-            for a, b in zip(rates, at_t1)
-        )
         for j, (a_j, b_j) in enumerate(zip(rates, at_t1)):
             # Row j of the sign table: each facet's side at the point on
             # hyperplane j, 0 on facet j itself.
@@ -188,8 +196,8 @@ def sample_transversal(
             t1=t1,
             t2=t2,
             direction=direction,
-            facet_points=hits,
             certificate=tuple(entries),
+            table=table,
         )
 
     return rejection_sample(
@@ -207,9 +215,7 @@ def _along(row, r) -> int:
     return row[0] * r[0] + row[1] * r[1]
 
 
-def fold_flags(
-    p: Polytope, face: Face, line: TransversalLine, table: Optional[LineTable] = None
-) -> tuple[FoldedFlag, FoldedFlag]:
+def fold_flags(p: Polytope, face: Face, line: TransversalLine) -> tuple[FoldedFlag, FoldedFlag]:
     """Fold the face's two flags onto facets by walking out from its base
     point x in the plane section: O(m) integer work for m facets.
 
@@ -224,22 +230,19 @@ def fold_flags(
     a violation raises GeneralPositionError.
 
     The rows are ints, read off the facets' integer planes (n_j, b_j), the
-    vertices lifted to V*v (`Polytope.lifted`) and the line's `LineTable`
-    (built here when none is passed): L, L*t1, L*e and per facet A_j =
-    n_j.(L*e) and B_j = n_j.(L*t1) - L*b_j.  With X the sum of the lifted
-    vertices of the face, so x = X/(V|F|), G = L*X - V|F|*L*t1 =
-    V|F|*L*(x - t1) and sigma_j = n_j.X - V|F|*b_j, the one product per
-    facet per face, row j is (V|F|*A_j, n_j.G, -L*sigma_j) with n_j.G =
-    L*sigma_j - V|F|*B_j: the rational row times the positive V*|F|*L.
-    A positive scale per row moves no sign, ray or ratio.  A side that
-    leaves x along the ray r and ends at t = num/den ends at x + t*(r_0*e +
-    r_1*(x - t1)), an int over den*V|F|*L in each coordinate.  The sides
-    are ordered on those ints too, and both segment ends are kept as ints,
-    so the walk builds no Fraction.
+    vertices lifted to V*v (`Polytope.lifted`) and the line's `LineTable`:
+    L, L*t1, L*e and per facet A_j = n_j.(L*e) and B_j = n_j.(L*t1) -
+    L*b_j.  With X the sum of the lifted vertices of the face, so x =
+    X/(V|F|), G = L*X - V|F|*L*t1 = V|F|*L*(x - t1) and sigma_j = n_j.X -
+    V|F|*b_j, the one product per facet per face, row j is (V|F|*A_j,
+    n_j.G, -L*sigma_j) with n_j.G = L*sigma_j - V|F|*B_j: the rational row
+    times the positive V*|F|*L.  A positive scale per row moves no sign,
+    ray or ratio.  A side that leaves x along the ray r and ends at t =
+    num/den ends at x + t*(r_0*e + r_1*(x - t1)), an int over den*V|F|*L in
+    each coordinate.  The sides are ordered on those ints too, and both
+    segment ends are kept as ints, so the walk builds no Fraction.
     """
-    if table is None:
-        table = line_table(p, line.t1, line.direction)
-    scale, points = p.lifted
+    table, (scale, points) = line.table, p.lifted
     big_l = table.big_l
     idx = sorted(face.vertex_indices)
     vf = scale * len(idx)
@@ -392,11 +395,10 @@ def facet_assignment_sums(
     failures: list[str] = []
 
     # fold_flags raises unless a face's two flags go to two different facets.
-    table = line_table(p, line.t1, line.direction)
     flags: list[FoldedFlag] = []
     for c in range(0, k):
         for face in lat.faces(c):
-            flags.extend(fold_flags(p, face, line, table))
+            flags.extend(fold_flags(p, face, line))
 
     sums = {i: Fraction(0) for i in range(len(p.facets))}
     received: dict[int, Counter] = {i: Counter() for i in sums}
@@ -418,12 +420,10 @@ def facet_assignment_sums(
         if i in line.facet_pair:
             label, expected, shadow = f"special facet {i}", expected_special / 2, None
         else:
-            frame = t_poly.frame
-            scale, (x, base) = lift_points([line.facet_points[i], frame.base_point])
-            den, (w,) = frame.chart(scale, [vsub(x, base)])
-            apex = rational_point((*w, den))
+            *x, x_den = line.lifted_points[i]
+            den, (w,) = t_poly.frame.chart(x_den, [x])
             label, expected = f"facet {i}", expected_per_facet
-            shadow = project_from_point(t_poly, apex)
+            shadow = project_from_point(t_poly, rational_point((*w, den)))
         check_piece(failures, label, t_poly, p.vertices, received[i], sums[i], expected, shadow)
     if sums[i1] + sums[i2] != expected_special:
         failures.append(

@@ -1,14 +1,15 @@
-"""Exact rational linear algebra: vectors, spans, affine hulls, hyperplanes and an LP.
+"""Exact rational linear algebra: vectors, spans, affine frames, hyperplanes and an LP.
 
-Vectors are plain tuples of :class:`fractions.Fraction`, matrices lists of
+Vectors are tuples of :class:`fractions.Fraction` or ints, matrices lists of
 such rows.  Predicates (rank, incidence, sidedness) are decided exactly, on
 Fractions or on ints: `lift` and `lift_points` scale a row or a point set by
 one positive integer, which moves no sign, and `reduce_lifted` restates int
-points over a scale as `lift_points` gives them.  Two kernels run on
-fraction-free (Bareiss) steps: `SpanBuilder`, which rank, nullspace, solve,
-affine hulls and their int charts run on, reduces each new row forward
-against its echelon rows and builds the RREF only when it is read; the
-phase-1 simplex of `linear_feasible` takes Gauss-Jordan steps, `_pivot`.
+points over a scale as `lift_points` gives them; an affine frame is such
+ints, built by `affine_frame`, and charts and embeds points on ints.  Two
+kernels run on fraction-free (Bareiss) steps: `SpanBuilder`, which rank,
+nullspace, solve, affine frames and their charts run on, reduces each new
+row forward against its echelon rows and builds the RREF only when read;
+the phase-1 simplex of `linear_feasible` takes Gauss-Jordan steps, `_pivot`.
 Both take ints only, much faster than Fraction pivoting at this scale;
 rationals become ints once, where they enter: `_span` lifts each row,
 `affine_hull` and `affine_dim` their point set, and a caller of the simplex
@@ -31,11 +32,6 @@ from .errors import DimensionMismatchError
 Vector = tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
-
-
-def vec(*coords) -> Vector:
-    """Build a Vector, coercing ints/strings to Fraction."""
-    return tuple(Fraction(c) for c in coords)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -264,63 +260,63 @@ def solve_linear(rows: Sequence[Vector], rhs: Sequence[Fraction]) -> Optional[Ve
 
 @dataclass(frozen=True)
 class AffineSubspace:
-    """base_point + span(direction_basis), with an independent basis; it
-    charts each of its points by the coordinates in that basis."""
+    """base + span(b_1, ..., b_k), independent, held as `lifted` = (s,
+    (s*base, s*b_1, ..., s*b_k)) in `reduce_lifted` form, so equal frames
+    compare equal; it charts its points in that basis, on ints."""
 
-    base_point: Vector
-    direction_basis: tuple[Vector, ...]
+    lifted: tuple[int, tuple[tuple[int, ...], ...]]
 
     @property
     def dim(self) -> int:
-        return len(self.direction_basis)
+        return len(self.lifted[1]) - 1
 
     @cached_property
     def _chart(self) -> SpanBuilder:
         """The span of the rows (b_1[j], ..., b_k[j], unit_j), one per
-        ambient coordinate j: the transposed basis next to the identity,
-        eliminated once per subspace.
+        ambient coordinate j, each the primitive int row of the lifted basis:
+        the transposed basis next to the identity, eliminated once.
 
         Each span row (R | C) has R = C times the transposed basis.  The
         basis is independent, so k rows have R = d*unit_p, for the span's
         d and their pivot p < k, and the others have R = 0."""
-        n = len(self.base_point)
-        rows = [
-            (*(b[j] for b in self.direction_basis), *(int(i == j) for i in range(n)))
-            for j in range(n)
-        ]
-        return _span(rows, self.dim + n)
+        s, (base, *basis) = self.lifted
+        span, n = SpanBuilder(self.dim + len(base)), len(base)
+        for j in range(n):
+            g = math.gcd(s, *(b[j] for b in basis))
+            span.add([*(b[j] // g for b in basis), *(s // g * (i == j) for i in range(n))])
+        return span
 
-    def chart(self, scale: int, ys: Sequence[Sequence[int]]) -> tuple[int, list[tuple[int, ...]]]:
-        """Coordinates in direction_basis of the points base_point + y/scale
-        for int rows y, as D > 0 and ints that are the coordinates times D.
+    def chart(self, scale: int, points: Sequence[Sequence[int]]) -> tuple[int, list[tuple[int, ...]]]:
+        """Coordinates in the basis of the points q/scale for int rows q,
+        as D > 0 and ints that are the coordinates times D.
 
-        The chart row with pivot p < k gives C.y = d*scale*w_p, so D is
-        scale*|d|; the point is on the subspace exactly when C.y = 0 for
-        every other row, and ValueError says when it is not."""
+        Over m = lcm(scale, s), y = Y/m with Y = (m/scale)*q - (m/s)*s*base,
+        and (m/s)*C.(s*base) is taken once per chart row.  The row with
+        pivot p < k gives C.Y = d*m*w_p, so D is m*|d|; the point is on the
+        subspace exactly when C.Y = 0 for every other row, or ValueError."""
         span, k = self._chart, self.dim
-        sign = 1 if span._d > 0 else -1
+        s, (base, *_) = self.lifted
+        m = math.lcm(scale, s)
+        sign, to_m = 1 if span._d > 0 else -1, m // scale
+        rows = [(row[k:], p, m // s * sum(map(mul, row[k:], base))) for row, p in zip(span._rows, span._pivots)]
         out = []
-        for y in ys:
+        for q in points:
             w = [0] * k
-            for row, p in zip(span._rows, span._pivots):
-                c_y = sum(map(mul, row[k:], y))
+            for c, p, c_base in rows:
+                c_y = to_m * sum(map(mul, c, q)) - c_base
                 if p < k:
                     w[p] = sign * c_y
                 elif c_y:
                     raise ValueError("point not on the affine subspace")
             out.append(tuple(w))
-        return scale * abs(span._d), out
+        return m * abs(span._d), out
 
-    def embed(self, scale: int, ys: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
-        """The points base_point + (y_1*b_1 + ... + y_k*b_k)/scale for int
-        rows y, scale > 0, undoing `chart`: worked on ints over the lifted
-        base and basis, one Fraction per coordinate."""
-        s, (base, *basis) = lift_points([self.base_point, *self.direction_basis])
+    def embed(self, scale: int, ys: Sequence[Sequence[int]]) -> tuple[int, list[tuple[int, ...]]]:
+        """The points base + (y_1*b_1 + ... + y_k*b_k)/scale for int rows y,
+        scale > 0, undoing `chart`, as s*scale and the points times it."""
+        s, (base, *basis) = self.lifted
         rows = list(zip(base, zip(*basis) if basis else [()] * len(base)))
-        return tuple(
-            rational_point((*(scale * c + sum(map(mul, y, col)) for c, col in rows), scale * s))
-            for y in ys
-        )
+        return scale * s, [tuple(scale * c + sum(map(mul, y, col)) for c, col in rows) for y in ys]
 
 
 @dataclass(frozen=True)
@@ -361,11 +357,18 @@ def affine_basis(points: Sequence[Sequence[int]]) -> list[int]:
     return chosen
 
 
+def affine_frame(scale: int, points: Sequence[Sequence[int]], chosen: Sequence[int]) -> AffineSubspace:
+    """The frame of the int points q/scale on their `affine_basis` `chosen`:
+    the first basis point, and each later one minus it."""
+    base, *rest = (points[i] for i in chosen)
+    return AffineSubspace(reduce_lifted(scale, [base, *(vsub(q, base) for q in rest)]))
+
+
 def affine_hull(points: Sequence[Vector]) -> AffineSubspace:
-    """Smallest affine subspace containing the points, on the affine_basis
-    of their lifted ints."""
-    base, *rest = (points[i] for i in affine_basis(lift_points(points)[1]))
-    return AffineSubspace(base, tuple(vsub(p, base) for p in rest))
+    """Smallest affine subspace containing the points, framed on their
+    lifted ints."""
+    scale, lifted = lift_points(points)
+    return affine_frame(scale, lifted, affine_basis(lifted))
 
 
 def affine_dim(points: Sequence[Vector]) -> int:

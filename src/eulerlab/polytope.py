@@ -1,8 +1,8 @@
 """Polytopes from vertex sets: exact hull, face lattice, oracle, generators.
 
 A Polytope stores its vertices in a full-dimensional "working" frame of its
-own intrinsic dimension; inputs of lower affine dimension are restated in a
-rational affine frame (`frame`, through which `embedded_vertices` are read).
+own intrinsic dimension; inputs of lower affine dimension are restated in an
+int affine frame (`frame`, through which `embedded_vertices` are read).
 Every polytope is assembled from int points over one scale, and those ints
 (`Polytope.lifted`) are its state: the rational vertices are built from them
 only when read.  An input is lifted to ints once, in `build_polytope`, a
@@ -47,13 +47,13 @@ from .linalg import (
     SpanBuilder,
     Vector,
     affine_basis,
+    affine_frame,
     dot,
     lift,
     lift_points,
     linear_feasible,
     rational_point,
     reduce_lifted,
-    vsub,
 )
 
 ORACLE_BOUND = 12
@@ -148,10 +148,10 @@ class Polytope:
 
     @cached_property
     def embedded_vertices(self) -> tuple[Vector, ...]:
-        return self.vertices if self.frame is None else self.frame.embed(*self.lifted)
-
-    def facet_vertices(self, i: int) -> tuple[Vector, ...]:
-        return tuple(self.vertices[j] for j in sorted(self.facets[i].vertex_indices))
+        if self.frame is None:
+            return self.vertices
+        scale, points = self.frame.embed(*self.lifted)
+        return tuple(rational_point((*q, scale)) for q in points)
 
     @cached_property
     def facet_masks(self) -> list[int]:
@@ -269,24 +269,21 @@ def _hull_facets(lifted: Sequence[Sequence[int]], simplex: Sequence[int]) -> lis
 def _assemble(scale: int, lifted: Sequence[Sequence[int]], find_facets, labels=None) -> Polytope:
     """The canonical Polytope of the distinct points q/scale, q in `lifted`,
     framed in their affine hull: one affine_basis of the ints gives k, the
-    frame's basis and the initial simplex that `find_facets(work, simplex)`
-    may start from; below full dimension `work` is the ints charted on ints
-    (`AffineSubspace.chart`), q' = V'·x.  It returns each facet as (n, b,
-    inc), n primitive, inc a point mask; inside is n·q' <= b, or in primitive
-    ints (V'·n/g)·x <= b/g for g = gcd(V', b), whatever V' is.  `reduce_lifted`
-    of the vertices' ints is stored as `Polytope.lifted`, and no Fraction is
-    built but the frame's.  Each vertex is named by its point's entry in
-    `labels`, or by its own index."""
+    frame (`affine_frame`) and the initial simplex that `find_facets(work,
+    simplex)` may start from; below full dimension `work` is the ints
+    charted on ints (`AffineSubspace.chart`), q' = V'·x.  It returns each
+    facet as (n, b, inc), n primitive, inc a point mask; inside is n·q' <=
+    b, or in primitive ints (V'·n/g)·x <= b/g for g = gcd(V', b), whatever
+    V' is.  `reduce_lifted` of the vertices' ints is stored as
+    `Polytope.lifted`, and no Fraction is built.  Each vertex is named by
+    its point's entry in `labels`, or by its own index."""
     if len(lifted) < 2:
         raise DegenerateInputError("degenerate input")
     ambient = len(lifted[0])
     simplex = affine_basis(lifted)
-    k, frame, work_scale, work = len(simplex) - 1, None, scale, lifted
-    if k < ambient:
-        base, *rest = (lifted[i] for i in simplex)
-        basis = tuple(rational_point((*vsub(x, base), scale)) for x in rest)
-        frame = AffineSubspace(rational_point((*base, scale)), basis)
-        work_scale, work = frame.chart(scale, [vsub(q, base) for q in lifted])
+    k = len(simplex) - 1
+    frame = affine_frame(scale, lifted, simplex) if k < ambient else None
+    work_scale, work = frame.chart(scale, lifted) if frame else (scale, lifted)
     found = find_facets(work, simplex)
     # The facets through point i meet in the least face holding i, so i is a
     # vertex exactly when the AND of their masks is bit i alone.
@@ -333,14 +330,13 @@ def build_polytope(points: Sequence[Sequence]) -> Polytope:
 
 def point_polytope(point: Sequence) -> Polytope:
     """Internal 0-dimensional polytope (a single point of int or Fraction
-    coordinates, kept as its frame's base point); shadows need these."""
-    p = tuple(point)
+    coordinates, lifted as its frame's base point); shadows need these."""
     return Polytope(
-        ambient_dim=len(p),
+        ambient_dim=len(point),
         dim=0,
         lifted=(1, ((),)),
         facets=(),
-        frame=AffineSubspace(p, ()),
+        frame=AffineSubspace(lift_points([point])),
         names=(0,),
     )
 

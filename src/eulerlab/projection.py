@@ -29,7 +29,8 @@ from .linalg import (
     Hyperplane,
     SpanBuilder,
     Vector,
-    affine_hull,
+    affine_basis,
+    affine_frame,
     is_zero,
     lift,
     lift_points,
@@ -202,10 +203,10 @@ def schlegel(p: Polytope, facet: int) -> SchlegelComplex:
         tuple(m // (a * scale - s * v_scale) * (a * c - s * e) for c, e in zip(x, v))
         for x, s in zip(points, sides)
     ]
-    # affine_hull's base point is the facet's first vertex, its own image.
-    frame = affine_hull(p.facet_vertices(facet))
-    base = on_plane[min(p.facets[facet].vertex_indices)]
-    lifted = reduce_lifted(*frame.chart(m, [vsub(q, base) for q in on_plane]))
+    # The facet's vertices, their own images, frame the plane.
+    held = [points[v] for v in sorted(p.facets[facet].vertex_indices)]
+    frame = affine_frame(scale, held, affine_basis(held))
+    lifted = reduce_lifted(*frame.chart(m, on_plane))
     images = tuple(rational_point((*q, lifted[0])) for q in lifted[1])
     pieces = [facet_polytope(p, j, lifted) for j in range(len(p.facets))]
     carrier = pieces.pop(facet)

@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 from .errors import GeneralPositionError, naming_seed
 from .euler import CertificateEntry, check_piece, check_totals, f_vector, rejection_sample
-from .linalg import Vector, barycenter, format_point, vec
+from .linalg import barycenter, format_point
 from .polytope import Polytope, face_lattice
 from .projection import ComplexFace, SchlegelComplex, SignTable, project_along, schlegel
 
@@ -37,7 +37,7 @@ class GeneralLine:
     """A direction certified non-parallel to every complex face of dim >= 1:
     one "facet-not-parallel" entry per facet of every cell."""
 
-    direction: Vector
+    direction: tuple[int, ...]
     certificate: tuple[CertificateEntry, ...]
 
 
@@ -55,12 +55,12 @@ def sample_general_line(complex: SchlegelComplex, seed: int) -> GeneralLine:
     """Rejection-sample an integer direction within the carrier frame.
 
     Draws int candidates and accepts a nonzero one iff no cell facet's int
-    normal has product 0 with it; the first 0 rejects it.  The accepted
-    direction is returned as Fractions.  That is non-parallelism to every
-    complex face of dimension 1..k-1: each lies in a cell facet, whose
-    direction space is its normal's orthogonal complement, and each cell
-    facet is such a face.  The certificate has one entry per cell facet.
-    The coordinate range doubles every 32 rejected tries.
+    normal has product 0 with it; the first 0 rejects it, and the accepted
+    one keeps its ints.  That is non-parallelism to every complex face of
+    dimension 1..k-1: each lies in a cell facet, whose direction space is
+    its normal's orthogonal complement, and each cell facet is such a face.
+    The certificate has one entry per cell facet.  The coordinate range
+    doubles every 32 rejected tries.
     """
     rng = random.Random(seed)
     k = complex.dim
@@ -75,7 +75,7 @@ def sample_general_line(complex: SchlegelComplex, seed: int) -> GeneralLine:
             for i, cell in enumerate(complex.cells)
             for h in range(len(cell.facets))
         )
-        return GeneralLine(direction=vec(*cand), certificate=entries)
+        return GeneralLine(direction=tuple(cand), certificate=entries)
 
     return rejection_sample(f"general direction for seed {seed}", 4, attempt)
 

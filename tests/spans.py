@@ -2,7 +2,8 @@
 samplers made before they certified lines from facet normals alone.  The
 reference samplers, and the tests that re-prove a sampled line's general
 position face by face, build on these, and read a face's points with
-face_points.  `to_working` is the rational chart that the int chart
+face_points.  `rational_frame` reads a frame's base point and basis as
+Fractions, `to_working` is the rational chart that the int chart
 `AffineSubspace.chart` replaced, and `GaussJordanSpan` is the span that
 kept d times the RREF current on every add, before `SpanBuilder` held
 echelon rows and built the RREF on first read."""
@@ -21,8 +22,14 @@ from eulerlab.linalg import (
     is_zero,
     lift,
     lift_points,
+    rational_point,
     vsub,
 )
+
+
+def vec(*coords) -> Vector:
+    """Build a Vector, coercing ints/strings to Fraction."""
+    return tuple(Fraction(c) for c in coords)
 
 
 def vadd(a: Vector, b: Vector) -> Vector:
@@ -39,14 +46,21 @@ def face_points(p, face) -> tuple[Vector, ...]:
     return tuple(p.vertices[j] for j in sorted(face.vertex_indices))
 
 
-def to_working(sub, x: Vector) -> Vector:
-    """Coordinates in sub.direction_basis of a point x on the subspace.
+def rational_frame(sub) -> tuple[Vector, tuple[Vector, ...]]:
+    """An AffineSubspace's base point and basis as rational points, read
+    off its `lifted` ints."""
+    scale, (base, *basis) = sub.lifted
+    return rational_point((*base, scale)), tuple(rational_point((*b, scale)) for b in basis)
 
-    With y = x - base_point, the chart row with pivot p < k gives
-    C.y = d*w_p, and the point is on the subspace exactly when C.y = 0
-    for every other row; y is lifted to ints for these products."""
+
+def to_working(sub, x: Vector) -> Vector:
+    """Coordinates in the basis of sub of a point x on the subspace.
+
+    With y = x - base, the chart row with pivot p < k gives C.y = d*w_p,
+    and the point is on the subspace exactly when C.y = 0 for every other
+    row; y is lifted to ints for these products."""
     span, k = sub._chart, sub.dim
-    *y, scale = lift([*vsub(x, sub.base_point), 1])
+    *y, scale = lift([*vsub(x, rational_frame(sub)[0]), 1])
     w = [Fraction(0)] * k
     for row, p in zip(span._rows, span._pivots):
         c_y = sum(map(mul, row[k:], y))

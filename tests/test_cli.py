@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from eulerlab import cli, euler, jsonio
 from eulerlab.errors import GeneralPositionError
+from eulerlab.polytope import generate
 
 
 def run(argv, capsys):
@@ -240,11 +241,11 @@ def documents(draw):
     for _ in range(draw(st.integers(0, 2))):
         q = draw(st.integers(0, len(text) - 1))
         edit = draw(st.sampled_from(["literal", "longer", "shorter"]))
-        if edit == "literal":
-            text[q][draw(st.integers(0, d - 1))] = draw(st.sampled_from(BAD_LITERALS))
+        if edit == "literal" and text[q]:  # an earlier edit may have shortened it
+            text[q][draw(st.integers(0, len(text[q]) - 1))] = draw(st.sampled_from(BAD_LITERALS))
         elif edit == "longer":
             text[q] = [*text[q], "0"]
-        else:
+        elif edit == "shorter":
             text[q] = text[q][:-1]
     return {"dimension": d, "vertices": text}
 
@@ -265,6 +266,91 @@ def test_generated_documents_end_in_an_exit_code(doc, tmp_path, capsys):
         assert not report.exists()
     else:
         assert json.loads(report.read_text())["pass"] == (code == 0)
+
+
+FAMILY_DOCUMENTS = ["simplex:3", "cube:3", "crosspolytope:3", "simplex:4", "random:3,7,6"]
+MALFORMED_FIELDS = [
+    ("dimension", "3"), ("dimension", True), ("dimension", 0), ("dimension", -3),
+    ("dimension", 10**30), ("dimension", 3.5), ("vertices", []), ("vertices", {}),
+    ("vertices", "0 0 0"), ("vertices", [[0, 0, 0]]), ("vertices", [["0", "0", "0"], "x"]),
+    ("name", 5), ("colour", "red"), ("dimension", None), ("vertices", None),
+]
+
+
+@st.composite
+def cli_runs(draw):
+    """A document, the argv of a verify or schlegel-svg run on it and the
+    samplers' budget: a family polytope, one with a malformed field (None
+    drops the field), a non-object, or one of `documents()`; --facet values
+    below 0, at the facet count and near 10^30; --seed values below 0 and
+    near 10^30; a budget of 0 tries, which aborts every sampler, or the
+    default."""
+    kind = draw(st.sampled_from(["family", "family", "malformed", "generated"]))
+    if kind == "generated":
+        doc, facets = draw(documents()), 8
+    else:
+        p = generate(draw(st.sampled_from(FAMILY_DOCUMENTS)), draw(st.integers(0, 3)))
+        doc, facets = jsonio.polytope_to_document(p), len(p.facets)
+    if kind == "malformed":
+        key, value = draw(st.sampled_from(MALFORMED_FIELDS + [(None, None)]))
+        if key is None:
+            doc = [doc]
+        elif value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    big = [10**30, -(10**30)]
+    facet = draw(st.one_of(st.none(), st.integers(-2, facets + 1), st.sampled_from([facets, *big])))
+    seed = draw(st.one_of(st.integers(-5, 5), st.sampled_from(big)))
+    command = draw(st.sampled_from(["verify", "schlegel-svg"]))
+    argv = [command, "--seed", str(seed)] if command == "verify" else [command]
+    if command == "verify":
+        argv += ["--proof", draw(st.sampled_from(["schlegel", "folded", "both"]))]
+    if facet is not None:
+        argv += ["--facet", str(facet)]
+    return doc, argv, draw(st.sampled_from([0, euler.SAMPLE_BUDGET, euler.SAMPLE_BUDGET]))
+
+
+@given(case=cli_runs())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_verify_and_schlegel_svg_runs_end_in_an_exit_code(case, tmp_path, capsys):
+    # Every run ends in exit 0 or 1 with its output written, or in exit 2
+    # with one error line and none; a run that fails with exit 1 leaves a
+    # report that says why: an aborted sampler or a failed identity.
+    doc, (command, *options), budget = case
+    path, out_path = tmp_path / "doc.json", tmp_path / "out"
+    path.write_text(json.dumps(doc))
+    out_path.unlink(missing_ok=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(euler, "SAMPLE_BUDGET", budget)
+        code, out, err = run([command, str(path), *options, "-o", str(out_path)], capsys)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_path.exists()
+    elif command == "schlegel-svg":
+        assert code == 0 and out_path.read_text().endswith("</svg>\n")
+    else:
+        report = json.loads(out_path.read_text())
+        assert report["pass"] == (code == 0)
+        proofs = [report[key] for key in ("schlegel_proof", "folded_proof") if report[key]]
+        why = "aborted" in report or any(proof["failures"] for proof in proofs)
+        assert why == (code == 1)
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["verify", "--proof", "folded", "--facet", "-1"], "invalid facet pair (-1, 4)"),
+        (["verify", "--proof", "schlegel", "--facet", "6"], "facet index 6 out of range"),
+        (["verify", "--facet", str(10**30)], f"facet index {10**30} out of range"),
+        (["schlegel-svg", "--facet", "-1", "-o", "x.svg"], "facet index -1 out of range"),
+    ],
+)
+def test_bad_facet_exits_2_with_its_text(argv, text, cube3, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run([argv[0], cube3, *argv[1:]], capsys)
+    assert (code, err) == (2, f"error: {text}\n")
 
 
 class TestVerify:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerlab.euler import check_piece, euler_alternating_sum, f_vector
-from eulerlab.linalg import vec
 from eulerlab.polytope import (
     build_polytope,
     face_lattice,
@@ -15,6 +14,7 @@ from eulerlab.polytope import (
     generate,
     point_polytope,
 )
+from spans import vec
 
 
 class TestFVector:

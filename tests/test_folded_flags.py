@@ -52,6 +52,16 @@ def shifted(p):
     return build_polytope([[c / 3 + Fraction(1, 7) for c in v] for v in p.vertices])
 
 
+def reference_line(p, facet_pair, t1, t2, direction, entries, hits):
+    """The line a reference sampler accepted, with the table its t1 and
+    direction give; the sampler's own Fraction hits must be the points the
+    line reads off that table."""
+    table = folded_flags.line_table(p, t1, direction)
+    line = TransversalLine(facet_pair, t1, t2, direction, tuple(entries), table)
+    assert line.facet_points == hits
+    return line
+
+
 def reference_sample_transversal(p, seed, facet_pair=None):
     """The sampler as it was before it read facet normals: besides the
     facet rates, each face of dimension <= d-2 gets its own span, which the
@@ -114,14 +124,7 @@ def reference_sample_transversal(p, seed, facet_pair=None):
                     f"general position violated: incidence check failed: the line "
                     f"meets the hyperplane of facet {j} {where}"
                 )
-        return TransversalLine(
-            facet_pair=(i1, i2),
-            t1=t1,
-            t2=t2,
-            direction=direction,
-            facet_points=hits,
-            certificate=tuple(entries),
-        )
+        return reference_line(p, (i1, i2), t1, t2, direction, entries, hits)
 
     return rejection_sample(
         f"transversal line through facets {i1} and {i2} for seed {seed}", 9, attempt
@@ -172,14 +175,7 @@ def fraction_sample_transversal(p, seed, facet_pair=None):
                     f"general position violated: incidence check failed: the line "
                     f"meets the hyperplane of facet {j} {where}"
                 )
-        return TransversalLine(
-            facet_pair=(i1, i2),
-            t1=t1,
-            t2=t2,
-            direction=direction,
-            facet_points=hits,
-            certificate=tuple(entries),
-        )
+        return reference_line(p, (i1, i2), t1, t2, direction, entries, hits)
 
     return rejection_sample(
         f"transversal line through facets {i1} and {i2} for seed {seed}", 9, attempt
@@ -411,11 +407,15 @@ class TestSampleTransversal:
         assert line.direction == vsub(line.t2, line.t1)
         assert not is_zero(line.direction)
 
-    def test_facet_points_sit_on_their_hyperplanes(self):
-        p = generate("simplex:4")
-        line = sample_transversal(p, 2)
+    @pytest.mark.parametrize("spec,seed", [("simplex:4", 2), ("cube:4", 0), ("crosspolytope:4", 1)])
+    def test_facet_points_sit_on_their_hyperplanes(self, spec, seed):
+        # Each point is also read off the table in the segment-end form,
+        # over a positive denominator with gcd 1, as `lift` gives it.
+        p = generate(spec)
+        line = sample_transversal(p, seed)
         for j, f in enumerate(p.facets):
             assert f.hyperplane.side(line.facet_points[j]) == 0
+        assert line.lifted_points == tuple(tuple(lift([*x, 1])) for x in line.facet_points)
 
     def test_incidence_theorem(self):
         # The line's intersection with hyperplane j lies on facet j exactly
@@ -521,7 +521,7 @@ class TestSampleTransversal:
         assert p.lifted[0] > 1
         got = sampled(sample_transversal, p, seed)
         if not isinstance(got, str):
-            assume(folded_flags.line_table(p, got.t1, got.direction).big_l > 1)
+            assume(got.table.big_l > 1)
         assert got == sampled(fraction_sample_transversal, p, seed)
         assert sampled_line(sample_transversal, p, seed) == sampled_line(
             reference_sample_transversal, p, seed
@@ -665,12 +665,13 @@ class TestFoldFlags:
                     assert 0 in assigned
 
 
-def hand_line(t1, direction):
-    """A TransversalLine through t1 along direction, without a certificate:
-    fold_flags reads only t1 and direction."""
+def hand_line(p, t1, direction):
+    """A TransversalLine of p through t1 along direction, without a
+    certificate: fold_flags reads only its table."""
     t1 = tuple(Fraction(c) for c in t1)
     direction = tuple(Fraction(c) for c in direction)
-    return TransversalLine((0, 1), t1, vadd(t1, direction), direction, (), ())
+    table = folded_flags.line_table(p, t1, direction)
+    return TransversalLine((0, 1), t1, vadd(t1, direction), direction, (), table)
 
 
 class TestFoldFlagsAgainstReference:
@@ -724,7 +725,7 @@ class TestFoldFlagsAgainstReference:
             for direction in itertools.product((-1, 0, 1), repeat=3):
                 if not any(direction):
                     continue
-                line = hand_line(t1, direction)
+                line = hand_line(p, t1, direction)
                 for c in range(2):
                     for face in lat.faces(c):
                         got = outcome(fold_flags, p, face, line)
@@ -774,7 +775,7 @@ class TestFoldFlagsAgainstReference:
     def test_general_position_raises(self, face_ids, t1, direction, check):
         p = generate("cube:3")
         face = next(f for f in face_lattice(p).all_faces() if f.vertex_indices == face_ids)
-        line = hand_line(t1, direction)
+        line = hand_line(p, t1, direction)
         text = f"general position violated: {check} at face {sorted(face_ids)}"
         assert outcome(reference_fold, p, face, line) == text
         with pytest.raises(GeneralPositionError) as raised:
@@ -901,7 +902,7 @@ class TestFacetAssignmentSums:
         # A hand-built line in the plane x = y makes folding raise; the run
         # adds its seed to the direct text.
         p = generate("cube:3")
-        line = hand_line(("1/2", "1/2", "1/2"), (0, 0, 1))
+        line = hand_line(p, ("1/2", "1/2", "1/2"), (0, 0, 1))
         direct = outcome(facet_assignment_sums, p, line)
         assert direct.startswith("general position violated")
         monkeypatch.setattr(folded_flags, "sample_transversal", lambda *args: line)

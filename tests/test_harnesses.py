@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from eulerlab import cli, folded_flags, linalg, polytope, projection, schlegel_flags
 from eulerlab.euler import f_vector
-from eulerlab.folded_flags import fold_flags, sample_transversal, verify_proof_folded
+from eulerlab.folded_flags import (
+    facet_assignment_sums,
+    fold_flags,
+    sample_transversal,
+    verify_proof_folded,
+)
 from eulerlab.polytope import Polytope, build_polytope, face_lattice, generate
 from eulerlab.schlegel_flags import (
     classify_flag,
@@ -150,7 +155,7 @@ def test_classification_is_one_table_per_line(spec, monkeypatch, work_counts):
 
 @pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4"])
 def test_folding_is_integer_rows_from_the_lifted_vertices(spec, monkeypatch, work_counts):
-    # Folding every face of one line, vertex lift and line table included,
+    # Folding every face of one line, on the table the line carries,
     # evaluates no facet inequality and does no rational arithmetic: the
     # base point and the side ends are int sums over the lifted vertices, the
     # sides are ordered by cross-multiplying ints, and both ends stay ints.
@@ -178,17 +183,37 @@ def test_folding_is_integer_rows_from_the_lifted_vertices(spec, monkeypatch, wor
     for name in operators:
         counted(name, Fraction)
     work_counts.clear()
-    table = folded_flags.line_table(p, line.t1, line.direction)
     flags = [
-        flag
-        for c in range(p.dim - 1)
-        for face in lat.faces(c)
-        for flag in (*fold_flags(p, face, line), *fold_flags(p, face, line, table))
+        flag for c in range(p.dim - 1) for face in lat.faces(c) for flag in fold_flags(p, face, line)
     ]
     assert work_counts["side"] == 0
     assert {name: calls[name] for name in names} == dict.fromkeys(names, 0)
     assert all(folded_flags.flag_collinear_with_assigned_point(f, line) for f in flags)
     assert {name: calls[name] for name in operators} == dict.fromkeys(operators, 0)
+
+
+@pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4", "random:4,12,10"])
+def test_one_line_table_per_candidate(spec, monkeypatch):
+    # The sampler builds one LineTable per candidate line it draws, two
+    # interior points each, and the accepted line carries its table: the
+    # folded checks that follow build none.
+    p = generate(spec, seed=0)
+    calls = Counter()
+    for name in ["line_table", "_relint_point"]:
+        fn = getattr(folded_flags, name)
+
+        def wrapper(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(folded_flags, name, wrapper)
+    for seed in range(5):
+        calls.clear()
+        line = sample_transversal(p, seed)
+        assert 0 < 2 * calls["line_table"] == calls["_relint_point"]
+        calls.clear()
+        assert facet_assignment_sums(p, line, seed).passed
+        assert calls == Counter()
 
 
 @pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4", "random:4,12,10"])

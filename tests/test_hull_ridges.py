@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 from eulerlab import polytope
 from eulerlab.acceptance import FAMILY_SPECS, RANDOM_SPECS
-from eulerlab.linalg import barycenter, dot, lift_points, vec
+from eulerlab.linalg import barycenter, dot, lift_points
 from eulerlab.polytope import _assemble, _bits, _plane, _sides, generate
+from spans import vec
 
 F = Fraction
 

@@ -27,7 +27,6 @@ from eulerlab.linalg import (
     affine_basis,
     affine_hull,
     lift_points,
-    vec,
     vsub,
 )
 from eulerlab.polytope import (
@@ -43,7 +42,7 @@ from eulerlab.polytope import (
     generate,
 )
 from eulerlab.projection import beyond_point, schlegel
-from spans import to_working, vadd, vscale
+from spans import face_points, to_working, vadd, vec, vscale
 
 F = Fraction
 
@@ -64,7 +63,7 @@ def fraction_assemble(distinct: Sequence[Vector], find_facets, labels=None) -> P
     k, frame, work_points = len(simplex) - 1, None, distinct
     if k < ambient:
         base, *rest = (distinct[i] for i in simplex)
-        frame = AffineSubspace(base, tuple(vsub(x, base) for x in rest))
+        frame = AffineSubspace(lift_points([base, *(vsub(x, base) for x in rest)]))
         work_points = [to_working(frame, x) for x in distinct]
         scale, lifted = lift_points(work_points)
     found = find_facets(lifted, simplex)
@@ -163,7 +162,7 @@ def fraction_schlegel_images(p: Polytope, facet: int) -> tuple[Vector, ...]:
     from the beyond point onto the facet's hyperplane, then charted."""
     v = beyond_point(p, facet)
     plane = p.facets[facet].hyperplane
-    frame = affine_hull(p.facet_vertices(facet))
+    frame = affine_hull(face_points(p, p.facets[facet]))
     sides = [plane.side(x) for x in p.vertices]
     a = plane.side(v)
     return tuple(

@@ -32,10 +32,17 @@ from eulerlab.linalg import (
     rational_point,
     reduce_lifted,
     solve_linear,
-    vec,
     vsub,
 )
-from spans import GaussJordanSpan, line_hyperplane_intersection, meets_line, through, to_working
+from spans import (
+    GaussJordanSpan,
+    line_hyperplane_intersection,
+    meets_line,
+    rational_frame,
+    through,
+    to_working,
+    vec,
+)
 import volumes
 from volumes import det
 
@@ -132,16 +139,16 @@ def lines_and_hulls(max_width=4, max_points=4):
 
 def hull_contains(hull, point):
     """Reference: whether point lies on the affine subspace."""
-    diff = vsub(point, hull.base_point)
-    return rank(list(hull.direction_basis) + [diff]) == hull.dim
+    base, basis = rational_frame(hull)
+    return rank([*basis, vsub(point, base)]) == hull.dim
 
 
 def plain_line_meets_affine(point, direction, hull):
     """Reference: the line {point + t*direction} meets base + span(basis)
     exactly when point - base lies in span(basis + [direction])."""
-    rows = list(hull.direction_basis) + [direction]
-    diff = vsub(point, hull.base_point)
-    return rank(rows + [diff]) == rank(rows)
+    base, basis = rational_frame(hull)
+    rows = [*basis, direction]
+    return rank([*rows, vsub(point, base)]) == rank(rows)
 
 
 def leibniz_det(rows):
@@ -556,9 +563,9 @@ class TestEchelonSpan:
         sub = affine_hull(pts)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg, "SpanBuilder", GaussJordanSpan)
-            ref = AffineSubspace(sub.base_point, sub.direction_basis)
+            ref = AffineSubspace(sub.lifted)
             ref._chart  # built on the Gauss-Jordan span
-        n = len(sub.base_point)
+        n = len(pts[0])
         for y in ([0] * n, *(y[:n] for y in ys)):
             try:
                 expected = ref.chart(scale, [y])
@@ -684,8 +691,8 @@ class TestAffineBasis:
         mapped = [tuple(sum(a * x for a, x in zip(row, q)) for row in rows) for q in lifted]
         assert affine_basis(mapped) == basis
         hull = affine_hull(points)
-        assert hull.base_point == base
-        assert hull.direction_basis == tuple(vsub(points[i], base) for i in basis[1:])
+        assert rational_frame(hull) == (base, tuple(vsub(points[i], base) for i in basis[1:]))
+        assert hull.lifted == reduce_lifted(*lift_points([base, *rational_frame(hull)[1]]))
 
 
 class TestAffine:
@@ -728,16 +735,17 @@ class TestAffine:
         # The int chart and the rational reference agree on every point.
         point, _, pts = drawn
         sub = affine_hull(pts)
-        rows = [tuple(b[j] for b in sub.direction_basis) for j in range(len(point))]
+        base, basis = rational_frame(sub)
+        rows = [tuple(b[j] for b in basis) for j in range(len(point))]
         coeffs = (coeffs + [F(0)] * sub.dim)[: sub.dim]
-        on = sub.base_point
-        for c, b in zip(coeffs, sub.direction_basis):
+        on = base
+        for c, b in zip(coeffs, basis):
             on = tuple(x + c * y for x, y in zip(on, b))
         assert to_working(sub, on) == chart_point(sub, on) == tuple(coeffs)
         if sub.dim:
-            expected = plain_solve(rows, vsub(point, sub.base_point))
+            expected = plain_solve(rows, vsub(point, base))
         else:
-            expected = () if point == sub.base_point else None
+            expected = () if point == base else None
         if expected is None:
             for chart in (to_working, chart_point):
                 with pytest.raises(ValueError, match="point not on the affine subspace"):
@@ -752,9 +760,8 @@ class TestAffine:
         # the points to_working gives, over a positive denominator.
         _, _, pts = drawn
         sub = affine_hull(pts)
-        scale, (base, *lifted) = lift_points([sub.base_point, *pts])
-        ys = [tuple(m * (a - b) for a, b in zip(q, base)) for q in lifted]
-        den, charted = sub.chart(m * scale, ys)
+        scale, lifted = lift_points(pts)
+        den, charted = sub.chart(m * scale, [tuple(m * c for c in q) for q in lifted])
         assert den > 0
         assert [rational_point((*w, den)) for w in charted] == [to_working(sub, x) for x in pts]
 
@@ -768,10 +775,10 @@ class TestAffine:
 
 
 def chart_point(sub, x):
-    """x charted by sub.chart on ints: x and the base point lifted together,
-    the chart read back as a rational point."""
-    scale, (q, base) = lift_points([x, sub.base_point])
-    den, (w,) = sub.chart(scale, [vsub(q, base)])
+    """x charted by sub.chart on ints: x lifted, the chart read back as a
+    rational point."""
+    scale, (q,) = lift_points([x])
+    den, (w,) = sub.chart(scale, [q])
     return rational_point((*w, den))
 
 

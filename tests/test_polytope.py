@@ -32,7 +32,6 @@ from eulerlab.linalg import (
     lift,
     lift_points,
     rank,
-    vec,
     vsub,
 )
 from eulerlab.polytope import (
@@ -51,7 +50,7 @@ from eulerlab.polytope import (
     point_polytope,
 )
 from eulerlab.projection import project_along
-from spans import active_facets, face_points, to_working, vadd, vscale
+from spans import active_facets, face_points, rational_frame, to_working, vadd, vec, vscale
 from volumes import children, volume
 
 F = Fraction
@@ -59,8 +58,8 @@ F = Fraction
 
 def to_ambient(frame, w):
     """The ambient point with working coordinates w in the frame."""
-    x = frame.base_point
-    for c, b in zip(w, frame.direction_basis, strict=True):
+    x, basis = rational_frame(frame)
+    for c, b in zip(w, basis, strict=True):
         x = vadd(x, vscale(b, c))
     return x
 
@@ -484,7 +483,7 @@ class TestFacetPlanes:
             row = (*f.hyperplane.normal, f.hyperplane.offset)
             assert all(type(x) is int for x in row)
             assert math.gcd(*row) == 1
-            assert f.hyperplane == hyperplane_through(p.facet_vertices(i), center)
+            assert f.hyperplane == hyperplane_through(face_points(p, f), center)
 
     @pytest.mark.parametrize("spec", [s for s in FAMILY_SPECS if int(s.split(":")[1]) <= 5])
     def test_families(self, spec):
@@ -548,8 +547,34 @@ class TestFrames:
     @pytest.mark.parametrize("spec", ["cube:4", "crosspolytope:4", "random:4,12,10"])
     def test_facet_pieces(self, spec):
         p = generate(spec, seed=0)
-        for i in range(len(p.facets)):
-            assert facet_polytope(p, i).frame == affine_hull(p.facet_vertices(i))
+        for i, f in enumerate(p.facets):
+            assert facet_polytope(p, i).frame == affine_hull(face_points(p, f))
+
+    def test_frames_build_no_fraction(self, monkeypatch):
+        # Every facet piece, and a hull below full dimension, is framed and
+        # charted on ints: no Fraction is built.  The counter is shown to
+        # work on one Fraction made by hand.
+        pieces = [generate(spec, seed=0) for spec in ("cube:4", "crosspolytope:4", "random:4,12,10")]
+        half = F(1, 2)
+        square = [(0, 0, half), (half, 0, half), (0, half, half), (half, half, half)]
+        collinear = [(1, half, 0), (2, 1, half), (3, F(3, 2), 1)]
+        for p in pieces:
+            face_lattice(p)  # a piece reads p's ridges off its lattice
+        built = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(cls)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        for p in pieces:
+            for i in range(len(p.facets)):
+                facet_polytope(p, i)
+        assert build_polytope(square).dim == 2 and build_polytope(collinear).dim == 1
+        assert built == []
+        F(1, 3)
+        assert built == [Fraction]
 
 
 class TestFaceLattice:

@@ -21,7 +21,6 @@ from eulerlab.linalg import (
     is_zero,
     lift_points,
     nullspace,
-    vec,
     vsub,
 )
 from eulerlab.polytope import build_polytope, face_lattice, facet_polytope, generate
@@ -32,7 +31,7 @@ from eulerlab.projection import (
     project_from_point,
     schlegel,
 )
-from spans import face_points, vadd, vscale
+from spans import face_points, vadd, vec, vscale
 from test_polytope import hull_inputs
 from volumes import volume
 
@@ -84,7 +83,7 @@ def fraction_beyond_point(p, i):
     if not 0 <= i < len(p.facets):
         raise ValueError(f"facet index {i} out of range")
     h = p.facets[i].hyperplane
-    center = barycenter(p.facet_vertices(i))
+    center = barycenter(face_points(p, p.facets[i]))
     step = Fraction(1)
     while True:
         cand = vadd(center, vscale(h.normal, step))
@@ -223,7 +222,7 @@ def assert_pieces_match_hulls(p, facet):
     index in p; a hull names each vertex by its own index."""
     for i in range(len(p.facets)):
         piece = facet_polytope(p, i)
-        assert piece == build_polytope(p.facet_vertices(i)), i
+        assert piece == build_polytope(face_points(p, p.facets[i])), i
         assert_named_by(piece, p.vertices)
     cx = schlegel(p, facet)
     hulls = [build_polytope([cx.images[v] for v in sorted(f.vertex_indices)]) for f in p.facets]
