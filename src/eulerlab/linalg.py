@@ -6,15 +6,15 @@ Fractions or on ints: `lift` and `lift_points` scale a row or a point set by
 one positive integer, which moves no sign, and `reduce_lifted` restates int
 points over a scale as `lift_points` gives them; an affine frame is such
 ints, built by `affine_frame`, and charts and embeds points on ints.  Two
-kernels run on fraction-free (Bareiss) steps: `SpanBuilder`, which rank,
-nullspace, solve, affine frames and their charts run on, reduces each new
-row forward against its echelon rows and builds the RREF only when read;
-the phase-1 simplex of `linear_feasible` takes Gauss-Jordan steps, `_pivot`.
-Both take ints only, much faster than Fraction pivoting at this scale;
-rationals become ints once, where they enter: `_span` lifts each row,
-`affine_hull` and `affine_dim` their point set, and a caller of the simplex
-each row with its rhs.  The simplex pivots each free variable in once, and
-keeps its objective as one more tableau row.
+kernels divide only exactly, by Sylvester's identity: `SpanBuilder`, which
+rank, nullspace, solve, affine frames and their charts run on, reduces
+each new row forward against its echelon rows (Bareiss steps) and builds
+the RREF only when read; the phase-1 simplex of `linear_feasible` keeps a
+condensed integer dictionary, nonbasic columns only, and takes exchange
+steps, `_pivot`.  Both take ints only, much faster than Fractions at this
+scale; rationals become ints once, where they enter: `_span` lifts each
+row, `affine_hull` and `affine_dim` their point set, and a caller of the
+simplex each row with its rhs.
 """
 
 from __future__ import annotations
@@ -102,23 +102,6 @@ def reduce_lifted(scale: int, points: Sequence[Sequence[int]]) -> tuple[int, tup
     scale/gcd(q_j, scale), and their lcm is scale/g."""
     g = math.gcd(scale, *(c for q in points for c in q))
     return scale // g, tuple(tuple(c // g for c in q) for q in points)
-
-
-def _pivot(mat: list[list[int]], r: int, col: int, prev: int) -> int:
-    """One fraction-free Gauss-Jordan step on mat[r][col] (the simplex's); returns the pivot.
-
-    Every other row becomes (p*a - f*b) // prev, where f is its entry in the
-    pivot column; a row with f = 0 must be scaled too unless p == prev.  By
-    Sylvester's identity the division is exact, and afterwards each pivot
-    row holds p in its own pivot column and 0 in every other pivot column.
-    """
-    prow = mat[r]
-    p = prow[col]
-    for i, row in enumerate(mat):
-        f = row[col]
-        if i != r and (f or p != prev):
-            mat[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
-    return p
 
 
 class SpanBuilder:
@@ -397,74 +380,87 @@ def hyperplane_through(points: Sequence[Vector], beneath: Vector) -> Hyperplane:
     return Hyperplane(tuple(x // g for x in n), c // g)
 
 
+def _pivot(dic: list[list[int]], r: int, c: int, d: int) -> int:
+    """One exchange step of the integer dictionary on p = dic[r][c]: row r's
+    basic variable and column c's nonbasic one trade places.  Every other
+    row becomes (p*a - f*b) // d, exact by Sylvester's identity, and takes
+    -f in column c, f its entry there; row r takes d there.  When p < 0 the
+    whole dictionary is negated in the same pass.  Returns |p|, the new d.
+    """
+    prow = dic[r]
+    s = 1 if prow[c] > 0 else -1
+    p = s * prow[c]
+    for i, row in enumerate(dic):
+        if i != r:
+            f = s * row[c]
+            if f or p != d:
+                row = dic[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+            row[c] = -f
+    if s < 0:
+        prow = dic[r] = [-x for x in prow]
+    prow[c] = s * d
+    return p
+
+
 def linear_feasible(
     rows: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> Optional[Vector]:
     """Exact witness for {y : rows·y <= rhs}, or None when infeasible.
 
-    Phase-1 simplex with Bland's rule on an integer tableau (lrs style, Avis
-    2000), on int rows and rhs only: a caller with rationals lifts each row
-    with its rhs first.  Each row gets a slack.  Each free y_j is pivoted
-    into the basis once, in the first row not yet taken with a nonzero entry
-    in column j, negated first if that entry is negative, so d stays > 0;
-    y_j = 0 if no row has one.  Those rows leave the ratio test, and y_j is
-    its row's rhs over d.  Each other row whose rhs is now negative is
-    negated and gets an artificial of entry d.  The phase-1 objective, the
-    sum of the artificials, is one more row: the costs minus the artificial
-    rows.  Every row, that one included, goes through the fraction-free
-    pivot `_pivot`, so the real tableau is the integer one over the last
-    pivot d.
+    Phase-1 simplex on a condensed integer dictionary (integer pivoting as
+    in lrs, Avis 2000), on int rows and rhs only: a caller with rationals
+    lifts each row with its rhs first.  Row i reads d*x_i + T_i·x_N = b_i
+    for its basic x_i and the nonbasic x_N, and holds T_i and b_i only: n + 2
+    ints with the artificial's entry.  Rows start on the slacks, columns on
+    y.  Each free y_j is pivoted in once, in the first row not yet taken
+    with a nonzero entry in column j (y_j = 0 if none has one); those rows
+    leave the ratio test, and y_j is its row's b over d.  If another b is
+    then negative, phase 1 is Chvátal's auxiliary problem (Chvátal 1983,
+    ch. 3): one artificial x0, entry -d in each other row, enters at the
+    least b, and Bland's rule lowers it until it leaves the basis (feasible)
+    or no column lowers it (empty).  Every step is the exchange `_pivot`.
     """
     m = len(rows)
     if m == 0:
         return tuple()
     n = len(rows[0])
-    tableau: list[list[int]] = []
-    for i, (row, b) in enumerate(zip(rows, rhs, strict=True)):
+    dic: list[list[int]] = []
+    for row, b in zip(rows, rhs, strict=True):
         if len(row) != n:
             raise DimensionMismatchError("rows of unequal length")
-        tableau.append([*row, *[0] * i, 1, *[0] * (m - 1 - i), b])
+        dic.append([*row, 0, b])
     d, free = 1, {}  # free column -> its row
     for j in range(n):
-        r = next((i for i in range(m) if tableau[i][j] and i not in free.values()), None)
+        r = next((i for i in range(m) if dic[i][j] and i not in free.values()), None)
         if r is not None:
-            if tableau[r][j] < 0:
-                tableau[r] = [-x for x in tableau[r]]
-            d, free[j] = _pivot(tableau, r, j, d), r
+            d, free[j] = _pivot(dic, r, j, d), r
     rest = [i for i in range(m) if i not in free.values()]
-    art = [i for i in rest if tableau[i][-1] < 0]
-    total = n + m + len(art)  # y, slacks, artificials; then the rhs
-    tableau = [row[:-1] + [0] * len(art) + row[-1:] for row in tableau]
-    basis = {i: n + i for i in rest}
-    for k, i in enumerate(art, n + m):
-        tableau[i] = [-x for x in tableau[i]]
-        tableau[i][k], basis[i] = d, k
-    objective = [-sum(c) for c in zip(*(tableau[i] for i in art))] or [0] * (total + 1)
-    objective[n + m : total] = [0] * len(art)  # cost d minus the d in its own row
-    tableau.append(objective)
-
-    while True:
-        enter = next((j for j in range(n, total) if objective[j] < 0), None)
-        if enter is None:
-            break
-        leave = None
+    low = min(rest, key=lambda i: dic[i][-1], default=None)
+    if low is not None and dic[low][-1] < 0:
+        # Bland's order: x0 is -1, so it leaves on every tie; y_j is j and
+        # row i's slack n + i.  A y_j column is 0 outside the free rows.
+        basis = [n + i for i in range(m)]
+        cols = [n + free[j] if j in free else j for j in range(n)] + [-1]
         for i in rest:
-            f = tableau[i][enter]
-            if f <= 0:
-                continue
-            if leave is not None:
-                # rhs_i / f against the least ratio so far, cross-multiplied;
-                # a tie goes to the lower basis index.
-                gap = tableau[i][total] * den - num * f
-                if gap > 0 or (gap == 0 and basis[i] > basis[leave]):
-                    continue
-            leave, num, den = i, tableau[i][total], f
-        if leave is None:  # unbounded phase-1 objective cannot happen
-            raise RuntimeError("phase-1 simplex unbounded")
-        d = _pivot(tableau, leave, enter, d)
-        objective = tableau[m]
-        basis[leave] = enter
-
-    if objective[total] != 0:
-        return None
-    return tuple(Fraction(tableau[free[j]][total] if j in free else 0, d) for j in range(n))
+            dic[i][n] = -d
+        enter, leave = n, low
+        while True:
+            d = _pivot(dic, leave, enter, d)
+            cols[enter], basis[leave] = basis[leave], cols[enter]
+            if cols[enter] == -1:
+                break  # x0 left the basis at 0
+            # x0 = (b - T·x_N)/d in its row: x_j lowers it when T_j > 0.
+            objective = dic[low]
+            lowers = [(cols[j], j) for j in range(n + 1) if objective[j] > 0]
+            if not lowers:
+                return None
+            enter, leave = min(lowers)[1], None
+            for i in rest:
+                # b_i / f against the least ratio so far, cross-multiplied;
+                # a tie goes to the lower index.
+                if (f := dic[i][enter]) > 0 and (
+                    leave is None or (gap := dic[i][-1] * den - num * f) < 0
+                    or gap == 0 and basis[i] < basis[leave]
+                ):
+                    leave, num, den = i, dic[i][-1], f
+    return tuple(Fraction(dic[free[j]][-1] if j in free else 0, d) for j in range(n))

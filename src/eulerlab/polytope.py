@@ -49,7 +49,6 @@ from .linalg import (
     affine_basis,
     affine_frame,
     dot,
-    lift,
     lift_points,
     linear_feasible,
     rational_point,
@@ -401,7 +400,7 @@ def face_lattice(p: Polytope) -> FaceLattice:
     return p.lattice
 
 
-def _is_face_lp(rows: list[list[int]], span: SpanBuilder, outside: list[int]) -> bool:
+def _is_face_lp(rows: Sequence[Sequence[int]], span: SpanBuilder, outside: list[int]) -> bool:
     """Exact test: does a hyperplane contain the subset whose rows `span`
     holds, with all `outside` vertices strictly on one side?  Decided by
     exact linear feasibility.
@@ -428,14 +427,15 @@ def brute_force_face_lattice(p: Polytope, bound: int = ORACLE_BOUND) -> FaceLatt
     (b) a vertex v < max(S) outside S, which no subset below takes in, lies
     in aff(S).  Exponential in n; refuses instances above `bound`.
     """
-    n = len(p.vertices)
+    scale, points = p.lifted
+    n = len(points)
     if n > bound:
         raise OracleBoundError("oracle bound exceeded")
     by_dim: dict[int, list[tuple[int, ...]]] = {p.dim: [tuple(range(n))]}
-    # Vertex i as the integer row (v, -1) times a positive scale: the rows of
-    # S span a space of dimension dim aff(S) + 1 that holds the row of every
+    # Vertex i as the integer row (v, -1) times the scale V: the rows of S
+    # span a space of dimension dim aff(S) + 1 that holds the row of every
     # point of aff(S) and of no other.
-    rows = [lift((*v, -1)) for v in p.vertices]
+    rows = [(*q, -scale) for q in points]
     stack = [((), SpanBuilder(p.dim + 1))]
     while stack:
         prefix, span = stack.pop()

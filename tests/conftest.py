@@ -13,7 +13,7 @@ from eulerlab.linalg import Hyperplane
 def work_counts(monkeypatch) -> Counter:
     """Counts of exact pivot steps, span row steps, hyperplane side tests
     and Fraction hashes made while the test runs; clear() it to start a
-    count.  "pivot" counts the simplex's Gauss-Jordan steps.  "step" counts
+    count.  "pivot" counts the LP's dictionary exchange steps.  "step" counts
     a span's row steps: one per stored row for each row it reduces
     (`_reduce`, `contains`), and one per pair of rows when it builds its
     RREF.  The hull's integer side tests count one per plane of each

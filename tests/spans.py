@@ -6,7 +6,8 @@ face_points.  `rational_frame` reads a frame's base point and basis as
 Fractions, `to_working` is the rational chart that the int chart
 `AffineSubspace.chart` replaced, and `GaussJordanSpan` is the span that
 kept d times the RREF current on every add, before `SpanBuilder` held
-echelon rows and built the RREF on first read."""
+echelon rows and built the RREF on first read; it steps with `_pivot`,
+one fraction-free Gauss-Jordan step."""
 
 from fractions import Fraction
 from operator import mul
@@ -17,7 +18,6 @@ from eulerlab.linalg import (
     Hyperplane,
     SpanBuilder,
     Vector,
-    _pivot,
     dot,
     is_zero,
     lift,
@@ -108,6 +108,23 @@ def line_hyperplane_intersection(
         return None
     t = (h.offset - dot(h.normal, line_point)) / denom
     return vadd(line_point, vscale(line_dir, t))
+
+
+def _pivot(mat: list[list[int]], r: int, col: int, prev: int) -> int:
+    """One fraction-free Gauss-Jordan step on mat[r][col] (GaussJordanSpan's); returns the pivot.
+
+    Every other row becomes (p*a - f*b) // prev, where f is its entry in the
+    pivot column; a row with f = 0 must be scaled too unless p == prev.  By
+    Sylvester's identity the division is exact, and afterwards each pivot
+    row holds p in its own pivot column and 0 in every other pivot column.
+    """
+    prow = mat[r]
+    p = prow[col]
+    for i, row in enumerate(mat):
+        f = row[col]
+        if i != r and (f or p != prev):
+            mat[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+    return p
 
 
 class GaussJordanSpan:

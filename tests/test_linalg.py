@@ -256,6 +256,27 @@ def lp_systems(draw, max_width=4, max_rows=7):
     return lifted_system(rows, rhs)
 
 
+@st.composite
+def oracle_shaped_systems(draw, max_width=6, max_rows=12):
+    """(rows, rhs) as `_is_face_lp` hands them over: int rows, each with rhs
+    -1, up to 12 rows of up to 6 entries, with zero rows and rows equal or
+    parallel (either way) to an earlier one."""
+    n = draw(st.integers(1, max_width))
+    entries = st.one_of(st.just(0), st.integers(-6, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        kind = draw(st.sampled_from(["fresh", "zero", "copy"] if rows else ["fresh", "zero"]))
+        if kind == "fresh":
+            row = tuple(draw(st.lists(entries, min_size=n, max_size=n)))
+        elif kind == "zero":
+            row = (0,) * n
+        else:
+            s = draw(st.sampled_from([1, 1, 2, -1, -3]))
+            row = tuple(s * x for x in draw(st.sampled_from(rows)))
+        rows.append(row)
+    return rows, [-1] * len(rows)
+
+
 def lifted_system(rows, rhs):
     """Rational rows and rhs as linear_feasible takes them: each row lifted
     to ints together with its rhs, a positive scale that keeps its set."""
@@ -968,7 +989,8 @@ class TestLinearFeasible:
         assert y[1] == 0
 
     def test_negative_free_pivot(self, work_counts):
-        # Both free pivots are negative entries; the rows are negated first.
+        # Both free pivots are negative entries; each step negates the
+        # dictionary, so its denominator stays positive.
         rows, rhs = [vec(-2, 1), vec(1, -3), vec(1, 1)], [F(-4), F(-1), F(9)]
         assert_matches_reference(rows, rhs)
         work_counts.clear()
@@ -999,9 +1021,38 @@ class TestLinearFeasible:
         assert_matches_reference(rows, rhs)
         assert_matches_reference(rows, [F(2), F(3), F(6)])
 
+    def test_tie_lets_the_artificial_leave(self, work_counts):
+        # Rows 0 and 1 repeat, so after y_0 and y_1 are pivoted in (rows 0
+        # and 2) row 1's slack s_1 = s_0 is basic at 0.  Row 3 reads
+        # s_3 = -1 - s_0 + s_2; x0 enters there, and then s_1 = 1 + 2s_0 -
+        # s_2 + s_3 and x0 = 1 + s_0 - s_2 + s_3.  s_2 enters, and s_1 and x0
+        # tie at s_2 = 1: x0 has the least index, so it leaves at once.
+        rows, rhs = [(1, 0), (1, 0), (0, 1), (-1, 1)], [-1, -1, -1, -1]
+        work_counts.clear()
+        y = linear_feasible(rows, rhs)
+        assert work_counts["pivot"] == 4  # two free, x0's entry, one Bland
+        assert y == (-1, -2)
+        assert_matches_reference(rows, rhs)
+
+    def test_rows_of_unequal_length(self):
+        with pytest.raises(DimensionMismatchError, match="unequal length"):
+            linear_feasible([(1, 2), (3,)], [-1, -1])
+        with pytest.raises(DimensionMismatchError, match="unequal length"):
+            linear_feasible([(1,), (2, 3)], [-1, -1])
+
+    def test_rhs_of_wrong_length(self):
+        for rhs in ([-1], [-1, -1, -1]):
+            with pytest.raises(ValueError):
+                linear_feasible([(1, 2), (3, 4)], rhs)
+
     @given(lp_systems())
     @settings(max_examples=300, deadline=None)
     def test_matches_plain_simplex(self, system):
+        assert_matches_reference(*system)
+
+    @given(oracle_shaped_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_plain_simplex_on_oracle_shapes(self, system):
         assert_matches_reference(*system)
 
     @given(st.sampled_from(["random:3,7,4", "random:3,8,6", "random:4,8,3"]), st.integers(0, 10**6))

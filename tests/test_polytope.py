@@ -913,6 +913,13 @@ class TestOracle:
         p = generate("cube:3")
         assert face_lattice(p).same_faces(brute_force_face_lattice(p))
 
+    def test_rational_cube_matches_fast_lattice(self):
+        # The oracle's rows are (q, -V) for the lifted ints q over V = 6.
+        cube = itertools.product((0, 1), repeat=3)
+        p = build_polytope([tuple(F(1, 2) + F(c, 3) for c in v) for v in cube])
+        assert p.lifted[0] == 6
+        assert face_lattice(p).same_faces(brute_force_face_lattice(p))
+
     def test_point_matches_fast_lattice(self):
         q = point_polytope(vec(2, 3))
         lat = brute_force_face_lattice(q)
@@ -1029,13 +1036,18 @@ def test_lp_calls(spec):
 # and 321 pivots, of which 938, 868 and 180 span pivots.  The prefix tree
 # adds one row to its parent's span per subset it visits (169, 128 and 56
 # span pivots), and the LP pivots each free variable in once (300, 159 and
-# 105 LP pivots, from 464, 241 and 141).  The span no longer pivots: its
-# steps are one per stored row for each row it adds or tests with
-# `contains`, and one per pair of rows for each RREF `_is_face_lp` reads.
+# 105 LP pivots, from 464, 241 and 141; 212, 100 and 68 of them free).  The
+# span no longer pivots: its steps are one per stored row for each row it
+# adds or tests with `contains`, and one per pair of rows for each RREF
+# `_is_face_lp` reads.  Phase 1 on the condensed dictionary adds one pivot
+# to each LP that needs it, the single artificial's entry (71, 46 and 35),
+# and takes fewer Bland steps (57, 34 and 27, from 88, 59 and 37 with one
+# artificial per negative row): 340, 180 and 130 LP pivots, each updating
+# n + 2 entries per row, not n + m + a + 1.
 ORACLE_WORK = {
-    "crosspolytope:4": {"pivot": 300, "step": 2532},
-    "cube:3": {"pivot": 159, "step": 1460},
-    "random:3,8,6": {"pivot": 105, "step": 505},
+    "crosspolytope:4": {"pivot": 340, "step": 2532},
+    "cube:3": {"pivot": 180, "step": 1460},
+    "random:3,8,6": {"pivot": 130, "step": 505},
 }
 
 
